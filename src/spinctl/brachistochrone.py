@@ -29,6 +29,7 @@ from .matrixcore import commutator
 __all__ = [
     "ControlSplit",
     "DiracSplitState",
+    "NonFiniteStateError",
     "OperatorPair",
     "Trajectory",
     "brachistochrone_rhs",
@@ -155,6 +156,10 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
     return OperatorPair(ck[split.s_indices], ck[split.c_indices], 1.0)
 
 
+class NonFiniteStateError(RuntimeError):
+    """Raised by ``integrate`` when the state leaves the finite range."""
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled brachistochrone run with invariant monitors.
@@ -193,8 +198,9 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     ``sample_stride`` steps plus at the final step. No renormalization is
     applied; monitor drift is a deliberate fidelity signal.
 
-    Raises ValueError for nonpositive h or T, and RuntimeError (with the
-    failing step index) if the state leaves the finite range mid-run.
+    Raises ValueError for nonpositive h or T, and NonFiniteStateError (a
+    RuntimeError, with the failing step index) if the state leaves the
+    finite range mid-run.
     """
     if h <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
@@ -225,7 +231,7 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
         k4 = rhs(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(c)):
-            raise RuntimeError(f"non-finite state at step {step}")
+            raise NonFiniteStateError(f"non-finite state at step {step}")
         if step % sample_stride == 0 or step == n_steps:
             times.append(initial.time + step * h)
             hs.append(c[:ns].copy())

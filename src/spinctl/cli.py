@@ -10,6 +10,7 @@ round-trip losslessly through text.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import audit as audit_mod
 from . import closedforms as cf
 from . import oracle
-from .brachistochrone import ControlSplit, OperatorPair, integrate
+from .brachistochrone import ControlSplit, NonFiniteStateError, OperatorPair, integrate
 from .generators import build_basis
 
 __all__ = ["RunConfig", "dispatch", "main", "parse_config"]
@@ -109,9 +110,12 @@ def parse_config(text: str) -> RunConfig:
 
     def as_float(key: str) -> float:
         try:
-            return float(run[key])
+            value = float(run[key])
         except ValueError:
             raise ConfigError(f"invalid number for key {key!r}: {run[key]!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r} must be finite, got {run[key]!r}")
+        return value
 
     def as_int(key: str, default: int) -> int:
         if key not in run:
@@ -139,6 +143,8 @@ def parse_config(text: str) -> RunConfig:
                 out[label] = float(value)
             except ValueError:
                 raise ConfigError(f"invalid number for label {label!r}: {value!r}") from None
+            if not math.isfinite(out[label]):
+                raise ConfigError(f"label {label!r} must be finite, got {value!r}")
         return out
 
     s_set = set(split)
@@ -246,6 +252,8 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.tol is not None and not args.tol >= 0:
+        raise ValueError(f"--tol must be a non-negative number, got {args.tol!r}")
     results = audit_mod.full_report(tol=args.tol, seed=args.seed)
     _write_text(args.out, audit_mod.format_report(results))
     return 1 if any(r.status == "FAIL" for r in results) else 0
@@ -317,7 +325,7 @@ def dispatch(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -132,16 +132,33 @@ class DiracParameters:
 
 
 def _block4(upper_left, upper_right, lower_left, lower_right) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = upper_left
-    out[:2, 2:] = upper_right
-    out[2:, :2] = lower_left
-    out[2:, 2:] = lower_right
+    """4x4 matrix from 2x2 blocks.
+
+    ``upper_right`` may be an (n, 2, 2) stack, giving (n, 4, 4); the other
+    blocks broadcast against it.
+    """
+    out = np.zeros(np.shape(upper_right)[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = upper_left
+    out[..., :2, 2:] = upper_right
+    out[..., 2:, :2] = lower_left
+    out[..., 2:, 2:] = lower_right
     return out
 
 
-def dirac_hamiltonian(params: DiracParameters, t: float) -> np.ndarray:
-    """Time-optimal Dirac Hamiltonian.
+def _sparse_matrix(d: int, entries: dict, lead: tuple) -> np.ndarray:
+    """Stack of d x d matrices of shape lead + (d, d), zero except ``entries``.
+
+    ``entries`` maps (i, j) to a scalar or to an array of shape ``lead``:
+    lead = () for a scalar time, (n,) for a 1-D array of n times.
+    """
+    out = np.zeros(lead + (d, d), dtype=complex)
+    for (i, j), entry in entries.items():
+        out[..., i, j] = entry
+    return out
+
+
+def dirac_hamiltonian(params: DiracParameters, t) -> np.ndarray:
+    """Time-optimal Dirac Hamiltonian; (4, 4) at a scalar t, (n, 4, 4) at n times.
 
     Blocks [[m 1, z p0.sigma], [conj(z) p0.sigma, -m 1]] with the unimodular
     phase z = e^{i theta} e^{-2iEt}. At the default theta = -pi/2 this is
@@ -153,7 +170,8 @@ def dirac_hamiltonian(params: DiracParameters, t: float) -> np.ndarray:
     z = np.exp(1j * params.theta) * np.exp(-2j * e * t)
     ps = _sigma_dot(params.p0)
     eye = PAULI[0]
-    return _block4(params.m * eye, z * ps, np.conj(z) * ps, -params.m * eye)
+    return _block4(params.m * eye, np.multiply.outer(z, ps), np.multiply.outer(np.conj(z), ps),
+                   -params.m * eye)
 
 
 def dirac_hamiltonian_rate(params: DiracParameters, t: float) -> np.ndarray:
@@ -237,11 +255,13 @@ class UnitaryFamily:
     ``frame`` is the pair (C, H0) with H(t) = e^{-iCt} H0 e^{+iCt}; it is
     what the Schrodinger propagator is built from. ``gate`` is the
     eigenstate-representation map Q(t) where the family has one (su3).
+    ``hamiltonian`` broadcasts over time: a scalar t gives (dim, dim), a
+    1-D array of n times gives the (n, dim, dim) stack.
     """
 
     group_id: str
     dim: int
-    hamiltonian: Callable[[float], np.ndarray]
+    hamiltonian: Callable[[float | np.ndarray], np.ndarray]
     propagator: Callable[[float, float], np.ndarray]
     frame: tuple[np.ndarray, np.ndarray]
     gate: Optional[Callable[[float], np.ndarray]] = None
@@ -250,8 +270,9 @@ class UnitaryFamily:
 def su2_family() -> UnitaryFamily:
     """H(t) = [[0, e^{-it}], [e^{+it}, 0]], U(t, s) = diag(1, e^{i(t-s)})."""
 
-    def hamiltonian(t: float) -> np.ndarray:
-        return np.array([[0, np.exp(-1j * t)], [np.exp(1j * t), 0]])
+    def hamiltonian(t) -> np.ndarray:
+        z = np.exp(-1j * t)
+        return _sparse_matrix(2, {(0, 1): z, (1, 0): np.exp(1j * t)}, z.shape)
 
     def propagator(t: float, s: float) -> np.ndarray:
         return np.diag([1.0 + 0j, np.exp(1j * (t - s))])
@@ -288,13 +309,13 @@ def su3_family(theta: float = DEFAULT_THETA) -> UnitaryFamily:
     """
     sgn = AUDITED_CONVENTIONS.su3_upper_sign
 
-    def hamiltonian(t: float) -> np.ndarray:
+    def hamiltonian(t) -> np.ndarray:
         c, s = np.cos(t), np.sin(t)
-        return np.array([
-            [0, c, 0],
-            [c, 0, -1j * np.exp(-1j * theta) * s],
-            [0, 1j * np.exp(1j * theta) * s, 0],
-        ])
+        return _sparse_matrix(3, {
+            (0, 1): c, (1, 0): c,
+            (1, 2): -1j * np.exp(-1j * theta) * s,
+            (2, 1): 1j * np.exp(1j * theta) * s,
+        }, c.shape)
 
     def propagator(t: float, s: float) -> np.ndarray:
         c, sn = np.cos(t - s), np.sin(t - s)

@@ -19,8 +19,9 @@ evolution equals sqrt(variance).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -42,24 +43,62 @@ __all__ = [
 #: on one 2*pi phase interval.
 DEFAULT_STEPS_PER_PERIOD = 10_000
 
+#: Midpoints evaluated per stacked H(t) call and per stacked expm_unitary.
+#: Bounds the factors held at once to _CHUNK * dim^2 complex entries
+#: whatever the step count.
+_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class HamiltonianSchedule:
-    """A time-dependent Hermitian matrix t -> H(t) of fixed dimension."""
+    """A time-dependent Hermitian matrix t -> H(t) of fixed dimension.
+
+    ``evaluator`` takes a 1-D array of n times and returns the
+    (n, dim, dim) stack of H at those times.
+    """
 
     dim: int
-    evaluator: Callable[[float], np.ndarray]
-
-    def __call__(self, t: float) -> np.ndarray:
-        h = as_operator(self.evaluator(t))
-        if h.shape[0] != self.dim:
-            raise ValueError(f"schedule produced dim {h.shape[0]}, declared {self.dim}")
-        return h
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
 
 def schedule_for(family: UnitaryFamily) -> HamiltonianSchedule:
     """Wrap a closed-form family's Hamiltonian as a schedule."""
     return HamiltonianSchedule(dim=family.dim, evaluator=family.hamiltonian)
+
+
+def _step_factors(sched: HamiltonianSchedule, t0: float, t1: float,
+                  steps: int) -> Iterator[np.ndarray]:
+    """The midpoint factors exp(-i H(t_k + dt/2) dt), k = 0 .. steps-1.
+
+    Validates ``steps`` at once, then yields the factors lazily in time
+    order as (m, dim, dim) chunks of at most _CHUNK, each from one H(t)
+    call and one stacked expm_unitary.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    dt = (t1 - t0) / steps
+
+    def chunk(start: int) -> np.ndarray:
+        ts = t0 + (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dt
+        h = np.asarray(sched.evaluator(ts))
+        if h.shape != (len(ts), sched.dim, sched.dim):
+            raise ValueError(f"schedule produced shape {h.shape} for {len(ts)} times, "
+                             f"declared dim {sched.dim}")
+        return expm_unitary(h, dt)
+
+    return map(chunk, range(0, steps, _CHUNK))
+
+
+def _ordered_product(factors: np.ndarray) -> np.ndarray:
+    """factors[-1] @ ... @ factors[0] as a pairwise product tree.
+
+    Each level multiplies neighbours, later on the left; an odd last
+    factor passes up unpaired, so time order is kept at every level.
+    """
+    while len(factors) > 1:
+        paired = factors[1::2] @ factors[0:-1:2]
+        factors = np.concatenate([paired, factors[-1:]]) if len(factors) % 2 else paired
+    return factors[0]
 
 
 def time_ordered_exponential(sched: HamiltonianSchedule, t0: float, t1: float,
@@ -69,14 +108,12 @@ def time_ordered_exponential(sched: HamiltonianSchedule, t0: float, t1: float,
     Later times multiply from the left. Each factor goes through
     expm_unitary, so Hermiticity of the schedule is enforced at every
     sampled midpoint and the result is unitary to machine precision
-    regardless of ``steps``.
+    regardless of ``steps``. The factors of each chunk of midpoints are
+    multiplied as a pairwise tree before joining the running product.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    dt = (t1 - t0) / steps
     u = np.eye(sched.dim, dtype=complex)
-    for k in range(steps):
-        u = expm_unitary(sched(t0 + (k + 0.5) * dt), dt) @ u
+    for factors in _step_factors(sched, t0, t1, steps):
+        u = _ordered_product(factors) @ u
     return u
 
 
@@ -112,14 +149,12 @@ def evolve_state(psi0, sched: HamiltonianSchedule, t0: float, t1: float,
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: |psi| = {nrm:.12f}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    dt = (t1 - t0) / steps
+    factors = itertools.chain.from_iterable(_step_factors(sched, t0, t1, steps))
     out = np.empty((steps + 1, sched.dim), dtype=complex)
     out[0] = psi
-    for k in range(steps):
-        psi = expm_unitary(sched(t0 + (k + 0.5) * dt), dt) @ psi
-        out[k + 1] = psi
+    for k, f in enumerate(factors, start=1):
+        psi = f @ psi
+        out[k] = psi
     return out
 
 

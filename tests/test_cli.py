@@ -162,6 +162,54 @@ class TestAuditCommand:
         assert "FAIL" in out.read_text()
 
 
+class TestNonFiniteInput:
+    """Bad numbers end in exit 2 and one error line, never a traceback."""
+
+    @staticmethod
+    def assert_rejected(rc, capsys, needle):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert any(l.startswith("error:") and needle in l for l in err.splitlines())
+
+    @pytest.mark.parametrize("h,T,needle", [
+        ("1e-3", "inf", "'T' must be finite"),
+        ("nan", "1", "'h' must be finite"),
+    ])
+    def test_non_finite_grid(self, tmp_path, capsys, h, T, needle):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"group = su2\nsplit = sx,sy\nh = {h}\nT = {T}\n")
+        rc = dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        self.assert_rejected(rc, capsys, needle)
+
+    def test_non_finite_coefficient(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SU2_CONFIG.replace("sx = 1", "sx = inf"))
+        rc = dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        self.assert_rejected(rc, capsys, "'sx' must be finite")
+
+    def test_parse_config_rejects_non_finite(self):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(SU2_CONFIG.replace("sz = -0.5", "sz = -inf"))
+
+    def test_state_overflow_mid_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SU2_CONFIG.replace("sx = 1", "sx = 1e200").replace("sz = -0.5", "sz = 1e200"))
+        with np.errstate(all="ignore"):
+            rc = dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        self.assert_rejected(rc, capsys, "non-finite state at step 1")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+    def test_audit_rejects_bad_tolerance(self, tmp_path, capsys, tol):
+        rc = dispatch(["audit", f"--tol={tol}", "--out", str(tmp_path / "r.txt")])
+        self.assert_rejected(rc, capsys, "--tol")
+
+    def test_propagate_infinite_horizon(self, capsys):
+        with np.errstate(all="ignore"):
+            rc = dispatch(["propagate", "--family", "su2", "--t1", "inf"])
+        self.assert_rejected(rc, capsys, "non-finite")
+
+
 class TestDispatch:
     def test_unknown_subcommand(self):
         assert dispatch(["frobnicate"]) == 2

@@ -31,6 +31,17 @@ def random_params(rng, min_p=0.1) -> DiracParameters:
     return DiracParameters(m=rng.uniform(-2, 2), p0=p)
 
 
+class TestStackedHamiltonian:
+    def test_families_broadcast_over_time(self):
+        ts = np.linspace(-2.0, 3.0, 11)
+        for fam in (su2_family(), su3_family(0.9), su4_family(random_params(RNG))):
+            stacked = fam.hamiltonian(ts)
+            assert stacked.shape == (len(ts), fam.dim, fam.dim)
+            assert np.array_equal(stacked, np.stack([fam.hamiltonian(t) for t in ts]))
+            assert fam.hamiltonian(0.4).shape == (fam.dim, fam.dim)
+            assert fam.hamiltonian(ts[:1]).shape == (1, fam.dim, fam.dim)
+
+
 class TestDiracParameters:
     def test_energy_is_derived(self):
         params = DiracParameters(m=3.0, p0=[0, 4, 0])

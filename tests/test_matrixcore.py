@@ -142,6 +142,49 @@ class TestExpmUnitary:
             expm_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
+class TestExpmUnitaryStack:
+    def mixed_stack(self):
+        dirac = assemble_dirac(dirac_operators(), 0.7, [0.2, -0.4, 1.1])
+        return np.stack([dirac, np.zeros((4, 4)), random_hermitian(RNG, 4),
+                         np.kron(SZ, I2), random_hermitian(RNG, 4), 3.0 * dirac])
+
+    def test_matches_per_matrix_calls(self):
+        stack = self.mixed_stack()
+        for tau in (0.37, -2.1):
+            u = expm_unitary(stack, tau)
+            assert u.shape == stack.shape
+            ref = np.stack([expm_unitary(h, tau) for h in stack])
+            assert np.max(np.abs(u - ref)) <= 1e-14
+
+    def test_single_branch_stacks(self):
+        for stack in (np.stack([SX, SZ, np.zeros((2, 2))]),
+                      np.stack([random_hermitian(RNG, 3) for _ in range(5)])):
+            ref = np.stack([expm_unitary(h, 0.8) for h in stack])
+            assert np.max(np.abs(expm_unitary(stack, 0.8) - ref)) <= 1e-14
+
+    def test_zero_matrices_give_identity(self):
+        u = expm_unitary(np.zeros((3, 2, 2)), 1.3)
+        assert np.array_equal(u, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+    def test_rejects_non_hermitian_anywhere(self):
+        stack = self.mixed_stack()
+        stack[4, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            expm_unitary(stack, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_anywhere(self, bad):
+        stack = self.mixed_stack()
+        stack[2, 3, 3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            expm_unitary(stack, 1.0)
+
+    def test_rejects_bad_shapes(self):
+        for shape in ((4,), (2, 3), (2, 2, 3), (1, 2, 2, 2)):
+            with pytest.raises(ValueError, match="square"):
+                expm_unitary(np.zeros(shape), 1.0)
+
+
 class TestPredicates:
     def test_pauli(self):
         rep = predicates(SX)

@@ -27,7 +27,7 @@ ALL_FAMILIES = [
 
 class TestTimeOrderedExponential:
     def test_constant_schedule_exact(self):
-        sched = HamiltonianSchedule(2, lambda t: SZ)
+        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
         for steps in (1, 7, 50):
             u = time_ordered_exponential(sched, 0.0, np.pi / 2, steps)
             assert np.max(np.abs(u - np.diag([-1j, 1j]))) < 1e-13
@@ -51,6 +51,17 @@ class TestTimeOrderedExponential:
         err = [np.max(np.abs(time_ordered_exponential(sched, 0.0, 2 * np.pi, n) - ref))
                for n in (200, 400)]
         assert 3.5 <= err[0] / err[1] <= 4.5
+
+    @pytest.mark.parametrize("steps", [1, 2, 255, 256, 257, 1000])
+    def test_matches_sequential_product(self, steps):
+        t0, t1 = -0.3, 2.6
+        dt = (t1 - t0) / steps
+        for fam in ALL_FAMILIES:
+            ref = np.eye(fam.dim, dtype=complex)
+            for k in range(steps):
+                ref = expm_unitary(fam.hamiltonian(t0 + (k + 0.5) * dt), dt) @ ref
+            u = time_ordered_exponential(schedule_for(fam), t0, t1, steps)
+            assert np.max(np.abs(u - ref)) <= 1e-12
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
@@ -111,14 +122,14 @@ class TestRotatingFramePropagator:
 
 class TestEvolveState:
     def test_zero_hamiltonian(self):
-        sched = HamiltonianSchedule(2, lambda t: np.zeros((2, 2)))
+        sched = HamiltonianSchedule(2, lambda t: np.zeros((len(t), 2, 2)))
         psi0 = np.array([0.6, 0.8], dtype=complex)
         states = evolve_state(psi0, sched, 0.0, 1.0, 10)
         assert states.shape == (11, 2)
         assert np.max(np.abs(states - psi0)) < 1e-14
 
     def test_phase_only_evolution(self):
-        sched = HamiltonianSchedule(2, lambda t: SZ)
+        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
         states = evolve_state(np.array([1.0, 0.0]), sched, 0.0, 2.0, 100)
         assert np.max(np.abs(np.abs(states) - np.abs(states[0]))) < 1e-12
 
@@ -141,8 +152,17 @@ class TestEvolveState:
         assert np.all(np.isfinite(series))
         assert series[0] == pytest.approx(params.energy, abs=1e-10)
 
+    def test_final_state_matches_propagator(self):
+        for fam in ALL_FAMILIES:
+            psi0 = np.zeros(fam.dim, dtype=complex)
+            psi0[0] = 1.0
+            states = evolve_state(psi0, schedule_for(fam), 0.0, 1.5, 257)
+            u = time_ordered_exponential(schedule_for(fam), 0.0, 1.5, 257)
+            assert states.shape == (258, fam.dim)
+            assert np.max(np.abs(states[-1] - u @ psi0)) <= 1e-12
+
     def test_rejects_unnormalized(self):
-        sched = HamiltonianSchedule(2, lambda t: SZ)
+        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
         with pytest.raises(ValueError, match="normalized"):
             evolve_state(np.array([1.0, 1.0]), sched, 0.0, 1.0, 5)
 
@@ -168,7 +188,7 @@ class TestEnergyVariance:
 
 class TestFsSpeed:
     def test_stationary_state(self):
-        sched = HamiltonianSchedule(2, lambda t: SZ)
+        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
         states = evolve_state(np.array([1.0, 0.0]), sched, 0.0, 0.01, 100)
         variances = [energy_variance(s, SZ) for s in states]
         rows = fs_speed_check(states, 1e-4, variances)
@@ -176,7 +196,7 @@ class TestFsSpeed:
 
     def test_precessing_state(self):
         dt = 1e-4
-        sched = HamiltonianSchedule(2, lambda t: SZ)
+        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
         states = evolve_state(np.array([1.0, 1.0]) / np.sqrt(2), sched, 0.0, 200 * dt, 200)
         variances = [energy_variance(s, SZ) for s in states]
         rows = fs_speed_check(states, dt, variances)
