@@ -18,7 +18,6 @@ from .brachistochrone import (
     dirac_vector_rhs,
     integrate,
     pair_to_dirac_state,
-    project_pair,
 )
 from .closedforms import (
     AUDITED_CONVENTIONS,
@@ -26,7 +25,6 @@ from .closedforms import (
     EigenFrame,
     UnitaryFamily,
     dirac_hamiltonian,
-    dirac_hamiltonian_rate,
     epsilon_product,
     isotropic_energy,
     su2_family,
@@ -51,14 +49,11 @@ from .generators import (
 )
 from .matrixcore import (
     MatrixPredicates,
-    anticommutator,
-    bracket,
     commutator,
     dagger,
     expm_unitary,
     kron,
     predicates,
-    trace_inner,
 )
 from .oracle import (
     HamiltonianSchedule,

@@ -70,6 +70,11 @@ def _draw_params(rng: np.random.Generator, min_p: float = 0.0) -> cf.DiracParame
     return cf.DiracParameters(m=m, p0=p)
 
 
+def _verdict(check_id: str, err: float, tol: float, detail: str) -> CheckResult:
+    """PASS when ``err`` is within ``tol``, FAIL otherwise (NaN included)."""
+    return CheckResult(check_id, "PASS" if err <= tol else "FAIL", err, detail)
+
+
 def _resolve(check_id: str, candidates: dict[str, float], expected_token: str,
              tol: float, detail: str) -> CheckResult:
     """RESOLVED when exactly one candidate passes (or the best of several).
@@ -99,12 +104,7 @@ def _check_dirac_algebra(rng, tol):
     report = verify_algebra(dirac_operators())
     err = max(report.values())
     worst = max(report, key=report.get)
-    return CheckResult(
-        "dirac_algebra",
-        "PASS" if err <= tol else "FAIL",
-        err,
-        f"16 Clifford relations; worst {worst}",
-    )
+    return _verdict("dirac_algebra", err, tol, f"16 Clifford relations; worst {worst}")
 
 
 def _check_kg_identity(rng, tol):
@@ -115,12 +115,7 @@ def _check_kg_identity(rng, tol):
         t = rng.uniform(-2, 2)
         h = cf.dirac_hamiltonian(params, t)
         err = max(err, float(np.max(np.abs(h @ h - params.energy ** 2 * eye))))
-    return CheckResult(
-        "kg_identity",
-        "PASS" if err <= tol else "FAIL",
-        err,
-        "H(t)^2 = (m^2+|p|^2)*1 over 100 random (m, p, t)",
-    )
+    return _verdict("kg_identity", err, tol, "H(t)^2 = (m^2+|p|^2)*1 over 100 random (m, p, t)")
 
 
 def _check_sphere_constraint(rng, tol):
@@ -154,12 +149,8 @@ def _check_eigenframe_inverse(rng, tol):
             float(np.max(np.abs(frame.w_inv @ frame.w - eye))),
             float(np.max(np.abs(frame.hamiltonian() - cf.dirac_hamiltonian(params, t)))),
         )
-    return CheckResult(
-        "eigenframe_inverse",
-        "PASS" if err <= tol else "FAIL",
-        err,
-        "W W^-1 = W^-1 W = 1 and W D0 W^-1 = H(t), 100 probes with |p| > 0.1",
-    )
+    return _verdict("eigenframe_inverse", err, tol,
+                    "W W^-1 = W^-1 W = 1 and W D0 W^-1 = H(t), 100 probes with |p| > 0.1")
 
 
 def _isometry_error(family: cf.UnitaryFamily, pairs) -> float:
@@ -175,12 +166,7 @@ def _check_isometry_su2(rng, tol):
     fam = cf.su2_family()
     pairs = rng.uniform(-2, 2, (100, 2))
     err = _isometry_error(fam, pairs)
-    return CheckResult(
-        "isometry_su2",
-        "PASS" if err <= tol else "FAIL",
-        err,
-        "U(t,s) H(s) U(t,s)^dag = H(t), 100 random (t, s)",
-    )
+    return _verdict("isometry_su2", err, tol, "U(t,s) H(s) U(t,s)^dag = H(t), 100 random (t, s)")
 
 
 def _check_isometry_su3(rng, tol):
@@ -337,12 +323,8 @@ def _check_epsilon_identity(rng, tol):
         target = float(p @ p) * eye
         err = max(err, float(np.max(np.abs(left - target))),
                   float(np.max(np.abs(right - target))))
-    return CheckResult(
-        "epsilon_identity",
-        "PASS" if err <= tol else "FAIL",
-        err,
-        "(eps.p)(eps^dag.p) = (eps^dag.p)(eps.p) = |p|^2 * 1, 100 probes",
-    )
+    return _verdict("epsilon_identity", err, tol,
+                    "(eps.p)(eps^dag.p) = (eps^dag.p)(eps.p) = |p|^2 * 1, 100 probes")
 
 
 def _check_q_factorization(rng, tol):
@@ -353,12 +335,8 @@ def _check_q_factorization(rng, tol):
         fam = cf.su3_family(theta)
         err = max(err, float(np.max(np.abs(
             fam.gate(t) @ dagger(fam.gate(s)) - fam.propagator(t, s)))))
-    return CheckResult(
-        "q_factorization",
-        "PASS" if err <= tol else "FAIL",
-        err,
-        "U(t,s) = Q(t) Q(s)^dag over 100 random (t, s, theta)",
-    )
+    return _verdict("q_factorization", err, tol,
+                    "U(t,s) = Q(t) Q(s)^dag over 100 random (t, s, theta)")
 
 
 def _check_constraint_orthogonality(rng, tol):
@@ -388,10 +366,8 @@ def _check_constraint_orthogonality(rng, tol):
         traj = bt.integrate(bt.OperatorPair(h0, f0), split, h=1e-3, T=1.0, sample_stride=100)
         err_flow = max(err_flow, float(np.max(np.abs(traj.monitors[:, 2]))))
     err = max(err_closed, err_flow)
-    return CheckResult(
-        "constraint_orthogonality",
-        "PASS" if err <= tol else "FAIL",
-        err,
+    return _verdict(
+        "constraint_orthogonality", err, tol,
         f"Tr(H F) = 0 transported by conjugation ({err_closed:.3e}) and along integrated flows ({err_flow:.3e})",
     )
 

@@ -39,7 +39,6 @@ __all__ = [
     "dirac_vector_rhs",
     "integrate",
     "pair_to_dirac_state",
-    "project_pair",
 ]
 
 #: Hamiltonian-span labels of the canonical split per group. su2 pairs the
@@ -117,29 +116,10 @@ def canonical_split(group_id: str) -> ControlSplit:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """Coefficients of (H, F) over a split, plus the clock time."""
+    """Coefficients of (H, F) over a split."""
 
     h_coeffs: np.ndarray
     f_coeffs: np.ndarray
-    time: float = 0.0
-
-
-def project_pair(split: ControlSplit, h: np.ndarray, f: np.ndarray,
-                 tol: float = 1e-10) -> OperatorPair:
-    """Project matrices (H, F) onto a split, rejecting misaligned inputs.
-
-    Raises ValueError if H has weight outside span S or F outside span S^c;
-    a silent projection would discard dynamics.
-    """
-    ch = project_coefficients(h, split.basis)
-    cf = project_coefficients(f, split.basis)
-    leak_h = np.max(np.abs(np.delete(ch, split.s_indices))) if len(ch) > len(split.s_indices) else 0.0
-    leak_f = np.max(np.abs(np.delete(cf, split.c_indices))) if len(cf) > len(split.c_indices) else 0.0
-    if leak_h > tol:
-        raise ValueError(f"H has weight {leak_h:.3e} outside the Hamiltonian span")
-    if leak_f > tol:
-        raise ValueError(f"F has weight {leak_f:.3e} outside the constraint span")
-    return OperatorPair(ch[split.s_indices], cf[split.c_indices])
 
 
 def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPair:
@@ -153,11 +133,16 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
     f = split.constraint_matrix(state.f_coeffs)
     k = -1j * commutator(h, f)
     ck = project_coefficients(k, split.basis)
-    return OperatorPair(ck[split.s_indices], ck[split.c_indices], 1.0)
+    return OperatorPair(ck[split.s_indices], ck[split.c_indices])
+
+
+#: Ceiling on the step count T / h of ``integrate``: about five minutes of
+#: RK4 at 30 us per step.
+_MAX_STEPS = 10 ** 7
 
 
 class NonFiniteStateError(RuntimeError):
-    """Raised by ``integrate`` when the state leaves the finite range."""
+    """Raised by ``integrate`` when the state or a monitor leaves the finite range."""
 
 
 @dataclass(frozen=True)
@@ -193,17 +178,20 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
               sample_stride: int = 1) -> Trajectory:
     """Classical fixed-step RK4 over the projected commutator field.
 
-    Steps n = round(T / h) times from ``initial.time`` so the final time is
-    within h of T. Samples (and the invariant monitors) are recorded every
+    Steps n = round(T / h) times from t = 0 so the final time is within h
+    of T. Samples (and the invariant monitors) are recorded every
     ``sample_stride`` steps plus at the final step. No renormalization is
     applied; monitor drift is a deliberate fidelity signal.
 
-    Raises ValueError for nonpositive h or T, and NonFiniteStateError (a
-    RuntimeError, with the failing step index) if the state leaves the
-    finite range mid-run.
+    Raises ValueError for nonpositive h or T or for more than _MAX_STEPS
+    steps, and NonFiniteStateError (a RuntimeError, with the failing step
+    index) if the state leaves the finite range mid-run or a sampled
+    monitor overflows.
     """
     if h <= 0 or T <= 0:
         raise ValueError("step size and horizon must be positive")
+    if not T / h <= _MAX_STEPS:
+        raise ValueError(f"T / h = {T / h:.3g} steps exceeds the ceiling of {_MAX_STEPS}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
 
@@ -221,24 +209,33 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
         raise ValueError("initial coefficients do not match the split")
 
     n_steps = int(round(T / h))
-    times = [initial.time]
+    times = [0.0]
     hs, fs = [c[:ns].copy()], [c[ns:].copy()]
-    mons = [_monitors(split, c[:ns], c[ns:])]
-    for step in range(1, n_steps + 1):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h * k1)
-        k3 = rhs(c + 0.5 * h * k2)
-        k4 = rhs(c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(c)):
-            raise NonFiniteStateError(f"non-finite state at step {step}")
-        if step % sample_stride == 0 or step == n_steps:
-            times.append(initial.time + step * h)
-            hs.append(c[:ns].copy())
-            fs.append(c[ns:].copy())
-            mons.append(_monitors(split, c[:ns], c[ns:]))
+    # The state is checked each step and the monitors once after the run, so
+    # numpy's overflow warnings (from the monitors' matmuls, or from the RK4
+    # update itself when h is huge) would only repeat the error raised here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mons = [_monitors(split, c[:ns], c[ns:])]
+        for step in range(1, n_steps + 1):
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * h * k1)
+            k3 = rhs(c + 0.5 * h * k2)
+            k4 = rhs(c + h * k3)
+            c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(c)):
+                raise NonFiniteStateError(f"non-finite state at step {step}")
+            if step % sample_stride == 0 or step == n_steps:
+                times.append(step * h)
+                hs.append(c[:ns].copy())
+                fs.append(c[ns:].copy())
+                mons.append(_monitors(split, c[:ns], c[ns:]))
 
-    return Trajectory(split, np.array(times), np.array(hs), np.array(fs), np.array(mons))
+    mons = np.array(mons)
+    overflow = ~np.isfinite(mons).all(axis=1)
+    if overflow.any():
+        step = min(int(np.argmax(overflow)) * sample_stride, n_steps)
+        raise NonFiniteStateError(f"non-finite invariant monitor at step {step}")
+    return Trajectory(split, np.array(times), np.array(hs), np.array(fs), mons)
 
 
 # --------------------------------------------------------------------------

@@ -24,8 +24,10 @@ from .generators import build_basis
 
 __all__ = ["RunConfig", "dispatch", "main", "parse_config"]
 
-_RUN_KEYS = {"group", "split", "h", "T", "stride", "seed"}
+_RUN_KEYS = {"group", "split", "h", "T", "stride"}
 _SECTIONS = ("run", "hamiltonian", "constraint")
+#: Float options that must be finite in every subcommand that takes them.
+_FINITE_OPTIONS = ("t", "s", "t1", "theta", "m")
 
 
 class ConfigError(ValueError):
@@ -43,7 +45,6 @@ class RunConfig:
     h: float
     T: float
     stride: int = 1
-    seed: int = 0
 
     def control_split(self) -> ControlSplit:
         basis = build_basis(self.group_id)
@@ -61,7 +62,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse the line-oriented ``key = value`` run configuration format.
 
     Sections: top-level (or ``[run]``) carries group, split, h, T and the
-    optional stride/seed; ``[hamiltonian]`` and ``[constraint]`` carry
+    optional stride; ``[hamiltonian]`` and ``[constraint]`` carry
     initial coefficients keyed by generator label. Blank lines and lines
     starting with ``#`` are skipped. Malformed lines, duplicate or unknown
     keys, and missing required keys all raise ConfigError.
@@ -117,16 +118,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"key {key!r} must be finite, got {run[key]!r}")
         return value
 
-    def as_int(key: str, default: int) -> int:
-        if key not in run:
-            return default
-        try:
-            return int(run[key])
-        except ValueError:
-            raise ConfigError(f"invalid integer for key {key!r}: {run[key]!r}") from None
-
     h, T = as_float("h"), as_float("T")
-    stride, seed = as_int("stride", 1), as_int("seed", 0)
+    try:
+        stride = int(run.get("stride", 1))
+    except ValueError:
+        raise ConfigError(f"invalid integer for key 'stride': {run['stride']!r}") from None
     if h <= 0 or T <= 0:
         raise ConfigError("h and T must be positive")
     if stride < 1:
@@ -150,7 +146,7 @@ def parse_config(text: str) -> RunConfig:
     s_set = set(split)
     h_coeffs = coeffs("hamiltonian", s_set)
     f_coeffs = coeffs("constraint", set(basis.labels) - s_set)
-    return RunConfig(group_id, split, h_coeffs, f_coeffs, h, T, stride, seed)
+    return RunConfig(group_id, split, h_coeffs, f_coeffs, h, T, stride)
 
 
 # --------------------------------------------------------------------------
@@ -206,6 +202,13 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
+def _finite(option: str, value: float) -> float:
+    """``value`` if it is finite; a ValueError naming ``option`` otherwise."""
+    if not math.isfinite(value):
+        raise ValueError(f"{option} is non-finite: {value!r}")
+    return value
+
+
 def _family_from_args(args) -> cf.UnitaryFamily:
     if args.family == "su2":
         return cf.su2_family()
@@ -219,7 +222,7 @@ def _parse_vec3(text: str) -> np.ndarray:
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated components, got {text!r}")
-    return np.array([float(s) for s in parts])
+    return np.array([_finite("--p", float(s)) for s in parts])
 
 
 def _cmd_closedform(args) -> int:
@@ -324,6 +327,9 @@ def dispatch(argv: list[str]) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code in (0, None) else 2
     try:
+        for name in _FINITE_OPTIONS:
+            if name in vars(args):
+                _finite(f"--{name}", getattr(args, name))
         return args.fn(args)
     except (ConfigError, ValueError, KeyError, OSError, NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

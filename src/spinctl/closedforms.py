@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .generators import PAULI, build_basis, reconstruct
-from .matrixcore import commutator, dagger
+from .matrixcore import dagger
 
 __all__ = [
     "AUDITED_CONVENTIONS",
@@ -34,7 +34,6 @@ __all__ = [
     "EigenFrame",
     "UnitaryFamily",
     "dirac_hamiltonian",
-    "dirac_hamiltonian_rate",
     "epsilon_product",
     "isotropic_energy",
     "su2_family",
@@ -119,7 +118,11 @@ class DiracParameters:
         if p0.shape != (3,):
             raise ValueError("p0 must be a 3-vector")
         object.__setattr__(self, "p0", p0)
-        if self.energy <= 0.0:
+        with np.errstate(over="ignore"):
+            e2 = np.square(self.m) + p0 @ p0
+        if not np.isfinite(e2):
+            raise ValueError("non-finite energy: need finite m^2 + |p0|^2")
+        if e2 <= 0.0:
             raise ValueError("degenerate spectrum: need m^2 + |p0|^2 > 0")
 
     @property
@@ -172,14 +175,6 @@ def dirac_hamiltonian(params: DiracParameters, t) -> np.ndarray:
     eye = PAULI[0]
     return _block4(params.m * eye, np.multiply.outer(z, ps), np.multiply.outer(np.conj(z), ps),
                    -params.m * eye)
-
-
-def dirac_hamiltonian_rate(params: DiracParameters, t: float) -> np.ndarray:
-    """dH/dt via the audited commutator relation i dH/dt = sign [H, D0]."""
-    e = params.energy
-    d0 = e * np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    sign = AUDITED_CONVENTIONS.didt_commutator_sign
-    return -1j * sign * commutator(dirac_hamiltonian(params, t), d0)
 
 
 @dataclass(frozen=True)

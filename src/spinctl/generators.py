@@ -74,9 +74,6 @@ class GeneratorBasis:
         except ValueError:
             raise KeyError(f"label {label!r} not in {self.group_id} basis") from None
 
-    def element(self, label: str) -> np.ndarray:
-        return self.elements[self.index(label)]
-
 
 @lru_cache(maxsize=None)
 def build_basis(group_id: str) -> GeneratorBasis:

@@ -12,15 +12,12 @@ import numpy as np
 
 __all__ = [
     "MatrixPredicates",
-    "anticommutator",
     "as_operator",
-    "bracket",
     "commutator",
     "dagger",
     "expm_unitary",
     "kron",
     "predicates",
-    "trace_inner",
 ]
 
 #: Absolute tolerance on max|H - H^dag| accepted by expm_unitary.
@@ -49,39 +46,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[A, B] = AB - BA."""
     a, b = as_operator(a), as_operator(b)
-    _check_same_dim(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """{A, B} = AB + BA."""
-    a, b = as_operator(a), as_operator(b)
-    _check_same_dim(a, b)
-    return a @ b + b @ a
-
-
-def bracket(a: np.ndarray, b: np.ndarray, mode: str = "commutator") -> np.ndarray:
-    """Commutator or anticommutator of two equal-dimension matrices."""
-    if mode == "commutator":
-        return commutator(a, b)
-    if mode == "anticommutator":
-        return anticommutator(a, b)
-    raise ValueError(f"unknown bracket mode {mode!r}")
-
-
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Trace inner product Tr(A^dag B)."""
-    a, b = as_operator(a), as_operator(b)
-    _check_same_dim(a, b)
-    return complex(np.trace(dagger(a) @ b))
 
 
 def expm_unitary(h: np.ndarray, tau: float, herm_tol: float = HERMITIAN_TOL) -> np.ndarray:

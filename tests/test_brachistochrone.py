@@ -4,6 +4,7 @@ import pytest
 from spinctl.brachistochrone import (
     ControlSplit,
     DiracSplitState,
+    NonFiniteStateError,
     OperatorPair,
     brachistochrone_rhs,
     canonical_split,
@@ -12,12 +13,10 @@ from spinctl.brachistochrone import (
     dirac_vector_rhs,
     integrate,
     pair_to_dirac_state,
-    project_pair,
 )
-from spinctl.generators import PAULI, build_basis
+from spinctl.generators import build_basis
 
 RNG = np.random.default_rng(23)
-I2, SX, SY, SZ = PAULI
 
 
 def random_state(rng: np.random.Generator) -> DiracSplitState:
@@ -50,16 +49,6 @@ class TestControlSplit:
         basis = build_basis("su2")
         with pytest.raises(ValueError, match="nonempty"):
             ControlSplit(basis, (), ("sx", "sy", "sz"))
-
-    def test_project_pair_rejects_misaligned(self):
-        split = canonical_split("su2")
-        with pytest.raises(ValueError, match="outside the Hamiltonian span"):
-            project_pair(split, SZ, -0.5 * SZ)
-        with pytest.raises(ValueError, match="outside the constraint span"):
-            project_pair(split, SX, 0.3 * SY)
-        pair = project_pair(split, 2 * SX - SY, 0.25 * SZ)
-        assert np.allclose(pair.h_coeffs, [2, -1])
-        assert np.allclose(pair.f_coeffs, [0.25])
 
 
 class TestRhs:
@@ -152,6 +141,21 @@ class TestIntegrate:
             integrate(start, split, h=1e-3, T=0.0)
         with pytest.raises(ValueError):
             integrate(start, split, h=1e-3, T=1.0, sample_stride=0)
+
+    @pytest.mark.parametrize("h,T", [(1e-320, 1e300), (1e-9, 1e3), (1e-8, 0.100000001)])
+    def test_step_count_ceiling(self, h, T):
+        split = canonical_split("su2")
+        start = OperatorPair(np.array([1.0, 0.0]), np.array([-0.5]))
+        with pytest.raises(ValueError, match="ceiling"):
+            integrate(start, split, h=h, T=T)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_monitor_overflow_detected_with_step_index(self):
+        # F = 0 freezes a finite state whose Tr(H^2) overflows
+        split = canonical_split("su2")
+        start = OperatorPair(np.array([1e200, 0.0]), np.array([0.0]))
+        with pytest.raises(NonFiniteStateError, match="monitor at step 0"):
+            integrate(start, split, h=0.1, T=1.0)
 
     def test_nonfinite_detected_with_step_index(self):
         split = canonical_split("su4")

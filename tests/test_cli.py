@@ -1,8 +1,12 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinctl.cli import ConfigError, dispatch, parse_config
 
@@ -28,7 +32,7 @@ class TestParseConfig:
         assert cfg.split == ("sx", "sy")
         assert cfg.h_coeffs == {"sx": 1.0}
         assert cfg.f_coeffs == {"sz": -0.5}
-        assert cfg.stride == 1 and cfg.seed == 0
+        assert cfg.stride == 1
         pair = cfg.initial_pair()
         assert np.allclose(pair.h_coeffs, [1.0, 0.0])
         assert np.allclose(pair.f_coeffs, [-0.5])
@@ -40,6 +44,11 @@ class TestParseConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key: dt"):
             parse_config("group = su2\nsplit = sx,sy\nh = 1e-3\nT = 1\ndt = 2\n")
+
+    def test_seed_key_rejected(self):
+        # integration is deterministic, so a seed would be parsed and never read
+        with pytest.raises(ConfigError, match="line 5: unknown key: seed"):
+            parse_config("group = su2\nsplit = sx,sy\nh = 1e-3\nT = 1\nseed = 3\n")
 
     def test_duplicate_key_with_line_number(self):
         with pytest.raises(ConfigError, match="line 3: duplicate key: group"):
@@ -162,23 +171,29 @@ class TestAuditCommand:
         assert "FAIL" in out.read_text()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteInput:
-    """Bad numbers end in exit 2 and one error line, never a traceback."""
+    """Bad numbers end in exit 2 and one error line: no traceback, no warning."""
 
     @staticmethod
     def assert_rejected(rc, capsys, needle):
         err = capsys.readouterr().err
         assert rc == 2
-        assert "Traceback" not in err
-        assert any(l.startswith("error:") and needle in l for l in err.splitlines())
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and needle in err
 
     @pytest.mark.parametrize("h,T,needle", [
         ("1e-3", "inf", "'T' must be finite"),
         ("nan", "1", "'h' must be finite"),
+        # finite h and T whose step count T / h overflows or passes the ceiling
+        ("1e-320", "1e300", "T / h = inf steps"),
+        ("1e-9", "1e3", "T / h = 1e+12 steps"),
+        # one step so long that the RK4 update itself overflows
+        ("1e200", "1e200", "non-finite state at step 1"),
     ])
     def test_non_finite_grid(self, tmp_path, capsys, h, T, needle):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"group = su2\nsplit = sx,sy\nh = {h}\nT = {T}\n")
+        cfg.write_text(SU2_CONFIG.replace("h = 1e-3", f"h = {h}").replace("T = 6.2832", f"T = {T}"))
         rc = dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         self.assert_rejected(rc, capsys, needle)
 
@@ -195,9 +210,17 @@ class TestNonFiniteInput:
     def test_state_overflow_mid_run(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SU2_CONFIG.replace("sx = 1", "sx = 1e200").replace("sz = -0.5", "sz = 1e200"))
-        with np.errstate(all="ignore"):
-            rc = dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        rc = dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         self.assert_rejected(rc, capsys, "non-finite state at step 1")
+
+    def test_monitor_overflow(self, tmp_path, capsys):
+        # no constraint: the state stays put at 1e200, but Tr H^2 overflows
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SU2_CONFIG.replace("sx = 1", "sx = 1e200").replace("sz = -0.5", "sz = 0")
+                       .replace("T = 6.2832", "T = 0.01"))
+        rc = dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        self.assert_rejected(rc, capsys, "non-finite invariant monitor at step 0")
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-3"])
     def test_audit_rejects_bad_tolerance(self, tmp_path, capsys, tol):
@@ -205,9 +228,20 @@ class TestNonFiniteInput:
         self.assert_rejected(rc, capsys, "--tol")
 
     def test_propagate_infinite_horizon(self, capsys):
-        with np.errstate(all="ignore"):
-            rc = dispatch(["propagate", "--family", "su2", "--t1", "inf"])
+        rc = dispatch(["propagate", "--family", "su2", "--t1", "inf"])
         self.assert_rejected(rc, capsys, "non-finite")
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["gate", "--t", "inf"], "--t is non-finite"),
+        (["gate", "--t", "0", "--theta", "nan"], "--theta is non-finite"),
+        (["closedform", "--family", "su2", "--t", "0", "--s=-inf"], "--s is non-finite"),
+        (["closedform", "--family", "su4", "--t", "1", "--m", "nan"], "--m is non-finite"),
+        (["closedform", "--family", "su4", "--t", "1", "--p", "0,inf,1"], "--p is non-finite"),
+        (["closedform", "--family", "su4", "--t", "1", "--p", "0,0,1e200"], "non-finite energy"),
+        (["propagate", "--family", "su4", "--t1", "1", "--m", "1e200"], "non-finite energy"),
+    ])
+    def test_non_finite_option(self, capsys, argv, needle):
+        self.assert_rejected(dispatch(argv), capsys, needle)
 
 
 class TestDispatch:
@@ -227,3 +261,60 @@ class TestDispatch:
         )
         assert proc.returncode == 0
         assert "0.70710678118654746" in proc.stdout
+
+
+NUMBERS = st.sampled_from(
+    ["0", "1", "-1", "0.5", "2.5", "1e-320", "1e200", "-1e300", "inf", "-inf", "nan", "x", ""])
+FAMILIES = st.sampled_from(["su2", "su3", "su4", "su5"])
+#: Tier-1 must not flake: the same examples on every run.
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+
+
+def _options(**strategies):
+    """argv fragments ``--name value``, each option present or absent."""
+    parts = [st.one_of(st.just([]), value.map(lambda v, n=name: [f"--{n}", v]))
+             for name, value in strategies.items()]
+    return st.tuples(*parts).map(lambda opts: [tok for opt in opts for tok in opt])
+
+
+def _dispatch_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return dispatch(argv)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDispatchProperties:
+    """Over bounded argv with hostile numbers, dispatch never raises and only audit returns 1."""
+
+    @settings(PROPERTY, max_examples=150)
+    @given(argv=st.one_of(
+        st.tuples(st.just(["gate"]), _options(t=NUMBERS, theta=NUMBERS)),
+        st.tuples(st.tuples(st.just("closedform"), st.just("--family"), FAMILIES).map(list),
+                  _options(t=NUMBERS, s=NUMBERS, theta=NUMBERS, m=NUMBERS,
+                           p=st.lists(NUMBERS, min_size=2, max_size=4).map(",".join))),
+        st.tuples(st.tuples(st.just("propagate"), st.just("--family"), FAMILIES).map(list),
+                  _options(t1=NUMBERS, m=NUMBERS, theta=NUMBERS,
+                           steps=st.sampled_from(["1", "3", "0", "-2", "1.5", "x"]),
+                           p=st.lists(NUMBERS, min_size=3, max_size=3).map(",".join))),
+    ).map(lambda parts: parts[0] + parts[1]))
+    def test_matrix_commands(self, argv):
+        assert _dispatch_quietly(argv) in (0, 2)
+
+    @settings(PROPERTY, max_examples=150)
+    @given(group_split=st.sampled_from([("su2", "sx,sy", "sx", "sz"), ("su4", "s30,s11", "s11", "s22")]),
+           h=NUMBERS, T=NUMBERS, stride=st.sampled_from(["1", "2", "0", "x"]),
+           h0=NUMBERS, f0=NUMBERS)
+    def test_integrate(self, tmp_path_factory, group_split, h, T, stride, h0, f0):
+        # the finite positive values keep T / h at most 5, or put it past the step ceiling
+        group, split, h_label, f_label = group_split
+        work = tmp_path_factory.mktemp("integrate")
+        cfg = work / "run.cfg"
+        cfg.write_text(f"group = {group}\nsplit = {split}\nh = {h}\nT = {T}\nstride = {stride}\n"
+                       f"[hamiltonian]\n{h_label} = {h0}\n[constraint]\n{f_label} = {f0}\n")
+        assert _dispatch_quietly(["integrate", "--config", str(cfg),
+                                  "--out", str(work / "o.csv")]) in (0, 2)
+
+    @settings(PROPERTY, max_examples=8)
+    @given(extra=_options(tol=NUMBERS, seed=st.sampled_from(["0", "5", "-1", "x"])))
+    def test_audit(self, extra):
+        assert _dispatch_quietly(["audit", *extra]) in (0, 1, 2)

@@ -6,7 +6,6 @@ from spinctl.closedforms import (
     AUDITED_CONVENTIONS,
     DiracParameters,
     dirac_hamiltonian,
-    dirac_hamiltonian_rate,
     epsilon_product,
     isotropic_energy,
     su2_family,
@@ -56,6 +55,14 @@ class TestDiracParameters:
         with pytest.raises(ValueError, match="3-vector"):
             DiracParameters(m=1.0, p0=[1, 2])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m,p0", [
+        (1e200, [0, 0, 1]), (0.0, [0, 0, 1e200]), (float("nan"), [0, 0, 1]), (1.0, [np.inf, 0, 0]),
+    ])
+    def test_rejects_non_finite_energy(self, m, p0):
+        with pytest.raises(ValueError, match="non-finite energy"):
+            DiracParameters(m=m, p0=p0)
+
 
 class TestDiracHamiltonian:
     def test_reduces_to_static_matrix_at_t0(self):
@@ -84,13 +91,6 @@ class TestDiracHamiltonian:
         h = dirac_hamiltonian(params, 0.0)
         assert np.trace(h @ h).real / 2.0 == pytest.approx(2 * params.energy ** 2)
         assert isotropic_energy(h) == pytest.approx(params.energy, abs=1e-12)
-
-    def test_rate_matches_finite_differences(self):
-        params = random_params(RNG)
-        t = 0.61
-        step = 1e-6
-        fd = (dirac_hamiltonian(params, t + step) - dirac_hamiltonian(params, t - step)) / (2 * step)
-        assert np.max(np.abs(dirac_hamiltonian_rate(params, t) - fd)) < 2e-6
 
 
 class TestEigenframe:

@@ -50,7 +50,7 @@ class TestBases:
         basis = build_basis("su4")
         assert basis.labels[:4] == ("s01", "s02", "s03", "s10")
         assert basis.labels[-1] == "s33"
-        assert np.array_equal(basis.element("s21"), kron(SY, SX))
+        assert np.array_equal(basis.elements[basis.index("s21")], kron(SY, SX))
 
     def test_unknown_group(self):
         with pytest.raises(ValueError, match="unknown group"):

@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from spinctl.generators import PAULI, assemble_dirac, dirac_operators
-from spinctl.matrixcore import (
-    anticommutator,
-    bracket,
-    commutator,
-    dagger,
-    expm_unitary,
-    kron,
-    predicates,
-    trace_inner,
-)
+from spinctl.matrixcore import commutator, dagger, expm_unitary, kron, predicates
 
 I2, SX, SY, SZ = PAULI
 RNG = np.random.default_rng(7)
@@ -54,51 +45,13 @@ class TestKron:
             kron(bad, I2)
 
 
-class TestBracket:
+class TestCommutator:
     def test_pauli_commutator(self):
-        assert np.array_equal(bracket(SX, SY, "commutator"), 2j * SZ)
-
-    def test_alpha_anticommutators_vanish(self):
-        ops = dirac_operators()
-        assert np.array_equal(bracket(ops.alpha[0], ops.alpha[1], "anticommutator"),
-                              np.zeros((4, 4)))
-        assert np.array_equal(bracket(ops.beta, ops.alpha[2], "anticommutator"),
-                              np.zeros((4, 4)))
+        assert np.array_equal(commutator(SX, SY), 2j * SZ)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             commutator(SX, np.eye(3))
-        with pytest.raises(ValueError):
-            anticommutator(SX, np.eye(4))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            bracket(SX, SY, "jordan")
-
-
-class TestTraceInner:
-    def test_pauli_norm(self):
-        assert trace_inner(SX, SX) == 2
-
-    def test_pauli_product_norm(self):
-        g = kron(SX, SY)
-        assert trace_inner(g, g) == 4
-
-    def test_beta_alpha_orthogonal(self):
-        ops = dirac_operators()
-        assert trace_inner(ops.beta, ops.alpha[0]) == 0
-
-    def test_self_inner_real_nonnegative(self):
-        for d in (2, 3, 4):
-            for _ in range(10):
-                a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
-                v = trace_inner(a, a)
-                assert abs(v.imag) < 1e-12
-                assert v.real >= 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_inner(SX, np.eye(3))
 
 
 class TestExpmUnitary:
