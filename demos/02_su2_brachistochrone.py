@@ -24,7 +24,7 @@ closed = np.stack([np.cos(traj.times), np.sin(traj.times)], axis=1)
 print("\nmax |integrated - closed form| =", np.max(np.abs(traj.h_coeffs - closed)))
 
 drift = traj.monitor_drift()
-print("monitor drift over one period: Tr H^2 {:.2e}, Tr F^2 {:.2e}, Tr HF {:.2e}".format(*drift))
+print("monitor drift over one period: Tr H^2 {:.2e}, Tr F^2 {:.2e}".format(*drift))
 
 print("\nRK4 order check (terminal error vs closed form):")
 errors = {}

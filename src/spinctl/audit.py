@@ -357,14 +357,16 @@ def _check_constraint_orthogonality(rng, tol):
             ft = cf.su4_constraint_t(f0, params, t)
             ht = cf.dirac_hamiltonian(params, t)
             err_closed = max(err_closed, abs(np.trace(ht @ ft).real))
-    # integrated flows: the monitor channel Tr(HF) along short random runs
+    # integrated flows: Tr(HF) of the reconstructed matrices along short random runs
     err_flow = 0.0
     for group in ("su2", "su3", "su4"):
         split = bt.canonical_split(group)
         h0 = rng.uniform(-1, 1, len(split.s_indices))
         f0 = rng.uniform(-1, 1, len(split.c_indices))
         traj = bt.integrate(bt.OperatorPair(h0, f0), split, h=1e-3, T=1.0, sample_stride=100)
-        err_flow = max(err_flow, float(np.max(np.abs(traj.monitors[:, 2]))))
+        for hc, fc in zip(traj.h_coeffs, traj.f_coeffs):
+            hf = split.hamiltonian_matrix(hc) @ split.constraint_matrix(fc)
+            err_flow = max(err_flow, abs(float(np.trace(hf).real)))
     err = max(err_closed, err_flow)
     return _verdict(
         "constraint_orthogonality", err, tol,

@@ -7,8 +7,9 @@ Both evolve by the single equation
     d(H + F)/dt = -i [H, F],
 
 projected back onto the basis via the trace inner product. The projected
-flow exactly conserves Tr(H^2), Tr(F^2) and Tr(HF); a fixed-step RK4
-integrator records those monitors so discretization drift stays visible.
+flow exactly conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator
+records from the coefficients so discretization drift stays visible. Tr(HF)
+is not monitored: S and S^c are trace-orthogonal, so it is identically zero.
 
 The su(4) case additionally ships the rate equations of the Dirac-type
 split (mass/momentum on the Hamiltonian side) in two hand-derived
@@ -76,23 +77,25 @@ class ControlSplit:
 
     @cached_property
     def s_indices(self) -> np.ndarray:
-        return np.array([self.basis.index(l) for l in self.hamiltonian_labels])
+        return np.array([self.basis.index(l) for l in self.hamiltonian_labels], dtype=int)
 
     @cached_property
     def c_indices(self) -> np.ndarray:
-        return np.array([self.basis.index(l) for l in self.constraint_labels])
+        return np.array([self.basis.index(l) for l in self.constraint_labels], dtype=int)
 
     @cached_property
     def coupling(self) -> np.ndarray:
         """Structure tensor M[k, a, b] = -i Tr(g_k [g_a, g_b]) / Tr(g_k^2).
 
-        Contracting M with (h_coeffs, f_coeffs) gives the full-basis
-        projection of -i[H, F] in one step; it is the whole vector field.
+        Rows k run over S, then S^c. Contracting M with (h_coeffs,
+        f_coeffs) gives the projection of -i[H, F] stacked as (dH/dt,
+        dF/dt) in one step; it is the whole vector field.
         """
         g = self.basis.elements
+        rows = np.concatenate([self.s_indices, self.c_indices])
         gs, gc = g[self.s_indices], g[self.c_indices]
         comm = np.einsum("aij,bjk->abik", gs, gc) - np.einsum("bij,ajk->abik", gc, gs)
-        m = -1j * np.einsum("kij,abji->kab", g, comm) / self.basis.norm_constants[:, None, None]
+        m = -1j * np.einsum("kij,abji->kab", g[rows], comm) / self.basis.norm_constants[rows, None, None]
         return np.ascontiguousarray(m.real)
 
     def hamiltonian_matrix(self, h_coeffs) -> np.ndarray:
@@ -149,29 +152,19 @@ class NonFiniteStateError(RuntimeError):
 class Trajectory:
     """Sampled brachistochrone run with invariant monitors.
 
-    monitors[:, 0..2] hold Tr(H^2), Tr(F^2), Tr(HF) measured from the
-    reconstructed matrices at each sample.
+    monitors[:, 0..1] hold Tr(H^2) = sum_S n_k h_k^2 and Tr(F^2) =
+    sum_S^c n_k f_k^2 at each sample, with the basis norms n_k = Tr(g_k^2).
     """
 
     split: ControlSplit
     times: np.ndarray      # (n,)
     h_coeffs: np.ndarray   # (n, |S|)
     f_coeffs: np.ndarray   # (n, |S^c|)
-    monitors: np.ndarray   # (n, 3)
+    monitors: np.ndarray   # (n, 2)
 
     def monitor_drift(self) -> np.ndarray:
         """Max |monitor(t) - monitor(0)| per channel."""
         return np.max(np.abs(self.monitors - self.monitors[0]), axis=0)
-
-
-def _monitors(split: ControlSplit, hc: np.ndarray, fc: np.ndarray) -> tuple[float, float, float]:
-    h = split.hamiltonian_matrix(hc)
-    f = split.constraint_matrix(fc)
-    return (
-        float(np.trace(h @ h).real),
-        float(np.trace(f @ f).real),
-        float(np.trace(h @ f).real),
-    )
 
 
 def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
@@ -197,11 +190,9 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
 
     m = split.coupling
     ns, nc = len(split.s_indices), len(split.c_indices)
-    perm = np.concatenate([split.s_indices, split.c_indices])
 
     def rhs(c: np.ndarray) -> np.ndarray:
-        # full-basis projection of -i[H, F], restacked as (S, Sc)
-        return np.einsum("kab,a,b->k", m, c[:ns], c[ns:])[perm]
+        return np.einsum("kab,a,b->k", m, c[:ns], c[ns:])
 
     c = np.concatenate([np.asarray(initial.h_coeffs, float),
                         np.asarray(initial.f_coeffs, float)])
@@ -212,10 +203,9 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     times = [0.0]
     hs, fs = [c[:ns].copy()], [c[ns:].copy()]
     # The state is checked each step and the monitors once after the run, so
-    # numpy's overflow warnings (from the monitors' matmuls, or from the RK4
-    # update itself when h is huge) would only repeat the error raised here.
+    # numpy's overflow warnings (from the squared coefficients, or from the
+    # RK4 update itself when h is huge) would only repeat the error raised here.
     with np.errstate(over="ignore", invalid="ignore"):
-        mons = [_monitors(split, c[:ns], c[ns:])]
         for step in range(1, n_steps + 1):
             k1 = rhs(c)
             k2 = rhs(c + 0.5 * h * k1)
@@ -228,14 +218,15 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
                 times.append(step * h)
                 hs.append(c[:ns].copy())
                 fs.append(c[ns:].copy())
-                mons.append(_monitors(split, c[:ns], c[ns:]))
+        hs, fs = np.array(hs), np.array(fs)
+        norms = split.basis.norm_constants
+        mons = np.stack([hs ** 2 @ norms[split.s_indices], fs ** 2 @ norms[split.c_indices]], axis=1)
 
-    mons = np.array(mons)
     overflow = ~np.isfinite(mons).all(axis=1)
     if overflow.any():
         step = min(int(np.argmax(overflow)) * sample_stride, n_steps)
         raise NonFiniteStateError(f"non-finite invariant monitor at step {step}")
-    return Trajectory(split, np.array(times), np.array(hs), np.array(fs), mons)
+    return Trajectory(split, np.array(times), hs, fs, mons)
 
 
 # --------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def _cmd_integrate(args) -> int:
     split = config.control_split()
     traj = integrate(config.initial_pair(), split, config.h, config.T, config.stride)
     labels = list(split.hamiltonian_labels) + list(split.constraint_labels)
-    lines = ["t," + ",".join(labels) + ",trH2,trF2,trHF"]
+    lines = ["t," + ",".join(labels) + ",trH2,trF2"]
     for k in range(len(traj.times)):
         vals = [traj.times[k], *traj.h_coeffs[k], *traj.f_coeffs[k], *traj.monitors[k]]
         lines.append(",".join(_fmt_real(v) for v in vals))
@@ -255,8 +255,8 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.tol is not None and not args.tol >= 0:
-        raise ValueError(f"--tol must be a non-negative number, got {args.tol!r}")
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be a finite non-negative number, got {args.tol!r}")
     results = audit_mod.full_report(tol=args.tol, seed=args.seed)
     _write_text(args.out, audit_mod.format_report(results))
     return 1 if any(r.status == "FAIL" for r in results) else 0

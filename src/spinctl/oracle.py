@@ -43,6 +43,9 @@ __all__ = [
 #: on one 2*pi phase interval.
 DEFAULT_STEPS_PER_PERIOD = 10_000
 
+#: Ceiling on ``steps``: about 30 s of midpoint factors at 3 us per step.
+_MAX_STEPS = 10 ** 7
+
 #: Midpoints evaluated per stacked H(t) call and per stacked expm_unitary.
 #: Bounds the factors held at once to _CHUNK * dim^2 complex entries
 #: whatever the step count.
@@ -70,12 +73,12 @@ def _step_factors(sched: HamiltonianSchedule, t0: float, t1: float,
                   steps: int) -> Iterator[np.ndarray]:
     """The midpoint factors exp(-i H(t_k + dt/2) dt), k = 0 .. steps-1.
 
-    Validates ``steps`` at once, then yields the factors lazily in time
-    order as (m, dim, dim) chunks of at most _CHUNK, each from one H(t)
-    call and one stacked expm_unitary.
+    Validates ``steps`` (at least 1, at most _MAX_STEPS) at once, then
+    yields the factors lazily in time order as (m, dim, dim) chunks of at
+    most _CHUNK, each from one H(t) call and one stacked expm_unitary.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 1 <= steps <= _MAX_STEPS:
+        raise ValueError(f"steps must be between 1 and the ceiling of {_MAX_STEPS}, got {steps}")
     dt = (t1 - t0) / steps
 
     def chunk(start: int) -> np.ndarray:

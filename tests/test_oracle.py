@@ -67,6 +67,16 @@ class TestTimeOrderedExponential:
         with pytest.raises(ValueError):
             time_ordered_exponential(schedule_for(su2_family()), 0.0, 1.0, 0)
 
+    def test_step_ceiling_checked_before_any_schedule_call(self):
+        def never(t):
+            raise AssertionError("H(t) evaluated past the step ceiling")
+
+        sched = HamiltonianSchedule(2, never)
+        with pytest.raises(ValueError, match="ceiling of 10000000"):
+            time_ordered_exponential(sched, 0.0, 1.0, 10 ** 7 + 1)
+        with pytest.raises(ValueError, match="ceiling of 10000000"):
+            evolve_state(np.array([1.0, 0.0]), sched, 0.0, 1.0, 10 ** 7 + 1)
+
     def test_schedule_dim_enforced(self):
         sched = HamiltonianSchedule(3, lambda t: SZ)
         with pytest.raises(ValueError, match="dim"):
