@@ -12,7 +12,6 @@ from spinctl import (
     energy_variance,
     evolve_state,
     fs_speed_check,
-    schedule_for,
     schrodinger_propagator,
     su2_family,
     su3_family,
@@ -31,7 +30,7 @@ for fam in families:
     span = 2 * np.pi
     if fam.group_id == "su4":
         span = 2 * np.pi / fam.frame[0][0, 0].real  # one 2*pi phase interval
-    u = time_ordered_exponential(schedule_for(fam), 0.0, span, 10_000)
+    u = time_ordered_exponential(fam.hamiltonian, 0.0, span, 10_000)
     v = schrodinger_propagator(fam, span, 0.0)
     print(f"  {fam.group_id}: span {span:6.3f}, max gap {np.max(np.abs(u - v)):.3e}")
 
@@ -40,7 +39,7 @@ fam = su2_family()
 ref = schrodinger_propagator(fam, 2 * np.pi, 0.0)
 prev = None
 for steps in (100, 200, 400, 800):
-    err = np.max(np.abs(time_ordered_exponential(schedule_for(fam), 0.0, 2 * np.pi, steps) - ref))
+    err = np.max(np.abs(time_ordered_exponential(fam.hamiltonian, 0.0, 2 * np.pi, steps) - ref))
     note = f"  ratio {prev / err:.2f}" if prev else ""
     print(f"  steps = {steps:4d}  error = {err:.3e}{note}")
     prev = err
@@ -50,7 +49,7 @@ dt, steps = 1e-4, 200
 for fam in families:
     psi0 = np.zeros(fam.dim, dtype=complex)
     psi0[0] = 1.0
-    states = evolve_state(psi0, schedule_for(fam), 0.0, steps * dt, steps)
+    states = evolve_state(psi0, fam.hamiltonian, 0.0, steps * dt, steps)
     Vs = [energy_variance(s, fam.hamiltonian(k * dt)) for k, s in enumerate(states)]
     rows = fs_speed_check(states, dt, Vs)
     print(f"  {fam.group_id}: fs speed {rows[0, 0]:.6f}, sqrt variance {rows[0, 1]:.6f}, "

@@ -56,12 +56,10 @@ from .matrixcore import (
     predicates,
 )
 from .oracle import (
-    HamiltonianSchedule,
     energy_variance,
     evolve_state,
     fs_speed_check,
     rotating_frame_propagator,
-    schedule_for,
     schrodinger_propagator,
     time_ordered_exponential,
 )

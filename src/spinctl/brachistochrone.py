@@ -259,10 +259,6 @@ class DiracSplitState:
             object.__setattr__(self, name, v)
 
     @property
-    def energy_squared(self) -> float:
-        return self.m ** 2 + float(self.p @ self.p)
-
-    @property
     def n_plus(self) -> np.ndarray:
         return self.omega0 + self.omega3
 
@@ -273,10 +269,6 @@ class DiracSplitState:
     @property
     def b(self) -> np.ndarray:
         return self.omega2
-
-    @property
-    def a(self) -> complex:
-        return complex(self.omega10, self.omega20)
 
 
 def dirac_state_to_pair(state: DiracSplitState) -> OperatorPair:

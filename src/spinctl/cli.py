@@ -239,8 +239,7 @@ def _cmd_closedform(args) -> int:
 
 def _cmd_propagate(args) -> int:
     fam = _family_from_args(args)
-    sched = oracle.schedule_for(fam)
-    u_oracle = oracle.time_ordered_exponential(sched, 0.0, args.t1, args.steps)
+    u_oracle = oracle.time_ordered_exponential(fam.hamiltonian, 0.0, args.t1, args.steps)
     v_closed = oracle.schrodinger_propagator(fam, args.t1, 0.0)
     dev = float(np.max(np.abs(u_oracle - v_closed)))
     blocks = [

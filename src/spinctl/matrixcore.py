@@ -54,7 +54,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def expm_unitary(h: np.ndarray, tau: float, herm_tol: float = HERMITIAN_TOL) -> np.ndarray:
+def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     """Unitary exponential exp(-i H tau) of a Hermitian matrix or a stack of them.
 
     ``h`` is one (d, d) matrix or an (n, d, d) stack; the result has the
@@ -66,7 +66,7 @@ def expm_unitary(h: np.ndarray, tau: float, herm_tol: float = HERMITIAN_TOL) -> 
 
     (the identity when H = 0); the others share one stacked Hermitian
     eigendecomposition. Raises ValueError if any matrix has a non-finite
-    entry or is not Hermitian within ``herm_tol``.
+    entry or is not Hermitian within HERMITIAN_TOL.
     """
     m = np.asarray(h, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -76,7 +76,7 @@ def expm_unitary(h: np.ndarray, tau: float, herm_tol: float = HERMITIAN_TOL) -> 
     # A non-finite entry makes its own term of dev inf or nan, so only a
     # finite stack passes this test: finiteness needs no pass of its own.
     # (An infinite entry can also trip numpy's invalid-value warning here.)
-    if not dev <= herm_tol:
+    if not dev <= HERMITIAN_TOL:
         if not np.isfinite(stack).all():
             raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:.3e}")

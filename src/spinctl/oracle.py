@@ -20,7 +20,6 @@ evolution equals sqrt(variance).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -29,12 +28,10 @@ from .closedforms import UnitaryFamily
 from .matrixcore import as_operator, expm_unitary
 
 __all__ = [
-    "HamiltonianSchedule",
     "energy_variance",
     "evolve_state",
     "fs_speed_check",
     "rotating_frame_propagator",
-    "schedule_for",
     "schrodinger_propagator",
     "time_ordered_exponential",
 ]
@@ -51,45 +48,40 @@ _MAX_STEPS = 10 ** 7
 #: whatever the step count.
 _CHUNK = 256
 
-
-@dataclass(frozen=True)
-class HamiltonianSchedule:
-    """A time-dependent Hermitian matrix t -> H(t) of fixed dimension.
-
-    ``evaluator`` takes a 1-D array of n times and returns the
-    (n, dim, dim) stack of H at those times.
-    """
-
-    dim: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
+#: H(t) as the oracle takes it, e.g. ``UnitaryFamily.hamiltonian``: a 1-D
+#: array of n times in, the (n, d, d) stack of H at those times out.
+_Hamiltonian = Callable[[np.ndarray], np.ndarray]
 
 
-def schedule_for(family: UnitaryFamily) -> HamiltonianSchedule:
-    """Wrap a closed-form family's Hamiltonian as a schedule."""
-    return HamiltonianSchedule(dim=family.dim, evaluator=family.hamiltonian)
-
-
-def _step_factors(sched: HamiltonianSchedule, t0: float, t1: float,
-                  steps: int) -> Iterator[np.ndarray]:
+def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
+                  steps: int) -> tuple[int, Iterator[np.ndarray]]:
     """The midpoint factors exp(-i H(t_k + dt/2) dt), k = 0 .. steps-1.
 
-    Validates ``steps`` (at least 1, at most _MAX_STEPS) at once, then
-    yields the factors lazily in time order as (m, dim, dim) chunks of at
-    most _CHUNK, each from one H(t) call and one stacked expm_unitary.
+    Validates ``steps`` (at least 1, at most _MAX_STEPS) before any H(t)
+    call, then evaluates the first chunk at once to learn the dimension d
+    from the first stack H(t) returns. Returns d and the factors in time
+    order as (m, d, d) chunks of at most _CHUNK, each from one H(t) call
+    and one stacked expm_unitary; chunks after the first come lazily.
+    Every stack must have shape (len(ts), d, d) with the same d.
     """
     if not 1 <= steps <= _MAX_STEPS:
         raise ValueError(f"steps must be between 1 and the ceiling of {_MAX_STEPS}, got {steps}")
     dt = (t1 - t0) / steps
 
-    def chunk(start: int) -> np.ndarray:
+    def chunk(start: int, dim: int | None) -> np.ndarray:
         ts = t0 + (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dt
-        h = np.asarray(sched.evaluator(ts))
-        if h.shape != (len(ts), sched.dim, sched.dim):
-            raise ValueError(f"schedule produced shape {h.shape} for {len(ts)} times, "
-                             f"declared dim {sched.dim}")
+        h = np.asarray(hamiltonian(ts))
+        if dim is None and h.ndim == 3:
+            dim = h.shape[2]
+        if h.shape != (len(ts), dim, dim):
+            raise ValueError(f"H(t) returned shape {h.shape} for {len(ts)} times, "
+                             f"expected (n, dim, dim) with dim {dim}")
         return expm_unitary(h, dt)
 
-    return map(chunk, range(0, steps, _CHUNK))
+    first = chunk(0, None)
+    dim = first.shape[1]
+    rest = (chunk(start, dim) for start in range(_CHUNK, steps, _CHUNK))
+    return dim, itertools.chain([first], rest)
 
 
 def _ordered_product(factors: np.ndarray) -> np.ndarray:
@@ -104,18 +96,19 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
     return factors[0]
 
 
-def time_ordered_exponential(sched: HamiltonianSchedule, t0: float, t1: float,
+def time_ordered_exponential(hamiltonian: _Hamiltonian, t0: float, t1: float,
                              steps: int) -> np.ndarray:
     """Midpoint step-product approximation of the time-ordered exponential.
 
     Later times multiply from the left. Each factor goes through
-    expm_unitary, so Hermiticity of the schedule is enforced at every
+    expm_unitary, so Hermiticity of H(t) is enforced at every
     sampled midpoint and the result is unitary to machine precision
     regardless of ``steps``. The factors of each chunk of midpoints are
     multiplied as a pairwise tree before joining the running product.
     """
-    u = np.eye(sched.dim, dtype=complex)
-    for factors in _step_factors(sched, t0, t1, steps):
+    dim, chunks = _step_factors(hamiltonian, t0, t1, steps)
+    u = np.eye(dim, dtype=complex)
+    for factors in chunks:
         u = _ordered_product(factors) @ u
     return u
 
@@ -139,7 +132,7 @@ def schrodinger_propagator(family: UnitaryFamily, t: float, s: float) -> np.ndar
     return rotating_frame_propagator(c, h0, t, s)
 
 
-def evolve_state(psi0, sched: HamiltonianSchedule, t0: float, t1: float,
+def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,
                  steps: int) -> np.ndarray:
     """Propagate a normalized state, returning all steps+1 samples.
 
@@ -147,15 +140,15 @@ def evolve_state(psi0, sched: HamiltonianSchedule, t0: float, t1: float,
     stays normalized to within the unitarity of expm_unitary.
     """
     psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (sched.dim,):
-        raise ValueError(f"state shape {psi.shape} does not match dim {sched.dim}")
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state is not normalized: |psi| = {nrm:.12f}")
-    factors = itertools.chain.from_iterable(_step_factors(sched, t0, t1, steps))
-    out = np.empty((steps + 1, sched.dim), dtype=complex)
+    dim, chunks = _step_factors(hamiltonian, t0, t1, steps)
+    if psi.shape != (dim,):
+        raise ValueError(f"state shape {psi.shape} does not match dim {dim}")
+    out = np.empty((steps + 1, dim), dtype=complex)
     out[0] = psi
-    for k, f in enumerate(factors, start=1):
+    for k, f in enumerate(itertools.chain.from_iterable(chunks), start=1):
         psi = f @ psi
         out[k] = psi
     return out

@@ -33,7 +33,6 @@ from spinctl.oracle import (
     energy_variance,
     evolve_state,
     fs_speed_check,
-    schedule_for,
     schrodinger_propagator,
     time_ordered_exponential,
 )
@@ -208,14 +207,14 @@ def test_criterion_09_oracle_agreement():
         span = 2 * np.pi
         if fam.group_id == "su4":
             span = 2 * np.pi / np.abs(fam.frame[0][0, 0].real)
-        u = time_ordered_exponential(schedule_for(fam), 0.0, span, 10_000)
+        u = time_ordered_exponential(fam.hamiltonian, 0.0, span, 10_000)
         v = schrodinger_propagator(fam, span, 0.0)
         worst = max(worst, float(np.max(np.abs(u - v))))
 
     fam = su2_family()
     ref = schrodinger_propagator(fam, 2 * np.pi, 0.0)
     errs = [float(np.max(np.abs(
-        time_ordered_exponential(schedule_for(fam), 0.0, 2 * np.pi, n) - ref)))
+        time_ordered_exponential(fam.hamiltonian, 0.0, 2 * np.pi, n) - ref)))
         for n in (200, 400)]
     ratio = errs[0] / errs[1]
     ok = worst < 1e-6 and 3.5 <= ratio <= 4.5
@@ -269,8 +268,7 @@ def test_criterion_12_projective_speed():
     ]
     worst = 0.0
     for fam, psi0 in cases:
-        sched = schedule_for(fam)
-        states = evolve_state(psi0, sched, 0.0, steps * dt, steps)
+        states = evolve_state(psi0, fam.hamiltonian, 0.0, steps * dt, steps)
         variances = [energy_variance(s, fam.hamiltonian(k * dt))
                      for k, s in enumerate(states)]
         rows = fs_speed_check(states, dt, variances)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from spinctl import audit
 from spinctl.audit import catalog_ids, format_report, full_report, run_check
 
 EXPECTED_TOKENS = {
@@ -52,6 +55,22 @@ class TestCatalog:
         assert "omega20 factor" in detail
         assert "factor 2" in detail
         assert "n+ + n-" in detail
+
+    def test_flow_spectral_drift_detected(self, monkeypatch):
+        # Scaling the last F sample by 1 + 1e-6 moves the spectrum of H + F
+        # but keeps Tr(HF) = 0, so only a spectral check can see it.
+        integrate = audit.bt.integrate
+
+        def perturbed(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            fs = traj.f_coeffs.copy()
+            fs[-1] *= 1 + 1e-6
+            return dataclasses.replace(traj, f_coeffs=fs)
+
+        monkeypatch.setattr(audit.bt, "integrate", perturbed)
+        result = run_check("constraint_orthogonality")
+        assert result.status == "FAIL"
+        assert result.max_error > 1e-7
 
     def test_unknown_check(self):
         with pytest.raises(KeyError):

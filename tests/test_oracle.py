@@ -5,18 +5,21 @@ from spinctl.closedforms import DiracParameters, su2_family, su3_family, su4_fam
 from spinctl.generators import PAULI
 from spinctl.matrixcore import dagger, expm_unitary, predicates
 from spinctl.oracle import (
-    HamiltonianSchedule,
     energy_variance,
     evolve_state,
     fs_speed_check,
     rotating_frame_propagator,
-    schedule_for,
     schrodinger_propagator,
     time_ordered_exponential,
 )
 
 RNG = np.random.default_rng(41)
 I2, SX, SY, SZ = PAULI
+
+def constant(h):
+    """H(t) = h at every time, in the stacked form the oracle takes."""
+    return lambda t: np.broadcast_to(h, (len(t),) + h.shape)
+
 
 ALL_FAMILIES = [
     su2_family(),
@@ -27,28 +30,25 @@ ALL_FAMILIES = [
 
 class TestTimeOrderedExponential:
     def test_constant_schedule_exact(self):
-        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
         for steps in (1, 7, 50):
-            u = time_ordered_exponential(sched, 0.0, np.pi / 2, steps)
+            u = time_ordered_exponential(constant(SZ), 0.0, np.pi / 2, steps)
             assert np.max(np.abs(u - np.diag([-1j, 1j]))) < 1e-13
 
     def test_unitary_at_any_resolution(self):
-        sched = schedule_for(su3_family(0.7))
         for steps in (3, 31):
-            u = time_ordered_exponential(sched, -1.0, 2.0, steps)
+            u = time_ordered_exponential(su3_family(0.7).hamiltonian, -1.0, 2.0, steps)
             assert predicates(u, tol=1e-10).unitary
 
     def test_su2_matches_rotating_frame(self):
         fam = su2_family()
-        u = time_ordered_exponential(schedule_for(fam), 0.0, 2 * np.pi, 10_000)
+        u = time_ordered_exponential(fam.hamiltonian, 0.0, 2 * np.pi, 10_000)
         v = rotating_frame_propagator(SZ / 2, SX, 2 * np.pi, 0.0)
         assert np.max(np.abs(u - v)) < 1e-6
 
     def test_second_order_convergence(self):
         fam = su2_family()
         ref = schrodinger_propagator(fam, 2 * np.pi, 0.0)
-        sched = schedule_for(fam)
-        err = [np.max(np.abs(time_ordered_exponential(sched, 0.0, 2 * np.pi, n) - ref))
+        err = [np.max(np.abs(time_ordered_exponential(fam.hamiltonian, 0.0, 2 * np.pi, n) - ref))
                for n in (200, 400)]
         assert 3.5 <= err[0] / err[1] <= 4.5
 
@@ -60,27 +60,33 @@ class TestTimeOrderedExponential:
             ref = np.eye(fam.dim, dtype=complex)
             for k in range(steps):
                 ref = expm_unitary(fam.hamiltonian(t0 + (k + 0.5) * dt), dt) @ ref
-            u = time_ordered_exponential(schedule_for(fam), t0, t1, steps)
+            u = time_ordered_exponential(fam.hamiltonian, t0, t1, steps)
             assert np.max(np.abs(u - ref)) <= 1e-12
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
-            time_ordered_exponential(schedule_for(su2_family()), 0.0, 1.0, 0)
+            time_ordered_exponential(su2_family().hamiltonian, 0.0, 1.0, 0)
 
     def test_step_ceiling_checked_before_any_schedule_call(self):
         def never(t):
             raise AssertionError("H(t) evaluated past the step ceiling")
 
-        sched = HamiltonianSchedule(2, never)
         with pytest.raises(ValueError, match="ceiling of 10000000"):
-            time_ordered_exponential(sched, 0.0, 1.0, 10 ** 7 + 1)
+            time_ordered_exponential(never, 0.0, 1.0, 10 ** 7 + 1)
         with pytest.raises(ValueError, match="ceiling of 10000000"):
-            evolve_state(np.array([1.0, 0.0]), sched, 0.0, 1.0, 10 ** 7 + 1)
+            evolve_state(np.array([1.0, 0.0]), never, 0.0, 1.0, 10 ** 7 + 1)
 
     def test_schedule_dim_enforced(self):
-        sched = HamiltonianSchedule(3, lambda t: SZ)
-        with pytest.raises(ValueError, match="dim"):
-            time_ordered_exponential(sched, 0.0, 1.0, 2)
+        def growing(t):  # d = 2 for the first chunk of 256 midpoints, 3 after
+            return np.zeros((len(t), 2, 2) if t[0] < 0.5 else (len(t), 3, 3))
+
+        for hamiltonian, steps in ((lambda t: SZ, 2),
+                                   (lambda t: np.zeros((len(t), 2, 3)), 2),
+                                   (growing, 300)):
+            with pytest.raises(ValueError, match="dim"):
+                time_ordered_exponential(hamiltonian, 0.0, 1.0, steps)
+            with pytest.raises(ValueError, match="dim"):
+                evolve_state(np.array([1.0, 0.0]), hamiltonian, 0.0, 1.0, steps)
 
 
 class TestRotatingFramePropagator:
@@ -121,7 +127,7 @@ class TestRotatingFramePropagator:
             span = 2 * np.pi
             if fam.group_id == "su4":
                 span = 2 * np.pi / np.abs(fam.frame[0][0, 0])
-            u = time_ordered_exponential(schedule_for(fam), 0.0, span, 10_000)
+            u = time_ordered_exponential(fam.hamiltonian, 0.0, span, 10_000)
             v = schrodinger_propagator(fam, span, 0.0)
             assert np.max(np.abs(u - v)) < 1e-6
 
@@ -132,21 +138,19 @@ class TestRotatingFramePropagator:
 
 class TestEvolveState:
     def test_zero_hamiltonian(self):
-        sched = HamiltonianSchedule(2, lambda t: np.zeros((len(t), 2, 2)))
         psi0 = np.array([0.6, 0.8], dtype=complex)
-        states = evolve_state(psi0, sched, 0.0, 1.0, 10)
+        states = evolve_state(psi0, constant(np.zeros((2, 2))), 0.0, 1.0, 10)
         assert states.shape == (11, 2)
         assert np.max(np.abs(states - psi0)) < 1e-14
 
     def test_phase_only_evolution(self):
-        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
-        states = evolve_state(np.array([1.0, 0.0]), sched, 0.0, 2.0, 100)
+        states = evolve_state(np.array([1.0, 0.0]), constant(SZ), 0.0, 2.0, 100)
         assert np.max(np.abs(np.abs(states) - np.abs(states[0]))) < 1e-12
 
     def test_norm_preserved(self):
         fam = su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5]))
         psi0 = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
-        states = evolve_state(psi0, schedule_for(fam), 0.0, 3.0, 500)
+        states = evolve_state(psi0, fam.hamiltonian, 0.0, 3.0, 500)
         norms = np.linalg.norm(states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-9
 
@@ -156,7 +160,7 @@ class TestEvolveState:
         fam = su4_family(params)
         w = su4_eigenframe(params, 0.0).w
         psi0 = w[:, 0] / np.linalg.norm(w[:, 0])
-        states = evolve_state(psi0, schedule_for(fam), 0.0, 0.5, 200)
+        states = evolve_state(psi0, fam.hamiltonian, 0.0, 0.5, 200)
         series = [np.vdot(s, fam.hamiltonian(k * 0.5 / 200) @ s).real
                   for k, s in enumerate(states)]
         assert np.all(np.isfinite(series))
@@ -166,15 +170,20 @@ class TestEvolveState:
         for fam in ALL_FAMILIES:
             psi0 = np.zeros(fam.dim, dtype=complex)
             psi0[0] = 1.0
-            states = evolve_state(psi0, schedule_for(fam), 0.0, 1.5, 257)
-            u = time_ordered_exponential(schedule_for(fam), 0.0, 1.5, 257)
+            states = evolve_state(psi0, fam.hamiltonian, 0.0, 1.5, 257)
+            u = time_ordered_exponential(fam.hamiltonian, 0.0, 1.5, 257)
             assert states.shape == (258, fam.dim)
             assert np.max(np.abs(states[-1] - u @ psi0)) <= 1e-12
 
     def test_rejects_unnormalized(self):
-        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
         with pytest.raises(ValueError, match="normalized"):
-            evolve_state(np.array([1.0, 1.0]), sched, 0.0, 1.0, 5)
+            evolve_state(np.array([1.0, 1.0]), constant(SZ), 0.0, 1.0, 5)
+
+    @pytest.mark.parametrize("psi0", [np.array([1.0, 0.0, 0.0]), np.array([1.0]),
+                                      np.array([[1.0], [0.0]])])
+    def test_rejects_state_of_wrong_length(self, psi0):
+        with pytest.raises(ValueError, match="does not match dim 2"):
+            evolve_state(psi0, constant(SZ), 0.0, 1.0, 5)
 
 
 class TestEnergyVariance:
@@ -198,16 +207,14 @@ class TestEnergyVariance:
 
 class TestFsSpeed:
     def test_stationary_state(self):
-        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
-        states = evolve_state(np.array([1.0, 0.0]), sched, 0.0, 0.01, 100)
+        states = evolve_state(np.array([1.0, 0.0]), constant(SZ), 0.0, 0.01, 100)
         variances = [energy_variance(s, SZ) for s in states]
         rows = fs_speed_check(states, 1e-4, variances)
         assert np.max(rows[:, 2]) < 1e-10
 
     def test_precessing_state(self):
         dt = 1e-4
-        sched = HamiltonianSchedule(2, lambda t: np.broadcast_to(SZ, (len(t), 2, 2)))
-        states = evolve_state(np.array([1.0, 1.0]) / np.sqrt(2), sched, 0.0, 200 * dt, 200)
+        states = evolve_state(np.array([1.0, 1.0]) / np.sqrt(2), constant(SZ), 0.0, 200 * dt, 200)
         variances = [energy_variance(s, SZ) for s in states]
         rows = fs_speed_check(states, dt, variances)
         assert np.max(np.abs(rows[:, 0] - 1.0)) < 1e-6
@@ -216,8 +223,7 @@ class TestFsSpeed:
     def test_su2_family_trajectory(self):
         dt = 1e-4
         fam = su2_family()
-        sched = schedule_for(fam)
-        states = evolve_state(np.array([1.0, 0.0]), sched, 0.0, 200 * dt, 200)
+        states = evolve_state(np.array([1.0, 0.0]), fam.hamiltonian, 0.0, 200 * dt, 200)
         variances = [energy_variance(s, fam.hamiltonian(k * dt))
                      for k, s in enumerate(states)]
         rows = fs_speed_check(states, dt, variances)
