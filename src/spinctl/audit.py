@@ -40,7 +40,7 @@ import numpy as np
 from . import brachistochrone as bt
 from . import closedforms as cf
 from . import oracle
-from .generators import build_basis, dirac_operators, reconstruct, verify_algebra
+from .generators import build_basis, dirac_operators, project_coefficients, reconstruct, verify_algebra
 from .matrixcore import dagger
 
 __all__ = ["CheckResult", "catalog_ids", "format_report", "full_report", "run_check"]
@@ -345,8 +345,7 @@ def _check_constraint_orthogonality(rng, tol):
         f0_mat = reconstruct(f0, basis)
         overlap = np.trace(h0 @ f0_mat).real
         # remove the H(0) component so Tr(H(0) F(0)) = 0
-        h0_coeffs = np.einsum("kij,ji->k", basis.elements, h0).real / basis.norm_constants
-        f0 = f0 - overlap * h0_coeffs / np.trace(h0 @ h0).real
+        f0 = f0 - overlap * project_coefficients(h0, basis) / np.trace(h0 @ h0).real
         for t in rng.uniform(-2, 2, 5):
             ft = cf.su4_constraint_t(f0, params, t)
             ht = cf.dirac_hamiltonian(params, t)

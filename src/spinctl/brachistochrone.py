@@ -6,10 +6,11 @@ Both evolve by the single equation
 
     d(H + F)/dt = -i [H, F],
 
-projected back onto the basis via the trace inner product. The projected
-flow exactly conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator
-records from the coefficients so discretization drift stays visible. Tr(HF)
-is not monitored: S and S^c are trace-orthogonal, so it is identically zero.
+projected back onto the basis: a contraction with ``ControlSplit.coupling``,
+a slice of the structure constants ``basis.structure``. The flow exactly
+conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator records from
+the coefficients so discretization drift stays visible. Tr(HF) is not
+monitored: S and S^c are trace-orthogonal, so it is identically zero.
 
 The su(4) case additionally ships the rate equations of the Dirac-type
 split (mass/momentum on the Hamiltonian side) in two hand-derived
@@ -85,18 +86,14 @@ class ControlSplit:
 
     @cached_property
     def coupling(self) -> np.ndarray:
-        """Structure tensor M[k, a, b] = -i Tr(g_k [g_a, g_b]) / Tr(g_k^2).
+        """The slice M[k, a, b] of ``basis.structure`` with a in S and b in S^c.
 
         Rows k run over S, then S^c. Contracting M with (h_coeffs,
         f_coeffs) gives the projection of -i[H, F] stacked as (dH/dt,
         dF/dt) in one step; it is the whole vector field.
         """
-        g = self.basis.elements
         rows = np.concatenate([self.s_indices, self.c_indices])
-        gs, gc = g[self.s_indices], g[self.c_indices]
-        comm = np.einsum("aij,bjk->abik", gs, gc) - np.einsum("bij,ajk->abik", gc, gs)
-        m = -1j * np.einsum("kij,abji->kab", g[rows], comm) / self.basis.norm_constants[rows, None, None]
-        return np.ascontiguousarray(m.real)
+        return self.basis.structure[np.ix_(rows, self.s_indices, self.c_indices)]
 
     def hamiltonian_matrix(self, h_coeffs) -> np.ndarray:
         full = np.zeros(len(self.basis))
@@ -156,7 +153,6 @@ class Trajectory:
     sum_S^c n_k f_k^2 at each sample, with the basis norms n_k = Tr(g_k^2).
     """
 
-    split: ControlSplit
     times: np.ndarray      # (n,)
     h_coeffs: np.ndarray   # (n, |S|)
     f_coeffs: np.ndarray   # (n, |S^c|)
@@ -194,10 +190,11 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     def rhs(c: np.ndarray) -> np.ndarray:
         return np.einsum("kab,a,b->k", m, c[:ns], c[ns:])
 
-    c = np.concatenate([np.asarray(initial.h_coeffs, float),
-                        np.asarray(initial.f_coeffs, float)])
-    if c.shape != (ns + nc,):
-        raise ValueError("initial coefficients do not match the split")
+    h0, f0 = np.asarray(initial.h_coeffs, float), np.asarray(initial.f_coeffs, float)
+    if h0.shape != (ns,) or f0.shape != (nc,):
+        raise ValueError(f"initial coefficients have shapes {h0.shape} and {f0.shape}, "
+                         f"the split needs ({ns},) and ({nc},)")
+    c = np.concatenate([h0, f0])
 
     n_steps = int(round(T / h))
     times = [0.0]
@@ -226,7 +223,7 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     if overflow.any():
         step = min(int(np.argmax(overflow)) * sample_stride, n_steps)
         raise NonFiniteStateError(f"non-finite invariant monitor at step {step}")
-    return Trajectory(split, np.array(times), hs, fs, mons)
+    return Trajectory(np.array(times), hs, fs, mons)
 
 
 # --------------------------------------------------------------------------

@@ -162,7 +162,10 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _matrix_block(title: str, mat: np.ndarray) -> str:
-    rows = [" ".join(_fmt_complex(z) for z in row) for row in np.asarray(mat, complex)]
+    mat = np.asarray(mat, complex)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"non-finite entries in {title}: the inputs overflow")
+    rows = [" ".join(_fmt_complex(z) for z in row) for row in mat]
     return "\n".join([title, *rows])
 
 
@@ -226,21 +229,25 @@ def _parse_vec3(text: str) -> np.ndarray:
 
 
 def _cmd_closedform(args) -> int:
-    fam = _family_from_args(args)
-    blocks = [
-        _matrix_block(f"H(t) family={args.family} t={_fmt_real(args.t)}",
-                      fam.hamiltonian(args.t)),
-        _matrix_block(f"U(t,s) family={args.family} t={_fmt_real(args.t)} s={_fmt_real(args.s)}",
-                      fam.propagator(args.t, args.s)),
-    ]
+    # t - s or E t may overflow: _matrix_block rejects the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam = _family_from_args(args)
+        blocks = [
+            _matrix_block(f"H(t) family={args.family} t={_fmt_real(args.t)}",
+                          fam.hamiltonian(args.t)),
+            _matrix_block(f"U(t,s) family={args.family} t={_fmt_real(args.t)} s={_fmt_real(args.s)}",
+                          fam.propagator(args.t, args.s)),
+        ]
     sys.stdout.write("\n".join(blocks) + "\n")
     return 0
 
 
 def _cmd_propagate(args) -> int:
-    fam = _family_from_args(args)
-    u_oracle = oracle.time_ordered_exponential(fam.hamiltonian, 0.0, args.t1, args.steps)
-    v_closed = oracle.schrodinger_propagator(fam, args.t1, 0.0)
+    # as in _cmd_closedform, overflow surfaces as one non-finite error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam = _family_from_args(args)
+        u_oracle = oracle.time_ordered_exponential(fam.hamiltonian, 0.0, args.t1, args.steps)
+        v_closed = oracle.schrodinger_propagator(fam, args.t1, 0.0)
     dev = float(np.max(np.abs(u_oracle - v_closed)))
     blocks = [
         _matrix_block(

@@ -60,6 +60,7 @@ class GeneratorBasis:
     labels: tuple[str, ...]
     elements: np.ndarray       # shape (n, d, d)
     norm_constants: np.ndarray  # norm_constants[k] = Tr(g_k^2)
+    structure: np.ndarray       # structure[k, a, b] = -i Tr(g_k [g_a, g_b]) / Tr(g_k^2)
 
     @property
     def dim(self) -> int:
@@ -93,7 +94,11 @@ def build_basis(group_id: str) -> GeneratorBasis:
     elements.setflags(write=False)
     norms = np.einsum("kij,kji->k", elements, elements).real
     norms.setflags(write=False)
-    return GeneratorBasis(group_id, labels, elements, norms)
+    prods = np.einsum("aij,bjk->abik", elements, elements)  # g_a g_b
+    structure = -1j * np.einsum("kij,abji->kab", elements, prods - prods.transpose(1, 0, 2, 3))
+    structure = np.ascontiguousarray((structure / norms[:, None, None]).real)
+    structure.setflags(write=False)
+    return GeneratorBasis(group_id, labels, elements, norms, structure)
 
 
 def project_coefficients(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:

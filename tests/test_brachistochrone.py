@@ -174,6 +174,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(start, split, h=1e-3, T=1.0, sample_stride=0)
 
+    @pytest.mark.parametrize("h_len,f_len", [(3, 0), (1, 2), (2, 2), (2, 0)])
+    def test_rejects_mis_sized_pair(self, h_len, f_len):
+        # a right total length must not let coefficients slide between H and F
+        split = canonical_split("su2")
+        start = OperatorPair(np.ones(h_len), np.ones(f_len))
+        with pytest.raises(ValueError, match=r"needs \(2,\) and \(1,\)"):
+            integrate(start, split, h=1e-2, T=0.1)
+
     @pytest.mark.parametrize("h,T", [(1e-320, 1e300), (1e-9, 1e3), (1e-8, 0.100000001)])
     def test_step_count_ceiling(self, h, T):
         split = canonical_split("su2")

@@ -253,6 +253,10 @@ class TestNonFiniteInput:
         (["closedform", "--family", "su4", "--t", "1", "--p", "0,inf,1"], "--p is non-finite"),
         (["closedform", "--family", "su4", "--t", "1", "--p", "0,0,1e200"], "non-finite energy"),
         (["propagate", "--family", "su4", "--t1", "1", "--m", "1e200"], "non-finite energy"),
+        # finite options whose t - s or E t overflows inside the family
+        (["closedform", "--family", "su2", "--t", "1e308", "--s=-1e308"], "non-finite entries in U(t,s)"),
+        (["closedform", "--family", "su4", "--t", "1e300", "--m", "1e10"], "non-finite entries in H(t)"),
+        (["propagate", "--family", "su4", "--t1", "1e300", "--m", "1e100", "--steps", "1"], "non-finite"),
     ])
     def test_non_finite_option(self, capsys, argv, needle):
         self.assert_rejected(dispatch(argv), capsys, needle)
@@ -278,7 +282,7 @@ class TestDispatch:
 
 
 NUMBERS = st.sampled_from(
-    ["0", "1", "-1", "0.5", "2.5", "1e-320", "1e200", "-1e300", "inf", "-inf", "nan", "x", ""])
+    ["0", "1", "-1", "0.5", "2.5", "1e-320", "1e200", "-1e300", "1e308", "inf", "-inf", "nan", "x", ""])
 FAMILIES = st.sampled_from(["su2", "su3", "su4", "su5"])
 #: Tier-1 must not flake: the same examples on every run.
 PROPERTY = settings(deadline=None, database=None, derandomize=True)

@@ -63,6 +63,58 @@ class TestBases:
             basis.index("sw")
 
 
+def antisymmetric(n: int, table: dict) -> np.ndarray:
+    """The totally antisymmetric (n, n, n) array with the given 1-based entries."""
+    f = np.zeros((n, n, n))
+    for (a, b, c), v in table.items():
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            f[i - 1, j - 1, k - 1] = v
+            f[j - 1, i - 1, k - 1] = -v
+    return f
+
+
+#: Nonzero f_abc, a < b < c, of [l_a, l_b] = 2i f_abc l_c (Gell-Mann 1962).
+GELL_MANN_F = {(1, 2, 3): 1.0, (1, 4, 7): 0.5, (1, 5, 6): -0.5, (2, 4, 6): 0.5, (2, 5, 7): 0.5,
+               (3, 4, 5): 0.5, (3, 6, 7): -0.5, (4, 5, 8): np.sqrt(3) / 2, (6, 7, 8): np.sqrt(3) / 2}
+
+
+class TestStructureConstants:
+    """structure[k, a, b] is the g_k coefficient of -i[g_a, g_b]."""
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_antisymmetric(self, group):
+        f = build_basis(group).structure
+        assert np.array_equal(f, -f.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_jacobi_identity(self, group):
+        # [[g_a, g_b], g_c] + cyclic = 0, written in the constants
+        f = build_basis(group).structure
+        jacobi = (np.einsum("mab,nmc->abcn", f, f) + np.einsum("mbc,nma->abcn", f, f)
+                  + np.einsum("mca,nmb->abcn", f, f))
+        assert np.max(np.abs(jacobi)) < 1e-15
+
+    def test_su2_is_twice_levi_civita(self):
+        assert np.array_equal(build_basis("su2").structure, 2 * antisymmetric(3, {(1, 2, 3): 1.0}))
+
+    def test_su3_is_twice_gell_mann_table(self):
+        # structure[c, a, b] = 2 f_abc = 2 f_cab, f being totally antisymmetric
+        f = build_basis("su3").structure
+        assert np.max(np.abs(f - 2 * antisymmetric(8, GELL_MANN_F))) < 1e-15
+
+    def test_su4_entries_are_zero_or_two(self):
+        # two Pauli products either commute or give 2i times a third
+        f = build_basis("su4").structure
+        assert set(np.unique(f)) <= {-2.0, 0.0, 2.0}
+        assert np.all(np.count_nonzero(f, axis=0) <= 1)
+
+    def test_read_only(self):
+        f = build_basis("su3").structure
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0, 1] = 1.0
+
+
 class TestDiracOperators:
     def test_beta_diagonal(self):
         assert np.array_equal(dirac_operators().beta, np.diag([1, 1, -1, -1]).astype(complex))
