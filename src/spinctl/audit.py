@@ -154,19 +154,16 @@ def _check_eigenframe_inverse(rng, tol):
                     "W W^-1 = W^-1 W = 1 and W D0 W^-1 = H(t), 100 probes with |p| > 0.1")
 
 
-def _isometry_error(family: cf.UnitaryFamily, pairs) -> float:
-    err = 0.0
-    for t, s in pairs:
-        u = family.propagator(t, s)
-        err = max(err, float(np.max(np.abs(
-            u @ family.hamiltonian(s) @ dagger(u) - family.hamiltonian(t)))))
-    return err
+def _conjugation_gap(u: np.ndarray, h_s: np.ndarray, h_t: np.ndarray) -> float:
+    """max|U H(s) U^dag - H(t)|: how far U falls short of carrying H(s) to H(t)."""
+    return float(np.max(np.abs(u @ h_s @ dagger(u) - h_t)))
 
 
 def _check_isometry_su2(rng, tol):
     fam = cf.su2_family()
-    pairs = rng.uniform(-2, 2, (100, 2))
-    err = _isometry_error(fam, pairs)
+    err = 0.0
+    for t, s in rng.uniform(-2, 2, (100, 2)):
+        err = max(err, _conjugation_gap(fam.propagator(t, s), fam.hamiltonian(s), fam.hamiltonian(t)))
     return _verdict("isometry_su2", err, tol, "U(t,s) H(s) U(t,s)^dag = H(t), 100 random (t, s)")
 
 
@@ -181,10 +178,8 @@ def _check_isometry_su3(rng, tol):
         u_plus = fam.propagator(t, s)
         u_minus = u_plus.copy()
         u_minus[0, 2] = -u_minus[0, 2]  # the competing corner sign
-        errs["su3_u13_sign=+i"] = max(errs["su3_u13_sign=+i"], float(np.max(np.abs(
-            u_plus @ h_s @ dagger(u_plus) - h_t))))
-        errs["su3_u13_sign=-i"] = max(errs["su3_u13_sign=-i"], float(np.max(np.abs(
-            u_minus @ h_s @ dagger(u_minus) - h_t))))
+        errs["su3_u13_sign=+i"] = max(errs["su3_u13_sign=+i"], _conjugation_gap(u_plus, h_s, h_t))
+        errs["su3_u13_sign=-i"] = max(errs["su3_u13_sign=-i"], _conjugation_gap(u_minus, h_s, h_t))
         unit_minus = max(unit_minus, float(np.max(np.abs(
             u_minus @ dagger(u_minus) - np.eye(3)))))
     expected = "su3_u13_sign=+i" if cf.AUDITED_CONVENTIONS.su3_upper_sign == 1 else "su3_u13_sign=-i"
@@ -202,7 +197,7 @@ def _check_isometry_su4(rng, tol):
         h_s, h_t = cf.dirac_hamiltonian(params, s), cf.dirac_hamiltonian(params, t)
         for sign, key in ((-1, "phase_sign=-1"), (1, "phase_sign=+1")):
             u = cf.su4_propagator(params, t, s, phase_sign=sign)
-            errs[key] = max(errs[key], float(np.max(np.abs(u @ h_s @ dagger(u) - h_t))))
+            errs[key] = max(errs[key], _conjugation_gap(u, h_s, h_t))
     expected = "phase_sign=-1" if cf.AUDITED_CONVENTIONS.su4_phase_sign == -1 else "phase_sign=+1"
     return _resolve(
         "isometry_su4", errs, expected, tol,

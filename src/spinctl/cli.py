@@ -26,8 +26,6 @@ __all__ = ["RunConfig", "dispatch", "main", "parse_config"]
 
 _RUN_KEYS = {"group", "split", "h", "T", "stride"}
 _SECTIONS = ("run", "hamiltonian", "constraint")
-#: Float options that must be finite in every subcommand that takes them.
-_FINITE_OPTIONS = ("t", "s", "t1", "theta", "m")
 
 
 class ConfigError(ValueError):
@@ -109,16 +107,7 @@ def parse_config(text: str) -> RunConfig:
         if label not in basis.labels:
             raise ConfigError(f"split label {label!r} not in {group_id} basis")
 
-    def as_float(key: str) -> float:
-        try:
-            value = float(run[key])
-        except ValueError:
-            raise ConfigError(f"invalid number for key {key!r}: {run[key]!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"key {key!r} must be finite, got {run[key]!r}")
-        return value
-
-    h, T = as_float("h"), as_float("T")
+    h, T = (_config_float(run[key], f"key {key!r}") for key in ("h", "T"))
     try:
         stride = int(run.get("stride", 1))
     except ValueError:
@@ -135,18 +124,23 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"unknown label {label!r} in [{section}]")
             if label not in allowed:
                 raise ConfigError(f"label {label!r} does not belong in [{section}]")
-            try:
-                out[label] = float(value)
-            except ValueError:
-                raise ConfigError(f"invalid number for label {label!r}: {value!r}") from None
-            if not math.isfinite(out[label]):
-                raise ConfigError(f"label {label!r} must be finite, got {value!r}")
+            out[label] = _config_float(value, f"label {label!r}")
         return out
 
     s_set = set(split)
     h_coeffs = coeffs("hamiltonian", s_set)
     f_coeffs = coeffs("constraint", set(basis.labels) - s_set)
     return RunConfig(group_id, split, h_coeffs, f_coeffs, h, T, stride)
+
+
+def _config_float(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"invalid number for {what}: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -205,27 +199,13 @@ def _cmd_integrate(args) -> int:
     return 0
 
 
-def _finite(option: str, value: float) -> float:
-    """``value`` if it is finite; a ValueError naming ``option`` otherwise."""
-    if not math.isfinite(value):
-        raise ValueError(f"{option} is non-finite: {value!r}")
-    return value
-
-
 def _family_from_args(args) -> cf.UnitaryFamily:
     if args.family == "su2":
         return cf.su2_family()
     if args.family == "su3":
         return cf.su3_family(args.theta)
-    params = cf.DiracParameters(m=args.m, p0=_parse_vec3(args.p), theta=args.theta)
+    params = cf.DiracParameters(m=args.m, p0=args.p, theta=args.theta)
     return cf.su4_family(params)
-
-
-def _parse_vec3(text: str) -> np.ndarray:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated components, got {text!r}")
-    return np.array([_finite("--p", float(s)) for s in parts])
 
 
 def _cmd_closedform(args) -> int:
@@ -243,7 +223,7 @@ def _cmd_closedform(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    # as in _cmd_closedform, overflow surfaces as one non-finite error below
+    # as in _cmd_closedform, overflow surfaces as one non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         fam = _family_from_args(args)
         u_oracle = oracle.time_ordered_exponential(fam.hamiltonian, 0.0, args.t1, args.steps)
@@ -261,8 +241,8 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.tol is not None and not 0 <= args.tol < math.inf:
-        raise ValueError(f"--tol must be a finite non-negative number, got {args.tol!r}")
+    if args.tol is not None and args.tol < 0:
+        raise ValueError(f"--tol must be non-negative, got {args.tol!r}")
     results = audit_mod.full_report(tol=args.tol, seed=args.seed)
     _write_text(args.out, audit_mod.format_report(results))
     return 1 if any(r.status == "FAIL" for r in results) else 0
@@ -274,8 +254,29 @@ def _cmd_gate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, not print and exit; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite value: {text!r}")
+    return value
+
+
+def _vec3(text: str) -> np.ndarray:
+    return np.array([_finite_float(s) for s in text.split(",")])
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinctl",
         description="Time-optimal spin control toolkit: bases, brachistochrone runs, "
                     "closed-form families, oracle propagators, and the numerical audit.",
@@ -299,26 +300,26 @@ def _build_parser() -> argparse.ArgumentParser:
             else "compare the step-product oracle against the closed-form propagator",
         )
         p.add_argument("--family", required=True, choices=["su2", "su3", "su4"])
-        p.add_argument("--theta", type=float, default=cf.DEFAULT_THETA)
-        p.add_argument("--m", type=float, default=1.0)
-        p.add_argument("--p", default="0,0,1", help="momentum as 'px,py,pz' (su4)")
+        p.add_argument("--theta", type=_finite_float, default=cf.DEFAULT_THETA)
+        p.add_argument("--m", type=_finite_float, default=1.0)
+        p.add_argument("--p", type=_vec3, default="0,0,1", help="momentum as 'px,py,pz' (su4)")
         if name == "closedform":
-            p.add_argument("--t", type=float, required=True)
-            p.add_argument("--s", type=float, default=0.0)
+            p.add_argument("--t", type=_finite_float, required=True)
+            p.add_argument("--s", type=_finite_float, default=0.0)
         else:
-            p.add_argument("--t1", type=float, required=True)
+            p.add_argument("--t1", type=_finite_float, required=True)
             p.add_argument("--steps", type=int, default=oracle.DEFAULT_STEPS_PER_PERIOD)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("audit", help="run the full audit catalog")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("gate", help="print the qutrit gate Q(t)")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--theta", type=float, default=cf.DEFAULT_THETA)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--theta", type=_finite_float, default=cf.DEFAULT_THETA)
     p.set_defaults(fn=_cmd_gate)
 
     return parser
@@ -326,19 +327,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> int:
     """Route argv to a subcommand; never raises on malformed input."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors
-        return 0 if exc.code in (0, None) else 2
-    try:
-        for name in _FINITE_OPTIONS:
-            if name in vars(args):
-                _finite(f"--{name}", getattr(args, name))
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except (ConfigError, ValueError, KeyError, OSError, NonFiniteStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit:  # only --help exits: _Parser raises on usage errors
+        return 0
+    except (ValueError, KeyError, OSError, NonFiniteStateError) as exc:
+        print(" ".join(f"error: {exc}".splitlines()), file=sys.stderr)
         return 2
 
 

@@ -6,6 +6,7 @@ treated as immutable values; no function mutates its inputs.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,11 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
         cos(E tau) * I - i sin(E tau) * H / E
 
     (the identity when H = 0); the others share one stacked Hermitian
-    eigendecomposition. Raises ValueError if any matrix has a non-finite
-    entry or is not Hermitian within HERMITIAN_TOL.
+    eigendecomposition. Raises ValueError if ``tau`` or any matrix entry is
+    non-finite, or if any matrix is not Hermitian within HERMITIAN_TOL.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     m = np.asarray(h, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")

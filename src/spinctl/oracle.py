@@ -76,7 +76,14 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
         if h.shape != (len(ts), dim, dim):
             raise ValueError(f"H(t) returned shape {h.shape} for {len(ts)} times, "
                              f"expected (n, dim, dim) with dim {dim}")
-        return expm_unitary(h, dt)
+        try:
+            return expm_unitary(h, dt)
+        except ValueError:
+            finite = np.isfinite(h).all(axis=(1, 2))
+            if finite.all():
+                raise
+            t = float(ts[np.argmin(finite)])
+            raise ValueError(f"non-finite entries in H(t) at t = {t}: the inputs overflow") from None
 
     first = chunk(0, None)
     dim = first.shape[1]
@@ -141,7 +148,7 @@ def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,
     """
     psi = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"state is not normalized: |psi| = {nrm:.12f}")
     dim, chunks = _step_factors(hamiltonian, t0, t1, steps)
     if psi.shape != (dim,):

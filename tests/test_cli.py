@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinctl.cli import ConfigError, dispatch, parse_config
+from spinctl.cli import ConfigError, _build_parser, dispatch, parse_config
 
 SU2_CONFIG = """\
 # minimal transverse-plane run
@@ -246,31 +247,63 @@ class TestNonFiniteInput:
         self.assert_rejected(rc, capsys, "ceiling of 10000000, got 100000000")
 
     @pytest.mark.parametrize("argv,needle", [
-        (["gate", "--t", "inf"], "--t is non-finite"),
-        (["gate", "--t", "0", "--theta", "nan"], "--theta is non-finite"),
-        (["closedform", "--family", "su2", "--t", "0", "--s=-inf"], "--s is non-finite"),
-        (["closedform", "--family", "su4", "--t", "1", "--m", "nan"], "--m is non-finite"),
-        (["closedform", "--family", "su4", "--t", "1", "--p", "0,inf,1"], "--p is non-finite"),
+        (["gate", "--t", "inf"], "argument --t: non-finite value"),
+        (["gate", "--t", "0", "--theta", "nan"], "argument --theta: non-finite value"),
+        (["closedform", "--family", "su2", "--t", "0", "--s=-inf"], "argument --s: non-finite value"),
+        (["closedform", "--family", "su4", "--t", "1", "--m", "nan"], "argument --m: non-finite value"),
+        (["closedform", "--family", "su4", "--t", "1", "--p", "0,inf,1"], "argument --p: non-finite value"),
         (["closedform", "--family", "su4", "--t", "1", "--p", "0,0,1e200"], "non-finite energy"),
         (["propagate", "--family", "su4", "--t1", "1", "--m", "1e200"], "non-finite energy"),
         # finite options whose t - s or E t overflows inside the family
         (["closedform", "--family", "su2", "--t", "1e308", "--s=-1e308"], "non-finite entries in U(t,s)"),
         (["closedform", "--family", "su4", "--t", "1e300", "--m", "1e10"], "non-finite entries in H(t)"),
-        (["propagate", "--family", "su4", "--t1", "1e300", "--m", "1e100", "--steps", "1"], "non-finite"),
+        (["propagate", "--family", "su4", "--t1", "1e300", "--m", "1e100", "--steps", "1"],
+         "non-finite entries in H(t) at t = 5e+299: the inputs overflow"),
     ])
     def test_non_finite_option(self, capsys, argv, needle):
         self.assert_rejected(dispatch(argv), capsys, needle)
 
 
 class TestDispatch:
-    def test_unknown_subcommand(self):
-        assert dispatch(["frobnicate"]) == 2
+    """Usage errors keep the contract too: exit 2 and one ``error:`` line naming the problem."""
 
-    def test_missing_required_option(self):
-        assert dispatch(["integrate"]) == 2
+    def test_unknown_subcommand(self, capsys):
+        TestNonFiniteInput.assert_rejected(dispatch(["frobnicate"]), capsys, "invalid choice: 'frobnicate'")
 
-    def test_help_exits_zero(self):
+    def test_missing_required_option(self, capsys):
+        TestNonFiniteInput.assert_rejected(
+            dispatch(["integrate"]), capsys, "spinctl integrate: the following arguments are required")
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["closedform", "--family", "su5", "--t", "1"], "argument --family: invalid choice: 'su5'"),
+        (["gate", "--t", "x"], "argument --t: invalid float value: 'x'"),
+        # argparse reads a negative number in exponent form as an option: write --t1=-1e308
+        (["propagate", "--family", "su2", "--t1", "-1e308"], "argument --t1: expected one argument"),
+        (["propagate", "--family", "su2", "--t1", "1", "--steps", "1.5"], "argument --steps: invalid int"),
+        (["audit", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["gate", "--t", "0", "--bogus"], "unrecognized arguments: --bogus"),
+        # argparse joins unrecognized arguments unquoted: a line break in one must not split the line
+        (["gate", "--t", "0", "a\nb"], "unrecognized arguments: a b"),
+        # --p is checked for every family, not only the su4 that reads it
+        (["closedform", "--family", "su2", "--t", "0", "--p", "x"], "argument --p: invalid float value"),
+    ])
+    def test_usage_error(self, capsys, argv, needle):
+        TestNonFiniteInput.assert_rejected(dispatch(argv), capsys, needle)
+
+    def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: spinctl") and err == ""
+
+    def test_no_option_is_a_bare_float(self):
+        # a float option must go through _finite_float, or a non-finite value slips past parsing
+        parsers = [_build_parser()]
+        for parser in parsers:
+            for action in parser._actions:
+                assert action.type is not float, f"{parser.prog} {action.option_strings}"
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert len(parsers) == 7
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -279,6 +312,15 @@ class TestDispatch:
         )
         assert proc.returncode == 0
         assert "0.70710678118654746" in proc.stdout
+
+    def test_module_entry_point_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "spinctl",
+             "propagate", "--family", "su2", "--t1", "-1e308"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: spinctl propagate: argument --t1: expected one argument\n"
 
 
 NUMBERS = st.sampled_from(
@@ -296,12 +338,25 @@ def _options(**strategies):
 
 
 def _dispatch_quietly(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return dispatch(argv)
+    """dispatch(argv) with stdout discarded; its exit code after checking stderr.
+
+    Exit 2 must write exactly one stderr line, starting ``error:``; exit 0
+    or 1 must write nothing there.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = dispatch(argv)
+    lines = err.getvalue().splitlines()
+    if rc == 2:
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+    else:
+        assert lines == [], (argv, rc, lines)
+    return rc
 
 
 class TestDispatchProperties:
-    """Over bounded argv with hostile numbers, dispatch never raises and only audit returns 1."""
+    """Over bounded argv with hostile numbers, dispatch never raises, only audit returns 1,
+    and stderr holds one ``error:`` line on exit 2 and nothing otherwise."""
 
     @settings(PROPERTY, max_examples=150)
     @given(argv=st.one_of(

@@ -94,6 +94,12 @@ class TestExpmUnitary:
         with pytest.raises(ValueError, match="Hermitian"):
             expm_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("h", [SX, np.diag([1.0, 2.0, -3.0])], ids=["involutory", "eigh"])
+    def test_rejects_non_finite_tau(self, h, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            expm_unitary(h, tau)
+
 
 class TestExpmUnitaryStack:
     def mixed_stack(self):

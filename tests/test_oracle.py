@@ -76,6 +76,16 @@ class TestTimeOrderedExponential:
         with pytest.raises(ValueError, match="ceiling of 10000000"):
             evolve_state(np.array([1.0, 0.0]), never, 0.0, 1.0, 10 ** 7 + 1)
 
+    def test_non_finite_schedule_names_first_bad_midpoint(self):
+        def spiked(t):  # 4 steps on [0, 1]: midpoints 0.125, 0.375, 0.625, 0.875
+            h = np.broadcast_to(SZ, (len(t), 2, 2)).astype(complex)
+            h[t > 0.5] = np.inf
+            return h
+
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=r"non-finite entries in H\(t\) at t = 0\.625: the inputs overflow"):
+            time_ordered_exponential(spiked, 0.0, 1.0, 4)
+
     def test_schedule_dim_enforced(self):
         def growing(t):  # d = 2 for the first chunk of 256 midpoints, 3 after
             return np.zeros((len(t), 2, 2) if t[0] < 0.5 else (len(t), 3, 3))
@@ -176,8 +186,9 @@ class TestEvolveState:
             assert np.max(np.abs(states[-1] - u @ psi0)) <= 1e-12
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            evolve_state(np.array([1.0, 1.0]), constant(SZ), 0.0, 1.0, 5)
+        for psi0 in ([1.0, 1.0], [np.nan, 0.0], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="normalized"):
+                evolve_state(np.array(psi0), constant(SZ), 0.0, 1.0, 5)
 
     @pytest.mark.parametrize("psi0", [np.array([1.0, 0.0, 0.0]), np.array([1.0]),
                                       np.array([[1.0], [0.0]])])
