@@ -17,7 +17,6 @@ from .brachistochrone import (
     dirac_state_to_pair,
     dirac_vector_rhs,
     integrate,
-    pair_to_dirac_state,
 )
 from .closedforms import (
     AUDITED_CONVENTIONS,

@@ -40,7 +40,6 @@ __all__ = [
     "dirac_state_to_pair",
     "dirac_vector_rhs",
     "integrate",
-    "pair_to_dirac_state",
 ]
 
 #: Hamiltonian-span labels of the canonical split per group. su2 pairs the
@@ -274,16 +273,6 @@ def dirac_state_to_pair(state: DiracSplitState) -> OperatorPair:
     f = np.concatenate([state.omega0, [state.omega10, state.omega20],
                         state.omega2, state.omega3])
     return OperatorPair(h_coeffs=h, f_coeffs=f)
-
-
-def pair_to_dirac_state(pair: OperatorPair) -> DiracSplitState:
-    """Inverse of dirac_state_to_pair."""
-    h, f = np.asarray(pair.h_coeffs, float), np.asarray(pair.f_coeffs, float)
-    return DiracSplitState(
-        m=h[0], p=h[1:4],
-        omega0=f[0:3], omega10=f[3], omega20=f[4],
-        omega2=f[5:8], omega3=f[8:11],
-    )
 
 
 def dirac_split_rhs(s: DiracSplitState) -> DiracSplitState:

@@ -241,8 +241,6 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.tol is not None and args.tol < 0:
-        raise ValueError(f"--tol must be non-negative, got {args.tol!r}")
     results = audit_mod.full_report(tol=args.tol, seed=args.seed)
     _write_text(args.out, audit_mod.format_report(results))
     return 1 if any(r.status == "FAIL" for r in results) else 0
@@ -269,6 +267,21 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"non-finite value: {text!r}")
     return value
+
+
+def _non_negative(parse):
+    """Argparse type: ``parse`` the text, then refuse a negative value."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"negative value: {text!r}")
+        return value
+
+    return convert
 
 
 def _vec3(text: str) -> np.ndarray:
@@ -312,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("audit", help="run the full audit catalog")
-    p.add_argument("--tol", type=_finite_float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=_non_negative(_finite_float), default=None)
+    p.add_argument("--seed", type=_non_negative(int), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_audit)
 

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 
+import numpy as np
 import pytest
 
-from spinctl import audit
+from spinctl import audit, closedforms as cf
 from spinctl.audit import catalog_ids, format_report, full_report, run_check
 
 EXPECTED_TOKENS = {
@@ -75,6 +77,59 @@ class TestCatalog:
     def test_unknown_check(self):
         with pytest.raises(KeyError):
             run_check("nonexistent_check")
+
+# each AUDITED_CONVENTIONS field, its other value, and the check that resolves it
+CONVENTION_FLIPS = [
+    ("su4_phase_sign", +1, "isometry_su4"),
+    ("su3_upper_sign", -1, "isometry_su3"),
+    ("didt_commutator_sign", +1, "frame_commutator"),
+    ("dirac_ode_factor", -1.0, "ode_transcriptions"),
+    ("schrodinger_propagator", "closed_form", "propagator_question"),
+    ("sphere_divisor_is_dim", False, "sphere_constraint"),
+]
+
+
+class TestChecksCanFail:
+    def test_nan_probe_fails_its_check(self, monkeypatch):
+        # one NaN entry in one probe's H(t): max() over floats would drop it, np.max keeps it
+        hamiltonian = cf.dirac_hamiltonian
+        calls = itertools.count()
+
+        def poisoned(params, t):
+            h = hamiltonian(params, t)
+            if next(calls) == 3:
+                h = h.copy()
+                h[0, 0] = np.nan
+            return h
+
+        monkeypatch.setattr(audit.cf, "dirac_hamiltonian", poisoned)
+        for cid in ("kg_identity", "sphere_constraint", "eigenframe_inverse",
+                    "isometry_su4", "frame_commutator"):
+            calls = itertools.count()
+            result = run_check(cid)
+            assert result.status == "FAIL", cid
+            assert "max_err=nan" in result.line(), cid
+
+    @pytest.mark.parametrize("candidates", [
+        {"nan": [np.nan], "finite": [1.0]},
+        {"finite": [1.0], "nan": [0.5, np.nan]},
+        {"finite": [1e300], "nan": [np.nan, 0.0]},
+    ])
+    def test_resolve_never_picks_nan_over_finite(self, candidates):
+        assert audit._resolve(candidates, "")[1] == "finite"
+
+    def test_every_convention_field_is_flipped(self):
+        assert {f for f, _, _ in CONVENTION_FLIPS} == {f.name for f in dataclasses.fields(cf.Conventions)}
+
+    @pytest.mark.parametrize("field,other,cid", CONVENTION_FLIPS)
+    def test_flipped_convention_fails_its_check(self, monkeypatch, field, other, cid):
+        assert getattr(cf.AUDITED_CONVENTIONS, field) != other
+        monkeypatch.setattr(cf, "AUDITED_CONVENTIONS",
+                            dataclasses.replace(cf.AUDITED_CONVENTIONS, **{field: other}))
+        result = run_check(cid)
+        assert result.status == "FAIL" and result.token is None
+        if field == "su4_phase_sign":
+            assert "resolution phase_sign=-1 contradicts stored convention phase_sign=+1" in result.detail
 
 
 class TestDeterminism:

@@ -12,11 +12,17 @@ from spinctl.brachistochrone import (
     dirac_state_to_pair,
     dirac_vector_rhs,
     integrate,
-    pair_to_dirac_state,
 )
 from spinctl.generators import build_basis
 
 RNG = np.random.default_rng(23)
+
+
+def pair_to_dirac_state(pair: OperatorPair) -> DiracSplitState:
+    """Inverse of dirac_state_to_pair: reads the coefficients back by name."""
+    h, f = pair.h_coeffs, pair.f_coeffs
+    return DiracSplitState(m=h[0], p=h[1:4], omega0=f[0:3], omega10=f[3], omega20=f[4],
+                           omega2=f[5:8], omega3=f[8:11])
 
 
 def random_state(rng: np.random.Generator) -> DiracSplitState:

@@ -286,6 +286,7 @@ class TestDispatch:
         (["gate", "--t", "0", "a\nb"], "unrecognized arguments: a b"),
         # --p is checked for every family, not only the su4 that reads it
         (["closedform", "--family", "su2", "--t", "0", "--p", "x"], "argument --p: invalid float value"),
+        (["audit", "--seed", "-1"], "argument --seed: negative value: '-1'"),
     ])
     def test_usage_error(self, capsys, argv, needle):
         TestNonFiniteInput.assert_rejected(dispatch(argv), capsys, needle)
