@@ -33,8 +33,8 @@ print("|W^dag W - 1| max (W is NOT unitary):",
 
 print("\nIsometry residual |U H(s) U^dag - H(t)| for both phase signs:")
 s = -0.3
-for sign in (-1, +1):
-    u = su4_propagator(params, t, s, phase_sign=sign)
+u = su4_propagator(params, t, s)  # the audited sign, -1; its conjugate carries +1
+for sign, u in ((-1, u), (+1, u.conj())):
     resid = np.max(np.abs(u @ dirac_hamiltonian(params, s) @ dagger(u)
                           - dirac_hamiltonian(params, t)))
     print(f"  phase_sign = {sign:+d}: {resid:.3e}")

@@ -7,7 +7,7 @@ as a diagonalizing map and as a logic gate.
 import numpy as np
 
 from spinctl import su3_family, su3_gate
-from spinctl.matrixcore import dagger, predicates
+from spinctl.matrixcore import dagger
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
@@ -19,8 +19,8 @@ fam = su3_family(theta)
 
 print("\nQ(t) is unitary for all t; spot checks:")
 for t in (0.0, 0.9, 2.2):
-    rep = predicates(fam.gate(t), tol=1e-12)
-    print(f"  t = {t:3.1f}: unitary deviation {rep.unitary_dev:.2e}")
+    q = fam.gate(t)
+    print(f"  t = {t:3.1f}: unitary deviation {np.max(np.abs(q @ dagger(q) - np.eye(3))):.2e}")
 
 print("\nU(t, s) = Q(t) Q(s)^dag:")
 for t, s in ((0.8, 0.0), (1.7, -0.4)):

@@ -46,14 +46,7 @@ from .generators import (
     reconstruct,
     verify_algebra,
 )
-from .matrixcore import (
-    MatrixPredicates,
-    commutator,
-    dagger,
-    expm_unitary,
-    kron,
-    predicates,
-)
+from .matrixcore import commutator, dagger, expm_unitary
 from .oracle import (
     energy_variance,
     evolve_state,

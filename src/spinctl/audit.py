@@ -1,10 +1,11 @@
 """Numerical self-audit: every structural identity the library relies on.
 
 Each check probes one identity with seeded random parameters (100 probes,
-uniform in [-2, 2]). A check only measures: it returns (err, token,
-detail), where err is the np.max of its residuals (so a NaN probe makes err
-NaN) and token is the assignment its residuals select, or None for a check
-with nothing to resolve. run_check alone turns that into a CheckResult:
+uniform in [-2, 2]). A check only measures: it is handed its seeded
+generator, never the tolerance, and returns (err, token, detail), where
+err is the np.max of its residuals (so a NaN probe makes err NaN) and
+token is the assignment its residuals select, or None for a check with
+nothing to resolve. run_check alone turns that into a CheckResult:
 
 * PASS     - err <= tol; a NaN err never is.
 * FAIL     - anything else.
@@ -88,16 +89,16 @@ def _resolve(candidates: dict, detail: str) -> tuple[float, str, str]:
 
 
 # --------------------------------------------------------------------------
-# Individual checks. Each takes (rng, tol) and returns (err, token, detail).
+# Individual checks. Each takes rng and returns (err, token, detail).
 # --------------------------------------------------------------------------
 
-def _check_dirac_algebra(rng, tol):
+def _check_dirac_algebra(rng):
     report = verify_algebra(dirac_operators())
     worst = max(report, key=report.get)
     return np.max(list(report.values())), None, f"16 Clifford relations; worst {worst}"
 
 
-def _check_kg_identity(rng, tol):
+def _check_kg_identity(rng):
     gaps = []
     for _ in range(100):
         params = _draw_params(rng)
@@ -106,7 +107,7 @@ def _check_kg_identity(rng, tol):
     return np.max(np.abs(gaps)), None, "H(t)^2 = (m^2+|p|^2)*1 over 100 random (m, p, t)"
 
 
-def _check_sphere_constraint(rng, tol):
+def _check_sphere_constraint(rng):
     probes = []
     for _ in range(100):
         params = _draw_params(rng)
@@ -120,7 +121,7 @@ def _check_sphere_constraint(rng, tol):
     )
 
 
-def _check_eigenframe_inverse(rng, tol):
+def _check_eigenframe_inverse(rng):
     gaps, eye = [], np.eye(4)
     for _ in range(100):
         params = _draw_params(rng, min_p=0.1)
@@ -137,14 +138,14 @@ def _conjugation_gap(u: np.ndarray, h_s: np.ndarray, h_t: np.ndarray) -> float:
     return float(np.max(np.abs(u @ h_s @ dagger(u) - h_t)))
 
 
-def _check_isometry_su2(rng, tol):
+def _check_isometry_su2(rng):
     fam = cf.su2_family()
     gaps = [_conjugation_gap(fam.propagator(t, s), fam.hamiltonian(s), fam.hamiltonian(t))
             for t, s in rng.uniform(-2, 2, (100, 2))]
     return np.max(gaps), None, "U(t,s) H(s) U(t,s)^dag = H(t), 100 random (t, s)"
 
 
-def _check_isometry_su3(rng, tol):
+def _check_isometry_su3(rng):
     pairs = rng.uniform(-2, 2, (100, 2))
     thetas = rng.uniform(-2, 2, 100)
     plus, minus, unit_minus = [], [], []
@@ -167,18 +168,24 @@ def _check_isometry_su3(rng, tol):
     )
 
 
-def _check_isometry_su4(rng, tol):
-    gaps = {"phase_sign=-1": [], "phase_sign=+1": []}
+def _check_isometry_su4(rng):
+    minus, plus = [], []
+    # su4_propagator builds the recorded sign and its conjugate carries the
+    # competing one: label each by the sign it carries
+    built_plus = cf.AUDITED_CONVENTIONS.su4_phase_sign == 1
     for _ in range(100):
         params = _draw_params(rng, min_p=0.1)
         t, s = rng.uniform(-2, 2, 2)
         h_s, h_t = cf.dirac_hamiltonian(params, s), cf.dirac_hamiltonian(params, t)
-        for key, sign in (("phase_sign=-1", -1), ("phase_sign=+1", 1)):
-            gaps[key].append(_conjugation_gap(cf.su4_propagator(params, t, s, sign), h_s, h_t))
-    return _resolve(gaps, "diagonal-phase sign resolved by the isometry, 100 probes")
+        built = cf.su4_propagator(params, t, s)
+        u_plus, u_minus = (built, built.conj()) if built_plus else (built.conj(), built)
+        minus.append(_conjugation_gap(u_minus, h_s, h_t))
+        plus.append(_conjugation_gap(u_plus, h_s, h_t))
+    return _resolve({"phase_sign=-1": minus, "phase_sign=+1": plus},
+                    "diagonal-phase sign resolved by the isometry, 100 probes")
 
 
-def _check_frame_commutator(rng, tol):
+def _check_frame_commutator(rng):
     gaps = {"didt_sign=-1": [], "didt_sign=+1": []}
     for _ in range(100):
         params = _draw_params(rng)
@@ -194,7 +201,12 @@ def _check_frame_commutator(rng, tol):
     return _resolve(gaps, "i dH/dt vs [H, D0] by central differences, 100 probes")
 
 
-def _check_propagator_question(rng, tol):
+#: Catalog tolerance of propagator_question; a conjugator whose ODE residual
+#: exceeds it is reported as "not a propagator".
+_PROPAGATOR_TOL = 1e-4
+
+
+def _check_propagator_question(rng):
     families = {
         "su2": cf.su2_family(),
         "su3": cf.su3_family(rng.uniform(-2, 2)),
@@ -215,7 +227,7 @@ def _check_propagator_question(rng, tol):
         r_oracle = float(np.max(np.abs(u_ref - oracle.schrodinger_propagator(fam, t, s))))
         closed.append(r_closed)
         rotating += [r_rot, r_oracle]
-        verdict = "not a propagator" if r_closed > tol else "also a propagator"
+        verdict = "not a propagator" if r_closed > _PROPAGATOR_TOL else "also a propagator"
         parts.append(f"{name}: conjugator residual {r_closed:.3e} ({verdict}), "
                      f"rotating-frame residual {r_rot:.3e}, referee gap {r_oracle:.3e}")
     err, token, _ = _resolve(
@@ -229,7 +241,7 @@ _GROUP_A = [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 8]  # m, p, omega0, omega2, omega20
 _GROUP_B = [7, 12, 13, 14]                      # omega10, omega3
 
 
-def _check_ode_transcriptions(rng, tol):
+def _check_ode_transcriptions(rng):
     split = bt.canonical_split("su4")
     rates, omega20 = [], []
     for _ in range(100):
@@ -255,7 +267,7 @@ def _check_ode_transcriptions(rng, tol):
     res_b_scaled = np.max(np.abs(gb - factor * db * np.array(omega20)[:, None]))
     gap = np.abs(g - v)
     res_vec_m, res_vec_p, res_vec_o0 = (np.max(gap[:, k]) for k in (0, slice(1, 4), slice(4, 7)))
-    token = f"ode_factor={np.round(factor) if abs(factor - np.round(factor)) <= tol else factor:+g}"
+    token = f"ode_factor={factor:+g}"  # 6 significant digits
     detail = (
         f"fitted factor {factor:+.12g}; mass/momentum/omega20 rates match generic to {res_a:.3e}; "
         f"(omega10, omega3) rates match only after an extra omega20 factor ({res_b_scaled:.3e} scaled "
@@ -267,7 +279,7 @@ def _check_ode_transcriptions(rng, tol):
     return np.max([res_a, res_b_scaled]), token, detail
 
 
-def _check_epsilon_identity(rng, tol):
+def _check_epsilon_identity(rng):
     gaps = []
     for _ in range(100):
         p = rng.uniform(-2, 2, 3)
@@ -277,7 +289,7 @@ def _check_epsilon_identity(rng, tol):
             "(eps.p)(eps^dag.p) = (eps^dag.p)(eps.p) = |p|^2 * 1, 100 probes")
 
 
-def _check_q_factorization(rng, tol):
+def _check_q_factorization(rng):
     gaps = []
     for _ in range(100):
         theta = rng.uniform(-2, 2)
@@ -287,7 +299,7 @@ def _check_q_factorization(rng, tol):
     return np.max(np.abs(gaps)), None, "U(t,s) = Q(t) Q(s)^dag over 100 random (t, s, theta)"
 
 
-def _check_constraint_orthogonality(rng, tol):
+def _check_constraint_orthogonality(rng):
     # closed-form: simultaneous conjugation preserves Tr(H F); and a
     # constraint built orthogonal to H(0) stays orthogonal to H(t).
     overlaps = []
@@ -330,7 +342,7 @@ _CATALOG: tuple[tuple[str, Callable, float], ...] = (
     ("isometry_su3", _check_isometry_su3, 1e-10),
     ("isometry_su4", _check_isometry_su4, 1e-10),
     ("frame_commutator", _check_frame_commutator, 2e-6),
-    ("propagator_question", _check_propagator_question, 1e-4),
+    ("propagator_question", _check_propagator_question, _PROPAGATOR_TOL),
     ("ode_transcriptions", _check_ode_transcriptions, 1e-10),
     ("epsilon_identity", _check_epsilon_identity, 1e-13),
     ("q_factorization", _check_q_factorization, 1e-10),
@@ -383,7 +395,7 @@ def run_check(check_id: str, tol: Optional[float] = None, seed: int = 0) -> Chec
     for idx, (cid, fn, default_tol) in enumerate(_CATALOG):
         if cid == check_id:
             tol = default_tol if tol is None else tol
-            err, token, detail = fn(np.random.default_rng([seed, idx]), tol)
+            err, token, detail = fn(np.random.default_rng([seed, idx]))
             return _verdict(cid, err, tol, detail, token, _expected_tokens().get(cid))
     raise KeyError(f"unknown check id {check_id!r}")
 

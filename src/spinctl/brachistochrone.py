@@ -68,12 +68,13 @@ class ControlSplit:
             raise ValueError("Hamiltonian span must be nonempty")
         if len(s) != len(self.hamiltonian_labels) or len(c) != len(self.constraint_labels):
             raise ValueError("split labels must be distinct")
+        for label in (*self.hamiltonian_labels, *self.constraint_labels):
+            if label not in self.basis.labels:
+                raise ValueError(f"split label {label!r} not in {self.basis.group_id} basis")
         if s & c:
             raise ValueError(f"spans overlap: {sorted(s & c)}")
         if s | c != set(self.basis.labels):
-            missing = set(self.basis.labels) - (s | c)
-            extra = (s | c) - set(self.basis.labels)
-            raise ValueError(f"split must cover the basis (missing {sorted(missing)}, unknown {sorted(extra)})")
+            raise ValueError(f"split must cover the basis (missing {sorted(set(self.basis.labels) - s - c)})")
 
     @cached_property
     def s_indices(self) -> np.ndarray:
@@ -171,13 +172,13 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     ``sample_stride`` steps plus at the final step. No renormalization is
     applied; monitor drift is a deliberate fidelity signal.
 
-    Raises ValueError for nonpositive h or T or for more than _MAX_STEPS
+    Raises ValueError unless 0 < h, T < inf, or for more than _MAX_STEPS
     steps, and NonFiniteStateError (a RuntimeError, with the failing step
     index) if the state leaves the finite range mid-run or a sampled
     monitor overflows.
     """
-    if h <= 0 or T <= 0:
-        raise ValueError("step size and horizon must be positive")
+    if not (0 < h < np.inf and 0 < T < np.inf):  # NaN fails too
+        raise ValueError(f"step size and horizon must be positive and finite, got h = {h}, T = {T}")
     if not T / h <= _MAX_STEPS:
         raise ValueError(f"T / h = {T / h:.3g} steps exceeds the ceiling of {_MAX_STEPS}")
     if sample_stride < 1:

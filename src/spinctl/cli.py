@@ -34,26 +34,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed integration run: group, split, initial data, grid."""
+    """Parsed integration run: the split, the initial pair on it, the grid."""
 
-    group_id: str
-    split: tuple[str, ...]
-    h_coeffs: dict[str, float]
-    f_coeffs: dict[str, float]
+    split: ControlSplit
+    initial: OperatorPair
     h: float
     T: float
     stride: int = 1
-
-    def control_split(self) -> ControlSplit:
-        basis = build_basis(self.group_id)
-        constraint = tuple(l for l in basis.labels if l not in self.split)
-        return ControlSplit(basis, self.split, constraint)
-
-    def initial_pair(self) -> OperatorPair:
-        split = self.control_split()
-        h = np.array([self.h_coeffs.get(l, 0.0) for l in split.hamiltonian_labels])
-        f = np.array([self.f_coeffs.get(l, 0.0) for l in split.constraint_labels])
-        return OperatorPair(h, f)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -92,20 +79,12 @@ def parse_config(text: str) -> RunConfig:
         if required not in run:
             raise ConfigError(f"missing key: {required}")
 
-    group_id = run["group"]
     try:
-        basis = build_basis(group_id)
+        basis = build_basis(run["group"])
+        s_labels = tuple(s.strip() for s in run["split"].split(",") if s.strip())
+        split = ControlSplit(basis, s_labels, tuple(l for l in basis.labels if l not in s_labels))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    split = tuple(s.strip() for s in run["split"].split(",") if s.strip())
-    if not split:
-        raise ConfigError("split must list at least one label")
-    if len(set(split)) != len(split):
-        raise ConfigError("split labels must be distinct")
-    for label in split:
-        if label not in basis.labels:
-            raise ConfigError(f"split label {label!r} not in {group_id} basis")
 
     h, T = (_config_float(run[key], f"key {key!r}") for key in ("h", "T"))
     try:
@@ -117,20 +96,20 @@ def parse_config(text: str) -> RunConfig:
     if stride < 1:
         raise ConfigError("stride must be >= 1")
 
-    def coeffs(section: str, allowed: set[str]) -> dict[str, float]:
-        out = {}
+    def coeffs(section: str, labels: tuple[str, ...]) -> np.ndarray:
+        """The section's coefficients in ``labels`` order, zero where unset."""
+        out = dict.fromkeys(labels, 0.0)
         for label, value in sections[section].items():
             if label not in basis.labels:
                 raise ConfigError(f"unknown label {label!r} in [{section}]")
-            if label not in allowed:
+            if label not in out:
                 raise ConfigError(f"label {label!r} does not belong in [{section}]")
             out[label] = _config_float(value, f"label {label!r}")
-        return out
+        return np.array(list(out.values()))
 
-    s_set = set(split)
-    h_coeffs = coeffs("hamiltonian", s_set)
-    f_coeffs = coeffs("constraint", set(basis.labels) - s_set)
-    return RunConfig(group_id, split, h_coeffs, f_coeffs, h, T, stride)
+    initial = OperatorPair(coeffs("hamiltonian", split.hamiltonian_labels),
+                           coeffs("constraint", split.constraint_labels))
+    return RunConfig(split, initial, h, T, stride)
 
 
 def _config_float(text: str, what: str) -> float:
@@ -188,8 +167,8 @@ def _cmd_basis(args) -> int:
 def _cmd_integrate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = parse_config(fh.read())
-    split = config.control_split()
-    traj = integrate(config.initial_pair(), split, config.h, config.T, config.stride)
+    split = config.split
+    traj = integrate(config.initial, split, config.h, config.T, config.stride)
     labels = list(split.hamiltonian_labels) + list(split.constraint_labels)
     lines = ["t," + ",".join(labels) + ",trH2,trF2"]
     for k in range(len(traj.times)):

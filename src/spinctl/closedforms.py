@@ -129,10 +129,6 @@ class DiracParameters:
     def energy(self) -> float:
         return float(np.sqrt(self.m ** 2 + self.p0 @ self.p0))
 
-    @property
-    def momentum_norm(self) -> float:
-        return float(np.linalg.norm(self.p0))
-
 
 def _block4(upper_left, upper_right, lower_left, lower_right) -> np.ndarray:
     """4x4 matrix from 2x2 blocks.
@@ -199,11 +195,16 @@ def su4_eigenframe(params: DiracParameters, t: float) -> EigenFrame:
 
     with phi = e^{i theta} e^{-2iEt} and E+- = E +- m; W^-1 carries the
     conjugate phase and a global 1/(2E). D0 = E diag(1, 1, -1, -1).
+
+    E -+ m cancels when |p0| << |m| (E - m for m > 0, E + m for m < 0), so
+    that side is taken as |p0|^2 / (E + |m|), from (E - m)(E + m) = |p0|^2.
     """
-    if params.momentum_norm == 0.0:
+    p2 = params.p0 @ params.p0
+    if p2 == 0.0:
         raise ValueError("eigenframe requires |p0| > 0 (E - m must not vanish)")
     e = params.energy
-    e_minus, e_plus = e - params.m, e + params.m
+    big = e + abs(params.m)
+    e_minus, e_plus = (p2 / big, big) if params.m >= 0 else (big, p2 / big)
     phi = np.exp(1j * params.theta) * np.exp(-2j * e * t)
     ep = _eps_dot(params.p0)
     epd = dagger(ep)
@@ -214,19 +215,15 @@ def su4_eigenframe(params: DiracParameters, t: float) -> EigenFrame:
     return EigenFrame(w=w, w_inv=w_inv, d0=d0)
 
 
-def su4_propagator(params: DiracParameters, t: float, s: float,
-                   phase_sign: Optional[int] = None) -> np.ndarray:
+def su4_propagator(params: DiracParameters, t: float, s: float) -> np.ndarray:
     """Diagonal conjugator diag(e^{i sign E (t-s)} 1, e^{-i sign E (t-s)} 1).
 
-    The sign defaults to the audited value (-1), the unique choice under
-    which U(t, s) H(s) U(t, s)^dag = H(t). It equals W(t) W(s)^-1 up to the
-    global phase e^{-iE(t-s)}.
+    The sign is the audited one (-1), the unique choice under which
+    U(t, s) H(s) U(t, s)^dag = H(t); the competing sign is the complex
+    conjugate U(t, s).conj(). It equals W(t) W(s)^-1 up to the global phase
+    e^{-iE(t-s)}.
     """
-    if phase_sign is None:
-        phase_sign = AUDITED_CONVENTIONS.su4_phase_sign
-    if phase_sign not in (-1, 1):
-        raise ValueError("phase_sign must be +1 or -1")
-    ph = np.exp(1j * phase_sign * params.energy * (t - s))
+    ph = np.exp(1j * AUDITED_CONVENTIONS.su4_phase_sign * params.energy * (t - s))
     return np.diag([ph, ph, np.conj(ph), np.conj(ph)])
 
 

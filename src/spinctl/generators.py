@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matrixcore import as_operator, kron
+from .matrixcore import as_operator
 
 __all__ = [
     "DiracOperators",
@@ -88,7 +88,7 @@ def build_basis(group_id: str) -> GeneratorBasis:
     elif group_id == "su4":
         pairs = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
         labels = tuple(f"s{i}{j}" for i, j in pairs)
-        elements = np.stack([kron(PAULI[i], PAULI[j]) for i, j in pairs])
+        elements = np.stack([np.kron(PAULI[i], PAULI[j]) for i, j in pairs])
     else:
         raise ValueError(f"unknown group {group_id!r}")
     elements.setflags(write=False)
@@ -142,8 +142,8 @@ class DiracOperators:
 
 def dirac_operators() -> DiracOperators:
     """Canonical Dirac operator set."""
-    beta = kron(PAULI[3], PAULI[0])
-    alpha = np.stack([kron(PAULI[2], PAULI[j]) for j in (1, 2, 3)])
+    beta = np.kron(PAULI[3], PAULI[0])
+    alpha = np.stack([np.kron(PAULI[2], PAULI[j]) for j in (1, 2, 3)])
     alpha.setflags(write=False)
     beta.setflags(write=False)
     return DiracOperators(alpha=alpha, beta=beta)

@@ -7,19 +7,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MatrixPredicates",
-    "as_operator",
-    "commutator",
-    "dagger",
-    "expm_unitary",
-    "kron",
-    "predicates",
-]
+__all__ = ["as_operator", "commutator", "dagger", "expm_unitary"]
 
 #: Absolute tolerance on max|H - H^dag| accepted by expm_unitary.
 HERMITIAN_TOL = 1e-10
@@ -40,11 +31,6 @@ def as_operator(a) -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B; block (i, j) equals A[i, j] * B."""
-    return np.kron(as_operator(a), as_operator(b))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,36 +119,3 @@ def _eigh_exp(h: np.ndarray, tau: float) -> np.ndarray:
     """exp(-i H tau) of a Hermitian stack through one stacked eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * tau)[:, None, :]) @ v.conj().swapaxes(1, 2)
-
-
-@dataclass(frozen=True)
-class MatrixPredicates:
-    """Hermiticity/unitarity/tracelessness report for one matrix."""
-
-    hermitian: bool
-    unitary: bool
-    traceless: bool
-    hermitian_dev: float
-    unitary_dev: float
-    trace_dev: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.hermitian_dev, self.unitary_dev, self.trace_dev)
-
-
-def predicates(a: np.ndarray, tol: float = 1e-12) -> MatrixPredicates:
-    """Evaluate structural predicates of ``a`` against an absolute tolerance."""
-    a = as_operator(a)
-    eye = np.eye(a.shape[0], dtype=complex)
-    herm = float(np.max(np.abs(a - dagger(a))))
-    unit = float(np.max(np.abs(a @ dagger(a) - eye)))
-    tr = float(abs(np.trace(a)))
-    return MatrixPredicates(
-        hermitian=herm <= tol,
-        unitary=unit <= tol,
-        traceless=tr <= tol,
-        hermitian_dev=herm,
-        unitary_dev=unit,
-        trace_dev=tr,
-    )

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,28 @@ class TestChecksCanFail:
         assert result.status == "FAIL" and result.token is None
         if field == "su4_phase_sign":
             assert "resolution phase_sign=-1 contradicts stored convention phase_sign=+1" in result.detail
+
+
+def _bench_workloads():
+    """bench/workloads.py loaded by path (it imports only the standard library)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchTokenMap:
+    """The bench gate keeps its own convention-to-token map; it must say what the audit says."""
+
+    @pytest.mark.parametrize("flip", [None, *CONVENTION_FLIPS])
+    def test_bench_copy_matches_audit(self, monkeypatch, flip):
+        if flip is not None:
+            field, other, _ = flip
+            monkeypatch.setattr(cf, "AUDITED_CONVENTIONS",
+                                dataclasses.replace(cf.AUDITED_CONVENTIONS, **{field: other}))
+        bench_tokens = _bench_workloads()._resolved_tokens(cf.AUDITED_CONVENTIONS)
+        assert bench_tokens == audit._expected_tokens()
 
 
 class TestDeterminism:

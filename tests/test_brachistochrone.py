@@ -180,6 +180,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(start, split, h=1e-3, T=1.0, sample_stride=0)
 
+    @pytest.mark.parametrize("h,T", [(np.inf, 1.0), (np.nan, 1.0), (1e-3, np.inf), (1e-3, np.nan)])
+    def test_rejects_non_finite_grid(self, h, T):
+        # T / h is 0 steps for an infinite h and NaN for a NaN one: the grid is checked first
+        split = canonical_split("su2")
+        start = OperatorPair(np.array([1.0, 0.0]), np.array([-0.5]))
+        with pytest.raises(ValueError, match=f"positive and finite, got h = {h}, T = {T}"):
+            integrate(start, split, h=h, T=T)
+
     @pytest.mark.parametrize("h_len,f_len", [(3, 0), (1, 2), (2, 2), (2, 0)])
     def test_rejects_mis_sized_pair(self, h_len, f_len):
         # a right total length must not let coefficients slide between H and F

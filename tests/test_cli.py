@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinctl.cli import ConfigError, _build_parser, dispatch, parse_config
+from spinctl.generators import build_basis
 
 SU2_CONFIG = """\
 # minimal transverse-plane run
@@ -30,14 +31,12 @@ sz = -0.5
 class TestParseConfig:
     def test_minimal_config(self):
         cfg = parse_config(SU2_CONFIG)
-        assert cfg.group_id == "su2"
-        assert cfg.split == ("sx", "sy")
-        assert cfg.h_coeffs == {"sx": 1.0}
-        assert cfg.f_coeffs == {"sz": -0.5}
+        assert cfg.split.basis.group_id == "su2"
+        assert cfg.split.hamiltonian_labels == ("sx", "sy")
+        assert cfg.split.constraint_labels == ("sz",)
         assert cfg.stride == 1
-        pair = cfg.initial_pair()
-        assert np.allclose(pair.h_coeffs, [1.0, 0.0])
-        assert np.allclose(pair.f_coeffs, [-0.5])
+        assert np.array_equal(cfg.initial.h_coeffs, [1.0, 0.0])
+        assert np.array_equal(cfg.initial.f_coeffs, [-0.5])
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="missing key: h"):
@@ -97,7 +96,6 @@ class TestBasisCommand:
     def test_all_values_roundtrip(self, tmp_path):
         out = tmp_path / "su3.csv"
         dispatch(["basis", "--group", "su3", "--out", str(out)])
-        from spinctl.generators import build_basis
         basis = build_basis("su3")
         lines = out.read_text().splitlines()
         block = 1 + 9
@@ -391,3 +389,40 @@ class TestDispatchProperties:
     @given(extra=_options(tol=NUMBERS, seed=st.sampled_from(["0", "5", "-1", "x"])))
     def test_audit(self, extra):
         assert _dispatch_quietly(["audit", *extra]) in (0, 1, 2)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _run_configs(draw):
+    """(config text, group, S labels, coefficients by label, h, T, stride)."""
+    group = draw(st.sampled_from(["su2", "su3", "su4"]))
+    labels = build_basis(group).labels
+    order = draw(st.permutations(labels))
+    s_labels = tuple(order[:draw(st.integers(1, len(labels)))])
+    coeffs = draw(st.dictionaries(st.sampled_from(labels), FINITE))
+    h, T, stride = draw(POSITIVE), draw(POSITIVE), draw(st.integers(1, 10 ** 6))
+    lines = [f"group = {group}", "split = " + ",".join(s_labels),
+             f"h = {h!r}", f"T = {T!r}", f"stride = {stride}", "[hamiltonian]"]
+    lines += [f"{l} = {v!r}" for l, v in coeffs.items() if l in s_labels]
+    lines.append("[constraint]")
+    lines += [f"{l} = {v!r}" for l, v in coeffs.items() if l not in s_labels]
+    return "\n".join(lines) + "\n", group, s_labels, coeffs, h, T, stride
+
+
+class TestConfigRoundTrip:
+    @settings(PROPERTY, max_examples=200)
+    @given(case=_run_configs())
+    def test_parse_recovers_what_was_written(self, case):
+        text, group, s_labels, coeffs, h, T, stride = case
+        cfg = parse_config(text)
+        c_labels = tuple(l for l in build_basis(group).labels if l not in s_labels)
+        assert cfg.split.basis.group_id == group
+        assert cfg.split.hamiltonian_labels == s_labels
+        assert cfg.split.constraint_labels == c_labels
+        for got, labels in ((cfg.initial.h_coeffs, s_labels), (cfg.initial.f_coeffs, c_labels)):
+            # bitwise, so -0.0 and the last digit of every repr survive
+            assert got.tobytes() == np.array([coeffs.get(l, 0.0) for l in labels]).tobytes()
+        assert (cfg.h.hex(), cfg.T.hex(), cfg.stride) == (h.hex(), T.hex(), stride)

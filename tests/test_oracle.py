@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from spinctl.closedforms import DiracParameters, su2_family, su3_family, su4_family
 from spinctl.generators import PAULI
-from spinctl.matrixcore import dagger, expm_unitary, predicates
+from spinctl.matrixcore import dagger, expm_unitary
 from spinctl.oracle import (
     energy_variance,
     evolve_state,
@@ -37,7 +39,7 @@ class TestTimeOrderedExponential:
     def test_unitary_at_any_resolution(self):
         for steps in (3, 31):
             u = time_ordered_exponential(su3_family(0.7).hamiltonian, -1.0, 2.0, steps)
-            assert predicates(u, tol=1e-10).unitary
+            assert np.max(np.abs(u @ dagger(u) - np.eye(3))) <= 1e-10
 
     def test_su2_matches_rotating_frame(self):
         fam = su2_family()
@@ -75,6 +77,18 @@ class TestTimeOrderedExponential:
             time_ordered_exponential(never, 0.0, 1.0, 10 ** 7 + 1)
         with pytest.raises(ValueError, match="ceiling of 10000000"):
             evolve_state(np.array([1.0, 0.0]), never, 0.0, 1.0, 10 ** 7 + 1)
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan),
+                                       (-1e308, 1e308)])
+    def test_non_finite_bounds_checked_before_any_schedule_call(self, t0, t1):
+        # the last pair is finite, but its span t1 - t0 overflows
+        def never(t):
+            raise AssertionError("H(t) evaluated on a non-finite time grid")
+
+        with pytest.raises(ValueError, match=re.escape(f"span must be finite, got t0 = {t0}, t1 = {t1}")):
+            time_ordered_exponential(never, t0, t1, 4)
+        with pytest.raises(ValueError, match="span must be finite"):
+            evolve_state(np.array([1.0, 0.0]), never, t0, t1, 4)
 
     def test_non_finite_schedule_names_first_bad_midpoint(self):
         def spiked(t):  # 4 steps on [0, 1]: midpoints 0.125, 0.375, 0.625, 0.875
@@ -209,7 +223,7 @@ class TestEnergyVariance:
         params = DiracParameters(m=1.2, p0=[0.5, -0.7, 0.9])
         h = su4_family(params).hamiltonian(0.0)
         psi = np.array([1.0, 0, 0, 0], dtype=complex)
-        assert energy_variance(psi, h) == pytest.approx(params.momentum_norm ** 2, rel=1e-12)
+        assert energy_variance(psi, h) == pytest.approx(params.p0 @ params.p0, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
