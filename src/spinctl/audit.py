@@ -13,7 +13,12 @@ nothing to resolve. run_check alone turns that into a CheckResult:
   and the measured token agrees with the value stored in
   closedforms.AUDITED_CONVENTIONS. No token is copied from that record.
 
-Reports are deterministic for a fixed seed, byte for byte.
+Reports are deterministic for a fixed seed, byte for byte. A check draws
+its probes one after another in a Python loop (parameters, then times,
+with _draw_params' rejection loop in place), then evaluates H(t), frames,
+conjugations and residuals as (100, d, d) stacks. The draw order fixes
+every probe, so it is part of that byte contract; the stacked builders
+give each matrix bitwise as a single-probe call would.
 
 Check catalog (fixed order):
 
@@ -75,6 +80,16 @@ def _draw_params(rng: np.random.Generator, min_p: float = 0.0) -> cf.DiracParame
     return cf.DiracParameters(m=m, p0=p)
 
 
+def _draw_timed(rng: np.random.Generator, min_p: float = 0.0) -> tuple[tuple, np.ndarray]:
+    """100 probes (params, t), each drawn whole before the next: the sets and their times."""
+    params, times = zip(*[(_draw_params(rng, min_p), rng.uniform(-2, 2)) for _ in range(100)])
+    return params, np.array(times)
+
+
+def _energies(params) -> np.ndarray:
+    return np.array([p.energy for p in params])
+
+
 def _resolve(candidates: dict, detail: str) -> tuple[float, str, str]:
     """Pick the candidate assignment with the smallest residual.
 
@@ -99,21 +114,16 @@ def _check_dirac_algebra(rng):
 
 
 def _check_kg_identity(rng):
-    gaps = []
-    for _ in range(100):
-        params = _draw_params(rng)
-        h = cf.dirac_hamiltonian(params, rng.uniform(-2, 2))
-        gaps.append(h @ h - params.energy ** 2 * np.eye(4))
+    params, times = _draw_timed(rng)
+    h = cf.dirac_hamiltonian(params, times)
+    gaps = h @ h - (_energies(params) ** 2)[:, None, None] * np.eye(4)
     return np.max(np.abs(gaps)), None, "H(t)^2 = (m^2+|p|^2)*1 over 100 random (m, p, t)"
 
 
 def _check_sphere_constraint(rng):
-    probes = []
-    for _ in range(100):
-        params = _draw_params(rng)
-        h = cf.dirac_hamiltonian(params, rng.uniform(-2, 2))
-        probes.append((np.trace(h @ h).real, params.energy ** 2))
-    tr, e2 = np.array(probes).T
+    params, times = _draw_timed(rng)
+    h = cf.dirac_hamiltonian(params, times)
+    tr, e2 = np.trace(h @ h, axis1=1, axis2=2).real, _energies(params) ** 2
     return _resolve(
         {"sphere_divisor=dim": np.abs(tr / 4.0 - e2), "sphere_divisor=2": np.abs(tr / 2.0 - e2)},
         "energy-sphere radius Tr(H^2)/divisor = m^2 + |p|^2 over 100 probes; "
@@ -122,83 +132,75 @@ def _check_sphere_constraint(rng):
 
 
 def _check_eigenframe_inverse(rng):
-    gaps, eye = [], np.eye(4)
-    for _ in range(100):
-        params = _draw_params(rng, min_p=0.1)
-        t = rng.uniform(-2, 2)
-        frame = cf.su4_eigenframe(params, t)
-        gaps += [frame.w @ frame.w_inv - eye, frame.w_inv @ frame.w - eye,
-                 frame.hamiltonian() - cf.dirac_hamiltonian(params, t)]
+    params, times = _draw_timed(rng, min_p=0.1)
+    frame, eye = cf.su4_eigenframe(params, times), np.eye(4)
+    gaps = [frame.w @ frame.w_inv - eye, frame.w_inv @ frame.w - eye,
+            frame.hamiltonian() - cf.dirac_hamiltonian(params, times)]
     return (np.max(np.abs(gaps)), None,
             "W W^-1 = W^-1 W = 1 and W D0 W^-1 = H(t), 100 probes with |p| > 0.1")
 
 
-def _conjugation_gap(u: np.ndarray, h_s: np.ndarray, h_t: np.ndarray) -> float:
-    """max|U H(s) U^dag - H(t)|: how far U falls short of carrying H(s) to H(t)."""
-    return float(np.max(np.abs(u @ h_s @ dagger(u) - h_t)))
+def _conjugation_gaps(u: np.ndarray, h_s: np.ndarray, h_t: np.ndarray) -> np.ndarray:
+    """|U H(s) U^dag - H(t)| over a stack: how far each U falls short of carrying H(s) to H(t)."""
+    return np.abs(u @ h_s @ dagger(u) - h_t)
 
 
 def _check_isometry_su2(rng):
     fam = cf.su2_family()
-    gaps = [_conjugation_gap(fam.propagator(t, s), fam.hamiltonian(s), fam.hamiltonian(t))
-            for t, s in rng.uniform(-2, 2, (100, 2))]
+    t, s = rng.uniform(-2, 2, (100, 2)).T
+    u = np.array([fam.propagator(a, b) for a, b in zip(t, s)])
+    gaps = _conjugation_gaps(u, fam.hamiltonian(s), fam.hamiltonian(t))
     return np.max(gaps), None, "U(t,s) H(s) U(t,s)^dag = H(t), 100 random (t, s)"
 
 
 def _check_isometry_su3(rng):
     pairs = rng.uniform(-2, 2, (100, 2))
     thetas = rng.uniform(-2, 2, 100)
-    plus, minus, unit_minus = [], [], []
-    # su3_family builds the corner with the recorded sign: label each by the sign it carries
-    built_plus = cf.AUDITED_CONVENTIONS.su3_upper_sign == 1
+    h_s, h_t, built = [], [], []
     for (t, s), theta in zip(pairs, thetas):
         fam = cf.su3_family(theta)
-        h_s, h_t = fam.hamiltonian(s), fam.hamiltonian(t)
-        built = fam.propagator(t, s)
-        flipped = built.copy()
-        flipped[0, 2] = -flipped[0, 2]  # the competing corner sign
-        u_plus, u_minus = (built, flipped) if built_plus else (flipped, built)
-        plus.append(_conjugation_gap(u_plus, h_s, h_t))
-        minus.append(_conjugation_gap(u_minus, h_s, h_t))
-        unit_minus.append(np.abs(u_minus @ dagger(u_minus) - np.eye(3)))
+        h = fam.hamiltonian(np.array([s, t]))
+        h_s.append(h[0])
+        h_t.append(h[1])
+        built.append(fam.propagator(t, s))
+    h_s, h_t, built = np.array(h_s), np.array(h_t), np.array(built)
+    flipped = built.copy()
+    flipped[:, 0, 2] = -flipped[:, 0, 2]  # the competing corner sign
+    # su3_family builds the corner with the recorded sign: label each by the sign it carries
+    u_plus, u_minus = (built, flipped) if cf.AUDITED_CONVENTIONS.su3_upper_sign == 1 else (flipped, built)
+    unit_minus = np.abs(u_minus @ dagger(u_minus) - np.eye(3))
     return _resolve(
-        {"su3_u13_sign=+i": plus, "su3_u13_sign=-i": minus},
+        {"su3_u13_sign=+i": _conjugation_gaps(u_plus, h_s, h_t),
+         "su3_u13_sign=-i": _conjugation_gaps(u_minus, h_s, h_t)},
         "isometry over 100 random (t, s, theta); corner sign -i also breaks unitarity "
         f"({np.max(unit_minus):.3e})",
     )
 
 
 def _check_isometry_su4(rng):
-    minus, plus = [], []
+    params, t, s = zip(*[(_draw_params(rng, min_p=0.1), *rng.uniform(-2, 2, 2)) for _ in range(100)])
+    t, s = np.array(t), np.array(s)
+    h_s, h_t = cf.dirac_hamiltonian(params, s), cf.dirac_hamiltonian(params, t)
+    built = cf.su4_propagator(params, t, s)
     # su4_propagator builds the recorded sign and its conjugate carries the
     # competing one: label each by the sign it carries
-    built_plus = cf.AUDITED_CONVENTIONS.su4_phase_sign == 1
-    for _ in range(100):
-        params = _draw_params(rng, min_p=0.1)
-        t, s = rng.uniform(-2, 2, 2)
-        h_s, h_t = cf.dirac_hamiltonian(params, s), cf.dirac_hamiltonian(params, t)
-        built = cf.su4_propagator(params, t, s)
-        u_plus, u_minus = (built, built.conj()) if built_plus else (built.conj(), built)
-        minus.append(_conjugation_gap(u_minus, h_s, h_t))
-        plus.append(_conjugation_gap(u_plus, h_s, h_t))
-    return _resolve({"phase_sign=-1": minus, "phase_sign=+1": plus},
+    u_plus, u_minus = ((built, built.conj()) if cf.AUDITED_CONVENTIONS.su4_phase_sign == 1
+                       else (built.conj(), built))
+    return _resolve({"phase_sign=-1": _conjugation_gaps(u_minus, h_s, h_t),
+                     "phase_sign=+1": _conjugation_gaps(u_plus, h_s, h_t)},
                     "diagonal-phase sign resolved by the isometry, 100 probes")
 
 
 def _check_frame_commutator(rng):
-    gaps = {"didt_sign=-1": [], "didt_sign=+1": []}
-    for _ in range(100):
-        params = _draw_params(rng)
-        t = rng.uniform(-2, 2)
-        hdot = (cf.dirac_hamiltonian(params, t + _FD_STEP)
-                - cf.dirac_hamiltonian(params, t - _FD_STEP)) / (2 * _FD_STEP)
-        lhs = 1j * hdot
-        h = cf.dirac_hamiltonian(params, t)
-        d0 = params.energy * np.diag([1.0, 1.0, -1.0, -1.0])
-        comm = h @ d0 - d0 @ h
-        gaps["didt_sign=+1"].append(np.abs(lhs - comm))
-        gaps["didt_sign=-1"].append(np.abs(lhs + comm))
-    return _resolve(gaps, "i dH/dt vs [H, D0] by central differences, 100 probes")
+    params, times = _draw_timed(rng)
+    hdot = (cf.dirac_hamiltonian(params, times + _FD_STEP)
+            - cf.dirac_hamiltonian(params, times - _FD_STEP)) / (2 * _FD_STEP)
+    lhs = 1j * hdot
+    h = cf.dirac_hamiltonian(params, times)
+    d0 = _energies(params)[:, None, None] * np.diag([1.0, 1.0, -1.0, -1.0])
+    comm = h @ d0 - d0 @ h
+    return _resolve({"didt_sign=-1": np.abs(lhs + comm), "didt_sign=+1": np.abs(lhs - comm)},
+                    "i dH/dt vs [H, D0] by central differences, 100 probes")
 
 
 #: Catalog tolerance of propagator_question; a conjugator whose ODE residual
@@ -217,14 +219,16 @@ def _check_propagator_question(rng):
         t, s = rng.uniform(0.2, 2), rng.uniform(-2, 0.1)
 
         def ode_residual(prop):
+            """max|i dU/dt - H(t) U| at (t, s), and U(t, s) itself."""
+            u = prop(t, s)
             du = (prop(t + _FD_STEP, s) - prop(t - _FD_STEP, s)) / (2 * _FD_STEP)
-            return float(np.max(np.abs(1j * du - fam.hamiltonian(t) @ prop(t, s))))
+            return float(np.max(np.abs(1j * du - fam.hamiltonian(t) @ u))), u
 
-        r_closed = ode_residual(fam.propagator)
-        r_rot = ode_residual(lambda a, b: oracle.schrodinger_propagator(fam, a, b))
+        r_closed, _ = ode_residual(fam.propagator)
+        r_rot, u_rot = ode_residual(lambda a, b: oracle.schrodinger_propagator(fam, a, b))
         # referee: step product against the rotating-frame form
         u_ref = oracle.time_ordered_exponential(fam.hamiltonian, s, t, 2000)
-        r_oracle = float(np.max(np.abs(u_ref - oracle.schrodinger_propagator(fam, t, s))))
+        r_oracle = float(np.max(np.abs(u_ref - u_rot)))
         closed.append(r_closed)
         rotating += [r_rot, r_oracle]
         verdict = "not a propagator" if r_closed > _PROPAGATOR_TOL else "also a propagator"
@@ -280,42 +284,44 @@ def _check_ode_transcriptions(rng):
 
 
 def _check_epsilon_identity(rng):
-    gaps = []
-    for _ in range(100):
-        p = rng.uniform(-2, 2, 3)
-        target = float(p @ p) * np.eye(2)
-        gaps += [side - target for side in cf.epsilon_product(p)]
+    p = np.array([rng.uniform(-2, 2, 3) for _ in range(100)])
+    target = np.array([float(v @ v) for v in p])[:, None, None] * np.eye(2)
+    gaps = [side - target for side in cf.epsilon_product(p)]
     return (np.max(np.abs(gaps)), None,
             "(eps.p)(eps^dag.p) = (eps^dag.p)(eps.p) = |p|^2 * 1, 100 probes")
 
 
 def _check_q_factorization(rng):
-    gaps = []
+    q_t, q_s, u = [], [], []
     for _ in range(100):
         theta = rng.uniform(-2, 2)
         t, s = rng.uniform(-2, 2, 2)
         fam = cf.su3_family(theta)
-        gaps.append(fam.gate(t) @ dagger(fam.gate(s)) - fam.propagator(t, s))
+        q_t.append(fam.gate(t))
+        q_s.append(fam.gate(s))
+        u.append(fam.propagator(t, s))
+    gaps = np.array(q_t) @ dagger(np.array(q_s)) - np.array(u)
     return np.max(np.abs(gaps)), None, "U(t,s) = Q(t) Q(s)^dag over 100 random (t, s, theta)"
 
 
 def _check_constraint_orthogonality(rng):
     # closed-form: simultaneous conjugation preserves Tr(H F); and a
     # constraint built orthogonal to H(0) stays orthogonal to H(t).
-    overlaps = []
     basis = build_basis("su4")
+    params, times, f_t = [], [], []
     for _ in range(20):
-        params = _draw_params(rng, min_p=0.1)
+        p = _draw_params(rng, min_p=0.1)
         f0 = rng.uniform(-2, 2, 15)
-        h0 = cf.dirac_hamiltonian(params, 0.0)
-        f0_mat = reconstruct(f0, basis)
-        overlap = np.trace(h0 @ f0_mat).real
+        h0 = cf.dirac_hamiltonian(p, 0.0)
+        overlap = np.trace(h0 @ reconstruct(f0, basis)).real
         # remove the H(0) component so Tr(H(0) F(0)) = 0
         f0 = f0 - overlap * project_coefficients(h0, basis) / np.trace(h0 @ h0).real
-        for t in rng.uniform(-2, 2, 5):
-            ft = cf.su4_constraint_t(f0, params, t)
-            ht = cf.dirac_hamiltonian(params, t)
-            overlaps.append(abs(np.trace(ht @ ft).real))
+        t = rng.uniform(-2, 2, 5)
+        f_t.append(cf.su4_constraint_t(f0, p, t))
+        params += [p] * 5
+        times.append(t)
+    h_t = cf.dirac_hamiltonian(params, np.concatenate(times))
+    overlaps = np.abs(np.trace(h_t @ np.concatenate(f_t), axis1=1, axis2=2).real)
     # integrated flows: X = H + F obeys dX/dt = -i[H, X], so the spectrum of
     # X is conserved; its drift along short random runs, via the matrix route
     drifts = []

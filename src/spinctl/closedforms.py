@@ -18,6 +18,7 @@ numerical audit fixes live in the AUDITED_CONVENTIONS record.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,16 +85,31 @@ def isotropic_energy(h: np.ndarray) -> float:
 EPSILON = (PAULI[0], -1j * PAULI[3], 1j * PAULI[2])
 
 
+def _block_scale(x):
+    """A scalar as is, an array shaped (..., 1, 1) to scale a stack of blocks."""
+    return x[..., None, None] if isinstance(x, np.ndarray) else x
+
+
+def _components(p: np.ndarray):
+    """The three components of a 3-vector, or of an (n, 3) stack each shaped (n, 1, 1)."""
+    return (p[0], p[1], p[2]) if p.ndim == 1 else _block_scale(p.T)
+
+
 def _sigma_dot(p: np.ndarray) -> np.ndarray:
-    return p[0] * PAULI[1] + p[1] * PAULI[2] + p[2] * PAULI[3]
+    x, y, z = _components(p)
+    return x * PAULI[1] + y * PAULI[2] + z * PAULI[3]
 
 
 def _eps_dot(p: np.ndarray) -> np.ndarray:
-    return p[0] * EPSILON[0] + p[1] * EPSILON[1] + p[2] * EPSILON[2]
+    x, y, z = _components(p)
+    return x * EPSILON[0] + y * EPSILON[1] + z * EPSILON[2]
 
 
 def epsilon_product(p) -> tuple[np.ndarray, np.ndarray]:
-    """Both orderings (eps.p)(eps^dag.p) and (eps^dag.p)(eps.p); each |p|^2 * 1."""
+    """Both orderings (eps.p)(eps^dag.p) and (eps^dag.p)(eps.p); each |p|^2 * 1.
+
+    An (n, 3) stack of vectors gives two (n, 2, 2) stacks.
+    """
     p = np.asarray(p, dtype=float)
     e = _eps_dot(p)
     ed = dagger(e)
@@ -148,7 +164,7 @@ def _sparse_matrix(d: int, entries: dict, lead: tuple) -> np.ndarray:
     """Stack of d x d matrices of shape lead + (d, d), zero except ``entries``.
 
     ``entries`` maps (i, j) to a scalar or to an array of shape ``lead``:
-    lead = () for a scalar time, (n,) for a 1-D array of n times.
+    lead = () for a scalar time, (n,) for n times or n parameter sets.
     """
     out = np.zeros(lead + (d, d), dtype=complex)
     for (i, j), entry in entries.items():
@@ -156,8 +172,39 @@ def _sparse_matrix(d: int, entries: dict, lead: tuple) -> np.ndarray:
     return out
 
 
-def dirac_hamiltonian(params: DiracParameters, t) -> np.ndarray:
+def _fields(params, *names) -> tuple:
+    """Named fields of one parameter set, or arrays of them over a sequence of sets."""
+    get = operator.attrgetter(*names) if len(names) > 1 else lambda p: (getattr(p, names[0]),)
+    if isinstance(params, DiracParameters):
+        return get(params)
+    return tuple(np.array(column) for column in zip(*map(get, params)))
+
+
+def _phase(theta, e, t) -> np.ndarray:
+    """z = e^{i theta} e^{-2iEt}, shaped by ``_block_scale``.
+
+    ``theta`` and ``e`` are scalars for one set and arrays over a sequence
+    of sets, as ``_fields`` returns them. numpy multiplies two complex
+    scalars without fused multiply-adds, while its array loop may fuse them,
+    so one set at an array of times can differ in the last bit from the same
+    set at each scalar time. Over a sequence of sets the product is spelled
+    out over real parts, which makes every entry bitwise the scalar product.
+    """
+    a, b = np.exp(1j * theta), np.exp(-2j * e * t)
+    if isinstance(theta, np.ndarray):
+        z = (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+    else:
+        z = a * b
+    return _block_scale(z)
+
+
+def dirac_hamiltonian(params, t) -> np.ndarray:
     """Time-optimal Dirac Hamiltonian; (4, 4) at a scalar t, (n, 4, 4) at n times.
+
+    ``params`` is one DiracParameters or a sequence of n of them. A sequence
+    pairs the i-th set with the i-th of n times (or with one scalar t), and
+    each matrix of the (n, 4, 4) stack is bitwise the one that set gives at
+    that scalar time.
 
     Blocks [[m 1, z p0.sigma], [conj(z) p0.sigma, -m 1]] with the unimodular
     phase z = e^{i theta} e^{-2iEt}. At the default theta = -pi/2 this is
@@ -165,12 +212,12 @@ def dirac_hamiltonian(params: DiracParameters, t) -> np.ndarray:
     t = 0 reduces to the static Dirac matrix of ``assemble_dirac``. Always
     satisfies H(t)^2 = E^2 * 1.
     """
-    e = params.energy
-    z = np.exp(1j * params.theta) * np.exp(-2j * e * t)
-    ps = _sigma_dot(params.p0)
+    m, p0, theta, e = _fields(params, "m", "p0", "theta", "energy")
+    z = _phase(theta, e, t)
+    ps = _sigma_dot(p0)
     eye = PAULI[0]
-    return _block4(params.m * eye, np.multiply.outer(z, ps), np.multiply.outer(np.conj(z), ps),
-                   -params.m * eye)
+    m = _block_scale(m)
+    return _block4(m * eye, z * ps, np.conj(z) * ps, -m * eye)
 
 
 @dataclass(frozen=True)
@@ -185,7 +232,7 @@ class EigenFrame:
         return self.w @ self.d0 @ self.w_inv
 
 
-def su4_eigenframe(params: DiracParameters, t: float) -> EigenFrame:
+def su4_eigenframe(params, t) -> EigenFrame:
     """Block eigenframe of the su4 family at time t.
 
     W(t) stacks the two E eigencolumns against the two -E ones,
@@ -198,15 +245,19 @@ def su4_eigenframe(params: DiracParameters, t: float) -> EigenFrame:
 
     E -+ m cancels when |p0| << |m| (E - m for m > 0, E + m for m < 0), so
     that side is taken as |p0|^2 / (E + |m|), from (E - m)(E + m) = |p0|^2.
+
+    Like ``dirac_hamiltonian``, a sequence of n parameter sets with n times
+    gives (n, 4, 4) stacks, each bitwise the single-set frame.
     """
-    p2 = params.p0 @ params.p0
-    if p2 == 0.0:
+    m, p0, theta, e = _fields(params, "m", "p0", "theta", "energy")
+    p2 = np.matmul(p0[..., None, :], p0[..., :, None])[..., 0, 0]  # p0 @ p0 per set
+    if np.any(p2 == 0.0):
         raise ValueError("eigenframe requires |p0| > 0 (E - m must not vanish)")
-    e = params.energy
-    big = e + abs(params.m)
-    e_minus, e_plus = (p2 / big, big) if params.m >= 0 else (big, p2 / big)
-    phi = np.exp(1j * params.theta) * np.exp(-2j * e * t)
-    ep = _eps_dot(params.p0)
+    phi = _phase(theta, e, t)
+    big = e + abs(m)
+    e_minus, e_plus = np.where(m >= 0, p2 / big, big), np.where(m >= 0, big, p2 / big)
+    e_minus, e_plus, e = (_block_scale(x) for x in (e_minus, e_plus, e))
+    ep = _eps_dot(p0)
     epd = dagger(ep)
     sx = PAULI[1]
     w = _block4(ep * phi / e_minus, -ep * phi / e_plus, sx, sx)
@@ -215,24 +266,28 @@ def su4_eigenframe(params: DiracParameters, t: float) -> EigenFrame:
     return EigenFrame(w=w, w_inv=w_inv, d0=d0)
 
 
-def su4_propagator(params: DiracParameters, t: float, s: float) -> np.ndarray:
+def su4_propagator(params, t, s) -> np.ndarray:
     """Diagonal conjugator diag(e^{i sign E (t-s)} 1, e^{-i sign E (t-s)} 1).
 
     The sign is the audited one (-1), the unique choice under which
     U(t, s) H(s) U(t, s)^dag = H(t); the competing sign is the complex
     conjugate U(t, s).conj(). It equals W(t) W(s)^-1 up to the global phase
-    e^{-iE(t-s)}.
+    e^{-iE(t-s)}. Like ``dirac_hamiltonian``, it takes one parameter set or
+    a sequence of n, and n times t and s give the (n, 4, 4) stack.
     """
-    ph = np.exp(1j * AUDITED_CONVENTIONS.su4_phase_sign * params.energy * (t - s))
-    return np.diag([ph, ph, np.conj(ph), np.conj(ph)])
+    (e,) = _fields(params, "energy")
+    ph = np.exp(1j * AUDITED_CONVENTIONS.su4_phase_sign * e * (t - s))
+    return _sparse_matrix(4, {(0, 0): ph, (1, 1): ph, (2, 2): np.conj(ph), (3, 3): np.conj(ph)},
+                          np.shape(ph))
 
 
-def su4_constraint_t(f0_coeffs, params: DiracParameters, t: float) -> np.ndarray:
+def su4_constraint_t(f0_coeffs, params: DiracParameters, t) -> np.ndarray:
     """Constraint operator conjugated along the family, U(t,0) F(0) U(t,0)^dag.
 
     ``f0_coeffs`` are coefficients over the full su4 basis (label order of
     ``build_basis('su4')``). The result keeps the diagonal blocks
     sigma.n+- static while the off-diagonal blocks pick up e^{-+2iEt}.
+    A 1-D array of n times gives the (n, 4, 4) stack from one F(0).
     """
     basis = build_basis("su4")
     f0 = reconstruct(np.asarray(f0_coeffs, dtype=float), basis)

@@ -29,8 +29,8 @@ def as_operator(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from spinctl.brachistochrone import canonical_split
 from spinctl.closedforms import (
+    DEFAULT_THETA,
     DiracParameters,
     dirac_hamiltonian,
     epsilon_product,
@@ -38,6 +39,58 @@ class TestStackedHamiltonian:
             assert np.array_equal(stacked, np.stack([fam.hamiltonian(t) for t in ts]))
             assert fam.hamiltonian(0.4).shape == (fam.dim, fam.dim)
             assert fam.hamiltonian(ts[:1]).shape == (1, fam.dim, fam.dim)
+
+
+class TestStackedParameters:
+    """A sequence of parameter sets gives, bitwise, the stack of single-set calls."""
+
+    @pytest.fixture(scope="class")
+    def probes(self):
+        rng = np.random.default_rng(2024)
+        params = []
+        for k in range(100):
+            m, p0 = rng.uniform(-2, 2), rng.uniform(-2, 2, 3)
+            if k % 4 == 1:
+                m = -abs(m)
+            if k % 5 == 2:
+                p0 = p0 * 1e-9  # the eigenframe's cancellation branch, at both signs of m
+            theta = rng.uniform(-np.pi, np.pi) if k % 3 == 0 else DEFAULT_THETA
+            params.append(DiracParameters(m=m, p0=p0, theta=theta))
+        assert min(np.linalg.norm(p.p0) for p in params) < 1e-8 and min(p.m for p in params) < 0
+        return params, rng.uniform(-2, 2, 100), rng.uniform(-2, 2, 100)
+
+    def test_dirac_hamiltonian(self, probes):
+        params, ts, _ = probes
+        stacked = dirac_hamiltonian(params, ts)
+        assert stacked.shape == (100, 4, 4)
+        assert np.array_equal(stacked, np.array([dirac_hamiltonian(p, t) for p, t in zip(params, ts)]))
+        assert np.array_equal(dirac_hamiltonian(params, 0.3),
+                              np.array([dirac_hamiltonian(p, 0.3) for p in params]))
+
+    def test_su4_eigenframe(self, probes):
+        params, ts, _ = probes
+        frame = su4_eigenframe(params, ts)
+        singles = [su4_eigenframe(p, t) for p, t in zip(params, ts)]
+        for field in ("w", "w_inv", "d0"):
+            assert np.array_equal(getattr(frame, field), np.array([getattr(f, field) for f in singles]))
+        with pytest.raises(ValueError, match="requires"):
+            su4_eigenframe([*params[:3], DiracParameters(m=1.0, p0=[0, 0, 0])], ts[:4])
+
+    def test_su4_propagator(self, probes):
+        params, ts, ss = probes
+        assert np.array_equal(su4_propagator(params, ts, ss),
+                              np.array([su4_propagator(p, t, s) for p, t, s in zip(params, ts, ss)]))
+
+    def test_su4_constraint_over_times(self, probes):
+        params, ts, _ = probes
+        f0 = np.random.default_rng(5).uniform(-1, 1, 15)
+        assert np.array_equal(su4_constraint_t(f0, params[0], ts),
+                              np.array([su4_constraint_t(f0, params[0], t) for t in ts]))
+
+    def test_epsilon_product(self):
+        p = np.random.default_rng(6).uniform(-2, 2, (100, 3))
+        for side, singles in zip(epsilon_product(p), zip(*(epsilon_product(v) for v in p))):
+            assert np.array_equal(side, np.array(singles))
 
 
 class TestDiracParameters:

@@ -13,6 +13,14 @@ def random_hermitian(rng, d):
     return (a + dagger(a)) / 2
 
 
+class TestDagger:
+    def test_stack_is_daggered_per_matrix(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        assert np.array_equal(dagger(a), np.array([m.conj().T for m in a]))
+        assert np.array_equal(dagger(a[0]), a[0].conj().T)
+
+
 class TestCommutator:
     def test_pauli_commutator(self):
         assert np.array_equal(commutator(SX, SY), 2j * SZ)
