@@ -8,14 +8,10 @@ forms rely on.
 """
 from .brachistochrone import (
     ControlSplit,
-    DiracSplitState,
     OperatorPair,
     Trajectory,
     brachistochrone_rhs,
     canonical_split,
-    dirac_split_rhs,
-    dirac_state_to_pair,
-    dirac_vector_rhs,
     integrate,
 )
 from .closedforms import (

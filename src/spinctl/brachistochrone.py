@@ -11,16 +11,10 @@ a slice of the structure constants ``basis.structure``. The flow exactly
 conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator records from
 the coefficients so discretization drift stays visible. Tr(HF) is not
 monitored: S and S^c are trace-orthogonal, so it is identically zero.
-
-The su(4) case additionally ships the rate equations of the Dirac-type
-split (mass/momentum on the Hamiltonian side) in two hand-derived
-variants, ``dirac_split_rhs`` and ``dirac_vector_rhs``. Both are kept
-exactly as derived, deliberately separate from the generic engine, so the
-audit can measure where they agree and where they do not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,15 +24,11 @@ from .matrixcore import commutator
 
 __all__ = [
     "ControlSplit",
-    "DiracSplitState",
     "NonFiniteStateError",
     "OperatorPair",
     "Trajectory",
     "brachistochrone_rhs",
     "canonical_split",
-    "dirac_split_rhs",
-    "dirac_state_to_pair",
-    "dirac_vector_rhs",
     "integrate",
 ]
 
@@ -224,108 +214,3 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
         step = min(int(np.argmax(overflow)) * sample_stride, n_steps)
         raise NonFiniteStateError(f"non-finite invariant monitor at step {step}")
     return Trajectory(np.array(times), hs, fs, mons)
-
-
-# --------------------------------------------------------------------------
-# Hand-derived Dirac-split rate equations (su4), kept exactly as stated.
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiracSplitState:
-    """su(4) Dirac-split state in named physical coordinates.
-
-    Hamiltonian side: mass m on s30 and momentum p on (s11, s12, s13).
-    Constraint side: omega0 on (s01, s02, s03), omega10 on s10, omega20 on
-    s20, omega2 on (s21, s22, s23), omega3 on (s31, s32, s33). The same
-    dataclass doubles as the derivative carrier.
-    """
-
-    m: float
-    p: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    omega0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    omega2: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    omega3: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    omega10: float = 0.0
-    omega20: float = 0.0
-
-    def __post_init__(self):
-        for name in ("p", "omega0", "omega2", "omega3"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            object.__setattr__(self, name, v)
-
-    @property
-    def n_plus(self) -> np.ndarray:
-        return self.omega0 + self.omega3
-
-    @property
-    def n_minus(self) -> np.ndarray:
-        return self.omega0 - self.omega3
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.omega2
-
-
-def dirac_state_to_pair(state: DiracSplitState) -> OperatorPair:
-    """Coefficient vectors of a DiracSplitState over canonical_split('su4')."""
-    h = np.concatenate([[state.m], state.p])
-    f = np.concatenate([state.omega0, [state.omega10, state.omega20],
-                        state.omega2, state.omega3])
-    return OperatorPair(h_coeffs=h, f_coeffs=f)
-
-
-def dirac_split_rhs(s: DiracSplitState) -> DiracSplitState:
-    """Component form of the Dirac-split rates.
-
-    d(omega0)/dt = d(omega2)/dt = 0;
-    d(omega10, omega3)/dt = 2 diag(-1, 1, 1, 1) (m, p);
-    d(m, p)/dt = 2 * Theta(omega) (m, p) with Theta antisymmetric;
-    d(omega20)/dt = 2 (m omega10 - p . omega3).
-
-    The antisymmetry of Theta makes m^2 + |p|^2 an exact invariant. Note
-    the (omega10, omega3) block carries no omega20 factor, unlike the
-    generic projection; the audit measures that gap.
-    """
-    o = s.omega0
-    theta = 2.0 * np.array([
-        [0.0,        s.omega2[0],  s.omega2[1],  s.omega2[2]],
-        [-s.omega2[0], 0.0,        o[2],        -o[1]],
-        [-s.omega2[1], -o[2],      0.0,          o[0]],
-        [-s.omega2[2],  o[1],     -o[0],         0.0],
-    ])
-    mp_dot = theta @ np.concatenate([[s.m], s.p])
-    return DiracSplitState(
-        m=mp_dot[0], p=mp_dot[1:],
-        omega0=np.zeros(3), omega2=np.zeros(3),
-        omega3=2.0 * s.p,
-        omega10=-2.0 * s.m,
-        omega20=2.0 * (s.m * s.omega10 - float(s.p @ s.omega3)),
-    )
-
-
-def dirac_vector_rhs(s: DiracSplitState) -> DiracSplitState:
-    """Vector-matrix form of the same system.
-
-    dp/dt = -m (n+ + n-) - (n+ + n-) x p;
-    d(xi_c)/dt = m xi_r + p . (n+ - n-)  with a = xi_r + i xi_c;
-    d(n+)/dt + d(n-)/dt = 4 p, together with d(n+)/dt = d(n-)/dt,
-    d(xi_r)/dt = -m, dm/dt = b . p, db/dt = 0.
-
-    Combining the n relations as stated gives d(omega0)/dt = 2p and
-    d(omega3)/dt = 0, which disagrees with ``dirac_split_rhs``; so do the
-    missing factors of two on dm/dt and d(xi_r)/dt. Those gaps are audit
-    findings, not bugs here.
-    """
-    n_sum = s.n_plus + s.n_minus
-    p_dot = -s.m * n_sum - np.cross(n_sum, s.p)
-    return DiracSplitState(
-        m=float(s.b @ s.p),
-        p=p_dot,
-        omega0=2.0 * s.p,          # (n+ + n-)'/2 with n+' = n-'
-        omega3=np.zeros(3),        # (n+ - n-)'/2 with n+' = n-'
-        omega2=np.zeros(3),
-        omega10=-s.m,
-        omega20=s.m * s.omega10 + float(s.p @ (s.n_plus - s.n_minus)),
-    )

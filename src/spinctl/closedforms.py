@@ -184,17 +184,14 @@ def _phase(theta, e, t) -> np.ndarray:
     """z = e^{i theta} e^{-2iEt}, shaped by ``_block_scale``.
 
     ``theta`` and ``e`` are scalars for one set and arrays over a sequence
-    of sets, as ``_fields`` returns them. numpy multiplies two complex
-    scalars without fused multiply-adds, while its array loop may fuse them,
-    so one set at an array of times can differ in the last bit from the same
-    set at each scalar time. Over a sequence of sets the product is spelled
-    out over real parts, which makes every entry bitwise the scalar product.
+    of sets, as ``_fields`` returns them; ``t`` is a scalar or an array of
+    times. numpy multiplies two complex scalars without fused multiply-adds,
+    while its complex array loop may fuse them, so the product is spelled
+    out over real parts: every entry is then bitwise the scalar product,
+    whichever of theta, e and t are arrays.
     """
     a, b = np.exp(1j * theta), np.exp(-2j * e * t)
-    if isinstance(theta, np.ndarray):
-        z = (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-    else:
-        z = a * b
+    z = (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
     return _block_scale(z)
 
 

@@ -7,15 +7,9 @@ calibration.
 import numpy as np
 import pytest
 
-from spinctl.audit import full_report, format_report
-from spinctl.brachistochrone import (
-    DiracSplitState,
-    OperatorPair,
-    canonical_split,
-    dirac_split_rhs,
-    dirac_vector_rhs,
-    integrate,
-)
+from dirac_rows import dirac_row, named
+from spinctl.audit import _component_rates, _vector_rates, full_report, format_report
+from spinctl.brachistochrone import OperatorPair, canonical_split, integrate
 from spinctl.cli import dispatch
 from spinctl.closedforms import (
     DiracParameters,
@@ -239,13 +233,13 @@ def test_criterion_10_qutrit_gate():
 
 
 def test_criterion_11_dirac_split_transcriptions():
-    d = dirac_split_rhs(DiracSplitState(m=1.0, p=[0, 0, 2]))
+    d = named(_component_rates(dirac_row(m=1.0, p=[0, 0, 2])))
     ok = d.omega10 == -2.0 and d.omega3[2] == 4.0
-    d = dirac_split_rhs(DiracSplitState(m=1.0, p=[1, 0, 0], omega2=[1, 0, 0]))
+    d = named(_component_rates(dirac_row(m=1.0, p=[1, 0, 0], omega2=[1, 0, 0])))
     ok &= d.m == 2.0 and d.p[0] == -2.0
-    d = dirac_split_rhs(DiracSplitState(m=1.0, p=[0, 0, 0], omega10=1.0))
+    d = named(_component_rates(dirac_row(m=1.0, p=[0, 0, 0], omega10=1.0)))
     ok &= d.omega20 == 2.0
-    v = dirac_vector_rhs(DiracSplitState(m=1.0, p=[1, 0, 0], omega2=[1, 0, 0]))
+    v = named(_vector_rates(dirac_row(m=1.0, p=[1, 0, 0], omega2=[1, 0, 0])))
     ok &= v.m == 1.0  # the factor-2 gap against the component form
 
     ode = {r.check_id: r for r in full_report(seed=0)}["ode_transcriptions"]

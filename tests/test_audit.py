@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dirac_rows import dirac_row, named
 from spinctl import audit, closedforms as cf
 from spinctl.audit import catalog_ids, format_report, full_report, run_check
+from spinctl.brachistochrone import OperatorPair, brachistochrone_rhs, canonical_split
 
 EXPECTED_TOKENS = {
     "sphere_constraint": "sphere_divisor=dim",
@@ -90,7 +92,67 @@ CONVENTION_FLIPS = [
 ]
 
 
+# one named, minimal fault for each check whose residual no other test pushes past
+# its tolerance; each changes one quantity by 1e-9 or less
+def _scale_alpha_x(monkeypatch):
+    """alpha_x times 1 + 2^-40, so alpha_x^2 misses the identity by about 2^-39."""
+    ops = audit.dirac_operators()
+    alpha = ops.alpha * np.array([1 + 2.0 ** -40, 1, 1])[:, None, None]
+    monkeypatch.setattr(audit, "dirac_operators", lambda: dataclasses.replace(ops, alpha=alpha))
+
+
+def _speed_up_su2_phase(monkeypatch):
+    """The su2 propagator's phase rate times 1 + 1e-9."""
+    fam = cf.su2_family()
+    propagator = lambda t, s: np.diag([1.0 + 0j, np.exp(1j * (1 + 1e-9) * (t - s))])
+    monkeypatch.setattr(audit.cf, "su2_family", lambda: dataclasses.replace(fam, propagator=propagator))
+
+
+def _bump_epsilon_entry(monkeypatch):
+    """One entry of EPSILON[0] plus 1e-9."""
+    eps0 = cf.EPSILON[0].copy()
+    eps0[0, 0] += 1e-9
+    monkeypatch.setattr(cf, "EPSILON", (eps0, *cf.EPSILON[1:]))
+
+
+def _twist_su3_gate(monkeypatch):
+    """Q(t) times e^{1e-9 i t}."""
+    su3_family = cf.su3_family
+
+    def twisted(theta):
+        fam = su3_family(theta)
+        return dataclasses.replace(fam, gate=lambda t: fam.gate(t) * np.exp(1e-9j * t))
+
+    monkeypatch.setattr(audit.cf, "su3_family", twisted)
+
+
+def _scale_component_mass_rate(monkeypatch):
+    """The dm/dt slot of the component form times 1 + 1e-9."""
+    component_rates = audit._component_rates
+
+    def scaled(x):
+        rate = component_rates(x)
+        rate[0] *= 1 + 1e-9
+        return rate
+
+    monkeypatch.setattr(audit, "_component_rates", scaled)
+
+
+FAULTS = [
+    ("dirac_algebra", _scale_alpha_x),
+    ("isometry_su2", _speed_up_su2_phase),
+    ("epsilon_identity", _bump_epsilon_entry),
+    ("q_factorization", _twist_su3_gate),
+    ("ode_transcriptions", _scale_component_mass_rate),
+]
+
+
 class TestChecksCanFail:
+    @pytest.mark.parametrize("cid,fault", FAULTS, ids=[cid for cid, _ in FAULTS])
+    def test_named_fault_fails_its_check(self, monkeypatch, cid, fault):
+        fault(monkeypatch)
+        assert run_check(cid).status == "FAIL"
+
     def test_nan_probe_fails_its_check(self, monkeypatch):
         # one NaN entry in probe 3 of a check's first H(t) stack: max() over
         # floats would drop it, np.max keeps it
@@ -134,6 +196,71 @@ class TestChecksCanFail:
         assert result.status == "FAIL" and result.token is None
         if field == "su4_phase_sign":
             assert "resolution phase_sign=-1 contradicts stored convention phase_sign=+1" in result.detail
+
+
+def generic_rates(x: np.ndarray) -> np.ndarray:
+    """The generic projection of a 15-slot row, as a 15-slot rate."""
+    rate = brachistochrone_rhs(OperatorPair(x[:4], x[4:]), canonical_split("su4"))
+    return np.concatenate([rate.h_coeffs, rate.f_coeffs])
+
+
+class TestDiracSplitForms:
+    def test_component_form_worked_examples(self):
+        d = named(audit._component_rates(dirac_row(m=1.0, p=[0, 0, 2])))
+        assert d.omega10 == -2.0
+        assert d.omega3[2] == 4.0
+
+        d = named(audit._component_rates(dirac_row(m=1.0, p=[1, 0, 0], omega2=[1, 0, 0])))
+        assert d.m == 2.0
+        assert d.p[0] == -2.0
+
+        d = named(audit._component_rates(dirac_row(m=1.0, p=[0, 0, 0], omega10=1.0)))
+        assert d.omega20 == 2.0
+
+    def test_component_form_conserves_energy(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            x = rng.uniform(-2, 2, 15)
+            s, d = named(x), named(audit._component_rates(x))
+            assert abs(s.m * d.m + s.p @ d.p) < 1e-12
+
+    def test_vector_form_worked_examples(self):
+        d = named(audit._vector_rates(dirac_row(m=1.0, p=[0.4, -0.3, 0.8])))
+        assert np.array_equal(d.p, np.zeros(3))  # n+ = n- = 0
+
+        d = named(audit._vector_rates(dirac_row(m=1.0, p=[1, 0, 0], omega2=[1, 0, 0])))
+        assert d.m == 1.0  # b.p without the factor 2
+
+        d = named(audit._vector_rates(dirac_row(m=0.0, p=[1, 0, 0])))
+        n_plus, n_minus = d.omega0 + d.omega3, d.omega0 - d.omega3
+        assert np.array_equal(n_plus + n_minus, np.array([4.0, 0.0, 0.0]))
+
+    def test_generic_engine_vs_component_form(self):
+        """The generic projection matches the component form exactly (factor 1)
+        on the mass/momentum/omega0/omega2/omega20 rates; the (omega10, omega3)
+        block matches only after an extra omega20 factor."""
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            x = rng.uniform(-2, 2, 15)
+            s, g, d = named(x), named(generic_rates(x)), named(audit._component_rates(x))
+            assert abs(g.m - d.m) < 1e-12
+            assert np.max(np.abs(g.p - d.p)) < 1e-12
+            assert np.max(np.abs(g.omega0 - d.omega0)) < 1e-12
+            assert np.max(np.abs(g.omega2 - d.omega2)) < 1e-12
+            assert abs(g.omega20 - d.omega20) < 1e-12
+            assert abs(g.omega10 - d.omega10 * s.omega20) < 1e-12
+            assert np.max(np.abs(g.omega3 - d.omega3 * s.omega20)) < 1e-12
+
+    def test_vector_form_cross_term_matches_generic(self):
+        # the curl part of dp/dt agrees between the vector form and the
+        # generic engine; the mass coupling does not (audited finding)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            s = named(rng.uniform(-2, 2, 15))
+            x = dirac_row(m=0.0, p=s.p, omega0=s.omega0, omega2=np.zeros(3),
+                          omega3=s.omega3, omega10=s.omega10, omega20=s.omega20)
+            g, v = named(generic_rates(x)), named(audit._vector_rates(x))
+            assert np.max(np.abs(g.p - v.p)) < 1e-12
 
 
 def _bench_workloads():

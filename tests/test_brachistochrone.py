@@ -1,37 +1,18 @@
 import numpy as np
 import pytest
 
+from dirac_rows import named
 from spinctl.brachistochrone import (
     ControlSplit,
-    DiracSplitState,
     NonFiniteStateError,
     OperatorPair,
     brachistochrone_rhs,
     canonical_split,
-    dirac_split_rhs,
-    dirac_state_to_pair,
-    dirac_vector_rhs,
     integrate,
 )
 from spinctl.generators import build_basis
 
 RNG = np.random.default_rng(23)
-
-
-def pair_to_dirac_state(pair: OperatorPair) -> DiracSplitState:
-    """Inverse of dirac_state_to_pair: reads the coefficients back by name."""
-    h, f = pair.h_coeffs, pair.f_coeffs
-    return DiracSplitState(m=h[0], p=h[1:4], omega0=f[0:3], omega10=f[3], omega20=f[4],
-                           omega2=f[5:8], omega3=f[8:11])
-
-
-def random_state(rng: np.random.Generator) -> DiracSplitState:
-    return DiracSplitState(
-        m=rng.uniform(-2, 2), p=rng.uniform(-2, 2, 3),
-        omega0=rng.uniform(-2, 2, 3), omega2=rng.uniform(-2, 2, 3),
-        omega3=rng.uniform(-2, 2, 3),
-        omega10=rng.uniform(-2, 2), omega20=rng.uniform(-2, 2),
-    )
 
 
 def random_split(group: str, rng: np.random.Generator) -> ControlSplit:
@@ -85,8 +66,9 @@ class TestRhs:
         # dm/dt = 2 (omega21 px + omega22 py + omega23 pz)
         split = canonical_split("su4")
         for _ in range(10):
-            s = random_state(RNG)
-            deriv = brachistochrone_rhs(dirac_state_to_pair(s), split)
+            x = RNG.uniform(-2, 2, 15)
+            s = named(x)
+            deriv = brachistochrone_rhs(OperatorPair(x[:4], x[4:]), split)
             expected = 2 * float(s.omega2 @ s.p)
             assert abs(deriv.h_coeffs[0] - expected) < 1e-12
 
@@ -217,72 +199,3 @@ class TestIntegrate:
             with pytest.raises(RuntimeError, match=r"step \d+"):
                 integrate(start, split, h=10.0, T=100.0)
 
-
-class TestDiracSplitForms:
-    def test_state_pair_roundtrip(self):
-        s = random_state(RNG)
-        back = pair_to_dirac_state(dirac_state_to_pair(s))
-        assert s.m == back.m and np.array_equal(s.p, back.p)
-        assert np.array_equal(s.omega3, back.omega3)
-        assert s.omega10 == back.omega10 and s.omega20 == back.omega20
-
-    def test_component_form_worked_examples(self):
-        d = dirac_split_rhs(DiracSplitState(m=1.0, p=[0, 0, 2]))
-        assert d.omega10 == -2.0
-        assert d.omega3[2] == 4.0
-
-        d = dirac_split_rhs(DiracSplitState(m=1.0, p=[1, 0, 0], omega2=[1, 0, 0]))
-        assert d.m == 2.0
-        assert d.p[0] == -2.0
-
-        d = dirac_split_rhs(DiracSplitState(m=1.0, p=[0, 0, 0], omega10=1.0))
-        assert d.omega20 == 2.0
-
-    def test_component_form_conserves_energy(self):
-        for _ in range(50):
-            s = random_state(RNG)
-            d = dirac_split_rhs(s)
-            assert abs(s.m * d.m + s.p @ d.p) < 1e-12
-
-    def test_vector_form_worked_examples(self):
-        d = dirac_vector_rhs(DiracSplitState(m=1.0, p=[0.4, -0.3, 0.8]))
-        assert np.array_equal(d.p, np.zeros(3))  # n+ = n- = 0
-
-        d = dirac_vector_rhs(DiracSplitState(m=1.0, p=[1, 0, 0], omega2=[1, 0, 0]))
-        assert d.m == 1.0  # b.p without the factor 2
-
-        d = dirac_vector_rhs(DiracSplitState(m=0.0, p=[1, 0, 0]))
-        assert np.array_equal(d.n_plus + d.n_minus, np.array([4.0, 0.0, 0.0]))
-
-    def test_generic_engine_vs_component_form(self):
-        """The generic projection matches the component form exactly (factor 1)
-        on the mass/momentum/omega0/omega2/omega20 rates; the (omega10, omega3)
-        block matches only after an extra omega20 factor."""
-        split = canonical_split("su4")
-        for _ in range(100):
-            s = random_state(RNG)
-            g = pair_to_dirac_state(brachistochrone_rhs(dirac_state_to_pair(s), split))
-            d = dirac_split_rhs(s)
-            assert abs(g.m - d.m) < 1e-12
-            assert np.max(np.abs(g.p - d.p)) < 1e-12
-            assert np.max(np.abs(g.omega0 - d.omega0)) < 1e-12
-            assert np.max(np.abs(g.omega2 - d.omega2)) < 1e-12
-            assert abs(g.omega20 - d.omega20) < 1e-12
-            assert abs(g.omega10 - d.omega10 * s.omega20) < 1e-12
-            assert np.max(np.abs(g.omega3 - d.omega3 * s.omega20)) < 1e-12
-
-    def test_vector_form_cross_term_matches_generic(self):
-        # the curl part of dp/dt agrees between the vector form and the
-        # generic engine; the mass coupling does not (audited finding)
-        split = canonical_split("su4")
-        for _ in range(20):
-            s = random_state(RNG)
-            s = DiracSplitState(m=0.0, p=s.p, omega0=s.omega0, omega2=np.zeros(3),
-                                omega3=s.omega3, omega10=s.omega10, omega20=s.omega20)
-            g = pair_to_dirac_state(brachistochrone_rhs(dirac_state_to_pair(s), split))
-            v = dirac_vector_rhs(s)
-            assert np.max(np.abs(g.p - v.p)) < 1e-12
-
-    def test_rejects_bad_vectors(self):
-        with pytest.raises(ValueError, match="3-vector"):
-            DiracSplitState(m=1.0, p=[1, 2])
