@@ -14,11 +14,12 @@ nothing to resolve. run_check alone turns that into a CheckResult:
   closedforms.AUDITED_CONVENTIONS. No token is copied from that record.
 
 Reports are deterministic for a fixed seed, byte for byte. A check draws
-its probes one after another in a Python loop (parameters, then times,
-with _draw_params' rejection loop in place), then evaluates H(t), frames,
-conjugations and residuals as (100, d, d) stacks. The draw order fixes
-every probe, so it is part of that byte contract; the stacked builders
-give each matrix bitwise as a single-probe call would.
+its probes one after another in a Python loop (m and p0, with _draw_set's
+rejection loop in place, then the probe's times), holds the drawn sets as
+one DiracParameters of n sets, then evaluates H(t), frames, conjugations
+and residuals as (100, d, d) stacks. The draw order fixes every probe, so
+it is part of that byte contract; the builders give each matrix of a
+stack bitwise as that set alone would.
 
 Check catalog (fixed order):
 
@@ -74,22 +75,23 @@ class CheckResult:
         return f"CHECK {self.check_id} {tag} max_err={self.max_error:.3e} {self.detail}"
 
 
-def _draw_params(rng: np.random.Generator, min_p: float = 0.0) -> cf.DiracParameters:
+def _draw_set(rng: np.random.Generator, min_p: float = 0.0) -> tuple[float, np.ndarray]:
+    """One (m, p0), p0 redrawn while |p0| <= min_p."""
     m = rng.uniform(-2, 2)
     p = rng.uniform(-2, 2, 3)
     while np.linalg.norm(p) <= min_p:
         p = rng.uniform(-2, 2, 3)
-    return cf.DiracParameters(m=m, p0=p)
+    return m, p
 
 
-def _draw_timed(rng: np.random.Generator, min_p: float = 0.0) -> tuple[tuple, np.ndarray]:
-    """100 probes (params, t), each drawn whole before the next: the sets and their times."""
-    params, times = zip(*[(_draw_params(rng, min_p), rng.uniform(-2, 2)) for _ in range(100)])
-    return params, np.array(times)
+def _draw_timed(rng: np.random.Generator, min_p: float = 0.0, n: int = 100,
+                size=None) -> tuple[cf.DiracParameters, np.ndarray]:
+    """n probes, each drawn whole before the next: (m, p0), then ``size`` uniforms.
 
-
-def _energies(params) -> np.ndarray:
-    return np.array([p.energy for p in params])
+    Returns the n sets as one DiracParameters and the trailing draws, (n,) or (n, size).
+    """
+    m, p0, rest = zip(*[(*_draw_set(rng, min_p), rng.uniform(-2, 2, size)) for _ in range(n)])
+    return cf.DiracParameters(m=np.array(m), p0=np.array(p0)), np.array(rest)
 
 
 def _resolve(candidates: dict, detail: str) -> tuple[float, str, str]:
@@ -118,14 +120,14 @@ def _check_dirac_algebra(rng):
 def _check_kg_identity(rng):
     params, times = _draw_timed(rng)
     h = cf.dirac_hamiltonian(params, times)
-    gaps = h @ h - (_energies(params) ** 2)[:, None, None] * np.eye(4)
+    gaps = h @ h - (params.energy ** 2)[:, None, None] * np.eye(4)
     return np.max(np.abs(gaps)), None, "H(t)^2 = (m^2+|p|^2)*1 over 100 random (m, p, t)"
 
 
 def _check_sphere_constraint(rng):
     params, times = _draw_timed(rng)
     h = cf.dirac_hamiltonian(params, times)
-    tr, e2 = np.trace(h @ h, axis1=1, axis2=2).real, _energies(params) ** 2
+    tr, e2 = np.trace(h @ h, axis1=1, axis2=2).real, params.energy ** 2
     return _resolve(
         {"sphere_divisor=dim": np.abs(tr / 4.0 - e2), "sphere_divisor=2": np.abs(tr / 2.0 - e2)},
         "energy-sphere radius Tr(H^2)/divisor = m^2 + |p|^2 over 100 probes; "
@@ -158,14 +160,9 @@ def _check_isometry_su2(rng):
 def _check_isometry_su3(rng):
     pairs = rng.uniform(-2, 2, (100, 2))
     thetas = rng.uniform(-2, 2, 100)
-    h_s, h_t, built = [], [], []
-    for (t, s), theta in zip(pairs, thetas):
-        fam = cf.su3_family(theta)
-        h = fam.hamiltonian(np.array([s, t]))
-        h_s.append(h[0])
-        h_t.append(h[1])
-        built.append(fam.propagator(t, s))
-    h_s, h_t, built = np.array(h_s), np.array(h_t), np.array(built)
+    fams = [cf.su3_family(theta) for theta in thetas]
+    h_s, h_t = np.array([f.hamiltonian(np.array([s, t])) for f, (t, s) in zip(fams, pairs)]).swapaxes(0, 1)
+    built = np.array([f.propagator(t, s) for f, (t, s) in zip(fams, pairs)])
     flipped = built.copy()
     flipped[:, 0, 2] = -flipped[:, 0, 2]  # the competing corner sign
     # su3_family builds the corner with the recorded sign: label each by the sign it carries
@@ -180,8 +177,8 @@ def _check_isometry_su3(rng):
 
 
 def _check_isometry_su4(rng):
-    params, t, s = zip(*[(_draw_params(rng, min_p=0.1), *rng.uniform(-2, 2, 2)) for _ in range(100)])
-    t, s = np.array(t), np.array(s)
+    params, ts = _draw_timed(rng, min_p=0.1, size=2)
+    t, s = ts.T
     h_s, h_t = cf.dirac_hamiltonian(params, s), cf.dirac_hamiltonian(params, t)
     built = cf.su4_propagator(params, t, s)
     # su4_propagator builds the recorded sign and its conjugate carries the
@@ -199,7 +196,7 @@ def _check_frame_commutator(rng):
             - cf.dirac_hamiltonian(params, times - _FD_STEP)) / (2 * _FD_STEP)
     lhs = 1j * hdot
     h = cf.dirac_hamiltonian(params, times)
-    d0 = _energies(params)[:, None, None] * np.diag([1.0, 1.0, -1.0, -1.0])
+    d0 = params.energy[:, None, None] * np.diag([1.0, 1.0, -1.0, -1.0])
     comm = h @ d0 - d0 @ h
     return _resolve({"didt_sign=-1": np.abs(lhs + comm), "didt_sign=+1": np.abs(lhs - comm)},
                     "i dH/dt vs [H, D0] by central differences, 100 probes")
@@ -214,7 +211,7 @@ def _check_propagator_question(rng):
     families = {
         "su2": cf.su2_family(),
         "su3": cf.su3_family(rng.uniform(-2, 2)),
-        "su4": cf.su4_family(_draw_params(rng, min_p=0.1)),
+        "su4": cf.su4_family(cf.DiracParameters(*_draw_set(rng, min_p=0.1))),
     }
     parts, closed, rotating = [], [], []
     for name, fam in families.items():
@@ -359,20 +356,19 @@ def _check_constraint_orthogonality(rng):
     # closed-form: simultaneous conjugation preserves Tr(H F); and a
     # constraint built orthogonal to H(0) stays orthogonal to H(t).
     basis = build_basis("su4")
-    params, times, f_t = [], [], []
-    for _ in range(20):
-        p = _draw_params(rng, min_p=0.1)
-        f0 = rng.uniform(-2, 2, 15)
-        h0 = cf.dirac_hamiltonian(p, 0.0)
-        overlap = np.trace(h0 @ reconstruct(f0, basis)).real
+    # each of 20 probes draws (m, p0), then 15 coefficients of F(0) and 5 times,
+    # one uniform(-2, 2, 20) being the same stream as draws of 15 and then 5
+    params, draws = _draw_timed(rng, min_p=0.1, n=20, size=20)
+    f0, times = draws[:, :15], draws[:, 15:].ravel()
+    per_time = np.repeat(np.arange(20), 5)  # each set at its 5 times
+    at_times = cf.DiracParameters(m=params.m[per_time], p0=params.p0[per_time])
+    h_t = cf.dirac_hamiltonian(at_times, times)
+    for h0, row in zip(cf.dirac_hamiltonian(params, 0.0), f0):
+        overlap = np.trace(h0 @ reconstruct(row, basis)).real
         # remove the H(0) component so Tr(H(0) F(0)) = 0
-        f0 = f0 - overlap * project_coefficients(h0, basis) / np.trace(h0 @ h0).real
-        t = rng.uniform(-2, 2, 5)
-        f_t.append(cf.su4_constraint_t(f0, p, t))
-        params += [p] * 5
-        times.append(t)
-    h_t = cf.dirac_hamiltonian(params, np.concatenate(times))
-    overlaps = np.abs(np.trace(h_t @ np.concatenate(f_t), axis1=1, axis2=2).real)
+        row -= overlap * project_coefficients(h0, basis) / np.trace(h0 @ h0).real
+    f_t = cf.su4_constraint_t(f0[per_time], at_times, times)
+    overlaps = np.abs(np.trace(h_t @ f_t, axis1=1, axis2=2).real)
     # integrated flows: X = H + F obeys dX/dt = -i[H, X], so the spectrum of
     # X is conserved; its drift along short random runs, via the matrix route
     drifts = []

@@ -183,8 +183,7 @@ def _family_from_args(args) -> cf.UnitaryFamily:
         return cf.su2_family()
     if args.family == "su3":
         return cf.su3_family(args.theta)
-    params = cf.DiracParameters(m=args.m, p0=args.p, theta=args.theta)
-    return cf.su4_family(params)
+    return cf.su4_family(cf.DiracParameters(m=args.m, p0=args.p, theta=args.theta))
 
 
 def _cmd_closedform(args) -> int:

@@ -18,8 +18,7 @@ numerical audit fixes live in the AUDITED_CONVENTIONS record.
 """
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -118,32 +117,42 @@ def epsilon_product(p) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DiracParameters:
-    """Mass, initial momentum and global phase of the su4 family.
+    """Mass, initial momentum and global phase of the su4 family: one set or n sets.
 
-    E = +sqrt(m^2 + |p0|^2) is always derived, never set. States must stay
-    spectrally separated (E > 0); the eigenframe additionally needs
-    |p0| > 0 so the E - m denominators exist.
+    One set has scalar ``m`` and ``theta`` and a 3-vector ``p0``; n sets have
+    ``m`` and ``theta`` (a scalar is shared) of shape (n,) and ``p0`` of shape
+    (n, 3). E = +sqrt(m^2 + |p0|^2) is stored when the sets are validated,
+    never set. States must stay spectrally separated (E > 0); the eigenframe
+    additionally needs |p0| > 0 so the E - m denominators exist.
     """
 
-    m: float
+    m: float | np.ndarray
     p0: np.ndarray
-    theta: float = DEFAULT_THETA
+    theta: float | np.ndarray = DEFAULT_THETA
+    energy: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        p0 = np.asarray(self.p0, dtype=float)
-        if p0.shape != (3,):
-            raise ValueError("p0 must be a 3-vector")
-        object.__setattr__(self, "p0", p0)
-        with np.errstate(over="ignore"):
-            e2 = np.square(self.m) + p0 @ p0
-        if not np.isfinite(e2):
+        m, p0, theta = (np.array(x, dtype=float) for x in (self.m, self.p0, self.theta))
+        if m.ndim > 1 or p0.shape != m.shape + (3,):
+            raise ValueError("p0 must be a 3-vector, or (n, 3) for m of shape (n,)")
+        if theta.shape not in ((), m.shape) or not np.all(np.isfinite(theta)):
+            raise ValueError("theta must be finite: a scalar, or one angle per set")
+        # np.float_power and the per-set matmul round as float(m) ** 2 + p0 @ p0 does
+        with np.errstate(over="ignore", invalid="ignore"):
+            e2 = np.float_power(m, 2) + _norm2(p0)
+        if not np.all(np.isfinite(e2)):
             raise ValueError("non-finite energy: need finite m^2 + |p0|^2")
-        if e2 <= 0.0:
+        if np.any(e2 <= 0.0):
             raise ValueError("degenerate spectrum: need m^2 + |p0|^2 > 0")
+        theta, energy = np.full(m.shape, theta), np.asarray(np.sqrt(e2))
+        for name, value in (("m", m), ("p0", p0), ("theta", theta), ("energy", energy)):
+            value.setflags(write=False)  # energy is stored, so the sets must not change
+            object.__setattr__(self, name, value if value.ndim else float(value))
 
-    @property
-    def energy(self) -> float:
-        return float(np.sqrt(self.m ** 2 + self.p0 @ self.p0))
+
+def _norm2(p0: np.ndarray):
+    """|p0|^2 of a 3-vector, or per set of an (n, 3) stack."""
+    return np.matmul(p0[..., None, :], p0[..., :, None])[..., 0, 0]
 
 
 def _block4(upper_left, upper_right, lower_left, lower_right) -> np.ndarray:
@@ -172,22 +181,14 @@ def _sparse_matrix(d: int, entries: dict, lead: tuple) -> np.ndarray:
     return out
 
 
-def _fields(params, *names) -> tuple:
-    """Named fields of one parameter set, or arrays of them over a sequence of sets."""
-    get = operator.attrgetter(*names) if len(names) > 1 else lambda p: (getattr(p, names[0]),)
-    if isinstance(params, DiracParameters):
-        return get(params)
-    return tuple(np.array(column) for column in zip(*map(get, params)))
-
-
 def _phase(theta, e, t) -> np.ndarray:
     """z = e^{i theta} e^{-2iEt}, shaped by ``_block_scale``.
 
-    ``theta`` and ``e`` are scalars for one set and arrays over a sequence
-    of sets, as ``_fields`` returns them; ``t`` is a scalar or an array of
-    times. numpy multiplies two complex scalars without fused multiply-adds,
-    while its complex array loop may fuse them, so the product is spelled
-    out over real parts: every entry is then bitwise the scalar product,
+    ``theta`` and ``e`` are scalars for one set and arrays for n sets, as
+    DiracParameters holds them; ``t`` is a scalar or an array of times.
+    numpy multiplies two complex scalars without fused multiply-adds, while
+    its complex array loop may fuse them, so the product is spelled out
+    over real parts: every entry is then bitwise the scalar product,
     whichever of theta, e and t are arrays.
     """
     a, b = np.exp(1j * theta), np.exp(-2j * e * t)
@@ -198,10 +199,10 @@ def _phase(theta, e, t) -> np.ndarray:
 def dirac_hamiltonian(params, t) -> np.ndarray:
     """Time-optimal Dirac Hamiltonian; (4, 4) at a scalar t, (n, 4, 4) at n times.
 
-    ``params`` is one DiracParameters or a sequence of n of them. A sequence
-    pairs the i-th set with the i-th of n times (or with one scalar t), and
-    each matrix of the (n, 4, 4) stack is bitwise the one that set gives at
-    that scalar time.
+    ``params`` holds one set or n sets. n sets pair the i-th set with the
+    i-th of n times (or with one scalar t), and each matrix of the
+    (n, 4, 4) stack is bitwise the one that set alone gives at that scalar
+    time.
 
     Blocks [[m 1, z p0.sigma], [conj(z) p0.sigma, -m 1]] with the unimodular
     phase z = e^{i theta} e^{-2iEt}. At the default theta = -pi/2 this is
@@ -209,11 +210,10 @@ def dirac_hamiltonian(params, t) -> np.ndarray:
     t = 0 reduces to the static Dirac matrix of ``assemble_dirac``. Always
     satisfies H(t)^2 = E^2 * 1.
     """
-    m, p0, theta, e = _fields(params, "m", "p0", "theta", "energy")
-    z = _phase(theta, e, t)
-    ps = _sigma_dot(p0)
+    z = _phase(params.theta, params.energy, t)
+    ps = _sigma_dot(params.p0)
     eye = PAULI[0]
-    m = _block_scale(m)
+    m = _block_scale(params.m)
     return _block4(m * eye, z * ps, np.conj(z) * ps, -m * eye)
 
 
@@ -243,14 +243,14 @@ def su4_eigenframe(params, t) -> EigenFrame:
     E -+ m cancels when |p0| << |m| (E - m for m > 0, E + m for m < 0), so
     that side is taken as |p0|^2 / (E + |m|), from (E - m)(E + m) = |p0|^2.
 
-    Like ``dirac_hamiltonian``, a sequence of n parameter sets with n times
-    gives (n, 4, 4) stacks, each bitwise the single-set frame.
+    Like ``dirac_hamiltonian``, n parameter sets with n times give
+    (n, 4, 4) stacks, each bitwise the single-set frame.
     """
-    m, p0, theta, e = _fields(params, "m", "p0", "theta", "energy")
-    p2 = np.matmul(p0[..., None, :], p0[..., :, None])[..., 0, 0]  # p0 @ p0 per set
+    m, p0, e = params.m, params.p0, params.energy
+    p2 = _norm2(p0)
     if np.any(p2 == 0.0):
         raise ValueError("eigenframe requires |p0| > 0 (E - m must not vanish)")
-    phi = _phase(theta, e, t)
+    phi = _phase(params.theta, e, t)
     big = e + abs(m)
     e_minus, e_plus = np.where(m >= 0, p2 / big, big), np.where(m >= 0, big, p2 / big)
     e_minus, e_plus, e = (_block_scale(x) for x in (e_minus, e_plus, e))
@@ -270,10 +270,9 @@ def su4_propagator(params, t, s) -> np.ndarray:
     U(t, s) H(s) U(t, s)^dag = H(t); the competing sign is the complex
     conjugate U(t, s).conj(). It equals W(t) W(s)^-1 up to the global phase
     e^{-iE(t-s)}. Like ``dirac_hamiltonian``, it takes one parameter set or
-    a sequence of n, and n times t and s give the (n, 4, 4) stack.
+    n sets, and n times t and s give the (n, 4, 4) stack.
     """
-    (e,) = _fields(params, "energy")
-    ph = np.exp(1j * AUDITED_CONVENTIONS.su4_phase_sign * e * (t - s))
+    ph = np.exp(1j * AUDITED_CONVENTIONS.su4_phase_sign * params.energy * (t - s))
     return _sparse_matrix(4, {(0, 0): ph, (1, 1): ph, (2, 2): np.conj(ph), (3, 3): np.conj(ph)},
                           np.shape(ph))
 
@@ -284,10 +283,13 @@ def su4_constraint_t(f0_coeffs, params: DiracParameters, t) -> np.ndarray:
     ``f0_coeffs`` are coefficients over the full su4 basis (label order of
     ``build_basis('su4')``). The result keeps the diagonal blocks
     sigma.n+- static while the off-diagonal blocks pick up e^{-+2iEt}.
-    A 1-D array of n times gives the (n, 4, 4) stack from one F(0).
+    A 1-D array of n times gives the (n, 4, 4) stack from one F(0). With n
+    parameter sets, ``f0_coeffs`` holds one row of coefficients per set,
+    (n, 15), and each set's F(0) is carried to its own time.
     """
     basis = build_basis("su4")
-    f0 = reconstruct(np.asarray(f0_coeffs, dtype=float), basis)
+    c = np.asarray(f0_coeffs, dtype=float)
+    f0 = reconstruct(c, basis) if c.ndim == 1 else np.array([reconstruct(row, basis) for row in c])
     u = su4_propagator(params, t, 0.0)
     return u @ f0 @ dagger(u)
 
@@ -387,9 +389,10 @@ def su3_family(theta: float = DEFAULT_THETA) -> UnitaryFamily:
 
 
 def su4_family(params: DiracParameters) -> UnitaryFamily:
-    """The Dirac family for fixed (m, p0, theta)."""
-    e = params.energy
-    d0 = e * np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    """The Dirac family for one fixed set (m, p0, theta)."""
+    if np.ndim(params.m):
+        raise ValueError("su4_family takes one parameter set, not n sets")
+    d0 = params.energy * np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     return UnitaryFamily(
         group_id="su4",
         dim=4,

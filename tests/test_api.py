@@ -5,8 +5,12 @@ A name in a module's ``__all__`` counts as used when some ``ast.Name`` or
 it outside its own ``def``/``class``. The ``__all__`` strings and the
 re-exports in ``__init__`` are not references, and neither are the tests:
 API that only its own tests call is dead and should be deleted.
+
+The core stays numpy-only: each module of the package imports nothing but
+numpy, the standard library and the package itself.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,20 @@ REFERENCED = _referenced()
 def test_public_names_have_users(module):
     unused = [name for name in _public_names(module) if name not in REFERENCED]
     assert not unused, f"{module}.__all__ names nothing outside its tests uses: {unused}"
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """Top-level names of the modules a source file imports; '.' for its own package."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("." if node.level else node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_core_imports_only_numpy_and_the_standard_library(path):
+    allowed = {".", "numpy", PACKAGE.name, *sys.stdlib_module_names}
+    assert _imported_roots(path) <= allowed, f"{path.name} imports {_imported_roots(path) - allowed}"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,50 +46,75 @@ class TestStackedHamiltonian:
 
 
 class TestStackedParameters:
-    """A sequence of parameter sets gives, bitwise, the stack of single-set calls."""
+    """One DiracParameters of n sets gives, bitwise, the stack of single-set calls."""
 
     @pytest.fixture(scope="class")
     def probes(self):
         rng = np.random.default_rng(2024)
-        params = []
+        m, p0, theta = [], [], []
         for k in range(100):
-            m, p0 = rng.uniform(-2, 2), rng.uniform(-2, 2, 3)
+            m_k, p_k = rng.uniform(-2, 2), rng.uniform(-2, 2, 3)
             if k % 4 == 1:
-                m = -abs(m)
+                m_k = -abs(m_k)
             if k % 5 == 2:
-                p0 = p0 * 1e-9  # the eigenframe's cancellation branch, at both signs of m
-            theta = rng.uniform(-np.pi, np.pi) if k % 3 == 0 else DEFAULT_THETA
-            params.append(DiracParameters(m=m, p0=p0, theta=theta))
-        assert min(np.linalg.norm(p.p0) for p in params) < 1e-8 and min(p.m for p in params) < 0
-        return params, rng.uniform(-2, 2, 100), rng.uniform(-2, 2, 100)
+                p_k = p_k * 1e-9  # the eigenframe's cancellation branch, at both signs of m
+            m.append(m_k)
+            p0.append(p_k)
+            theta.append(rng.uniform(-np.pi, np.pi) if k % 3 == 0 else DEFAULT_THETA)
+        params = DiracParameters(m=np.array(m), p0=np.array(p0), theta=np.array(theta))
+        singles = [DiracParameters(m=a, p0=b, theta=c) for a, b, c in zip(m, p0, theta)]
+        assert np.linalg.norm(params.p0, axis=1).min() < 1e-8 and params.m.min() < 0
+        return params, singles, rng.uniform(-2, 2, 100), rng.uniform(-2, 2, 100)
+
+    def test_fields(self, probes):
+        params, singles, _, _ = probes
+        assert params.m.shape == params.theta.shape == params.energy.shape == (100,)
+        assert params.p0.shape == (100, 3)
+        assert np.array_equal(params.energy, [p.energy for p in singles])
+        assert isinstance(singles[0].energy, float)
 
     def test_dirac_hamiltonian(self, probes):
-        params, ts, _ = probes
+        params, singles, ts, _ = probes
         stacked = dirac_hamiltonian(params, ts)
         assert stacked.shape == (100, 4, 4)
-        assert np.array_equal(stacked, np.array([dirac_hamiltonian(p, t) for p, t in zip(params, ts)]))
+        assert np.array_equal(stacked, np.array([dirac_hamiltonian(p, t) for p, t in zip(singles, ts)]))
         assert np.array_equal(dirac_hamiltonian(params, 0.3),
-                              np.array([dirac_hamiltonian(p, 0.3) for p in params]))
+                              np.array([dirac_hamiltonian(p, 0.3) for p in singles]))
 
     def test_su4_eigenframe(self, probes):
-        params, ts, _ = probes
+        params, singles, ts, _ = probes
         frame = su4_eigenframe(params, ts)
-        singles = [su4_eigenframe(p, t) for p, t in zip(params, ts)]
-        for field in ("w", "w_inv", "d0"):
-            assert np.array_equal(getattr(frame, field), np.array([getattr(f, field) for f in singles]))
+        frames = [su4_eigenframe(p, t) for p, t in zip(singles, ts)]
+        for name in ("w", "w_inv", "d0"):
+            assert np.array_equal(getattr(frame, name), np.array([getattr(f, name) for f in frames]))
+        with_zero = DiracParameters(m=np.array([*params.m[:3], 1.0]), p0=np.vstack([params.p0[:3], np.zeros(3)]))
         with pytest.raises(ValueError, match="requires"):
-            su4_eigenframe([*params[:3], DiracParameters(m=1.0, p0=[0, 0, 0])], ts[:4])
+            su4_eigenframe(with_zero, ts[:4])
 
     def test_su4_propagator(self, probes):
-        params, ts, ss = probes
+        params, singles, ts, ss = probes
         assert np.array_equal(su4_propagator(params, ts, ss),
-                              np.array([su4_propagator(p, t, s) for p, t, s in zip(params, ts, ss)]))
+                              np.array([su4_propagator(p, t, s) for p, t, s in zip(singles, ts, ss)]))
 
     def test_su4_constraint_over_times(self, probes):
-        params, ts, _ = probes
+        _, singles, ts, _ = probes
         f0 = np.random.default_rng(5).uniform(-1, 1, 15)
-        assert np.array_equal(su4_constraint_t(f0, params[0], ts),
-                              np.array([su4_constraint_t(f0, params[0], t) for t in ts]))
+        assert np.array_equal(su4_constraint_t(f0, singles[0], ts),
+                              np.array([su4_constraint_t(f0, singles[0], t) for t in ts]))
+
+    def test_su4_constraint_over_sets(self, probes):
+        params, singles, ts, _ = probes
+        f0 = np.random.default_rng(8).uniform(-1, 1, (100, 15))
+        assert np.array_equal(su4_constraint_t(f0, params, ts),
+                              np.array([su4_constraint_t(c, p, t) for c, p, t in zip(f0, singles, ts)]))
+
+    def test_stored_energy_is_the_scalar_formula_bitwise(self, probes):
+        # python's float ** 2 (libm pow) and x * x differ in the last bit for some x
+        rng = np.random.default_rng(11)
+        many = DiracParameters(m=rng.uniform(-2, 2, 50000), p0=rng.uniform(-2, 2, (50000, 3)))
+        for params in (probes[0], many):
+            expected = [float(np.sqrt(float(m) ** 2 + p0 @ p0)) for m, p0 in zip(params.m, params.p0)]
+            assert np.array_equal(params.energy, expected)
 
     def test_epsilon_product(self):
         p = np.random.default_rng(6).uniform(-2, 2, (100, 3))
@@ -108,6 +135,68 @@ class TestDiracParameters:
     def test_rejects_bad_momentum(self):
         with pytest.raises(ValueError, match="3-vector"):
             DiracParameters(m=1.0, p0=[1, 2])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (5, 3), (3,)])
+    def test_rejects_momenta_not_one_per_mass(self, shape):
+        with pytest.raises(ValueError, match=r"3-vector, or \(n, 3\)"):
+            DiracParameters(m=np.ones(4), p0=np.ones(shape))
+
+    def test_rejects_2d_mass(self):
+        with pytest.raises(ValueError, match=r"3-vector, or \(n, 3\)"):
+            DiracParameters(m=np.ones((2, 2)), p0=np.ones((2, 2, 3)))
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            DiracParameters(m=1.0, p0=[0, 0, 1], theta=theta)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            DiracParameters(m=np.ones(3), p0=np.ones((3, 3)), theta=[0.1, theta, 0.2])
+
+    def test_rejects_theta_not_one_per_mass(self):
+        with pytest.raises(ValueError, match="one angle per set"):
+            DiracParameters(m=np.ones(3), p0=np.ones((3, 3)), theta=np.zeros(4))
+
+    def test_scalar_theta_is_shared_by_n_sets(self):
+        params = DiracParameters(m=np.ones(3), p0=np.ones((3, 3)), theta=0.7)
+        assert np.array_equal(params.theta, [0.7, 0.7, 0.7])
+        assert np.array_equal(DiracParameters(m=np.ones(2), p0=np.ones((2, 3))).theta,
+                              [DEFAULT_THETA, DEFAULT_THETA])
+
+    def test_rejects_one_degenerate_set_among_n(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            DiracParameters(m=[1.0, 0.0, 2.0], p0=[[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+
+    @pytest.mark.parametrize("m,p0", [
+        ([1.0, np.nan, 2.0], np.ones((3, 3))),
+        ([1.0, 1e200, 2.0], np.ones((3, 3))),
+        ([1.0, 1.0, 2.0], [[0, 0, 1], [0, np.inf, 0], [1, 0, 0]]),
+    ])
+    def test_rejects_one_non_finite_set_among_n(self, m, p0):
+        with pytest.raises(ValueError, match="non-finite energy"):
+            DiracParameters(m=m, p0=p0)
+
+    def test_replace_recomputes_energy(self):
+        params = DiracParameters(m=3.0, p0=[0, 4, 0])
+        moved = dataclasses.replace(params, m=0.0)
+        assert moved.energy == 4.0 and params.energy == 5.0
+        stacked = DiracParameters(m=[3.0, 1.0], p0=[[0, 4, 0], [0, 0, 0]])
+        assert np.array_equal(dataclasses.replace(stacked, m=np.array([0.0, 2.0])).energy, [4.0, 2.0])
+
+    def test_holds_read_only_copies_of_its_arrays(self):
+        m, p0 = np.array([3.0, 1.0]), np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+        params = DiracParameters(m=m, p0=p0)
+        m[0], p0[0, 1] = 0.0, 0.0
+        assert np.array_equal(params.m, [3.0, 1.0]) and np.array_equal(params.p0[0], [0.0, 4.0, 0.0])
+        assert np.array_equal(params.energy, [5.0, np.sqrt(2.0)])
+        for name in ("m", "p0", "theta", "energy"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(params, name)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            DiracParameters(m=1.0, p0=[0, 0, 1]).p0[0] = 1.0
+
+    def test_su4_family_takes_one_set(self):
+        with pytest.raises(ValueError, match="one parameter set"):
+            su4_family(DiracParameters(m=np.ones(4), p0=np.ones((4, 3))))
 
     @pytest.mark.parametrize("m,p0", [
         (1e200, [0, 0, 1]), (0.0, [0, 0, 1e200]), (float("nan"), [0, 0, 1]), (1.0, [np.inf, 0, 0]),
