@@ -14,12 +14,11 @@ nothing to resolve. run_check alone turns that into a CheckResult:
   closedforms.AUDITED_CONVENTIONS. No token is copied from that record.
 
 Reports are deterministic for a fixed seed, byte for byte. A check draws
-its probes one after another in a Python loop (m and p0, with _draw_set's
-rejection loop in place, then the probe's times), holds the drawn sets as
-one DiracParameters of n sets, then evaluates H(t), frames, conjugations
-and residuals as (100, d, d) stacks. The draw order fixes every probe, so
-it is part of that byte contract; the builders give each matrix of a
-stack bitwise as that set alone would.
+each random quantity as one array, in code order: the n sets (m, p0) by
+_draw_sets, whose rejection loop redraws the short rows of p0 in place,
+then the times. It evaluates H(t), frames, conjugations and residuals as
+(100, d, d) stacks. The draw order fixes the printed digits; a change to
+it may move digits but must leave every verdict and token as it was.
 
 Check catalog (fixed order):
 
@@ -52,7 +51,7 @@ import numpy as np
 from . import brachistochrone as bt
 from . import closedforms as cf
 from . import oracle
-from .generators import build_basis, dirac_operators, project_coefficients, reconstruct, verify_algebra
+from .generators import build_basis, dirac_operators, verify_algebra
 from .matrixcore import dagger
 
 __all__ = ["CheckResult", "catalog_ids", "format_report", "full_report", "run_check"]
@@ -75,23 +74,12 @@ class CheckResult:
         return f"CHECK {self.check_id} {tag} max_err={self.max_error:.3e} {self.detail}"
 
 
-def _draw_set(rng: np.random.Generator, min_p: float = 0.0) -> tuple[float, np.ndarray]:
-    """One (m, p0), p0 redrawn while |p0| <= min_p."""
-    m = rng.uniform(-2, 2)
-    p = rng.uniform(-2, 2, 3)
-    while np.linalg.norm(p) <= min_p:
-        p = rng.uniform(-2, 2, 3)
-    return m, p
-
-
-def _draw_timed(rng: np.random.Generator, min_p: float = 0.0, n: int = 100,
-                size=None) -> tuple[cf.DiracParameters, np.ndarray]:
-    """n probes, each drawn whole before the next: (m, p0), then ``size`` uniforms.
-
-    Returns the n sets as one DiracParameters and the trailing draws, (n,) or (n, size).
-    """
-    m, p0, rest = zip(*[(*_draw_set(rng, min_p), rng.uniform(-2, 2, size)) for _ in range(n)])
-    return cf.DiracParameters(m=np.array(m), p0=np.array(p0)), np.array(rest)
+def _draw_sets(rng: np.random.Generator, n: int = 100, min_p: float = 0.0) -> cf.DiracParameters:
+    """n sets (m, p0) as one DiracParameters; rows of p0 with |p0| <= min_p are redrawn."""
+    m, p0 = rng.uniform(-2, 2, n), rng.uniform(-2, 2, (n, 3))
+    while np.any(short := np.linalg.norm(p0, axis=1) <= min_p):
+        p0[short] = rng.uniform(-2, 2, (np.count_nonzero(short), 3))
+    return cf.DiracParameters(m=m, p0=p0)
 
 
 def _resolve(candidates: dict, detail: str) -> tuple[float, str, str]:
@@ -118,14 +106,14 @@ def _check_dirac_algebra(rng):
 
 
 def _check_kg_identity(rng):
-    params, times = _draw_timed(rng)
+    params, times = _draw_sets(rng), rng.uniform(-2, 2, 100)
     h = cf.dirac_hamiltonian(params, times)
     gaps = h @ h - (params.energy ** 2)[:, None, None] * np.eye(4)
     return np.max(np.abs(gaps)), None, "H(t)^2 = (m^2+|p|^2)*1 over 100 random (m, p, t)"
 
 
 def _check_sphere_constraint(rng):
-    params, times = _draw_timed(rng)
+    params, times = _draw_sets(rng), rng.uniform(-2, 2, 100)
     h = cf.dirac_hamiltonian(params, times)
     tr, e2 = np.trace(h @ h, axis1=1, axis2=2).real, params.energy ** 2
     return _resolve(
@@ -136,7 +124,7 @@ def _check_sphere_constraint(rng):
 
 
 def _check_eigenframe_inverse(rng):
-    params, times = _draw_timed(rng, min_p=0.1)
+    params, times = _draw_sets(rng, min_p=0.1), rng.uniform(-2, 2, 100)
     frame, eye = cf.su4_eigenframe(params, times), np.eye(4)
     gaps = [frame.w @ frame.w_inv - eye, frame.w_inv @ frame.w - eye,
             frame.hamiltonian() - cf.dirac_hamiltonian(params, times)]
@@ -164,34 +152,28 @@ def _check_isometry_su3(rng):
     h_s, h_t = np.array([f.hamiltonian(np.array([s, t])) for f, (t, s) in zip(fams, pairs)]).swapaxes(0, 1)
     built = np.array([f.propagator(t, s) for f, (t, s) in zip(fams, pairs)])
     flipped = built.copy()
-    flipped[:, 0, 2] = -flipped[:, 0, 2]  # the competing corner sign
-    # su3_family builds the corner with the recorded sign: label each by the sign it carries
-    u_plus, u_minus = (built, flipped) if cf.AUDITED_CONVENTIONS.su3_upper_sign == 1 else (flipped, built)
-    unit_minus = np.abs(u_minus @ dagger(u_minus) - np.eye(3))
+    flipped[:, 0, 2] = -flipped[:, 0, 2]  # su3_family builds +i; this is the competing corner sign
+    unit_minus = np.abs(flipped @ dagger(flipped) - np.eye(3))
     return _resolve(
-        {"su3_u13_sign=+i": _conjugation_gaps(u_plus, h_s, h_t),
-         "su3_u13_sign=-i": _conjugation_gaps(u_minus, h_s, h_t)},
+        {"su3_u13_sign=+i": _conjugation_gaps(built, h_s, h_t),
+         "su3_u13_sign=-i": _conjugation_gaps(flipped, h_s, h_t)},
         "isometry over 100 random (t, s, theta); corner sign -i also breaks unitarity "
         f"({np.max(unit_minus):.3e})",
     )
 
 
 def _check_isometry_su4(rng):
-    params, ts = _draw_timed(rng, min_p=0.1, size=2)
-    t, s = ts.T
+    params, (t, s) = _draw_sets(rng, min_p=0.1), rng.uniform(-2, 2, (2, 100))
     h_s, h_t = cf.dirac_hamiltonian(params, s), cf.dirac_hamiltonian(params, t)
+    # su4_propagator builds the sign -1; its conjugate carries the competing +1
     built = cf.su4_propagator(params, t, s)
-    # su4_propagator builds the recorded sign and its conjugate carries the
-    # competing one: label each by the sign it carries
-    u_plus, u_minus = ((built, built.conj()) if cf.AUDITED_CONVENTIONS.su4_phase_sign == 1
-                       else (built.conj(), built))
-    return _resolve({"phase_sign=-1": _conjugation_gaps(u_minus, h_s, h_t),
-                     "phase_sign=+1": _conjugation_gaps(u_plus, h_s, h_t)},
+    return _resolve({"phase_sign=-1": _conjugation_gaps(built, h_s, h_t),
+                     "phase_sign=+1": _conjugation_gaps(built.conj(), h_s, h_t)},
                     "diagonal-phase sign resolved by the isometry, 100 probes")
 
 
 def _check_frame_commutator(rng):
-    params, times = _draw_timed(rng)
+    params, times = _draw_sets(rng), rng.uniform(-2, 2, 100)
     hdot = (cf.dirac_hamiltonian(params, times + _FD_STEP)
             - cf.dirac_hamiltonian(params, times - _FD_STEP)) / (2 * _FD_STEP)
     lhs = 1j * hdot
@@ -208,10 +190,12 @@ _PROPAGATOR_TOL = 1e-4
 
 
 def _check_propagator_question(rng):
+    theta = rng.uniform(-2, 2)
+    su4_set = _draw_sets(rng, n=1, min_p=0.1)
     families = {
         "su2": cf.su2_family(),
-        "su3": cf.su3_family(rng.uniform(-2, 2)),
-        "su4": cf.su4_family(cf.DiracParameters(*_draw_set(rng, min_p=0.1))),
+        "su3": cf.su3_family(theta),
+        "su4": cf.su4_family(cf.DiracParameters(su4_set.m[0], su4_set.p0[0])),
     }
     parts, closed, rotating = [], [], []
     for name, fam in families.items():
@@ -292,10 +276,6 @@ def _vector_rates(x: np.ndarray) -> np.ndarray:
     return np.concatenate([[b @ p], p_dot, 2.0 * p, [-m, omega20_dot], np.zeros(3), np.zeros(3)])
 
 
-#: The drawn column that fills each row slot. Probes are drawn m, p, omega0,
-#: omega2, omega3, omega10, omega20, the order that fixes every probe's values.
-_DRAWN_SLOTS = [0, 1, 2, 3, 4, 5, 6, 13, 14, 7, 8, 9, 10, 11, 12]
-
 # Row slots of the rates. Group A is where the component form is a faithful projection.
 _GROUP_A = [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 8]  # m, p, omega0, omega2, omega20
 _GROUP_B = [7, 12, 13, 14]                      # omega10, omega3
@@ -303,7 +283,7 @@ _GROUP_B = [7, 12, 13, 14]                      # omega10, omega3
 
 def _check_ode_transcriptions(rng):
     split = bt.canonical_split("su4")
-    x = rng.uniform(-2, 2, (100, 15))[:, _DRAWN_SLOTS]
+    x = rng.uniform(-2, 2, (100, 15))
 
     def generic(row):
         rate = bt.brachistochrone_rhs(bt.OperatorPair(row[:4], row[4:]), split)
@@ -311,11 +291,8 @@ def _check_ode_transcriptions(rng):
 
     # generic, component, vector: (100, 15) each
     g, d, v = (np.array([rates(row) for row in x]) for rates in (generic, _component_rates, _vector_rates))
-    # np.take keeps each probe's row contiguous; a strided row reorders the dot's sum
-    ga, da = np.take([g, d], _GROUP_A, axis=2)
-    gb, db = np.take([g, d], _GROUP_B, axis=2)
-    # summed per probe, in probe order, so the fitted digits do not move
-    factor = sum(float(a @ b) for a, b in zip(ga, da)) / sum(float(b @ b) for b in da)
+    ga, da, gb, db = g[:, _GROUP_A], d[:, _GROUP_A], g[:, _GROUP_B], d[:, _GROUP_B]
+    factor = np.sum(ga * da) / np.sum(da * da)
     res_a = np.max(np.abs(ga - factor * da))
     res_b_raw = np.max(np.abs(gb - factor * db))
     res_b_scaled = np.max(np.abs(gb - factor * db * x[:, 8, None]))
@@ -335,7 +312,7 @@ def _check_ode_transcriptions(rng):
 
 def _check_epsilon_identity(rng):
     p = rng.uniform(-2, 2, (100, 3))
-    target = np.array([float(v @ v) for v in p])[:, None, None] * np.eye(2)
+    target = np.sum(p * p, axis=1)[:, None, None] * np.eye(2)
     gaps = [side - target for side in cf.epsilon_product(p)]
     return (np.max(np.abs(gaps)), None,
             "(eps.p)(eps^dag.p) = (eps^dag.p)(eps.p) = |p|^2 * 1, 100 probes")
@@ -356,17 +333,17 @@ def _check_constraint_orthogonality(rng):
     # closed-form: simultaneous conjugation preserves Tr(H F); and a
     # constraint built orthogonal to H(0) stays orthogonal to H(t).
     basis = build_basis("su4")
-    # each of 20 probes draws (m, p0), then 15 coefficients of F(0) and 5 times,
-    # one uniform(-2, 2, 20) being the same stream as draws of 15 and then 5
-    params, draws = _draw_timed(rng, min_p=0.1, n=20, size=20)
-    f0, times = draws[:, :15], draws[:, 15:].ravel()
+    # 20 sets, the 15 coefficients of each one's F(0), then 5 times per set
+    params, f0 = _draw_sets(rng, n=20, min_p=0.1), rng.uniform(-2, 2, (20, 15))
+    times = rng.uniform(-2, 2, 100)
+    # coefficients of each H(0); Tr(A B) = sum_k a_k b_k Tr(g_k^2)
+    norms = basis.norm_constants
+    h0 = np.einsum("kij,nji->nk", basis.elements, cf.dirac_hamiltonian(params, 0.0)).real / norms
+    # remove the H(0) component so Tr(H(0) F(0)) = 0
+    f0 -= ((f0 * h0) @ norms / ((h0 * h0) @ norms))[:, None] * h0
     per_time = np.repeat(np.arange(20), 5)  # each set at its 5 times
     at_times = cf.DiracParameters(m=params.m[per_time], p0=params.p0[per_time])
     h_t = cf.dirac_hamiltonian(at_times, times)
-    for h0, row in zip(cf.dirac_hamiltonian(params, 0.0), f0):
-        overlap = np.trace(h0 @ reconstruct(row, basis)).real
-        # remove the H(0) component so Tr(H(0) F(0)) = 0
-        row -= overlap * project_coefficients(h0, basis) / np.trace(h0 @ h0).real
     f_t = cf.su4_constraint_t(f0[per_time], at_times, times)
     overlaps = np.abs(np.trace(h_t @ f_t, axis1=1, axis2=2).real)
     # integrated flows: X = H + F obeys dX/dt = -i[H, X], so the spectrum of

@@ -104,7 +104,7 @@ def canonical_split(group_id: str) -> ControlSplit:
     return ControlSplit(basis, s, c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
     """Coefficients of (H, F) over a split."""
 
@@ -135,7 +135,7 @@ class NonFiniteStateError(RuntimeError):
     """Raised by ``integrate`` when the state or a monitor leaves the finite range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled brachistochrone run with invariant monitors.
 

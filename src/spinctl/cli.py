@@ -263,7 +263,10 @@ def _non_negative(parse):
 
 
 def _vec3(text: str) -> np.ndarray:
-    return np.array([_finite_float(s) for s in text.split(",")])
+    vec = np.array([_finite_float(s) for s in text.split(",")])
+    if vec.shape != (3,):
+        raise argparse.ArgumentTypeError("expected 3 components")
+    return vec
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -54,7 +54,9 @@ class Conventions:
 
     Each field is resolved by exactly one audit check (the RESOLVED token
     named in the comment); the values stored here are the ones under which
-    every identity in the test suite holds.
+    every identity in the test suite holds. The library builds each stored
+    value one way and never reads this record; only the audit does, to
+    check the token it measures.
     """
 
     su4_phase_sign: int = -1          # audit isometry_su4: phase_sign=-1
@@ -76,8 +78,7 @@ def isotropic_energy(h: np.ndarray) -> float:
     Tr(sigma_k^2) = 2 habit would suggest; the two only agree for su2.
     """
     h = np.asarray(h)
-    d = h.shape[0] if AUDITED_CONVENTIONS.sphere_divisor_is_dim else 2
-    return float(np.sqrt(max(np.trace(h @ h).real / d, 0.0)))
+    return float(np.sqrt(max(np.trace(h @ h).real / h.shape[0], 0.0)))
 
 #: Matrix-valued vector (1, -i sigma_z, +i sigma_y); eps.p contracts a real
 #: 3-vector into a 2x2 block satisfying (eps.p)(eps^dag.p) = |p|^2 * 1.
@@ -115,7 +116,7 @@ def epsilon_product(p) -> tuple[np.ndarray, np.ndarray]:
     return e @ ed, ed @ e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiracParameters:
     """Mass, initial momentum and global phase of the su4 family: one set or n sets.
 
@@ -217,7 +218,7 @@ def dirac_hamiltonian(params, t) -> np.ndarray:
     return _block4(m * eye, z * ps, np.conj(z) * ps, -m * eye)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenFrame:
     """Triple (W, W^-1, D0) with H = W D0 W^-1; W is invertible, not unitary."""
 
@@ -264,15 +265,15 @@ def su4_eigenframe(params, t) -> EigenFrame:
 
 
 def su4_propagator(params, t, s) -> np.ndarray:
-    """Diagonal conjugator diag(e^{i sign E (t-s)} 1, e^{-i sign E (t-s)} 1).
+    """Diagonal conjugator diag(e^{-iE(t-s)} 1, e^{+iE(t-s)} 1).
 
-    The sign is the audited one (-1), the unique choice under which
+    The phase sign is the audited one (-1), the unique choice under which
     U(t, s) H(s) U(t, s)^dag = H(t); the competing sign is the complex
     conjugate U(t, s).conj(). It equals W(t) W(s)^-1 up to the global phase
     e^{-iE(t-s)}. Like ``dirac_hamiltonian``, it takes one parameter set or
     n sets, and n times t and s give the (n, 4, 4) stack.
     """
-    ph = np.exp(1j * AUDITED_CONVENTIONS.su4_phase_sign * params.energy * (t - s))
+    ph = np.exp(-1j * params.energy * (t - s))
     return _sparse_matrix(4, {(0, 0): ph, (1, 1): ph, (2, 2): np.conj(ph), (3, 3): np.conj(ph)},
                           np.shape(ph))
 
@@ -294,7 +295,7 @@ def su4_constraint_t(f0_coeffs, params: DiracParameters, t) -> np.ndarray:
     return u @ f0 @ dagger(u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryFamily:
     """One closed-form family: H(t), its conjugator U(t, s), and the frame.
 
@@ -353,8 +354,6 @@ def su3_family(theta: float = DEFAULT_THETA) -> UnitaryFamily:
     entry is the audited one (+i e^{-i theta} sin(t-s)), forced jointly by
     unitarity, the isometry and the Q factorization.
     """
-    sgn = AUDITED_CONVENTIONS.su3_upper_sign
-
     def hamiltonian(t) -> np.ndarray:
         c, s = np.cos(t), np.sin(t)
         return _sparse_matrix(3, {
@@ -366,7 +365,7 @@ def su3_family(theta: float = DEFAULT_THETA) -> UnitaryFamily:
     def propagator(t: float, s: float) -> np.ndarray:
         c, sn = np.cos(t - s), np.sin(t - s)
         return np.array([
-            [c, 0, sgn * 1j * np.exp(-1j * theta) * sn],
+            [c, 0, 1j * np.exp(-1j * theta) * sn],
             [0, 1, 0],
             [1j * np.exp(1j * theta) * sn, 0, c],
         ])

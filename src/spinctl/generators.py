@@ -52,7 +52,7 @@ def gell_mann() -> np.ndarray:
     return l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     """Ordered, labeled set of Hermitian trace-free matrices spanning su(N)."""
 
@@ -128,7 +128,7 @@ def reconstruct(coeffs, basis: GeneratorBasis) -> np.ndarray:
     return np.einsum("k,kij->ij", c, basis.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiracOperators:
     """The four anticommuting Hermitian roots of unity alpha_j, beta.
 

@@ -8,12 +8,19 @@ API that only its own tests call is dead and should be deleted.
 
 The core stays numpy-only: each module of the package imports nothing but
 numpy, the standard library and the package itself.
+
+A dataclass whose fields hold arrays compares by identity: a generated
+``__eq__`` would compare the arrays and raise.
 """
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from spinctl import brachistochrone as bt, closedforms as cf, generators
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spinctl"
@@ -87,3 +94,22 @@ def _imported_roots(path: Path) -> set[str]:
 def test_core_imports_only_numpy_and_the_standard_library(path):
     allowed = {".", "numpy", PACKAGE.name, *sys.stdlib_module_names}
     assert _imported_roots(path) <= allowed, f"{path.name} imports {_imported_roots(path) - allowed}"
+
+
+ARRAY_DATACLASSES = {
+    "DiracParameters": lambda: cf.DiracParameters(1.0, [0.0, 0.0, 1.0]),
+    "EigenFrame": lambda: cf.su4_eigenframe(cf.DiracParameters(1.0, [0.0, 0.0, 1.0]), 0.0),
+    "UnitaryFamily": cf.su2_family,
+    "OperatorPair": lambda: bt.OperatorPair(np.zeros(2), np.ones(1)),
+    "Trajectory": lambda: bt.Trajectory(np.zeros(2), np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 2))),
+    "GeneratorBasis": lambda: dataclasses.replace(generators.build_basis("su2"),
+                                                  elements=generators.build_basis("su2").elements.copy()),
+    "DiracOperators": generators.dirac_operators,
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_DATACLASSES.values(), ids=ARRAY_DATACLASSES.keys())
+def test_array_dataclasses_compare_and_hash(make):
+    a, b = make(), make()  # equal values in distinct arrays
+    assert a == a and a != b
+    assert hash(a) == hash(a)

@@ -154,25 +154,26 @@ class TestChecksCanFail:
         assert run_check(cid).status == "FAIL"
 
     def test_nan_probe_fails_its_check(self, monkeypatch):
-        # one NaN entry in probe 3 of a check's first H(t) stack: max() over
-        # floats would drop it, np.max keeps it
+        # one NaN entry in probe 3 of a check's first H(t) stack: max() over floats
+        # would drop it, np.max keeps it. The last case poisons only the H(0) stack
+        # (one scalar t) that feeds F(0): a FAIL there too, not an error
+        cases = [(cid, False) for cid in ("kg_identity", "sphere_constraint", "eigenframe_inverse",
+                                          "isometry_su4", "frame_commutator", "constraint_orthogonality")]
         hamiltonian = cf.dirac_hamiltonian
-        poisoned_stacks = []
+        for cid, at_scalar_time in [*cases, ("constraint_orthogonality", True)]:
+            poisoned_stacks = []
 
-        def poisoned(params, t):
-            h = hamiltonian(params, t)
-            if h.ndim == 3 and not poisoned_stacks:
-                poisoned_stacks.append(len(h))
-                h = h.copy()
-                h[3, 0, 0] = np.nan
-            return h
+            def poisoned(params, t):
+                h = hamiltonian(params, t)
+                if h.ndim == 3 and not poisoned_stacks and (not at_scalar_time or np.ndim(t) == 0):
+                    poisoned_stacks.append(len(h))
+                    h = h.copy()
+                    h[3, 0, 0] = np.nan
+                return h
 
-        monkeypatch.setattr(audit.cf, "dirac_hamiltonian", poisoned)
-        for cid in ("kg_identity", "sphere_constraint", "eigenframe_inverse",
-                    "isometry_su4", "frame_commutator", "constraint_orthogonality"):
-            poisoned_stacks.clear()
+            monkeypatch.setattr(audit.cf, "dirac_hamiltonian", poisoned)
             result = run_check(cid)
-            assert poisoned_stacks == [100], cid
+            assert len(poisoned_stacks) == 1, cid
             assert result.status == "FAIL", cid
             assert "max_err=nan" in result.line(), cid
 
@@ -283,6 +284,15 @@ class TestBenchTokenMap:
                                 dataclasses.replace(cf.AUDITED_CONVENTIONS, **{field: other}))
         bench_tokens = _bench_workloads()._resolved_tokens(cf.AUDITED_CONVENTIONS)
         assert bench_tokens == audit._expected_tokens()
+
+
+class TestDrawSets:
+    def test_redrawn_sets_clear_min_p(self):
+        # at min_p = 3 about one set in eighty is kept, so every draw reaches the redraw loop
+        a, b = (audit._draw_sets(np.random.default_rng(11), n=40, min_p=3.0) for _ in range(2))
+        assert a.m.shape == (40,) and a.p0.shape == (40, 3)
+        assert np.all(np.linalg.norm(a.p0, axis=1) > 3.0)
+        assert np.array_equal(a.m, b.m) and np.array_equal(a.p0, b.p0)
 
 
 class TestDeterminism:

@@ -285,6 +285,10 @@ class TestDispatch:
         # --p is checked for every family, not only the su4 that reads it
         (["closedform", "--family", "su2", "--t", "0", "--p", "x"], "argument --p: invalid float value"),
         (["audit", "--seed", "-1"], "argument --seed: negative value: '-1'"),
+        # --p takes exactly three components, whatever the family
+        (["closedform", "--family", "su2", "--t", "0", "--p", "1,2"], "argument --p: expected 3 components"),
+        (["closedform", "--family", "su4", "--t", "0", "--p", "1,2"], "argument --p: expected 3 components"),
+        (["propagate", "--family", "su4", "--t1", "1", "--p", "1,2,3,4"], "argument --p: expected 3 components"),
     ])
     def test_usage_error(self, capsys, argv, needle):
         TestNonFiniteInput.assert_rejected(dispatch(argv), capsys, needle)
