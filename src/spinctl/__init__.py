@@ -25,6 +25,8 @@ from .closedforms import (
     su2_family,
     su3_family,
     su3_gate,
+    su3_hamiltonian,
+    su3_propagator,
     su4_constraint_t,
     su4_eigenframe,
     su4_family,

@@ -16,8 +16,9 @@ nothing to resolve. run_check alone turns that into a CheckResult:
 Reports are deterministic for a fixed seed, byte for byte. A check draws
 each random quantity as one array, in code order: the n sets (m, p0) by
 _draw_sets, whose rejection loop redraws the short rows of p0 in place,
-then the times. It evaluates H(t), frames, conjugations and residuals as
-(100, d, d) stacks. The draw order fixes the printed digits; a change to
+then the times. Its closed-form builders (H(t), U(t, s), Q(t), frames) are
+called once per (100, d, d) stack, and conjugations and residuals are
+stacks too. The draw order fixes the printed digits; a change to
 it may move digits but must leave every verdict and token as it was.
 
 Check catalog (fixed order):
@@ -140,19 +141,16 @@ def _conjugation_gaps(u: np.ndarray, h_s: np.ndarray, h_t: np.ndarray) -> np.nda
 def _check_isometry_su2(rng):
     fam = cf.su2_family()
     t, s = rng.uniform(-2, 2, (100, 2)).T
-    u = np.array([fam.propagator(a, b) for a, b in zip(t, s)])
-    gaps = _conjugation_gaps(u, fam.hamiltonian(s), fam.hamiltonian(t))
+    gaps = _conjugation_gaps(fam.propagator(t, s), fam.hamiltonian(s), fam.hamiltonian(t))
     return np.max(gaps), None, "U(t,s) H(s) U(t,s)^dag = H(t), 100 random (t, s)"
 
 
 def _check_isometry_su3(rng):
-    pairs = rng.uniform(-2, 2, (100, 2))
-    thetas = rng.uniform(-2, 2, 100)
-    fams = [cf.su3_family(theta) for theta in thetas]
-    h_s, h_t = np.array([f.hamiltonian(np.array([s, t])) for f, (t, s) in zip(fams, pairs)]).swapaxes(0, 1)
-    built = np.array([f.propagator(t, s) for f, (t, s) in zip(fams, pairs)])
+    (t, s), theta = rng.uniform(-2, 2, (100, 2)).T, rng.uniform(-2, 2, 100)
+    h_s, h_t = cf.su3_hamiltonian(s, theta), cf.su3_hamiltonian(t, theta)
+    built = cf.su3_propagator(t, s, theta)
     flipped = built.copy()
-    flipped[:, 0, 2] = -flipped[:, 0, 2]  # su3_family builds +i; this is the competing corner sign
+    flipped[:, 0, 2] = -flipped[:, 0, 2]  # su3_propagator builds +i; this is the competing corner sign
     unit_minus = np.abs(flipped @ dagger(flipped) - np.eye(3))
     return _resolve(
         {"su3_u13_sign=+i": _conjugation_gaps(built, h_s, h_t),
@@ -319,13 +317,8 @@ def _check_epsilon_identity(rng):
 
 
 def _check_q_factorization(rng):
-    q_t, q_s, u = [], [], []
-    for theta, t, s in rng.uniform(-2, 2, (100, 3)):
-        fam = cf.su3_family(theta)
-        q_t.append(fam.gate(t))
-        q_s.append(fam.gate(s))
-        u.append(fam.propagator(t, s))
-    gaps = np.array(q_t) @ dagger(np.array(q_s)) - np.array(u)
+    theta, t, s = rng.uniform(-2, 2, (100, 3)).T
+    gaps = cf.su3_gate(t, theta) @ dagger(cf.su3_gate(s, theta)) - cf.su3_propagator(t, s, theta)
     return np.max(np.abs(gaps)), None, "U(t,s) = Q(t) Q(s)^dag over 100 random (t, s, theta)"
 
 
@@ -354,8 +347,8 @@ def _check_constraint_orthogonality(rng):
         h0 = rng.uniform(-1, 1, len(split.s_indices))
         f0 = rng.uniform(-1, 1, len(split.c_indices))
         traj = bt.integrate(bt.OperatorPair(h0, f0), split, h=1e-3, T=1.0, sample_stride=100)
-        spectra = np.linalg.eigvalsh([split.hamiltonian_matrix(hc) + split.constraint_matrix(fc)
-                                      for hc, fc in zip(traj.h_coeffs, traj.f_coeffs)])
+        spectra = np.linalg.eigvalsh(split.hamiltonian_matrix(traj.h_coeffs)
+                                     + split.constraint_matrix(traj.f_coeffs))
         drifts.append(np.max(np.abs(spectra - spectra[0])))
     err_closed, err_flow = np.max(overlaps), np.max(drifts)
     return (np.max([err_closed, err_flow]), None,
@@ -367,15 +360,15 @@ _CATALOG: tuple[tuple[str, Callable, float], ...] = (
     ("dirac_algebra", _check_dirac_algebra, 0.0),
     ("kg_identity", _check_kg_identity, 1e-12),
     ("sphere_constraint", _check_sphere_constraint, 1e-12),
-    ("eigenframe_inverse", _check_eigenframe_inverse, 1e-10),
-    ("isometry_su2", _check_isometry_su2, 1e-10),
-    ("isometry_su3", _check_isometry_su3, 1e-10),
-    ("isometry_su4", _check_isometry_su4, 1e-10),
-    ("frame_commutator", _check_frame_commutator, 2e-6),
+    ("eigenframe_inverse", _check_eigenframe_inverse, 1e-12),
+    ("isometry_su2", _check_isometry_su2, 1e-13),
+    ("isometry_su3", _check_isometry_su3, 1e-13),
+    ("isometry_su4", _check_isometry_su4, 1e-12),
+    ("frame_commutator", _check_frame_commutator, 1e-6),
     ("propagator_question", _check_propagator_question, _PROPAGATOR_TOL),
-    ("ode_transcriptions", _check_ode_transcriptions, 1e-10),
+    ("ode_transcriptions", _check_ode_transcriptions, 1e-11),
     ("epsilon_identity", _check_epsilon_identity, 1e-13),
-    ("q_factorization", _check_q_factorization, 1e-10),
+    ("q_factorization", _check_q_factorization, 1e-13),
     ("constraint_orthogonality", _check_constraint_orthogonality, 1e-9),
 )
 

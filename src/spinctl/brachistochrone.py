@@ -86,13 +86,15 @@ class ControlSplit:
         return self.basis.structure[np.ix_(rows, self.s_indices, self.c_indices)]
 
     def hamiltonian_matrix(self, h_coeffs) -> np.ndarray:
-        full = np.zeros(len(self.basis))
-        full[self.s_indices] = h_coeffs
+        """H from |S| coefficients; an (n, |S|) stack gives (n, d, d)."""
+        full = np.zeros(np.shape(h_coeffs)[:-1] + (len(self.basis),))
+        full[..., self.s_indices] = h_coeffs
         return reconstruct(full, self.basis)
 
     def constraint_matrix(self, f_coeffs) -> np.ndarray:
-        full = np.zeros(len(self.basis))
-        full[self.c_indices] = f_coeffs
+        """F from |S^c| coefficients; an (n, |S^c|) stack gives (n, d, d)."""
+        full = np.zeros(np.shape(f_coeffs)[:-1] + (len(self.basis),))
+        full[..., self.c_indices] = f_coeffs
         return reconstruct(full, self.basis)
 
 
@@ -199,7 +201,7 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
             k3 = rhs(c + 0.5 * h * k2)
             k4 = rhs(c + h * k3)
             c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(c)):
+            if not np.isfinite(c).all():
                 raise NonFiniteStateError(f"non-finite state at step {step}")
             if step % sample_stride == 0 or step == n_steps:
                 times.append(step * h)

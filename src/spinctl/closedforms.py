@@ -10,6 +10,10 @@ Three exactly solvable families are provided:
 * su4: the Dirac family H(t) with block phases e^{-2iEt}, its non-unitary
   eigenframe (W, W^-1, D0) and the diagonal conjugator U(t, s).
 
+The builders of H(t), U(t, s), Q(t), the su4 eigenframe and the transported
+constraint take scalars or arrays: n times, n su3 phases or n su4 parameter
+sets give the (n, d, d) stack, each matrix bitwise its scalar call.
+
 In every family U(t, s) transports the Hamiltonian isometrically,
 H(t) = U(t, s) H(s) U(t, s)^dag. It is *not* the Schrodinger propagator of
 H(t); the genuine propagator is the rotating-frame form exposed through
@@ -39,6 +43,8 @@ __all__ = [
     "su2_family",
     "su3_family",
     "su3_gate",
+    "su3_hamiltonian",
+    "su3_propagator",
     "su4_constraint_t",
     "su4_eigenframe",
     "su4_family",
@@ -170,12 +176,9 @@ def _block4(upper_left, upper_right, lower_left, lower_right) -> np.ndarray:
     return out
 
 
-def _sparse_matrix(d: int, entries: dict, lead: tuple) -> np.ndarray:
-    """Stack of d x d matrices of shape lead + (d, d), zero except ``entries``.
-
-    ``entries`` maps (i, j) to a scalar or to an array of shape ``lead``:
-    lead = () for a scalar time, (n,) for n times or n parameter sets.
-    """
+def _sparse_matrix(d: int, entries: dict) -> np.ndarray:
+    """d x d matrix, zero except ``entries``; array entries lead with their broadcast shape."""
+    lead = np.broadcast_shapes(*(np.shape(entry) for entry in entries.values()))
     out = np.zeros(lead + (d, d), dtype=complex)
     for (i, j), entry in entries.items():
         out[..., i, j] = entry
@@ -274,8 +277,7 @@ def su4_propagator(params, t, s) -> np.ndarray:
     n sets, and n times t and s give the (n, 4, 4) stack.
     """
     ph = np.exp(-1j * params.energy * (t - s))
-    return _sparse_matrix(4, {(0, 0): ph, (1, 1): ph, (2, 2): np.conj(ph), (3, 3): np.conj(ph)},
-                          np.shape(ph))
+    return _sparse_matrix(4, {(0, 0): ph, (1, 1): ph, (2, 2): np.conj(ph), (3, 3): np.conj(ph)})
 
 
 def su4_constraint_t(f0_coeffs, params: DiracParameters, t) -> np.ndarray:
@@ -288,9 +290,7 @@ def su4_constraint_t(f0_coeffs, params: DiracParameters, t) -> np.ndarray:
     parameter sets, ``f0_coeffs`` holds one row of coefficients per set,
     (n, 15), and each set's F(0) is carried to its own time.
     """
-    basis = build_basis("su4")
-    c = np.asarray(f0_coeffs, dtype=float)
-    f0 = reconstruct(c, basis) if c.ndim == 1 else np.array([reconstruct(row, basis) for row in c])
+    f0 = reconstruct(f0_coeffs, build_basis("su4"))
     u = su4_propagator(params, t, 0.0)
     return u @ f0 @ dagger(u)
 
@@ -302,27 +302,26 @@ class UnitaryFamily:
     ``frame`` is the pair (C, H0) with H(t) = e^{-iCt} H0 e^{+iCt}; it is
     what the Schrodinger propagator is built from. ``gate`` is the
     eigenstate-representation map Q(t) where the family has one (su3).
-    ``hamiltonian`` broadcasts over time: a scalar t gives (dim, dim), a
-    1-D array of n times gives the (n, dim, dim) stack.
+    ``hamiltonian``, ``propagator`` and ``gate`` broadcast over time:
+    scalar times give (dim, dim), n times the (n, dim, dim) stack.
     """
 
     group_id: str
     dim: int
     hamiltonian: Callable[[float | np.ndarray], np.ndarray]
-    propagator: Callable[[float, float], np.ndarray]
+    propagator: Callable[[float | np.ndarray, float | np.ndarray], np.ndarray]
     frame: tuple[np.ndarray, np.ndarray]
-    gate: Optional[Callable[[float], np.ndarray]] = None
+    gate: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
 
 
 def su2_family() -> UnitaryFamily:
     """H(t) = [[0, e^{-it}], [e^{+it}, 0]], U(t, s) = diag(1, e^{i(t-s)})."""
 
     def hamiltonian(t) -> np.ndarray:
-        z = np.exp(-1j * t)
-        return _sparse_matrix(2, {(0, 1): z, (1, 0): np.exp(1j * t)}, z.shape)
+        return _sparse_matrix(2, {(0, 1): np.exp(-1j * t), (1, 0): np.exp(1j * t)})
 
-    def propagator(t: float, s: float) -> np.ndarray:
-        return np.diag([1.0 + 0j, np.exp(1j * (t - s))])
+    def propagator(t, s) -> np.ndarray:
+        return _sparse_matrix(2, {(0, 0): 1.0, (1, 1): np.exp(1j * (t - s))})
 
     return UnitaryFamily(
         group_id="su2",
@@ -333,56 +332,55 @@ def su2_family() -> UnitaryFamily:
     )
 
 
-def su3_gate(t: float, theta: float = DEFAULT_THETA) -> np.ndarray:
+def su3_hamiltonian(t, theta=DEFAULT_THETA) -> np.ndarray:
+    """Qutrit Hamiltonian H(t): cos t on the 1-2 coupler, -i e^{-i theta} sin t on 2-3."""
+    c, s = np.cos(t), np.sin(t)
+    return _sparse_matrix(3, {
+        (0, 1): c, (1, 0): c,
+        (1, 2): -1j * np.exp(-1j * theta) * s,
+        (2, 1): 1j * np.exp(1j * theta) * s,
+    })
+
+
+def su3_propagator(t, s, theta=DEFAULT_THETA) -> np.ndarray:
+    """Qutrit conjugator U(t, s) = Q(t) Q(s)^dag, a rotation in the 1-3 plane.
+
+    The sign of the upper-right entry is the audited one
+    (+i e^{-i theta} sin(t-s)), forced jointly by unitarity, the isometry
+    and the Q factorization.
+    """
+    c, sn = np.cos(t - s), np.sin(t - s)
+    return _sparse_matrix(3, {
+        (0, 0): c, (0, 2): 1j * np.exp(-1j * theta) * sn,
+        (1, 1): 1.0,
+        (2, 0): 1j * np.exp(1j * theta) * sn, (2, 2): c,
+    })
+
+
+def su3_gate(t, theta=DEFAULT_THETA) -> np.ndarray:
     """Qutrit gate Q(t) mapping into the eigenstate representation.
 
     Q(0) = [[r, -r, 0], [r, r, 0], [0, 0, 1]] with r = 1/sqrt(2).
     """
     c, s = np.cos(t), np.sin(t)
     r = 1.0 / np.sqrt(2.0)
-    return np.array([
-        [r * c, -r * c, 1j * np.exp(-1j * theta) * s],
-        [r, r, 0],
-        [1j * r * np.exp(1j * theta) * s, -1j * r * np.exp(1j * theta) * s, c],
-    ])
+    return _sparse_matrix(3, {
+        (0, 0): r * c, (0, 1): -r * c, (0, 2): 1j * np.exp(-1j * theta) * s,
+        (1, 0): r, (1, 1): r,
+        (2, 0): 1j * r * np.exp(1j * theta) * s, (2, 1): -1j * r * np.exp(1j * theta) * s, (2, 2): c,
+    })
 
 
 def su3_family(theta: float = DEFAULT_THETA) -> UnitaryFamily:
-    """The qutrit family at phase theta.
-
-    U(t, s) = Q(t) Q(s)^dag in closed form; the sign of the upper-right
-    entry is the audited one (+i e^{-i theta} sin(t-s)), forced jointly by
-    unitarity, the isometry and the Q factorization.
-    """
-    def hamiltonian(t) -> np.ndarray:
-        c, s = np.cos(t), np.sin(t)
-        return _sparse_matrix(3, {
-            (0, 1): c, (1, 0): c,
-            (1, 2): -1j * np.exp(-1j * theta) * s,
-            (2, 1): 1j * np.exp(1j * theta) * s,
-        }, c.shape)
-
-    def propagator(t: float, s: float) -> np.ndarray:
-        c, sn = np.cos(t - s), np.sin(t - s)
-        return np.array([
-            [c, 0, 1j * np.exp(-1j * theta) * sn],
-            [0, 1, 0],
-            [1j * np.exp(1j * theta) * sn, 0, c],
-        ])
-
+    """The qutrit family at phase theta: H(t), U(t, s) and Q(t) bound to it."""
     # H(t) = e^{-iCt} H(0) e^{+iCt} with C = -(the 1-3 plane coupler)
-    c_frame = -np.array([
-        [0, 0, np.exp(-1j * theta)],
-        [0, 0, 0],
-        [np.exp(1j * theta), 0, 0],
-    ])
-
+    c_frame = -_sparse_matrix(3, {(0, 2): np.exp(-1j * theta), (2, 0): np.exp(1j * theta)})
     return UnitaryFamily(
         group_id="su3",
         dim=3,
-        hamiltonian=hamiltonian,
-        propagator=propagator,
-        frame=(c_frame, hamiltonian(0.0)),
+        hamiltonian=lambda t: su3_hamiltonian(t, theta),
+        propagator=lambda t, s: su3_propagator(t, s, theta),
+        frame=(c_frame, su3_hamiltonian(0.0, theta)),
         gate=lambda t: su3_gate(t, theta),
     )
 

@@ -121,11 +121,11 @@ def project_coefficients(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
 
 
 def reconstruct(coeffs, basis: GeneratorBasis) -> np.ndarray:
-    """Sum c_k g_k; Hermitian and traceless for real coefficients."""
+    """Sum c_k g_k, Hermitian and traceless; an (n, len(basis)) stack of rows gives (n, d, d)."""
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (len(basis),):
-        raise ValueError(f"expected {len(basis)} coefficients, got shape {c.shape}")
-    return np.einsum("k,kij->ij", c, basis.elements)
+    if c.ndim not in (1, 2) or c.shape[-1] != len(basis):
+        raise ValueError(f"expected {len(basis)} coefficients per row, got shape {c.shape}")
+    return np.einsum("...k,kij->...ij", c, basis.elements)
 
 
 @dataclass(frozen=True, eq=False)

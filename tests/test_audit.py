@@ -102,9 +102,9 @@ def _scale_alpha_x(monkeypatch):
 
 
 def _speed_up_su2_phase(monkeypatch):
-    """The su2 propagator's phase rate times 1 + 1e-9."""
+    """The su2 propagator's phase rate times 1 + 1e-9, over a stack of (t, s) too."""
     fam = cf.su2_family()
-    propagator = lambda t, s: np.diag([1.0 + 0j, np.exp(1j * (1 + 1e-9) * (t - s))])
+    propagator = lambda t, s: fam.propagator((1 + 1e-9) * t, (1 + 1e-9) * s)
     monkeypatch.setattr(audit.cf, "su2_family", lambda: dataclasses.replace(fam, propagator=propagator))
 
 
@@ -116,14 +116,10 @@ def _bump_epsilon_entry(monkeypatch):
 
 
 def _twist_su3_gate(monkeypatch):
-    """Q(t) times e^{1e-9 i t}."""
-    su3_family = cf.su3_family
-
-    def twisted(theta):
-        fam = su3_family(theta)
-        return dataclasses.replace(fam, gate=lambda t: fam.gate(t) * np.exp(1e-9j * t))
-
-    monkeypatch.setattr(audit.cf, "su3_family", twisted)
+    """Q(t) times e^{1e-9 i t}, each matrix of a stack by its own t."""
+    su3_gate = cf.su3_gate
+    twisted = lambda t, theta: su3_gate(t, theta) * np.exp(1e-9j * np.asarray(t))[..., None, None]
+    monkeypatch.setattr(audit.cf, "su3_gate", twisted)
 
 
 def _scale_component_mass_rate(monkeypatch):

@@ -45,6 +45,16 @@ class TestControlSplit:
         with pytest.raises(ValueError, match="nonempty"):
             ControlSplit(basis, (), ("sx", "sy", "sz"))
 
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_matrices_of_a_stack(self, group):
+        split = random_split(group, RNG)
+        hc = RNG.uniform(-1, 1, (7, len(split.s_indices)))
+        fc = RNG.uniform(-1, 1, (7, len(split.c_indices)))
+        for build, rows in ((split.hamiltonian_matrix, hc), (split.constraint_matrix, fc)):
+            stacked = build(rows)
+            assert stacked.shape == (7, split.basis.dim, split.basis.dim)
+            assert np.array_equal(stacked, np.array([build(row) for row in rows]))
+
 
 class TestRhs:
     def test_zero_constraint_freezes_everything(self):

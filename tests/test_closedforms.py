@@ -13,6 +13,8 @@ from spinctl.closedforms import (
     su2_family,
     su3_family,
     su3_gate,
+    su3_hamiltonian,
+    su3_propagator,
     su4_constraint_t,
     su4_eigenframe,
     su4_family,
@@ -43,6 +45,32 @@ class TestStackedHamiltonian:
             assert np.array_equal(stacked, np.stack([fam.hamiltonian(t) for t in ts]))
             assert fam.hamiltonian(0.4).shape == (fam.dim, fam.dim)
             assert fam.hamiltonian(ts[:1]).shape == (1, fam.dim, fam.dim)
+
+
+# the su2 and su3 builders over (t, s, theta); each ignores what it does not take
+STACKED_BUILDERS = {
+    "su2_propagator": lambda t, s, theta: su2_family().propagator(t, s),
+    "su3_hamiltonian": lambda t, s, theta: su3_hamiltonian(t, theta),
+    "su3_propagator": su3_propagator,
+    "su3_gate": lambda t, s, theta: su3_gate(t, theta),
+}
+
+
+class TestStackedTimes:
+    """n times, with n thetas or one shared theta, give bitwise the stack of scalar calls."""
+
+    @pytest.mark.parametrize("shared_theta", [False, True], ids=["n_thetas", "shared_theta"])
+    @pytest.mark.parametrize("name", list(STACKED_BUILDERS))
+    def test_stack_is_scalar_calls(self, name, shared_theta):
+        build = STACKED_BUILDERS[name]
+        ts, ss, thetas = np.random.default_rng(17).uniform(-3, 3, (3, 100))
+        ts[0], ss[1] = 0.0, -0.0
+        if shared_theta:
+            thetas = 0.7
+        stacked = build(ts, ss, thetas)
+        assert stacked.shape[0] == 100 and stacked.shape[1:] == build(0.1, 0.2, 0.3).shape
+        singles = [build(t, s, theta) for t, s, theta in zip(ts, ss, np.broadcast_to(thetas, ts.shape))]
+        assert np.array_equal(stacked, np.array(singles))
 
 
 class TestStackedParameters:

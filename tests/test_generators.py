@@ -209,6 +209,19 @@ class TestProjection:
         with pytest.raises(ValueError, match="coefficients"):
             reconstruct(np.zeros(4), build_basis("su2"))
 
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_stack_is_per_row_calls(self, group):
+        basis = build_basis(group)
+        c = RNG.uniform(-2, 2, (50, len(basis)))
+        stacked = reconstruct(c, basis)
+        assert stacked.shape == (50, basis.dim, basis.dim)
+        assert np.array_equal(stacked, np.array([reconstruct(row, basis) for row in c]))
+
+    @pytest.mark.parametrize("shape", [(), (2, 5, 3), (5, 4)], ids=["0-d", "3-D", "last_axis"])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="coefficients"):
+            reconstruct(np.zeros(shape), build_basis("su2"))
+
 
 class TestConstraintTable:
     def test_su4_reconstruction_matches_packed_table(self):
