@@ -8,6 +8,7 @@ forms rely on.
 """
 from .brachistochrone import (
     ControlSplit,
+    NonFiniteStateError,
     OperatorPair,
     Trajectory,
     brachistochrone_rhs,

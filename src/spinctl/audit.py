@@ -40,7 +40,8 @@ Check catalog (fixed order):
     q_factorization          U(t,s) = Q(t) Q(s)^dag
     constraint_orthogonality Tr(H F) = 0 kept by closed-form transport;
                              spectrum of H + F conserved along
-                             integrated flows
+                             integrated flows, one per group, run as
+                             one RK4 flow on their direct sum
 """
 from __future__ import annotations
 
@@ -322,6 +323,31 @@ def _check_q_factorization(rng):
     return np.max(np.abs(gaps)), None, "U(t,s) = Q(t) Q(s)^dag over 100 random (t, s, theta)"
 
 
+#: Groups of constraint_orthogonality's integrated flows, in draw order.
+_FLOW_GROUPS = ("su2", "su3", "su4")
+
+
+def _direct_sum(splits) -> tuple[np.ndarray, list[slice], list[slice]]:
+    """Coupling of the direct sum of ``splits``, and each split's H and F columns.
+
+    The state holds every split's S coefficients, then every split's S^c
+    coefficients, the layout the RK4 kernel reads; each split's coupling
+    fills the diagonal block of its own rows and columns, and the rest is
+    exactly zero, so the groups evolve independently.
+    """
+    s_at = np.cumsum([0] + [len(sp.s_indices) for sp in splits])  # block offsets
+    c_at = np.cumsum([0] + [len(sp.c_indices) for sp in splits])
+    coupling = np.zeros((s_at[-1] + c_at[-1], s_at[-1], c_at[-1]))
+    h_cols, f_cols = [], []
+    for i, split in enumerate(splits):
+        h, f = slice(s_at[i], s_at[i + 1]), slice(c_at[i], c_at[i + 1])
+        f_col = slice(s_at[-1] + c_at[i], s_at[-1] + c_at[i + 1])  # F's rows of the field and columns of the state
+        coupling[h, h, f], coupling[f_col, h, f] = np.split(split.coupling, [len(split.s_indices)])
+        h_cols.append(h)
+        f_cols.append(f_col)
+    return coupling, h_cols, f_cols
+
+
 def _check_constraint_orthogonality(rng):
     # closed-form: simultaneous conjugation preserves Tr(H F); and a
     # constraint built orthogonal to H(0) stays orthogonal to H(t).
@@ -340,15 +366,18 @@ def _check_constraint_orthogonality(rng):
     f_t = cf.su4_constraint_t(f0[per_time], at_times, times)
     overlaps = np.abs(np.trace(h_t @ f_t, axis1=1, axis2=2).real)
     # integrated flows: X = H + F obeys dX/dt = -i[H, X], so the spectrum of
-    # X is conserved; its drift along short random runs, via the matrix route
+    # X is conserved; its drift along one short random run per group, the
+    # three advanced as one flow on their direct sum, via the matrix route
+    splits = [bt.canonical_split(group) for group in _FLOW_GROUPS]
+    starts = [(rng.uniform(-1, 1, len(sp.s_indices)), rng.uniform(-1, 1, len(sp.c_indices)))
+              for sp in splits]
+    coupling, h_cols, f_cols = _direct_sum(splits)
+    x0 = np.concatenate([h for h, _ in starts] + [f for _, f in starts])
+    _, samples = bt._rk4(coupling, h_cols[-1].stop, x0[None], h=1e-3, n_steps=1000, stride=100)
     drifts = []
-    for group in ("su2", "su3", "su4"):
-        split = bt.canonical_split(group)
-        h0 = rng.uniform(-1, 1, len(split.s_indices))
-        f0 = rng.uniform(-1, 1, len(split.c_indices))
-        traj = bt.integrate(bt.OperatorPair(h0, f0), split, h=1e-3, T=1.0, sample_stride=100)
-        spectra = np.linalg.eigvalsh(split.hamiltonian_matrix(traj.h_coeffs)
-                                     + split.constraint_matrix(traj.f_coeffs))
+    for split, hc, fc in zip(splits, h_cols, f_cols):
+        spectra = np.linalg.eigvalsh(split.hamiltonian_matrix(samples[:, 0, hc])
+                                     + split.constraint_matrix(samples[:, 0, fc]))
         drifts.append(np.max(np.abs(spectra - spectra[0])))
     err_closed, err_flow = np.max(overlaps), np.max(drifts)
     return (np.max([err_closed, err_flow]), None,

@@ -11,6 +11,12 @@ a slice of the structure constants ``basis.structure``. The flow exactly
 conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator records from
 the coefficients so discretization drift stays visible. Tr(HF) is not
 monitored: S and S^c are trace-orthogonal, so it is identically zero.
+
+``integrate`` runs one start or a stack of starts on one private RK4 kernel,
+``_rk4``, which advances a (runs, n) array of coefficient rows by one batched
+step at a time; each row evolves bitwise as it would alone. The kernel takes
+a coupling tensor and the size of S, not a split, so the audit also runs it on
+a direct sum of splits.
 """
 from __future__ import annotations
 
@@ -129,7 +135,8 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
 
 
 #: Ceiling on the step count T / h of ``integrate``: about five minutes of
-#: RK4 at 30 us per step.
+#: RK4 at 30 us per step. It counts steps, not steps times runs: a stack of
+#: runs advances together, one batched step at a time.
 _MAX_STEPS = 10 ** 7
 
 
@@ -137,37 +144,88 @@ class NonFiniteStateError(RuntimeError):
     """Raised by ``integrate`` when the state or a monitor leaves the finite range."""
 
 
+def _non_finite(what: str, step: int, run: int, runs: int) -> NonFiniteStateError:
+    """The error for a non-finite state or monitor; a stack of runs also names the run."""
+    where = f" of run {run}" if runs > 1 else ""
+    return NonFiniteStateError(f"non-finite {what} at step {step}{where}")
+
+
+def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
+         stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for a stack of runs of dc/dt = coupling . (c[:ns], c[ns:]).
+
+    ``c`` is a (runs, n) array whose first ``ns`` columns are contracted with
+    the second index of ``coupling`` and the rest with the third. The whole
+    stack is checked for finiteness once per step. Returns the sample times
+    (every ``stride`` steps and at the last) and a (n_samples, runs, n)
+    array of the states there. Each row evolves bitwise as it would alone.
+    """
+    def rhs(x: np.ndarray) -> np.ndarray:
+        return np.einsum("kab,na,nb->nk", coupling, x[:, :ns], x[:, ns:])
+
+    times, samples = [0.0], [c.copy()]
+    # The state is checked each step, so numpy's overflow warnings (from the
+    # update itself when h is huge) would only repeat the error raised here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * h * k1)
+            k3 = rhs(c + 0.5 * h * k2)
+            k4 = rhs(c + h * k3)
+            # (h / 6) (k1 + 2 k2 + 2 k3 + k4), in place and in that order
+            k2 *= 2
+            k3 *= 2
+            k1 += k2
+            k1 += k3
+            k1 += k4
+            k1 *= h / 6.0
+            c = c + k1  # a new array each step, so a sample needs no copy
+            if not np.isfinite(c).all():
+                run = int(np.argmin(np.isfinite(c).all(axis=1)))
+                raise _non_finite("state", step, run, len(c))
+            if step % stride == 0 or step == n_steps:
+                times.append(step * h)
+                samples.append(c)
+    return np.array(times), np.array(samples)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled brachistochrone run with invariant monitors.
+    """Sampled brachistochrone run, or stack of runs, with invariant monitors.
 
-    monitors[:, 0..1] hold Tr(H^2) = sum_S n_k h_k^2 and Tr(F^2) =
-    sum_S^c n_k f_k^2 at each sample, with the basis norms n_k = Tr(g_k^2).
+    monitors[..., 0] and monitors[..., 1] hold Tr(H^2) = sum_S n_k h_k^2
+    and Tr(F^2) = sum_S^c n_k f_k^2 at each sample, with the basis norms
+    n_k = Tr(g_k^2). A stack of runs puts the run first on every field but
+    ``times``, which all runs share.
     """
 
     times: np.ndarray      # (n,)
-    h_coeffs: np.ndarray   # (n, |S|)
-    f_coeffs: np.ndarray   # (n, |S^c|)
-    monitors: np.ndarray   # (n, 2)
+    h_coeffs: np.ndarray   # (n, |S|), or (runs, n, |S|)
+    f_coeffs: np.ndarray   # (n, |S^c|), or (runs, n, |S^c|)
+    monitors: np.ndarray   # (n, 2), or (runs, n, 2)
 
     def monitor_drift(self) -> np.ndarray:
-        """Max |monitor(t) - monitor(0)| per channel."""
-        return np.max(np.abs(self.monitors - self.monitors[0]), axis=0)
+        """Max |monitor(t) - monitor(0)| per channel: (2,), or (runs, 2) for a stack."""
+        return np.max(np.abs(self.monitors - self.monitors[..., :1, :]), axis=-2)
 
 
 def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
               sample_stride: int = 1) -> Trajectory:
     """Classical fixed-step RK4 over the projected commutator field.
 
-    Steps n = round(T / h) times from t = 0 so the final time is within h
-    of T. Samples (and the invariant monitors) are recorded every
+    ``initial`` holds one start, an (|S|,) row and an (|S^c|,) row, or a
+    stack of starts, (runs, |S|) and (runs, |S^c|), which advance together
+    and give a stacked Trajectory; each run is bitwise the one it would be
+    alone. Steps n = round(T / h) times from t = 0 so the final time is
+    within h of T. Samples (and the invariant monitors) are recorded every
     ``sample_stride`` steps plus at the final step. No renormalization is
     applied; monitor drift is a deliberate fidelity signal.
 
-    Raises ValueError unless 0 < h, T < inf, or for more than _MAX_STEPS
-    steps, and NonFiniteStateError (a RuntimeError, with the failing step
-    index) if the state leaves the finite range mid-run or a sampled
-    monitor overflows.
+    Raises ValueError unless 0 < h, T < inf, for more than _MAX_STEPS
+    steps, or for coefficients of the wrong shapes, and NonFiniteStateError
+    (a RuntimeError, with the failing step index, and for a stack the run)
+    if the state leaves the finite range mid-run or a sampled monitor
+    overflows.
     """
     if not (0 < h < np.inf and 0 < T < np.inf):  # NaN fails too
         raise ValueError(f"step size and horizon must be positive and finite, got h = {h}, T = {T}")
@@ -176,43 +234,31 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
 
-    m = split.coupling
     ns, nc = len(split.s_indices), len(split.c_indices)
-
-    def rhs(c: np.ndarray) -> np.ndarray:
-        return np.einsum("kab,a,b->k", m, c[:ns], c[ns:])
-
     h0, f0 = np.asarray(initial.h_coeffs, float), np.asarray(initial.f_coeffs, float)
-    if h0.shape != (ns,) or f0.shape != (nc,):
+    lead = h0.shape[:-1]
+    if h0.ndim not in (1, 2) or 0 in lead or h0.shape != lead + (ns,) or f0.shape != lead + (nc,):
+        needs = f"({ns},) and ({nc},)" if h0.ndim < 2 else f"(runs, {ns}) and (runs, {nc}), runs >= 1"
         raise ValueError(f"initial coefficients have shapes {h0.shape} and {f0.shape}, "
-                         f"the split needs ({ns},) and ({nc},)")
-    c = np.concatenate([h0, f0])
+                         f"the split needs {needs}")
 
     n_steps = int(round(T / h))
-    times = [0.0]
-    hs, fs = [c[:ns].copy()], [c[ns:].copy()]
-    # The state is checked each step and the monitors once after the run, so
-    # numpy's overflow warnings (from the squared coefficients, or from the
-    # RK4 update itself when h is huge) would only repeat the error raised here.
+    starts = np.concatenate([h0, f0], axis=-1).reshape(-1, ns + nc)
+    times, samples = _rk4(split.coupling, ns, starts, h, n_steps, sample_stride)
+    # per run: (n_samples, |S|) and (n_samples, |S^c|) views of the samples
+    hs, fs = samples[..., :ns].swapaxes(0, 1), samples[..., ns:].swapaxes(0, 1)
+    norms = split.basis.norm_constants
+    # one matmul per run, of the shapes a lone run has, so its monitors keep
+    # their bits whatever the stack; overflow is raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            k1 = rhs(c)
-            k2 = rhs(c + 0.5 * h * k1)
-            k3 = rhs(c + 0.5 * h * k2)
-            k4 = rhs(c + h * k3)
-            c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(c).all():
-                raise NonFiniteStateError(f"non-finite state at step {step}")
-            if step % sample_stride == 0 or step == n_steps:
-                times.append(step * h)
-                hs.append(c[:ns].copy())
-                fs.append(c[ns:].copy())
-        hs, fs = np.array(hs), np.array(fs)
-        norms = split.basis.norm_constants
-        mons = np.stack([hs ** 2 @ norms[split.s_indices], fs ** 2 @ norms[split.c_indices]], axis=1)
+        mons = np.array([np.stack([hr ** 2 @ norms[split.s_indices], fr ** 2 @ norms[split.c_indices]],
+                                  axis=1) for hr, fr in zip(hs, fs)])
 
-    overflow = ~np.isfinite(mons).all(axis=1)
+    overflow = ~np.isfinite(mons).all(axis=2)
     if overflow.any():
-        step = min(int(np.argmax(overflow)) * sample_stride, n_steps)
-        raise NonFiniteStateError(f"non-finite invariant monitor at step {step}")
-    return Trajectory(np.array(times), hs, fs, mons)
+        sample, run = np.argwhere(overflow.T)[0]
+        raise _non_finite("invariant monitor", min(int(sample) * sample_stride, n_steps),
+                          int(run), len(starts))
+    if not lead:
+        return Trajectory(times, hs[0], fs[0], mons[0])
+    return Trajectory(times, hs, fs, mons)

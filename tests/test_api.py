@@ -113,3 +113,9 @@ def test_array_dataclasses_compare_and_hash(make):
     a, b = make(), make()  # equal values in distinct arrays
     assert a == a and a != b
     assert hash(a) == hash(a)
+
+
+def test_package_exports_the_integrate_error():
+    # the public integrate raises it, so callers catch it from the package
+    import spinctl
+    assert spinctl.NonFiniteStateError is bt.NonFiniteStateError

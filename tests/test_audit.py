@@ -8,7 +8,7 @@ import pytest
 from dirac_rows import dirac_row, named
 from spinctl import audit, closedforms as cf
 from spinctl.audit import catalog_ids, format_report, full_report, run_check
-from spinctl.brachistochrone import OperatorPair, brachistochrone_rhs, canonical_split
+from spinctl.brachistochrone import OperatorPair, brachistochrone_rhs, canonical_split, integrate
 
 EXPECTED_TOKENS = {
     "sphere_constraint": "sphere_divisor=dim",
@@ -61,18 +61,21 @@ class TestCatalog:
         assert "factor 2" in detail
         assert "n+ + n-" in detail
 
-    def test_flow_spectral_drift_detected(self, monkeypatch):
-        # Scaling the last F sample by 1 + 1e-6 moves the spectrum of H + F
-        # but keeps Tr(HF) = 0, so only a spectral check can see it.
-        integrate = audit.bt.integrate
+    @pytest.mark.parametrize("group", audit._FLOW_GROUPS)
+    def test_flow_spectral_drift_detected(self, monkeypatch, group):
+        # Scaling one group's last F sample by 1 + 1e-6 moves the spectrum of
+        # H + F but keeps Tr(HF) = 0, so only a spectral check can see it, and
+        # only if the check reads that group's slice of the direct-sum flow.
+        splits = [canonical_split(g) for g in audit._FLOW_GROUPS]
+        f_col = audit._direct_sum(splits)[2][audit._FLOW_GROUPS.index(group)]
+        rk4 = audit.bt._rk4
 
         def perturbed(*args, **kwargs):
-            traj = integrate(*args, **kwargs)
-            fs = traj.f_coeffs.copy()
-            fs[-1] *= 1 + 1e-6
-            return dataclasses.replace(traj, f_coeffs=fs)
+            times, samples = rk4(*args, **kwargs)
+            samples[-1, :, f_col] *= 1 + 1e-6
+            return times, samples
 
-        monkeypatch.setattr(audit.bt, "integrate", perturbed)
+        monkeypatch.setattr(audit.bt, "_rk4", perturbed)
         result = run_check("constraint_orthogonality")
         assert result.status == "FAIL"
         assert result.max_error > 1e-7
@@ -289,6 +292,25 @@ class TestDrawSets:
         assert a.m.shape == (40,) and a.p0.shape == (40, 3)
         assert np.all(np.linalg.norm(a.p0, axis=1) > 3.0)
         assert np.array_equal(a.m, b.m) and np.array_equal(a.p0, b.p0)
+
+
+class TestDirectSumFlow:
+    def test_slices_back_to_serial_runs(self):
+        # the flow half of constraint_orthogonality: one kernel flow over the three
+        # groups is, group by group, bitwise the serial integrate of that group
+        rng = np.random.default_rng(11)
+        splits = [canonical_split(g) for g in audit._FLOW_GROUPS]
+        starts = [(rng.uniform(-1, 1, len(sp.s_indices)), rng.uniform(-1, 1, len(sp.c_indices)))
+                  for sp in splits]
+        coupling, h_cols, f_cols = audit._direct_sum(splits)
+        assert coupling.shape == (26, 8, 18)
+        x0 = np.concatenate([h for h, _ in starts] + [f for _, f in starts])
+        times, samples = audit.bt._rk4(coupling, 8, x0[None], h=1e-3, n_steps=1000, stride=100)
+        for split, (h0, f0), hc, fc in zip(splits, starts, h_cols, f_cols):
+            alone = integrate(OperatorPair(h0, f0), split, h=1e-3, T=1.0, sample_stride=100)
+            assert np.array_equal(times, alone.times)
+            assert np.array_equal(samples[:, 0, hc], alone.h_coeffs)
+            assert np.array_equal(samples[:, 0, fc], alone.f_coeffs)
 
 
 class TestDeterminism:

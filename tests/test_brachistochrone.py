@@ -209,3 +209,61 @@ class TestIntegrate:
             with pytest.raises(RuntimeError, match=r"step \d+"):
                 integrate(start, split, h=10.0, T=100.0)
 
+
+
+def random_starts(split: ControlSplit, runs: int) -> OperatorPair:
+    return OperatorPair(RNG.uniform(-1, 1, (runs, len(split.s_indices))),
+                        RNG.uniform(-1, 1, (runs, len(split.c_indices))))
+
+
+class TestStackedIntegrate:
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random"])
+    def test_rows_bitwise_serial(self, group, canonical):
+        split = canonical_split(group) if canonical else random_split(group, RNG)
+        starts = random_starts(split, 5)
+        traj = integrate(starts, split, h=1e-2, T=1.0, sample_stride=7)
+        n = len(traj.times)
+        assert traj.h_coeffs.shape == (5, n, len(split.s_indices))
+        assert traj.f_coeffs.shape == (5, n, len(split.c_indices))
+        assert traj.monitors.shape == (5, n, 2)
+        assert traj.monitor_drift().shape == (5, 2)
+        for r, (h0, f0) in enumerate(zip(starts.h_coeffs, starts.f_coeffs)):
+            alone = integrate(OperatorPair(h0, f0), split, h=1e-2, T=1.0, sample_stride=7)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.h_coeffs[r], alone.h_coeffs)
+            assert np.array_equal(traj.f_coeffs[r], alone.f_coeffs)
+            assert np.array_equal(traj.monitors[r], alone.monitors)
+            assert np.array_equal(traj.monitor_drift()[r], alone.monitor_drift())
+
+    def test_one_overflowing_run_is_named(self):
+        split = canonical_split("su4")
+        starts = random_starts(split, 3)
+        starts.h_coeffs[1], starts.f_coeffs[1] = 1e154, 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as alone:
+                integrate(OperatorPair(starts.h_coeffs[1], starts.f_coeffs[1]), split, h=10.0, T=100.0)
+            with pytest.raises(NonFiniteStateError) as stacked:
+                integrate(starts, split, h=10.0, T=100.0)
+        assert str(alone.value).startswith("non-finite state at step ")
+        assert str(stacked.value) == f"{alone.value} of run 1"
+
+    def test_overflowing_monitor_names_the_run(self):
+        # run 1 has F = 0, which freezes a finite state whose Tr(H^2) overflows
+        split = canonical_split("su2")
+        starts = OperatorPair(np.array([[1.0, 0.0], [1e200, 0.0]]), np.array([[-0.5], [0.0]]))
+        with pytest.raises(NonFiniteStateError, match="monitor at step 0 of run 1$"):
+            integrate(starts, split, h=0.1, T=1.0)
+
+    @pytest.mark.parametrize("h_shape,f_shape", [
+        ((3, 2), (4, 1)),   # runs differ
+        ((3, 2), (1,)),     # a stack and a row
+        ((3, 3), (3, 0)),   # the right total width, split wrongly
+        ((3, 2), (3, 2)),
+        ((0, 2), (0, 1)),   # no runs
+        ((1, 3, 2), (1, 3, 1)),
+    ])
+    def test_rejects_mis_shaped_stack(self, h_shape, f_shape):
+        split = canonical_split("su2")
+        with pytest.raises(ValueError, match=r"needs \(runs, 2\) and \(runs, 1\)"):
+            integrate(OperatorPair(np.ones(h_shape), np.ones(f_shape)), split, h=1e-2, T=0.1)
