@@ -15,8 +15,8 @@ monitored: S and S^c are trace-orthogonal, so it is identically zero.
 ``integrate`` runs one start or a stack of starts on one private RK4 kernel,
 ``_rk4``, which advances a (runs, n) array of coefficient rows by one batched
 step at a time; each row evolves bitwise as it would alone. The kernel takes
-a coupling tensor and the size of S, not a split, so the audit also runs it on
-a direct sum of splits.
+a coupling tensor and the size of S, not a split. The audit's own fixed-order
+Taylor-series flow reads the same (runs, n) layout, on a direct sum of splits.
 """
 from __future__ import annotations
 
