@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinctl.cli import ConfigError, _build_parser, dispatch, parse_config
+from spinctl.closedforms import DiracParameters, su4_family
 from spinctl.generators import build_basis
+
+
+def eigh_exp(h, tau):
+    """exp(-i H tau) of one Hermitian matrix through numpy's eigh."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * tau)) @ v.conj().T
+
 
 SU2_CONFIG = """\
 # minimal transverse-plane run
@@ -164,6 +172,19 @@ class TestMatrixCommands:
         out = capsys.readouterr().out
         dev = float(out.strip().splitlines()[-1].split("=")[1])
         assert dev < 1e-5
+
+    def test_propagate_small_energy_is_not_the_identity(self, capsys):
+        # E ~ 1e-6 and t1 = 1000: the phases differ from 1 by about 1e-3
+        assert dispatch(["propagate", "--family", "su4", "--t1", "1000",
+                         "--m", "1e-6", "--p", "1e-7,0,0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        u, v = (np.array([[complex(z) for z in row.split()] for row in lines[k:k + 4]])
+                for k in (1, 6))
+        c, h0 = su4_family(DiracParameters(m=1e-6, p0=[1e-7, 0.0, 0.0])).frame
+        ref = eigh_exp(c, 1000.0) @ eigh_exp(h0 - c, 1000.0)
+        assert np.max(np.abs(ref - np.eye(4))) > 1e-4
+        assert np.max(np.abs(v - ref)) <= 1e-12
+        assert np.max(np.abs(u - ref)) <= 1e-12
 
 
 class TestAuditCommand:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from spinctl import matrixcore
+from spinctl.closedforms import su3_family
 from spinctl.generators import PAULI, assemble_dirac, dirac_operators
 from spinctl.matrixcore import commutator, dagger, expm_unitary
+from spinctl.oracle import time_ordered_exponential
 
 I2, SX, SY, SZ = PAULI
 RNG = np.random.default_rng(7)
@@ -11,6 +14,22 @@ RNG = np.random.default_rng(7)
 def random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + dagger(a)) / 2
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def eigh_exp(h, tau):
+    """exp(-i H tau) of one Hermitian matrix through numpy's eigh: the reference."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * tau)) @ dagger(v)
+
+
+def with_spectrum(rng, spectrum):
+    u = haar_unitary(rng, len(spectrum))
+    return (u * np.asarray(spectrum, dtype=float)) @ dagger(u)
 
 
 class TestDagger:
@@ -125,3 +144,86 @@ class TestPredicates:
         from spinctl.closedforms import su2_family
         u = su2_family().propagator(1.3, -0.4)
         assert np.max(np.abs(u @ dagger(u) - np.eye(2))) <= 1e-12
+
+
+class TestExpmUnitarySmallScale:
+    """A small nonzero H is not taken for H = 0: the identity tests scale with E^k."""
+
+    def test_small_involutory(self):
+        h = 1e-6 * SX
+        assert np.max(np.abs(expm_unitary(h, 1.0) - eigh_exp(h, 1.0))) <= 1e-15
+
+    def test_small_spin1(self):
+        h = 1e-6 * with_spectrum(np.random.default_rng(21), [-1.0, 0.0, 1.0])
+        assert np.max(np.abs(expm_unitary(h, 100.0) - eigh_exp(h, 100.0))) <= 1e-15
+
+    def test_small_generic(self):
+        h = 1e-6 * random_hermitian(np.random.default_rng(22), 3)
+        assert np.max(np.abs(expm_unitary(h, 100.0) - eigh_exp(h, 100.0))) <= 1e-15
+
+    def test_identity_only_for_zero(self):
+        h = np.stack([np.zeros((2, 2)), 1e-9 * SZ])
+        u = expm_unitary(h, 1.0)
+        assert np.array_equal(u[0], np.eye(2))
+        assert np.max(np.abs(u[1] - eigh_exp(h[1], 1.0))) <= 1e-16
+
+
+class TestExpmUnitarySpin1:
+    """Matrices with spectrum in {-E, 0, E} take the spin-1 closed form, not eigh."""
+
+    SPECTRA = {"d3": [-1.0, 0.0, 1.0], "d4_one_zero": [-1.0, 0.0, 0.0, 1.0],
+               "d4_double": [-1.0, -1.0, 0.0, 1.0]}
+
+    @pytest.fixture
+    def no_eigh(self, monkeypatch):
+        def refuse(h, tau):
+            raise AssertionError("took the eigh branch")
+        monkeypatch.setattr(matrixcore, "_eigh_exp", refuse)
+
+    @pytest.mark.parametrize("spectrum", SPECTRA.values(), ids=SPECTRA.keys())
+    def test_diagonal_matches_eigh(self, spectrum, no_eigh):
+        # E at unit scale: the phase E tau, rounded on both sides, stays below 50.
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            e, tau = rng.uniform(0.1, 1.0), rng.uniform(-50, 50)
+            h = np.diag(e * np.asarray(spectrum))
+            assert np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau))) <= 1e-14
+
+    @pytest.mark.parametrize("spectrum", SPECTRA.values(), ids=SPECTRA.keys())
+    def test_rotated_matches_eigh(self, spectrum, no_eigh):
+        # Both sides carry a phase rounding of order eps * |E tau|, so the
+        # bound grows with the phase; it is 1e-14 near |E tau| = 2.
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            e, tau = rng.uniform(0.1, 3.0), rng.uniform(-50, 50)
+            h = with_spectrum(rng, e * np.asarray(spectrum))
+            err = np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau)))
+            assert err <= 3e-15 * (1 + abs(e * tau))
+
+    @pytest.mark.parametrize("scale,tau", [(1e120, 1e-120), (1e-160, 1e160)])
+    def test_extreme_scales_take_eigh_quietly(self, scale, tau):
+        # Tr H^4 overflows, or E^2 underflows: no warning, and eigh's result
+        h = scale * with_spectrum(np.random.default_rng(27), [-1.0, 0.0, 1.0])
+        h = (h + dagger(h)) / 2  # exactly Hermitian: the check is absolute
+        assert np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau))) <= 1e-14
+
+    def test_near_miss_takes_eigh(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            h = with_spectrum(rng, [-1.0, 1e-6, 1.0])
+            tau = rng.uniform(-50, 50)
+            assert np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau))) <= 1e-14
+
+    def test_mixed_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(26)
+        stack = np.stack([np.kron(SZ, I2), with_spectrum(rng, [-0.7, 0.0, 0.0, 0.7]),
+                          random_hermitian(rng, 4), np.zeros((4, 4)),
+                          with_spectrum(rng, [-2.0, -2.0, 0.0, 2.0])])
+        for tau in (0.37, -2.1):
+            ref = np.stack([expm_unitary(h, tau) for h in stack])
+            assert np.max(np.abs(expm_unitary(stack, tau) - ref)) <= 1e-14
+
+    def test_su3_product_takes_no_eigh(self, no_eigh):
+        fam = su3_family(0.4)
+        u = time_ordered_exponential(fam.hamiltonian, 0.0, 1.0, 600)
+        assert np.max(np.abs(u @ dagger(u) - np.eye(3))) <= 1e-13
