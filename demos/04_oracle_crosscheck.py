@@ -50,7 +50,7 @@ for fam in families:
     psi0 = np.zeros(fam.dim, dtype=complex)
     psi0[0] = 1.0
     states = evolve_state(psi0, fam.hamiltonian, 0.0, steps * dt, steps)
-    Vs = [energy_variance(s, fam.hamiltonian(k * dt)) for k, s in enumerate(states)]
+    Vs = energy_variance(states, fam.hamiltonian(np.arange(steps + 1) * dt))
     rows = fs_speed_check(states, dt, Vs)
     print(f"  {fam.group_id}: fs speed {rows[0, 0]:.6f}, sqrt variance {rows[0, 1]:.6f}, "
           f"max residual {np.max(rows[:, 2]):.2e}")

@@ -45,7 +45,7 @@ from .generators import (
     reconstruct,
     verify_algebra,
 )
-from .matrixcore import commutator, dagger, expm_unitary
+from .matrixcore import dagger, expm_unitary
 from .oracle import (
     energy_variance,
     evolve_state,

@@ -16,10 +16,10 @@ nothing to resolve. run_check alone turns that into a CheckResult:
 Reports are deterministic for a fixed seed, byte for byte. A check draws
 each random quantity as one array, in code order: the n sets (m, p0) by
 _draw_sets, whose rejection loop redraws the short rows of p0 in place,
-then the times. Its closed-form builders (H(t), U(t, s), Q(t), frames) are
-called once per (100, d, d) stack, and conjugations and residuals are
-stacks too. The draw order fixes the printed digits; a change to
-it may move digits but must leave every verdict and token as it was.
+then the times. Its closed-form builders (H(t), U(t, s), Q(t), frames) and
+rate systems are called once per stack of 100 probes, and conjugations and
+residuals are stacks too. The draw order fixes the printed digits; a change
+to it may move digits but must leave every verdict and token as it was.
 
 Check catalog (fixed order):
 
@@ -55,7 +55,7 @@ from . import brachistochrone as bt
 from . import closedforms as cf
 from . import oracle
 from .generators import build_basis, dirac_operators, verify_algebra
-from .matrixcore import dagger
+from .matrixcore import dagger, row_dot
 
 __all__ = ["CheckResult", "catalog_ids", "format_report", "full_report", "run_check"]
 
@@ -226,7 +226,8 @@ def _check_propagator_question(rng):
 # Hand-derived Dirac-split rate equations (su4), kept exactly as stated. Each
 # maps a row of the 15 coefficients of canonical_split("su4"), h then f, to
 # its rate in the same slots: m on s30, p on s1j, omega0 on s0j, omega10 on
-# s10, omega20 on s20, omega2 on s2j and omega3 on s3j (j = 1, 2, 3).
+# s10, omega20 on s20, omega2 on s2j and omega3 on s3j (j = 1, 2, 3). A
+# (..., 15) stack of rows gives the stack of their rates, bitwise.
 # --------------------------------------------------------------------------
 
 def _component_rates(x: np.ndarray) -> np.ndarray:
@@ -241,16 +242,19 @@ def _component_rates(x: np.ndarray) -> np.ndarray:
     the (omega10, omega3) block carries no omega20 factor, unlike the
     generic projection; the audit measures that gap.
     """
-    m, p, o, omega10, omega2, omega3 = x[0], x[1:4], x[4:7], x[7], x[9:12], x[12:15]
-    theta = 2.0 * np.array([
-        [0.0,        omega2[0],  omega2[1],  omega2[2]],
-        [-omega2[0], 0.0,        o[2],       -o[1]],
-        [-omega2[1], -o[2],      0.0,         o[0]],
-        [-omega2[2],  o[1],     -o[0],        0.0],
-    ])
-    mp_dot = theta @ x[:4]
-    omega20_dot = 2.0 * (m * omega10 - p @ omega3)
-    return np.concatenate([mp_dot, np.zeros(3), [-2.0 * m, omega20_dot], np.zeros(3), 2.0 * p])
+    m, p, o, omega10, _, omega2, omega3 = np.split(x, [1, 4, 7, 8, 9, 12], axis=-1)
+    (o1, o2, o3), (w1, w2, w3) = np.moveaxis(o, -1, 0), np.moveaxis(omega2, -1, 0)
+    zero = np.zeros_like(o1)
+    theta = 2.0 * np.stack([
+        zero, w1,   w2,   w3,
+        -w1,  zero, o3,   -o2,
+        -w2,  -o3,  zero, o1,
+        -w3,  o2,   -o1,  zero,
+    ], axis=-1).reshape(x.shape[:-1] + (4, 4))
+    mp_dot = (theta @ x[..., :4, None])[..., 0]
+    omega20_dot = 2.0 * (m * omega10 - row_dot(p, omega3)[..., None])
+    zeros = np.zeros_like(p)
+    return np.concatenate([mp_dot, zeros, -2.0 * m, omega20_dot, zeros, 2.0 * p], axis=-1)
 
 
 def _vector_rates(x: np.ndarray) -> np.ndarray:
@@ -266,14 +270,15 @@ def _vector_rates(x: np.ndarray) -> np.ndarray:
     missing factors of two on dm/dt and d(xi_r)/dt. Those gaps are audit
     findings, not bugs here.
     """
-    m, p, o, omega10, b, omega3 = x[0], x[1:4], x[4:7], x[7], x[9:12], x[12:15]
+    m, p, o, omega10, _, b, omega3 = np.split(x, [1, 4, 7, 8, 9, 12], axis=-1)
     n_plus, n_minus = o + omega3, o - omega3
     n = n_plus + n_minus
-    curl = np.array([n[1] * p[2] - n[2] * p[1], n[2] * p[0] - n[0] * p[2], n[0] * p[1] - n[1] * p[0]])
-    p_dot = -m * n - curl
-    omega20_dot = m * omega10 + p @ (n_plus - n_minus)
+    p_dot = -m * n - np.cross(n, p)
+    omega20_dot = m * omega10 + row_dot(p, n_plus - n_minus)[..., None]
+    zeros = np.zeros_like(p)
     # omega0' = (n+ + n-)'/2 and omega3' = (n+ - n-)'/2, with n+' = n-'
-    return np.concatenate([[b @ p], p_dot, 2.0 * p, [-m, omega20_dot], np.zeros(3), np.zeros(3)])
+    return np.concatenate([row_dot(b, p)[..., None], p_dot, 2.0 * p, -m, omega20_dot, zeros, zeros],
+                          axis=-1)
 
 
 # Row slots of the rates. Group A is where the component form is a faithful projection.
@@ -282,15 +287,10 @@ _GROUP_B = [7, 12, 13, 14]                      # omega10, omega3
 
 
 def _check_ode_transcriptions(rng):
-    split = bt.canonical_split("su4")
     x = rng.uniform(-2, 2, (100, 15))
-
-    def generic(row):
-        rate = bt.brachistochrone_rhs(bt.OperatorPair(row[:4], row[4:]), split)
-        return np.concatenate([rate.h_coeffs, rate.f_coeffs])
-
+    rate = bt.brachistochrone_rhs(bt.OperatorPair(x[:, :4], x[:, 4:]), bt.canonical_split("su4"))
     # generic, component, vector: (100, 15) each
-    g, d, v = (np.array([rates(row) for row in x]) for rates in (generic, _component_rates, _vector_rates))
+    g, d, v = np.concatenate([rate.h_coeffs, rate.f_coeffs], axis=1), _component_rates(x), _vector_rates(x)
     ga, da, gb, db = g[:, _GROUP_A], d[:, _GROUP_A], g[:, _GROUP_B], d[:, _GROUP_B]
     factor = np.sum(ga * da) / np.sum(da * da)
     res_a = np.max(np.abs(ga - factor * da))

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .generators import PAULI, build_basis, reconstruct
-from .matrixcore import dagger
+from .matrixcore import dagger, row_dot
 
 __all__ = [
     "AUDITED_CONVENTIONS",
@@ -146,7 +146,7 @@ class DiracParameters:
             raise ValueError("theta must be finite: a scalar, or one angle per set")
         # np.float_power and the per-set matmul round as float(m) ** 2 + p0 @ p0 does
         with np.errstate(over="ignore", invalid="ignore"):
-            e2 = np.float_power(m, 2) + _norm2(p0)
+            e2 = np.float_power(m, 2) + row_dot(p0, p0)
         if not np.all(np.isfinite(e2)):
             raise ValueError("non-finite energy: need finite m^2 + |p0|^2")
         if np.any(e2 <= 0.0):
@@ -155,11 +155,6 @@ class DiracParameters:
         for name, value in (("m", m), ("p0", p0), ("theta", theta), ("energy", energy)):
             value.setflags(write=False)  # energy is stored, so the sets must not change
             object.__setattr__(self, name, value if value.ndim else float(value))
-
-
-def _norm2(p0: np.ndarray):
-    """|p0|^2 of a 3-vector, or per set of an (n, 3) stack."""
-    return np.matmul(p0[..., None, :], p0[..., :, None])[..., 0, 0]
 
 
 def _block4(upper_left, upper_right, lower_left, lower_right) -> np.ndarray:
@@ -251,7 +246,7 @@ def su4_eigenframe(params, t) -> EigenFrame:
     (n, 4, 4) stacks, each bitwise the single-set frame.
     """
     m, p0, e = params.m, params.p0, params.energy
-    p2 = _norm2(p0)
+    p2 = row_dot(p0, p0)
     if np.any(p2 == 0.0):
         raise ValueError("eigenframe requires |p0| > 0 (E - m must not vanish)")
     phi = _phase(params.theta, e, t)

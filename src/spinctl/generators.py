@@ -104,19 +104,20 @@ def build_basis(group_id: str) -> GeneratorBasis:
 def project_coefficients(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """Expand a Hermitian matrix on the basis: c_k = Tr(g_k A) / Tr(g_k^2).
 
-    The identity component is not representable; a warning is emitted if A
-    carries a nonzero trace (that part is dropped).
+    An (n, d, d) stack gives (n, len(basis)), each row bitwise the lone
+    matrix's. The identity component is not representable: a nonzero trace
+    is dropped with one warning, which names the worst |Tr A|.
     """
     a = as_operator(a)
-    if a.shape[0] != basis.dim:
-        raise ValueError(f"dimension mismatch: matrix {a.shape[0]}, basis {basis.dim}")
-    tr = abs(np.trace(a))
+    if a.shape[-1] != basis.dim:
+        raise ValueError(f"dimension mismatch: matrix {a.shape[-1]}, basis {basis.dim}")
+    tr = np.max(np.abs(np.trace(a, axis1=-2, axis2=-1)))
     if tr > 1e-12:
         warnings.warn(
             f"matrix has trace {tr:.3e}; identity component dropped by projection",
             stacklevel=2,
         )
-    coeffs = np.einsum("kij,ji->k", basis.elements, a) / basis.norm_constants
+    coeffs = np.einsum("kij,...ji->...k", basis.elements, a) / basis.norm_constants
     return coeffs.real
 
 

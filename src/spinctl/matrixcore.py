@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["as_operator", "commutator", "dagger", "expm_unitary"]
+__all__ = ["as_operator", "dagger", "expm_unitary", "row_dot"]
 
 #: Absolute tolerance on max|H - H^dag| accepted by expm_unitary.
 HERMITIAN_TOL = 1e-10
@@ -24,11 +24,11 @@ INVOLUTORY_TOL = 1e-10
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce ``a`` to a square complex128 matrix with finite entries."""
+    """Coerce ``a`` to a square complex128 matrix, or an (n, d, d) stack of them, with finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -38,12 +38,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[A, B] = AB - BA."""
-    a, b = as_operator(a), as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unconjugated dot of the last axes, one (1, k) @ (k, 1) matmul per row: bitwise per row, unlike einsum."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:

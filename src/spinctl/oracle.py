@@ -13,9 +13,9 @@ H(t) = e^{-iCt} H0 e^{+iCt}, the exact propagator
 
 is available in closed form and satisfies i dV/dt = H(t) V.
 
-Diagnostics: the energy variance <H^2> - <H>^2 and the projective
-(Fubini-Study) speed of a state history, which along any Schrodinger
-evolution equals sqrt(variance).
+Diagnostics, each over a whole state history at once: the energy
+variance <H^2> - <H>^2 and the projective (Fubini-Study) speed, which
+along any Schrodinger evolution equals sqrt(variance).
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .closedforms import UnitaryFamily
-from .matrixcore import as_operator, expm_unitary
+from .matrixcore import as_operator, expm_unitary, row_dot
 
 __all__ = [
     "energy_variance",
@@ -166,16 +166,21 @@ def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,
     return out
 
 
-def energy_variance(psi, h: np.ndarray) -> float:
-    """<H^2> - <H>^2 in the state psi (nonnegative for Hermitian H)."""
+def energy_variance(psi, h: np.ndarray):
+    """<H^2> - <H>^2 in the state psi (nonnegative for Hermitian H).
+
+    An (n, d) stack of states gives (n,), each bitwise the lone state's,
+    with one (d, d) H for all states or an (n, d, d) stack of one per state.
+    """
     psi = np.asarray(psi, dtype=complex)
     h = as_operator(h)
-    if psi.shape != (h.shape[0],):
-        raise ValueError(f"dimension mismatch: state {psi.shape}, matrix {h.shape}")
-    hpsi = h @ psi
-    mean = np.vdot(psi, hpsi).real
-    mean_sq = np.vdot(hpsi, hpsi).real
-    return mean_sq - mean ** 2
+    if psi.ndim not in (1, 2) or psi.shape[-1] != h.shape[-1] or h.shape[:-2] not in ((), psi.shape[:-1]):
+        raise ValueError(f"dimension mismatch: states {psi.shape}, matrix {h.shape}")
+    hpsi = (h @ psi[..., None])[..., 0]
+    mean = row_dot(psi.conj(), hpsi).real
+    mean_sq = row_dot(hpsi.conj(), hpsi).real
+    # float_power squares a stacked mean the way ** squares a scalar one
+    return mean_sq - np.float_power(mean, 2)
 
 
 def fs_speed_check(states: np.ndarray, dt: float, variances) -> np.ndarray:
@@ -184,21 +189,19 @@ def fs_speed_check(states: np.ndarray, dt: float, variances) -> np.ndarray:
     For each interior sample (central differences, endpoints dropped) the
     speed sqrt(<dpsi|(1 - |psi><psi|)|dpsi>) is compared with the supplied
     sqrt(variance). Returns rows (fs_speed, sqrt_variance, residual) for
-    samples 1 .. n-2.
+    samples 1 .. n-2. ``dt`` must be finite and nonzero; a negative one runs backwards.
     """
     states = np.asarray(states, dtype=complex)
     variances = np.asarray(variances, dtype=float)
     if states.ndim != 2 or states.shape[0] < 3:
         raise ValueError("need at least 3 states on a uniform time grid")
-    if variances.shape[0] != states.shape[0]:
-        raise ValueError("one variance per state is required")
-    n = states.shape[0]
-    out = np.empty((n - 2, 3))
-    for k in range(1, n - 1):
-        dpsi = (states[k + 1] - states[k - 1]) / (2.0 * dt)
-        psi = states[k]
-        proj = dpsi - psi * np.vdot(psi, dpsi)
-        fs = float(np.sqrt(np.vdot(proj, proj).real))
-        sv = float(np.sqrt(max(variances[k], 0.0)))
-        out[k - 1] = (fs, sv, abs(fs - sv))
-    return out
+    if variances.shape != states.shape[:1]:
+        raise ValueError(f"one variance per state is required, got shape {variances.shape}")
+    if dt == 0 or not math.isfinite(dt):
+        raise ValueError(f"dt must be nonzero and finite, got {dt}")
+    dpsi = (states[2:] - states[:-2]) / (2.0 * dt)
+    psi = states[1:-1]
+    proj = dpsi - psi * row_dot(psi.conj(), dpsi)[:, None]
+    fs = np.sqrt(row_dot(proj.conj(), proj).real)
+    sv = np.sqrt(np.maximum(variances[1:-1], 0.0))
+    return np.stack([fs, sv, np.abs(fs - sv)], axis=1)

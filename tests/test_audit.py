@@ -132,7 +132,7 @@ def _scale_component_mass_rate(monkeypatch):
 
     def scaled(x):
         rate = component_rates(x)
-        rate[0] *= 1 + 1e-9
+        rate[..., 0] *= 1 + 1e-9
         return rate
 
     monkeypatch.setattr(audit, "_component_rates", scaled)
@@ -251,6 +251,13 @@ class TestDiracSplitForms:
             assert abs(g.omega20 - d.omega20) < 1e-12
             assert abs(g.omega10 - d.omega10 * s.omega20) < 1e-12
             assert np.max(np.abs(g.omega3 - d.omega3 * s.omega20)) < 1e-12
+
+    @pytest.mark.parametrize("rates", ["_component_rates", "_vector_rates"])
+    def test_stack_is_bitwise_its_rows(self, rates):
+        x = np.random.default_rng(29).uniform(-2, 2, (200, 15))
+        stacked = getattr(audit, rates)(x)
+        assert stacked.shape == (200, 15)
+        assert np.array_equal(stacked, np.array([getattr(audit, rates)(row) for row in x]))
 
     def test_vector_form_cross_term_matches_generic(self):
         # the curl part of dp/dt agrees between the vector form and the

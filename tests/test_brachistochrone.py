@@ -96,6 +96,31 @@ class TestRhs:
                 assert np.max(np.abs(stacked - fast)) < 1e-13
 
 
+class TestStackedRhs:
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random_split"])
+    def test_rows_bitwise_per_row_calls(self, group, canonical):
+        split = canonical_split(group) if canonical else random_split(group, RNG)
+        ns, nc = len(split.s_indices), len(split.c_indices)
+        h, f = RNG.uniform(-2, 2, (40, ns)), RNG.uniform(-2, 2, (40, nc))
+        deriv = brachistochrone_rhs(OperatorPair(h, f), split)
+        assert deriv.h_coeffs.shape == (40, ns) and deriv.f_coeffs.shape == (40, nc)
+        for k in range(40):
+            row = brachistochrone_rhs(OperatorPair(h[k], f[k]), split)
+            assert np.array_equal(deriv.h_coeffs[k], row.h_coeffs)
+            assert np.array_equal(deriv.f_coeffs[k], row.f_coeffs)
+
+    @pytest.mark.parametrize("h_lead,f_lead",
+                             [((3,), (1,)), ((1,), (3,)), ((), (3,)), ((3,), ()), ((2,), (3,))],
+                             ids=["n_vs_1", "1_vs_n", "row_vs_stack", "stack_vs_row", "n_vs_m"])
+    def test_mismatched_stacks_raise(self, h_lead, f_lead):
+        split = canonical_split("su3")
+        state = OperatorPair(np.ones(h_lead + (len(split.s_indices),)),
+                             np.ones(f_lead + (len(split.c_indices),)))
+        with pytest.raises(ValueError, match="stacks differ"):
+            brachistochrone_rhs(state, split)
+
+
 class TestIntegrate:
     def test_constant_when_constraint_zero(self):
         split = canonical_split("su3")

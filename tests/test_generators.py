@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,24 @@ class TestProjection:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             project_coefficients(np.eye(3, dtype=complex), build_basis("su2"))
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_projected_stack_is_per_matrix_calls(self, group):
+        basis = build_basis(group)
+        a = reconstruct(RNG.uniform(-2, 2, (50, len(basis))), basis)
+        stacked = project_coefficients(a, basis)
+        assert stacked.shape == (50, len(basis))
+        assert np.array_equal(stacked, np.array([project_coefficients(m, basis) for m in a]))
+
+    def test_stack_warns_once_naming_the_worst_trace(self):
+        stack = np.zeros((4, 2, 2), dtype=complex)
+        stack[1] = np.diag([0.5, 0.0])
+        stack[3] = np.diag([-3.0, 0.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            project_coefficients(stack, build_basis("su2"))
+        assert [str(w.message) for w in caught] == [
+            "matrix has trace 3.000e+00; identity component dropped by projection"]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="coefficients"):

@@ -4,7 +4,7 @@ import pytest
 from spinctl import matrixcore
 from spinctl.closedforms import su3_family
 from spinctl.generators import PAULI, assemble_dirac, dirac_operators
-from spinctl.matrixcore import commutator, dagger, expm_unitary
+from spinctl.matrixcore import as_operator, dagger, expm_unitary, row_dot
 from spinctl.oracle import time_ordered_exponential
 
 I2, SX, SY, SZ = PAULI
@@ -40,13 +40,35 @@ class TestDagger:
         assert np.array_equal(dagger(a[0]), a[0].conj().T)
 
 
-class TestCommutator:
-    def test_pauli_commutator(self):
-        assert np.array_equal(commutator(SX, SY), 2j * SZ)
+class TestAsOperator:
+    def test_takes_a_stack(self):
+        stack = np.stack([SX, SY, SZ])
+        assert np.array_equal(as_operator(stack), stack)
+        assert as_operator(stack).dtype == complex
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator(SX, np.eye(3))
+    def test_takes_non_contiguous_views(self):
+        a = np.array([[1, 2j], [3, 4]])
+        assert np.array_equal(as_operator(a.T), a.T)
+        assert as_operator(np.broadcast_to(np.zeros((2, 2)), (3, 2, 2))).shape == (3, 2, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 2), (3, 2, 3), (2,)], ids=["4-D", "non-square", "1-D"])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="square matrix or a stack"):
+            as_operator(np.zeros(shape))
+
+    def test_rejects_non_finite_in_a_stack(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            as_operator(stack)
+
+
+class TestRowDot:
+    def test_stack_is_per_row_calls(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(2, 500, 4))
+        assert np.array_equal(row_dot(a, b), np.array([row_dot(x, y) for x, y in zip(a, b)]))
+        assert row_dot(a[0], b[0]) == pytest.approx(a[0] @ b[0], rel=1e-15)
 
 
 class TestExpmUnitary:

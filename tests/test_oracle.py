@@ -229,6 +229,27 @@ class TestEnergyVariance:
         with pytest.raises(ValueError):
             energy_variance(np.array([1.0, 0.0]), np.eye(3))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_is_bitwise_per_state_calls(self, d):
+        rng = np.random.default_rng(d)
+        psi = rng.normal(size=(2000, d)) + 1j * rng.normal(size=(2000, d))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        h = rng.normal(size=(2000, d, d)) + 1j * rng.normal(size=(2000, d, d))
+        h = (h + dagger(h)) / 2
+        per_matrix = energy_variance(psi, h)
+        assert per_matrix.shape == (2000,)
+        assert np.array_equal(per_matrix, [energy_variance(s, m) for s, m in zip(psi, h)])
+        assert np.array_equal(energy_variance(psi, h[0]), [energy_variance(s, h[0]) for s in psi])
+
+    @pytest.mark.parametrize("psi_shape,h_shape",
+                             [((1, 5, 2), (5, 2, 2)), ((5, 2), (4, 2, 2)), ((2,), (5, 2, 2))],
+                             ids=["3-D_states", "stack_lengths_differ", "one_state_many_H"])
+    def test_rejects_mismatched_stacks(self, psi_shape, h_shape):
+        psi = np.zeros(psi_shape, dtype=complex)
+        psi[..., 0] = 1.0
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            energy_variance(psi, np.broadcast_to(SZ, h_shape))
+
 
 class TestFsSpeed:
     def test_stationary_state(self):
@@ -261,3 +282,19 @@ class TestFsSpeed:
     def test_variance_count_mismatch(self):
         with pytest.raises(ValueError):
             fs_speed_check(np.ones((4, 2), dtype=complex), 1e-4, [0.0, 0.0])
+
+    def test_rejects_variances_of_two_columns(self):
+        with pytest.raises(ValueError, match="one variance per state"):
+            fs_speed_check(np.ones((4, 2), dtype=complex), 1e-4, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_zero_or_non_finite_dt(self, dt):
+        states = evolve_state(np.array([1.0, 1.0]) / np.sqrt(2), constant(SZ), 0.0, 0.01, 10)
+        with pytest.raises(ValueError, match="dt must be nonzero and finite"):
+            fs_speed_check(states, dt, np.ones(11))
+
+    def test_backward_history_takes_negative_dt(self):
+        dt = 1e-4
+        states = evolve_state(np.array([1.0, 1.0]) / np.sqrt(2), constant(SZ), 0.0, -200 * dt, 200)
+        rows = fs_speed_check(states, -dt, energy_variance(states, SZ))
+        assert np.max(rows[:, 2]) < 1e-6
