@@ -41,8 +41,9 @@ Check catalog (fixed order):
     constraint_orthogonality Tr(H F) = 0 kept by closed-form transport;
                              spectrum of H + F conserved along
                              integrated flows, one per group, run as
-                             one Taylor-series flow (order 14, ten
-                             steps of 0.1) on their direct sum
+                             one flow on the direct sum su2+su3+su4
+                             by brachistochrone._taylor (order 14,
+                             ten steps of 0.1)
 """
 from __future__ import annotations
 
@@ -324,66 +325,6 @@ def _check_q_factorization(rng):
     return np.max(np.abs(gaps)), None, "U(t,s) = Q(t) Q(s)^dag over 100 random (t, s, theta)"
 
 
-#: Groups of constraint_orthogonality's integrated flows, in draw order.
-_FLOW_GROUPS = ("su2", "su3", "su4")
-
-
-def _direct_sum(splits) -> tuple[np.ndarray, list[slice], list[slice]]:
-    """Coupling of the direct sum of ``splits``, and each split's H and F columns.
-
-    The state holds every split's S coefficients, then every split's S^c
-    coefficients, the layout the flow kernels read; each split's coupling
-    fills the diagonal block of its own rows and columns, and the rest is
-    exactly zero, so the groups evolve independently.
-    """
-    s_at = np.cumsum([0] + [len(sp.s_indices) for sp in splits])  # block offsets
-    c_at = np.cumsum([0] + [len(sp.c_indices) for sp in splits])
-    coupling = np.zeros((s_at[-1] + c_at[-1], s_at[-1], c_at[-1]))
-    h_cols, f_cols = [], []
-    for i, split in enumerate(splits):
-        h, f = slice(s_at[i], s_at[i + 1]), slice(c_at[i], c_at[i + 1])
-        f_col = slice(s_at[-1] + c_at[i], s_at[-1] + c_at[i + 1])  # F's rows of the field and columns of the state
-        coupling[h, h, f], coupling[f_col, h, f] = np.split(split.coupling, [len(split.s_indices)])
-        h_cols.append(h)
-        f_cols.append(f_col)
-    return coupling, h_cols, f_cols
-
-
-def _taylor_flow(coupling: np.ndarray, ns: int, c: np.ndarray, step: float, order: int,
-                 n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-order Taylor steps for a stack of runs of dc/dt = coupling . (c[:ns], c[ns:]).
-
-    The field is bilinear, so the Taylor coefficients of c(t) about each
-    step's start follow from Cauchy products, c_{k+1} = sum_j M(c_j[:ns],
-    c_{k-j}[ns:]) / (k + 1) (Jorba & Zou, Exp. Math. 14, 99 (2005)), and a
-    step is their Horner sum at ``step``. ``c`` is a (runs, n) array laid
-    out as for ``bt._rk4``; the whole stack is checked for finiteness once
-    per step. Returns the times of the start and of every step, and a
-    (n_steps + 1, runs, n) array of the states there. Each row evolves
-    bitwise as it would alone.
-    """
-    times, samples = [0.0], [c.copy()]
-    series = np.empty((order + 1,) + c.shape)
-    # The state is checked each step, so numpy's overflow warnings would only
-    # repeat the error raised here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            series[0] = c
-            for k in range(order):
-                pairs = np.einsum("jna,jnb->nab", series[:k + 1, :, :ns], series[k::-1, :, ns:])
-                series[k + 1] = np.einsum("kab,nab->nk", coupling, pairs) / (k + 1)
-            c = series[order].copy()  # a new array each step, so a sample needs no copy
-            for coeffs in series[order - 1::-1]:
-                c *= step
-                c += coeffs
-            if not np.isfinite(c).all():
-                run = int(np.argmin(np.isfinite(c).all(axis=1)))
-                raise bt._non_finite("state", n, run, len(c))
-            times.append(n * step)
-            samples.append(c)
-    return np.array(times), np.array(samples)
-
-
 def _check_constraint_orthogonality(rng):
     # closed-form: simultaneous conjugation preserves Tr(H F); and a
     # constraint built orthogonal to H(0) stays orthogonal to H(t).
@@ -403,19 +344,20 @@ def _check_constraint_orthogonality(rng):
     overlaps = np.abs(np.trace(h_t @ f_t, axis1=1, axis2=2).real)
     # integrated flows: X = H + F obeys dX/dt = -i[H, X], so the spectrum of
     # X is conserved; its drift along one short random run per group, the
-    # three advanced as one flow on their direct sum, via the matrix route
-    splits = [bt.canonical_split(group) for group in _FLOW_GROUPS]
+    # three advanced as one flow on their direct sum. Each diagonal block of
+    # the sum's X keeps its spectrum, so the sorted spectrum of the whole X
+    # drifts no more than the worst block (sorting is 1-Lipschitz)
+    # One start per group is drawn, group by group, its H and then its F;
+    # the sum's state holds all the S blocks, then all the S^c blocks.
     starts = [(rng.uniform(-1, 1, len(sp.s_indices)), rng.uniform(-1, 1, len(sp.c_indices)))
-              for sp in splits]
-    coupling, h_cols, f_cols = _direct_sum(splits)
+              for sp in map(bt.canonical_split, ("su2", "su3", "su4"))]
     x0 = np.concatenate([h for h, _ in starts] + [f for _, f in starts])
-    _, samples = _taylor_flow(coupling, h_cols[-1].stop, x0[None], step=0.1, order=14, n_steps=10)
-    drifts = []
-    for split, hc, fc in zip(splits, h_cols, f_cols):
-        spectra = np.linalg.eigvalsh(split.hamiltonian_matrix(samples[:, 0, hc])
-                                     + split.constraint_matrix(samples[:, 0, fc]))
-        drifts.append(np.max(np.abs(spectra - spectra[0])))
-    err_closed, err_flow = np.max(overlaps), np.max(drifts)
+    split = bt.canonical_split("su2+su3+su4")
+    ns = len(split.s_indices)
+    _, samples = bt._taylor(split.coupling, ns, x0[None], 0.1, 10, order=14)
+    spectra = np.linalg.eigvalsh(split.hamiltonian_matrix(samples[:, 0, :ns])
+                                 + split.constraint_matrix(samples[:, 0, ns:]))
+    err_closed, err_flow = np.max(overlaps), np.max(np.abs(spectra - spectra[0]))
     return (np.max([err_closed, err_flow]), None,
             f"Tr(H F) = 0 transported by conjugation ({err_closed:.3e}); "
             f"spectrum of H + F conserved along integrated flows ({err_flow:.3e})")

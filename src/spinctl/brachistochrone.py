@@ -13,16 +13,18 @@ exactly conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator
 records from the coefficients so discretization drift stays visible. Tr(HF) is
 not monitored: S and S^c are trace-orthogonal, so it is identically zero.
 
-``integrate`` runs one start or a stack of starts on one private RK4 kernel,
-``_rk4``, which advances a (runs, n) array of coefficient rows by one batched
-step at a time; each row evolves bitwise as it would alone. The kernel takes
-a coupling tensor and the size of S, not a split. The audit's own fixed-order
-Taylor-series flow reads the same (runs, n) layout, on a direct sum of splits.
+``integrate`` runs one start or a stack of starts on the private RK4 kernel
+``_rk4``, and the audit runs its flow on the fixed-order Taylor kernel
+``_taylor``. Both advance a (runs, n) array of coefficient rows one batched
+step at a time through ``_flow``, each row bitwise as it would evolve alone,
+and take a coupling tensor and the size of S, not a split. A split of a
+direct sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -105,9 +107,11 @@ class ControlSplit:
 
 
 def canonical_split(group_id: str) -> ControlSplit:
-    """The canonical split of a group (see CANONICAL_S_LABELS)."""
+    """The canonical split of a group (see CANONICAL_S_LABELS); a sum joins its parts' S labels, prefixed."""
     basis = build_basis(group_id)
-    s = CANONICAL_S_LABELS[group_id]
+    parts = group_id.split("+")
+    s = CANONICAL_S_LABELS[group_id] if len(parts) == 1 else tuple(
+        f"{part}.{label}" for part in parts for label in CANONICAL_S_LABELS[part])
     c = tuple(l for l in basis.labels if l not in s)
     return ControlSplit(basis, s, c)
 
@@ -153,36 +157,20 @@ def _non_finite(what: str, step: int, run: int, runs: int) -> NonFiniteStateErro
     return NonFiniteStateError(f"non-finite {what} at step {step}{where}")
 
 
-def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
-         stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for a stack of runs of dc/dt = coupling . (c[:ns], c[ns:]).
+def _flow(advance: Callable[[np.ndarray], np.ndarray], c: np.ndarray, h: float, n_steps: int,
+          stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n_steps`` steps of size ``h`` from the (runs, n) stack ``c``; ``advance`` returns each next state.
 
-    ``c`` is a (runs, n) array whose first ``ns`` columns are contracted with
-    the second index of ``coupling`` and the rest with the third. The whole
-    stack is checked for finiteness once per step. Returns the sample times
-    (every ``stride`` steps and at the last) and a (n_samples, runs, n)
-    array of the states there. Each row evolves bitwise as it would alone.
+    The whole stack is checked for finiteness once per step. Returns the
+    sample times (0, every ``stride`` steps and the last) and a
+    (n_samples, runs, n) array of the states there.
     """
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return np.einsum("kab,na,nb->nk", coupling, x[:, :ns], x[:, ns:])
-
     times, samples = [0.0], [c.copy()]
     # The state is checked each step, so numpy's overflow warnings (from the
     # update itself when h is huge) would only repeat the error raised here.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            k1 = rhs(c)
-            k2 = rhs(c + 0.5 * h * k1)
-            k3 = rhs(c + 0.5 * h * k2)
-            k4 = rhs(c + h * k3)
-            # (h / 6) (k1 + 2 k2 + 2 k3 + k4), in place and in that order
-            k2 *= 2
-            k3 *= 2
-            k1 += k2
-            k1 += k3
-            k1 += k4
-            k1 *= h / 6.0
-            c = c + k1  # a new array each step, so a sample needs no copy
+            c = advance(c)  # a new array each step, so a sample needs no copy
             if not np.isfinite(c).all():
                 run = int(np.argmin(np.isfinite(c).all(axis=1)))
                 raise _non_finite("state", step, run, len(c))
@@ -190,6 +178,59 @@ def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
                 times.append(step * h)
                 samples.append(c)
     return np.array(times), np.array(samples)
+
+
+def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
+         stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for a stack of runs of dc/dt = coupling . (c[:ns], c[ns:]).
+
+    ``c`` is a (runs, n) array whose first ``ns`` columns are contracted with
+    the second index of ``coupling`` and the rest with the third; returns
+    ``_flow``'s samples.
+    """
+    def rhs(x: np.ndarray) -> np.ndarray:
+        return np.einsum("kab,na,nb->nk", coupling, x[:, :ns], x[:, ns:])
+
+    def advance(c: np.ndarray) -> np.ndarray:
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * h * k1)
+        k3 = rhs(c + 0.5 * h * k2)
+        k4 = rhs(c + h * k3)
+        # (h / 6) (k1 + 2 k2 + 2 k3 + k4), in place and in that order
+        k2 *= 2
+        k3 *= 2
+        k1 += k2
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        return c + k1
+
+    return _flow(advance, c, h, n_steps, stride)
+
+
+def _taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
+            order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-order Taylor steps for the same stacks and field as ``_rk4``, every step sampled.
+
+    The field is bilinear, so the Taylor coefficients of c(t) about each
+    step's start follow from Cauchy products, c_{k+1} = sum_j M(c_j[:ns],
+    c_{k-j}[ns:]) / (k + 1) (Jorba & Zou, Exp. Math. 14, 99 (2005)), and a
+    step is their Horner sum at ``h``.
+    """
+    series = np.empty((order + 1,) + c.shape)
+
+    def advance(c: np.ndarray) -> np.ndarray:
+        series[0] = c
+        for k in range(order):
+            pairs = np.einsum("jna,jnb->nab", series[:k + 1, :, :ns], series[k::-1, :, ns:])
+            series[k + 1] = np.einsum("kab,nab->nk", coupling, pairs) / (k + 1)
+        c = series[order].copy()
+        for coeffs in series[order - 1::-1]:
+            c *= h
+            c += coeffs
+        return c
+
+    return _flow(advance, c, h, n_steps, 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,14 @@
-"""Hermitian trace-orthogonal generator bases for su(2), su(3), su(4).
+"""Hermitian trace-orthogonal generator bases for su(2), su(3), su(4) and their direct sums.
 
 The su(2) basis is the Pauli triple, su(3) the Gell-Mann octet, and su(4)
 the fifteen two-fold Pauli products sigma_i (x) sigma_j with (i, j) != (0, 0)
 and sigma_0 the 2x2 identity. Elements are kept unnormalized (Tr g_k^2 = 2
 for su2/su3, 4 for su4); projections divide by the stored norm constants so
 that coefficient vectors are exact regardless of convention.
+
+A direct sum such as ``su2+su3+su4`` is a basis like any other, with the
+parts' elements as diagonal blocks in the order named and labels prefixed
+by their part (``su2.sx``). It spans su(2) + su(3) + su(4), not su(9).
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ def gell_mann() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorBasis:
-    """Ordered, labeled set of Hermitian trace-free matrices spanning su(N)."""
+    """Ordered, labeled set of Hermitian trace-free matrices spanning su(N) or a direct sum of them."""
 
     group_id: str
     labels: tuple[str, ...]
@@ -78,8 +82,19 @@ class GeneratorBasis:
 
 @lru_cache(maxsize=None)
 def build_basis(group_id: str) -> GeneratorBasis:
-    """Construct the generator basis for one of ``su2``, ``su3``, ``su4``."""
-    if group_id == "su2":
+    """The basis of ``su2``, ``su3``, ``su4``, or a sum of distinct ones such as ``su2+su3+su4``."""
+    parts = group_id.split("+")
+    if len(parts) > 1:
+        if "" in parts or len(set(parts)) < len(parts):
+            raise ValueError(f"group {group_id!r} has an empty or repeated part")
+        blocks = [build_basis(part) for part in parts]
+        labels = tuple(f"{b.group_id}.{label}" for b in blocks for label in b.labels)
+        d, k, i = sum(b.dim for b in blocks), 0, 0
+        elements = np.zeros((len(labels), d, d), dtype=complex)
+        for b in blocks:
+            elements[k:k + len(b), i:i + b.dim, i:i + b.dim] = b.elements
+            k, i = k + len(b), i + b.dim
+    elif group_id == "su2":
         labels = ("sx", "sy", "sz")
         elements = np.stack(PAULI[1:])
     elif group_id == "su3":

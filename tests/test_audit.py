@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dirac_rows import dirac_row, named
-from spinctl import audit, closedforms as cf
+from sum_parts import part_columns
+from spinctl import audit, brachistochrone as bt, closedforms as cf
 from spinctl.audit import catalog_ids, format_report, full_report, run_check
-from spinctl.brachistochrone import (NonFiniteStateError, OperatorPair, brachistochrone_rhs, canonical_split,
-                                     integrate)
+from spinctl.brachistochrone import OperatorPair, brachistochrone_rhs, canonical_split, integrate
 
 EXPECTED_TOKENS = {
     "sphere_constraint": "sphere_divisor=dim",
@@ -62,21 +62,21 @@ class TestCatalog:
         assert "factor 2" in detail
         assert "n+ + n-" in detail
 
-    @pytest.mark.parametrize("group", audit._FLOW_GROUPS)
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
     def test_flow_spectral_drift_detected(self, monkeypatch, group):
         # Scaling one group's last F sample by 1 + 1e-9 moves the spectrum of
         # H + F but keeps Tr(HF) = 0, so only a spectral check can see it, and
-        # only if the check reads that group's slice of the direct-sum flow.
-        splits = [canonical_split(g) for g in audit._FLOW_GROUPS]
-        f_col = audit._direct_sum(splits)[2][audit._FLOW_GROUPS.index(group)]
-        flow = audit._taylor_flow
+        # only if the check reads that group's block of the direct-sum flow.
+        _, f_cols = part_columns(canonical_split("su2+su3+su4"), group)
+        f_cols += 8  # the state holds the 8 S coefficients, then the S^c ones
+        flow = bt._taylor
 
         def perturbed(*args, **kwargs):
             times, samples = flow(*args, **kwargs)
-            samples[-1, :, f_col] *= 1 + 1e-9
+            samples[-1, :, f_cols] *= 1 + 1e-9
             return times, samples
 
-        monkeypatch.setattr(audit, "_taylor_flow", perturbed)
+        monkeypatch.setattr(bt, "_taylor", perturbed)
         result = run_check("constraint_orthogonality")
         assert result.status == "FAIL"
         assert result.max_error > 1e-10
@@ -309,63 +309,23 @@ class TestDirectSumFlow:
         # that group. Not bitwise: "kab,nab->nk" sums over the zero blocks of the
         # direct sum in another grouping than over one group's coupling
         rng = np.random.default_rng(11)
-        splits = [canonical_split(g) for g in audit._FLOW_GROUPS]
-        coupling, h_cols, f_cols = audit._direct_sum(splits)
-        assert coupling.shape == (26, 8, 18)
+        split = canonical_split("su2+su3+su4")
+        assert split.coupling.shape == (26, 8, 18)
         x0 = rng.uniform(-1, 1, (20, 26))
-        times, samples = audit._taylor_flow(coupling, 8, x0, step=0.1, order=14, n_steps=10)
-        for split, hc, fc in zip(splits, h_cols, f_cols):
-            ns = len(split.s_indices)
-            alone = audit._taylor_flow(split.coupling, ns, np.concatenate([x0[:, hc], x0[:, fc]], axis=1),
-                                       step=0.1, order=14, n_steps=10)[1]
+        times, samples = bt._taylor(split.coupling, 8, x0, 0.1, 10, order=14)
+        for group in ("su2", "su3", "su4"):
+            part = canonical_split(group)
+            hc, fc = part_columns(split, group)
+            fc += 8
+            ns = len(part.s_indices)
+            alone = bt._taylor(part.coupling, ns, np.concatenate([x0[:, hc], x0[:, fc]], axis=1),
+                               0.1, 10, order=14)[1]
             assert np.max(np.abs(samples[..., hc] - alone[..., :ns])) <= 1e-15
             assert np.max(np.abs(samples[..., fc] - alone[..., ns:])) <= 1e-15
-            rk4 = integrate(OperatorPair(x0[:, hc], x0[:, fc]), split, h=1e-4, T=1.0, sample_stride=1000)
+            rk4 = integrate(OperatorPair(x0[:, hc], x0[:, fc]), part, h=1e-4, T=1.0, sample_stride=1000)
             np.testing.assert_allclose(times, rk4.times, rtol=0, atol=1e-15)
             assert np.max(np.abs(samples[..., hc].swapaxes(0, 1) - rk4.h_coeffs)) <= 1e-13
             assert np.max(np.abs(samples[..., fc].swapaxes(0, 1) - rk4.f_coeffs)) <= 1e-13
-
-
-class TestTaylorFlow:
-    @pytest.mark.parametrize("order", [4, 6])
-    def test_step_halving_gains_two_to_the_order(self, order):
-        # global error at a fixed order p scales as step^p; the reference is the
-        # same kernel at order 20 and a quarter of the step
-        split = canonical_split("su4")
-        x0 = np.random.default_rng(5).uniform(-1, 1, (20, 15))
-        ref = audit._taylor_flow(split.coupling, 4, x0, step=0.025, order=20, n_steps=40)[1][::4]
-
-        def error(step, n_steps):
-            """Per start, the worst error over the samples at t = 0, 0.1, ..., 1."""
-            samples = audit._taylor_flow(split.coupling, 4, x0, step, order, n_steps)[1]
-            return np.max(np.abs(samples[::n_steps // 10] - ref), axis=(0, 2))
-
-        ratio = error(0.1, 10) / error(0.05, 20)
-        assert np.all((0.8 * 2 ** order <= ratio) & (ratio <= 1.2 * 2 ** order)), ratio
-
-    @pytest.mark.parametrize("group", audit._FLOW_GROUPS)
-    def test_stacked_rows_are_bitwise_serial(self, group):
-        split = canonical_split(group)
-        ns = len(split.s_indices)
-        x0 = np.random.default_rng(7).uniform(-1, 1, (50, ns + len(split.c_indices)))
-        times, stacked = audit._taylor_flow(split.coupling, ns, x0, step=0.1, order=14, n_steps=10)
-        for run, row in enumerate(x0):
-            alone_times, alone = audit._taylor_flow(split.coupling, ns, row[None], step=0.1, order=14,
-                                                    n_steps=10)
-            assert np.array_equal(times, alone_times)
-            assert np.array_equal(stacked[:, run], alone[:, 0])
-
-    @pytest.mark.parametrize("scale,step", [(1e100, 1), (1e20, 2)])
-    def test_non_finite_state_names_step_and_run(self, scale, step):
-        # the Taylor sum from a huge start overflows: in the first step, or, from a
-        # smaller one, in the next step, whose series starts from the first's huge sum
-        split = canonical_split("su4")
-        x0 = np.full((3, 15), 0.5)
-        x0[1] *= scale
-        with pytest.raises(NonFiniteStateError, match=rf"^non-finite state at step {step} of run 1$"):
-            audit._taylor_flow(split.coupling, 4, x0, step=0.1, order=14, n_steps=10)
-        with pytest.raises(NonFiniteStateError, match=rf"^non-finite state at step {step}$"):
-            audit._taylor_flow(split.coupling, 4, x0[1:2], step=0.1, order=14, n_steps=10)
 
 
 class TestDeterminism:

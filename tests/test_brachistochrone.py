@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dirac_rows import named
+from sum_parts import part_columns
+from spinctl import brachistochrone as bt
 from spinctl.brachistochrone import (
     ControlSplit,
     NonFiniteStateError,
@@ -292,3 +294,82 @@ class TestStackedIntegrate:
         split = canonical_split("su2")
         with pytest.raises(ValueError, match=r"needs \(runs, 2\) and \(runs, 1\)"):
             integrate(OperatorPair(np.ones(h_shape), np.ones(f_shape)), split, h=1e-2, T=0.1)
+
+
+class TestSumSplit:
+    """A split of the direct sum su2+su3+su4 is each group's split, block by block."""
+
+    SUM = "su2+su3+su4"
+
+    def test_canonical_split_joins_the_parts(self):
+        split = canonical_split(self.SUM)
+        assert split.hamiltonian_labels == ("su2.sx", "su2.sy", "su3.l1", "su3.l7",
+                                            "su4.s30", "su4.s11", "su4.s12", "su4.s13")
+        assert split.constraint_labels[:2] == ("su2.sz", "su3.l2")
+        assert len(split.constraint_labels) == 18
+
+    def test_coupling_blocks_are_the_parts(self):
+        split = canonical_split(self.SUM)
+        assert split.coupling.shape == (26, 8, 18)
+        nonzeros = 0
+        for group in ("su2", "su3", "su4"):
+            part = canonical_split(group).coupling
+            s, c = part_columns(split, group)
+            block = split.coupling[np.ix_(np.concatenate([s, 8 + c]), s, c)]
+            assert block.tobytes() == part.tobytes()
+            nonzeros += np.count_nonzero(part)
+        assert np.count_nonzero(split.coupling) == nonzeros  # zero off the blocks
+
+    @pytest.mark.parametrize("h,T,stride", [(1e-2, 0.5, 1), (1e-3, 1.0, 7), (0.1, 2.0, 3)])
+    def test_stacked_integrate_is_each_groups_run(self, h, T, stride):
+        split = canonical_split(self.SUM)
+        starts = random_starts(split, 5)
+        traj = integrate(starts, split, h=h, T=T, sample_stride=stride)
+        for group in ("su2", "su3", "su4"):
+            s, c = part_columns(split, group)
+            alone = integrate(OperatorPair(starts.h_coeffs[:, s], starts.f_coeffs[:, c]),
+                              canonical_split(group), h=h, T=T, sample_stride=stride)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.h_coeffs[..., s], alone.h_coeffs)
+            assert np.array_equal(traj.f_coeffs[..., c], alone.f_coeffs)
+
+
+class TestTaylorFlow:
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_step_halving_gains_two_to_the_order(self, order):
+        # global error at a fixed order p scales as step^p; the reference is the
+        # same kernel at order 20 and a quarter of the step
+        split = canonical_split("su4")
+        x0 = np.random.default_rng(5).uniform(-1, 1, (20, 15))
+        ref = bt._taylor(split.coupling, 4, x0, 0.025, 40, order=20)[1][::4]
+
+        def error(step, n_steps):
+            """Per start, the worst error over the samples at t = 0, 0.1, ..., 1."""
+            samples = bt._taylor(split.coupling, 4, x0, step, n_steps, order)[1]
+            return np.max(np.abs(samples[::n_steps // 10] - ref), axis=(0, 2))
+
+        ratio = error(0.1, 10) / error(0.05, 20)
+        assert np.all((0.8 * 2 ** order <= ratio) & (ratio <= 1.2 * 2 ** order)), ratio
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_stacked_rows_are_bitwise_serial(self, group):
+        split = canonical_split(group)
+        ns = len(split.s_indices)
+        x0 = np.random.default_rng(7).uniform(-1, 1, (50, ns + len(split.c_indices)))
+        times, stacked = bt._taylor(split.coupling, ns, x0, 0.1, 10, order=14)
+        for run, row in enumerate(x0):
+            alone_times, alone = bt._taylor(split.coupling, ns, row[None], 0.1, 10, order=14)
+            assert np.array_equal(times, alone_times)
+            assert np.array_equal(stacked[:, run], alone[:, 0])
+
+    @pytest.mark.parametrize("scale,step", [(1e100, 1), (1e20, 2)])
+    def test_non_finite_state_names_step_and_run(self, scale, step):
+        # the Taylor sum from a huge start overflows: in the first step, or, from a
+        # smaller one, in the next step, whose series starts from the first's huge sum
+        split = canonical_split("su4")
+        x0 = np.full((3, 15), 0.5)
+        x0[1] *= scale
+        with pytest.raises(NonFiniteStateError, match=rf"^non-finite state at step {step} of run 1$"):
+            bt._taylor(split.coupling, 4, x0, 0.1, 10, order=14)
+        with pytest.raises(NonFiniteStateError, match=rf"^non-finite state at step {step}$"):
+            bt._taylor(split.coupling, 4, x0[1:2], 0.1, 10, order=14)

@@ -4,6 +4,7 @@ import io
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,81 @@ class TestIntegrateCommand:
         cfg.write_text("group = su2\nsplit = sx,sy\nT = 1\n")
         assert dispatch(["integrate", "--config", str(cfg),
                          "--out", str(tmp_path / "o.csv")]) == 2
+
+
+#: Per group: its split and its nonzero H and F coefficients, for the sum run below.
+SUM_PARTS = {
+    "su2": ("sx,sy", {"sx": 1.0}, {"sz": -0.5}),
+    "su3": ("l1,l7", {"l1": 0.5, "l7": -0.25}, {"l3": 0.75, "l8": 0.1}),
+    "su4": ("s30,s11,s12,s13", {"s30": 1.0, "s12": 0.3}, {"s22": 0.4, "s01": -0.6}),
+}
+
+
+def _sum_parts_config(groups, prefix: bool) -> str:
+    """A run config for ``groups`` joined by '+', labels prefixed by their group when ``prefix``."""
+    def name(group, label):
+        return f"{group}.{label}" if prefix else label
+
+    lines = ["group = " + "+".join(groups), "h = 1e-2", "T = 0.6", "stride = 3",
+             "split = " + ",".join(name(g, l) for g in groups for l in SUM_PARTS[g][0].split(","))]
+    for section, slot in (("hamiltonian", 1), ("constraint", 2)):
+        lines.append(f"[{section}]")
+        lines += [f"{name(g, l)} = {v}" for g in groups for l, v in SUM_PARTS[g][slot].items()]
+    return "\n".join(lines) + "\n"
+
+
+class TestIntegrateSum:
+    """``group`` may name a direct sum of groups; its labels carry their group's prefix."""
+
+    @staticmethod
+    def run(tmp_path, text):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg.write_text(text)
+        assert dispatch(["integrate", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        return header.split(","), [row.split(",") for row in rows]
+
+    def test_each_groups_columns_are_its_own_run(self, tmp_path):
+        header, rows = self.run(tmp_path, _sum_parts_config(list(SUM_PARTS), prefix=True))
+        assert header[:5] == ["t", "su2.sx", "su2.sy", "su3.l1", "su3.l7"]
+        assert len(header) == 1 + 26 + 2 and "su4.s33" in header
+        for group in SUM_PARTS:
+            own_header, own_rows = self.run(tmp_path, _sum_parts_config([group], prefix=False))
+            cols = [0] + [header.index(f"{group}.{label}") for label in own_header[1:-2]]
+            assert [[row[k] for k in cols] for row in rows] == [row[:-2] for row in own_rows]
+
+    def test_repeated_group_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SU2_CONFIG.replace("group = su2", "group = su2+su2"))
+        assert dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: group 'su2+su2' has an empty or repeated part\n"
+        assert not (tmp_path / "o.csv").exists()
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+
+
+class TestGoldenIntegrate:
+    """``spinctl integrate`` output, byte for byte, for one small config per group.
+
+    The su3 config has a split that is not canonical and out of basis
+    order; the su2 and su4 configs sample every fourth and seventh step.
+    The files pin every RK4 bit that the CSV prints. Rewrite them only for
+    an intended change of the trajectory:
+
+        for g in su2 su3 su4; do
+            PYTHONPATH=src python3 -m spinctl integrate \\
+                --config tests/data/integrate_$g.cfg --out tests/data/integrate_$g.csv
+        done
+    """
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_csv_matches_file(self, tmp_path, group):
+        out = tmp_path / "traj.csv"
+        config = GOLDEN_DIR / f"integrate_{group}.cfg"
+        assert dispatch(["integrate", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"integrate_{group}.csv").read_bytes()
 
 
 class TestMatrixCommands:

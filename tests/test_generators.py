@@ -38,7 +38,7 @@ class TestBases:
         assert len(basis) == count
         assert np.allclose(basis.norm_constants, norm)
 
-    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4", "su2+su3+su4"])
     def test_hermitian_traceless_orthogonal(self, group):
         basis = build_basis(group)
         g = basis.elements
@@ -83,12 +83,12 @@ GELL_MANN_F = {(1, 2, 3): 1.0, (1, 4, 7): 0.5, (1, 5, 6): -0.5, (2, 4, 6): 0.5, 
 class TestStructureConstants:
     """structure[k, a, b] is the g_k coefficient of -i[g_a, g_b]."""
 
-    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4", "su2+su3+su4"])
     def test_antisymmetric(self, group):
         f = build_basis(group).structure
         assert np.array_equal(f, -f.transpose(0, 2, 1))
 
-    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4", "su2+su3+su4"])
     def test_jacobi_identity(self, group):
         # [[g_a, g_b], g_c] + cyclic = 0, written in the constants
         f = build_basis(group).structure
@@ -115,6 +115,58 @@ class TestStructureConstants:
         assert not f.flags.writeable
         with pytest.raises(ValueError):
             f[0, 0, 1] = 1.0
+
+
+class TestDirectSums:
+    """su2+su3+su4: each part a diagonal block, in the order named."""
+
+    PARTS = ("su2", "su3", "su4")
+
+    def blocks(self):
+        """Per part, its basis and its slices of the sum's elements and of its matrix rows."""
+        k = i = 0
+        for group in self.PARTS:
+            part = build_basis(group)
+            yield part, slice(k, k + len(part)), slice(i, i + part.dim)
+            k, i = k + len(part), i + part.dim
+
+    def test_elements_are_the_parts_on_the_diagonal(self):
+        basis = build_basis("su2+su3+su4")
+        assert basis.elements.shape == (26, 9, 9)
+        outside = np.ones(basis.elements.shape, bool)
+        for part, k, i in self.blocks():
+            assert np.array_equal(basis.elements[k, i, i], part.elements)
+            assert np.array_equal(basis.norm_constants[k], part.norm_constants)
+            outside[k, i, i] = False
+        assert not basis.elements[outside].any()
+
+    def test_structure_blocks_are_bitwise_the_parts(self):
+        f = build_basis("su2+su3+su4").structure
+        outside = np.ones(f.shape, bool)
+        for part, k, _ in self.blocks():
+            assert f[k, k, k].tobytes() == part.structure.tobytes()
+            outside[k, k, k] = False
+        assert not f[outside].any()
+
+    def test_labels_unique_and_prefixed(self):
+        basis = build_basis("su2+su3+su4")
+        assert len(set(basis.labels)) == len(basis) == 26
+        assert basis.labels == tuple(f"{g}.{l}" for g in self.PARTS for l in build_basis(g).labels)
+        assert basis.index("su4.s33") == 25
+
+    #: a sum that is not a basis, and the error it raises
+    BAD_SUMS = {
+        "su2+su2": "empty or repeated part",
+        "su2+su3+su2": "empty or repeated part",
+        "su2+": "empty or repeated part",
+        "+su3": "empty or repeated part",
+        "su5+su2": "unknown group 'su5'$",  # the part, not the sum
+    }
+
+    @pytest.mark.parametrize("group", BAD_SUMS)
+    def test_rejects_repeated_empty_or_unknown_parts(self, group):
+        with pytest.raises(ValueError, match=self.BAD_SUMS[group]):
+            build_basis(group)
 
 
 class TestDiracOperators:
