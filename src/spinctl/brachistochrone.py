@@ -22,6 +22,7 @@ direct sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -95,14 +96,16 @@ class ControlSplit:
 
     def hamiltonian_matrix(self, h_coeffs) -> np.ndarray:
         """H from |S| coefficients; an (n, |S|) stack gives (n, d, d)."""
-        full = np.zeros(np.shape(h_coeffs)[:-1] + (len(self.basis),))
-        full[..., self.s_indices] = h_coeffs
-        return reconstruct(full, self.basis)
+        return self._matrix(self.s_indices, h_coeffs)
 
     def constraint_matrix(self, f_coeffs) -> np.ndarray:
         """F from |S^c| coefficients; an (n, |S^c|) stack gives (n, d, d)."""
-        full = np.zeros(np.shape(f_coeffs)[:-1] + (len(self.basis),))
-        full[..., self.c_indices] = f_coeffs
+        return self._matrix(self.c_indices, f_coeffs)
+
+    def _matrix(self, indices: np.ndarray, coeffs) -> np.ndarray:
+        """The matrix of ``coeffs`` placed at basis ``indices``, zero elsewhere."""
+        full = np.zeros(np.shape(coeffs)[:-1] + (len(self.basis),))
+        full[..., indices] = coeffs
         return reconstruct(full, self.basis)
 
 
@@ -266,17 +269,18 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     applied; monitor drift is a deliberate fidelity signal.
 
     Raises ValueError unless 0 < h, T < inf, for more than _MAX_STEPS
-    steps, or for coefficients of the wrong shapes, and NonFiniteStateError
-    (a RuntimeError, with the failing step index, and for a stack the run)
-    if the state leaves the finite range mid-run or a sampled monitor
-    overflows.
+    steps, for a ``sample_stride`` that is not an integer (Python or numpy)
+    of at least 1, or for coefficients of the wrong shapes, and
+    NonFiniteStateError (a RuntimeError, with the failing step index, and
+    for a stack the run) if the state leaves the finite range mid-run or a
+    sampled monitor overflows.
     """
     if not (0 < h < np.inf and 0 < T < np.inf):  # NaN fails too
         raise ValueError(f"step size and horizon must be positive and finite, got h = {h}, T = {T}")
     if not T / h <= _MAX_STEPS:
         raise ValueError(f"T / h = {T / h:.3g} steps exceeds the ceiling of {_MAX_STEPS}")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
+    if not (isinstance(sample_stride, numbers.Integral) and sample_stride >= 1):
+        raise ValueError(f"sample_stride must be an integer >= 1, got {sample_stride}")
 
     ns, nc = len(split.s_indices), len(split.c_indices)
     h0, f0 = np.asarray(initial.h_coeffs, float), np.asarray(initial.f_coeffs, float)

@@ -3,9 +3,9 @@
 Everything operates on plain numpy arrays of dtype complex128. Matrices are
 treated as immutable values; no function mutates its inputs.
 
-expm_unitary has two exact closed forms before its stacked eigh: one for
-involutory matrices (H^2 = E^2 * I: every su2 and su4 H(t)) and one for
-spin-1 matrices (spectrum in {-E, 0, E}: every su3 H(t)).
+expm_unitary has one exact closed form before its stacked eigh, the spin-1
+form (spectrum in {-E, 0, E}), admitted by an involutory screen (every su2
+and su4 H(t)) and then a spin-1 test (every su3 H(t)).
 """
 from __future__ import annotations
 
@@ -48,21 +48,17 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
 
     ``h`` is one (d, d) matrix or an (n, d, d) stack; the result has the
     same shape. Finiteness and Hermiticity are checked once over the whole
-    stack. Each matrix that is involutory up to a scale, i.e. H^2 = E^2 * I,
-    takes the exact form
-
-        cos(E tau) * I - i sin(E tau) * H / E
-
-    (the identity when E^2 = 0, i.e. H = 0). Each other matrix whose
-    spectrum lies in {-E, 0, E}, i.e. H^3 = E^2 * H with
-    E^2 = Tr H^4 / Tr H^2, takes the exact spin-1 form
+    stack. Each matrix with spectrum in {-E, 0, E}, i.e. H^3 = E^2 * H,
+    takes the exact spin-1 form (Curtright, Fairlie & Zachos, SIGMA 10,
+    084 (2014)), the identity when E^2 = 0, i.e. H = 0:
 
         I - i sin(E tau) * H / E - 2 sin^2(E tau / 2) * H^2 / E^2
 
-    (Curtright, Fairlie & Zachos, SIGMA 10, 084 (2014)). Both identities are
-    tested entrywise to INVOLUTORY_TOL * min(1, E^k), k = 2 and 3, so a small
-    nonzero H is not mistaken for one that satisfies them trivially. The
-    remaining matrices share one stacked Hermitian eigendecomposition.
+    An involutory screen, H^2 = E^2 * I with E^2 = Tr H^2 / d, admits a
+    matrix from H^2 alone; only the matrices it rejects take the spin-1
+    test, with E^2 = Tr H^4 / Tr H^2. Both hold entrywise to INVOLUTORY_TOL
+    * min(1, E^k), k = 2 and 3, so a small nonzero H is not taken for H = 0.
+    The other matrices share one stacked Hermitian eigendecomposition.
     Raises ValueError if ``tau`` or any matrix entry is non-finite, or if
     any matrix is not Hermitian within HERMITIAN_TOL.
     """
@@ -87,19 +83,21 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     h2 = (stack @ stack).reshape(n, d * d)
     tr2 = np.add.reduce(h2[:, :: d + 1].real, axis=1, keepdims=True)
     e2 = tr2 / d
-    involutory = (np.maximum.reduce(np.abs(h2 - e2 * eye), axis=1)
-                  <= INVOLUTORY_TOL * np.minimum(1.0, e2[:, 0]))
-    # One branch for the whole stack (always so for a single matrix) needs no mask.
-    n_involutory = np.count_nonzero(involutory)
-    if n_involutory == n:
-        u = _involutory_exp(flat, e2, tau, eye)
-    elif n_involutory == 0:
-        u = _non_involutory_exp(stack, h2, tr2, tau, eye)
+    closed = (np.maximum.reduce(np.abs(h2 - e2 * eye), axis=1)
+              <= INVOLUTORY_TOL * np.minimum(1.0, e2[:, 0]))
+    n_closed = np.count_nonzero(closed)
+    if n_closed < n:
+        rest = slice(None) if n_closed == 0 else ~closed  # a whole stack takes no mask
+        e2[rest], closed[rest] = _spin1_test(stack[rest], h2[rest], tr2[rest])
+        n_closed = np.count_nonzero(closed)
+    if n_closed == n:
+        u = _spin1_exp(flat, h2, e2, tau, eye)
+    elif n_closed == 0:
+        u = _eigh_exp(stack, tau)
     else:
-        rest = ~involutory
         u = np.empty_like(flat)
-        u[involutory] = _involutory_exp(flat[involutory], e2[involutory], tau, eye)
-        u[rest] = _non_involutory_exp(stack[rest], h2[rest], tr2[rest], tau, eye)
+        u[closed] = _spin1_exp(flat[closed], h2[closed], e2[closed], tau, eye)
+        u[~closed] = _eigh_exp(stack[~closed], tau).reshape(-1, d * d)
     return u.reshape(m.shape)
 
 
@@ -111,66 +109,39 @@ def _flat_identity(d: int) -> np.ndarray:
     return eye
 
 
-def _involutory_exp(h: np.ndarray, e2: np.ndarray, tau: float, eye: np.ndarray) -> np.ndarray:
-    """cos(E tau) * I - i sin(E tau) * H / E for rows of d*d entries with H^2 = E^2 * I.
-
-    ``e2`` holds E^2 as an (n, 1) column. Rows with E^2 = 0 give exactly
-    the identity: H^2 = 0 and H Hermitian force H = 0.
-    """
-    zero = e2 == 0
-    n_zero = np.count_nonzero(zero)
-    if n_zero:
-        e2 = np.where(zero, 1.0, e2)
-    e = np.sqrt(e2)
-    et = e * tau
-    u = np.cos(et) * eye - 1j * np.sin(et) * (h / e)
-    if n_zero:
-        u[zero[:, 0]] = eye
-    return u
-
-
-def _non_involutory_exp(h: np.ndarray, h2: np.ndarray, tr2: np.ndarray, tau: float,
-                        eye: np.ndarray) -> np.ndarray:
-    """exp(-i H tau) as rows of d*d entries for an (n, d, d) stack of non-involutory H.
-
-    ``h2`` holds H^2 as rows of d*d entries and ``tr2`` Tr H^2 as an (n, 1)
-    column. Matrices with H^3 = E^2 * H and E^2 > 0 take the spin-1 form,
-    the others one stacked eigendecomposition.
-    """
+def _spin1_test(h: np.ndarray, h2: np.ndarray, tr2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E^2 = Tr H^4 / Tr H^2 and the mask of H^3 = E^2 * H, E^2 > 0, for an (n, d, d) stack h."""
     n, d = h.shape[:2]
-    flat = h.reshape(n, d * d)
-    # Tr H^4 or H^3 overflows for |H| above about 1e77, E^2 underflows to
-    # 0 for |H| near 1e-162, and Tr H^2 <= 0 only for an H that is not
-    # Hermitian (within HERMITIAN_TOL). Each gives inf, nan or E^2 = 0
-    # here, fails the test without a warning and takes eigh.
+    # Tr H^4 or H^3 overflows for |H| above about 1e77, E^2 underflows to 0
+    # for |H| near 1e-162, and Tr H^2 <= 0 only for a non-Hermitian H: each
+    # gives inf, nan or E^2 = 0, which fails the test without a warning.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h2v = h2.view(float)
         e2 = np.einsum("ij,ij->i", h2v, h2v)[:, None] / tr2
         h3 = (h2.reshape(n, d, d) @ h).reshape(n, d * d)
-        spin1 = (np.maximum.reduce(np.abs(h3 - e2 * flat), axis=1)
+        spin1 = (np.maximum.reduce(np.abs(h3 - e2 * h.reshape(n, d * d)), axis=1)
                  <= INVOLUTORY_TOL * np.minimum(1.0, e2[:, 0]) ** 1.5) & (e2[:, 0] > 0)
-    n_spin1 = np.count_nonzero(spin1)
-    if n_spin1 == n:
-        return _spin1_exp(flat, h2, e2, tau, eye)
-    if n_spin1 == 0:
-        return _eigh_exp(h, tau).reshape(n, d * d)
-    u = np.empty_like(flat)
-    u[spin1] = _spin1_exp(flat[spin1], h2[spin1], e2[spin1], tau, eye)
-    u[~spin1] = _eigh_exp(h[~spin1], tau).reshape(-1, d * d)
-    return u
+    return e2, spin1
 
 
 def _spin1_exp(h: np.ndarray, h2: np.ndarray, e2: np.ndarray, tau: float,
-               eye: np.ndarray) -> np.ndarray:
-    """I - i sin(E tau) H / E - 2 sin^2(E tau / 2) H^2 / E^2 for rows with H^3 = E^2 H.
+                eye: np.ndarray) -> np.ndarray:
+    """I - i sin(E tau) H / E - 2 sin^2(E tau / 2) H^2 / E^2 for rows of d*d entries with H^3 = E^2 H.
 
-    ``h2`` holds H^2 as rows of d*d entries and ``e2`` E^2 > 0 as an (n, 1)
-    column. The half-angle form keeps the H^2 term accurate at small E tau.
+    ``e2`` is an (n, 1) column. Rows with E^2 = 0 give exactly I (H^2 = 0 and H
+    Hermitian force H = 0). The half-angle form keeps H^2's term accurate at small E tau.
     """
+    n_zero = len(e2) - np.count_nonzero(e2)
+    if n_zero:
+        zero = e2[:, 0] == 0
+        e2 = np.where(zero[:, None], 1.0, e2)
     e = np.sqrt(e2)
     et = e * tau
     half = np.sin(0.5 * et)
-    return eye + (-1j * np.sin(et) / e) * h - (2.0 * half * half / e2) * h2
+    u = eye + (-1j * np.sin(et) / e) * h - (2.0 * half * half / e2) * h2
+    if n_zero:
+        u[zero] = eye
+    return u
 
 
 def _eigh_exp(h: np.ndarray, tau: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Callable, Iterator
 
 import numpy as np
@@ -58,16 +59,18 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
                   steps: int) -> tuple[int, Iterator[np.ndarray]]:
     """The midpoint factors exp(-i H(t_k + dt/2) dt), k = 0 .. steps-1.
 
-    Validates ``steps`` (at least 1, at most _MAX_STEPS) and the finiteness
-    of t0, t1 and t1 - t0 before any H(t) call, then evaluates the first chunk at
-    once to learn the dimension d from the first stack H(t) returns.
+    Validates ``steps`` (an integer, Python or numpy, from 1 to _MAX_STEPS)
+    and the finiteness of t0, t1 and t1 - t0 before any H(t) call, then
+    evaluates the first chunk at once to learn the dimension d from the
+    first stack H(t) returns.
     Returns d and the factors in time order as (m, d, d) chunks of at most
     _CHUNK, each from one H(t) call and one stacked expm_unitary; chunks
     after the first come lazily.
     Every stack must have shape (len(ts), d, d) with the same d.
     """
-    if not 1 <= steps <= _MAX_STEPS:
-        raise ValueError(f"steps must be between 1 and the ceiling of {_MAX_STEPS}, got {steps}")
+    if not (isinstance(steps, numbers.Integral) and 1 <= steps <= _MAX_STEPS):
+        raise ValueError(f"steps must be an integer between 1 and the ceiling of {_MAX_STEPS}, "
+                         f"got {steps}")
     span = float(t1) - float(t0)  # non-finite for a non-finite bound or an overflowing span
     if not math.isfinite(span):
         raise ValueError(f"time bounds and their span must be finite, got t0 = {t0}, t1 = {t1}")

@@ -196,8 +196,10 @@ class TestIntegrate:
             integrate(start, split, h=-1e-3, T=1.0)
         with pytest.raises(ValueError):
             integrate(start, split, h=1e-3, T=0.0)
-        with pytest.raises(ValueError):
-            integrate(start, split, h=1e-3, T=1.0, sample_stride=0)
+        for stride in (0, np.nan, 2.5, 4.0):
+            with pytest.raises(ValueError, match="sample_stride must be an integer"):
+                integrate(start, split, h=1e-3, T=1.0, sample_stride=stride)
+        assert integrate(start, split, h=1e-2, T=1.0, sample_stride=np.int64(10)).times.shape == (11,)
 
     @pytest.mark.parametrize("h,T", [(np.inf, 1.0), (np.nan, 1.0), (1e-3, np.inf), (1e-3, np.nan)])
     def test_rejects_non_finite_grid(self, h, T):

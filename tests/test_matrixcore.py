@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinctl import matrixcore
-from spinctl.closedforms import su3_family
+from spinctl.closedforms import DiracParameters, su2_family, su3_family, su4_family
 from spinctl.generators import PAULI, assemble_dirac, dirac_operators
 from spinctl.matrixcore import as_operator, dagger, expm_unitary, row_dot
 from spinctl.oracle import time_ordered_exponential
@@ -191,10 +191,15 @@ class TestExpmUnitarySmallScale:
 
 
 class TestExpmUnitarySpin1:
-    """Matrices with spectrum in {-E, 0, E} take the spin-1 closed form, not eigh."""
+    """Matrices with spectrum in {-E, 0, E} take the spin-1 closed form, not eigh.
+
+    The involutory spectra, with no zero, pass the involutory screen and
+    reach the same closed form from there.
+    """
 
     SPECTRA = {"d3": [-1.0, 0.0, 1.0], "d4_one_zero": [-1.0, 0.0, 0.0, 1.0],
-               "d4_double": [-1.0, -1.0, 0.0, 1.0]}
+               "d4_double": [-1.0, -1.0, 0.0, 1.0], "d2_involutory": [-1.0, 1.0],
+               "d4_involutory": [-1.0, -1.0, 1.0, 1.0]}
 
     @pytest.fixture
     def no_eigh(self, monkeypatch):
@@ -245,7 +250,10 @@ class TestExpmUnitarySpin1:
             ref = np.stack([expm_unitary(h, tau) for h in stack])
             assert np.max(np.abs(expm_unitary(stack, tau) - ref)) <= 1e-14
 
-    def test_su3_product_takes_no_eigh(self, no_eigh):
-        fam = su3_family(0.4)
+    @pytest.mark.parametrize("family", [
+        su2_family, lambda: su3_family(0.4),
+        lambda: su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5]))], ids=["su2", "su3", "su4"])
+    def test_family_product_takes_no_eigh(self, family, no_eigh):
+        fam = family()
         u = time_ordered_exponential(fam.hamiltonian, 0.0, 1.0, 600)
-        assert np.max(np.abs(u @ dagger(u) - np.eye(3))) <= 1e-13
+        assert np.max(np.abs(u @ dagger(u) - np.eye(fam.dim))) <= 1e-13

@@ -32,7 +32,7 @@ ALL_FAMILIES = [
 
 class TestTimeOrderedExponential:
     def test_constant_schedule_exact(self):
-        for steps in (1, 7, 50):
+        for steps in (1, 7, 50, np.int64(7)):
             u = time_ordered_exponential(constant(SZ), 0.0, np.pi / 2, steps)
             assert np.max(np.abs(u - np.diag([-1j, 1j]))) < 1e-13
 
@@ -66,8 +66,14 @@ class TestTimeOrderedExponential:
             assert np.max(np.abs(u - ref)) <= 1e-12
 
     def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            time_ordered_exponential(su2_family().hamiltonian, 0.0, 1.0, 0)
+        def never(t):
+            raise AssertionError("H(t) evaluated for a step count that is not a positive integer")
+
+        for steps in (0, 2.5, np.nan, 4.0):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                time_ordered_exponential(never, 0.0, 1.0, steps)
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                evolve_state(np.array([1.0, 0.0]), never, 0.0, 1.0, steps)
 
     def test_step_ceiling_checked_before_any_schedule_call(self):
         def never(t):
