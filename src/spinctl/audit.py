@@ -31,7 +31,9 @@ Check catalog (fixed order):
     isometry_su3             same, resolving the sign of U's upper corner
     isometry_su4             same, resolving the diagonal phase sign
     frame_commutator         i dH/dt = sign * [H, D0], resolving the sign
-    propagator_question      which unitary solves i dU/dt = H(t) U
+    propagator_question      which unitary solves i dU/dt = H(t) U, by
+                             central differences, refereed by 256
+                             order-4 Magnus steps of the oracle
     ode_transcriptions       generic projection engine vs the two
                              hand-specialized Dirac-split rate systems,
                              kept in this module as _component_rates
@@ -189,6 +191,9 @@ def _check_frame_commutator(rng):
 #: exceeds it is reported as "not a propagator".
 _PROPAGATOR_TOL = 1e-4
 
+#: Order-4 oracle steps of the referee product: one chunk per family.
+_REFEREE_STEPS = 256
+
 
 def _check_propagator_question(rng):
     theta = rng.uniform(-2, 2)
@@ -210,8 +215,8 @@ def _check_propagator_question(rng):
 
         r_closed, _ = ode_residual(fam.propagator)
         r_rot, u_rot = ode_residual(lambda a, b: oracle.schrodinger_propagator(fam, a, b))
-        # referee: step product against the rotating-frame form
-        u_ref = oracle.time_ordered_exponential(fam.hamiltonian, s, t, 2000)
+        # referee: order-4 step product against the rotating-frame form
+        u_ref = oracle.time_ordered_exponential(fam.hamiltonian, s, t, _REFEREE_STEPS, order=4)
         r_oracle = float(np.max(np.abs(u_ref - u_rot)))
         closed.append(r_closed)
         rotating += [r_rot, r_oracle]

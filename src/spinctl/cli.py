@@ -204,12 +204,14 @@ def _cmd_propagate(args) -> int:
     # as in _cmd_closedform, overflow surfaces as one non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         fam = _family_from_args(args)
-        u_oracle = oracle.time_ordered_exponential(fam.hamiltonian, 0.0, args.t1, args.steps)
+        u_oracle = oracle.time_ordered_exponential(fam.hamiltonian, 0.0, args.t1, args.steps,
+                                                   order=args.order)
         v_closed = oracle.schrodinger_propagator(fam, args.t1, 0.0)
     dev = float(np.max(np.abs(u_oracle - v_closed)))
+    order = "" if args.order == 2 else f" order={args.order}"  # default output stays byte-stable
     blocks = [
         _matrix_block(
-            f"oracle U(t1,0) family={args.family} t1={_fmt_real(args.t1)} steps={args.steps}",
+            f"oracle U(t1,0) family={args.family} t1={_fmt_real(args.t1)} steps={args.steps}{order}",
             u_oracle),
         _matrix_block(f"rotating-frame V(t1,0) family={args.family}", v_closed),
         f"max_deviation={dev:.3e}",
@@ -303,6 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--t1", type=_finite_float, required=True)
             p.add_argument("--steps", type=int, default=oracle.DEFAULT_STEPS_PER_PERIOD)
+            p.add_argument("--order", type=int, default=2, metavar="{2,4}",
+                           help="oracle step: 2 midpoint, 4 two-point Gauss-Legendre Magnus")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("audit", help="run the full audit catalog")

@@ -97,7 +97,8 @@ CONVENTION_FLIPS = [
 
 
 # one named, minimal fault for each check whose residual no other test pushes past
-# its tolerance; each changes one quantity by 1e-9 or less
+# its tolerance; each changes one quantity by 1e-9 or less, but for the oracle's end
+# time, whose shift must outgrow the catalog tolerance 1e-4 that the referee gap shares
 def _scale_alpha_x(monkeypatch):
     """alpha_x times 1 + 2^-40, so alpha_x^2 misses the identity by about 2^-39."""
     ops = audit.dirac_operators()
@@ -138,12 +139,20 @@ def _scale_component_mass_rate(monkeypatch):
     monkeypatch.setattr(audit, "_component_rates", scaled)
 
 
+def _shift_oracle_end_time(monkeypatch):
+    """The oracle's end time t1 plus 1e-3, so the referee product overshoots."""
+    time_ordered_exponential = audit.oracle.time_ordered_exponential
+    shifted = lambda h, t0, t1, steps, order=2: time_ordered_exponential(h, t0, t1 + 1e-3, steps, order)
+    monkeypatch.setattr(audit.oracle, "time_ordered_exponential", shifted)
+
+
 FAULTS = [
     ("dirac_algebra", _scale_alpha_x),
     ("isometry_su2", _speed_up_su2_phase),
     ("epsilon_identity", _bump_epsilon_entry),
     ("q_factorization", _twist_su3_gate),
     ("ode_transcriptions", _scale_component_mass_rate),
+    ("propagator_question", _shift_oracle_end_time),
 ]
 
 

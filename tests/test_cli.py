@@ -249,6 +249,18 @@ class TestMatrixCommands:
         dev = float(out.strip().splitlines()[-1].split("=")[1])
         assert dev < 1e-5
 
+    def test_propagate_order_4(self, capsys):
+        argv = ["propagate", "--family", "su2", "--t1", "1.0", "--steps", "500"]
+        assert dispatch(argv) == 0
+        default = capsys.readouterr().out
+        assert dispatch(argv + ["--order", "2"]) == 0
+        assert capsys.readouterr().out == default
+        assert dispatch(argv + ["--order", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert default.splitlines()[0] == "oracle U(t1,0) family=su2 t1=1 steps=500"
+        assert lines[0] == "oracle U(t1,0) family=su2 t1=1 steps=500 order=4"
+        assert float(lines[-1].split("=")[1]) < 1e-10
+
     def test_propagate_small_energy_is_not_the_identity(self, capsys):
         # E ~ 1e-6 and t1 = 1000: the phases differ from 1 by about 1e-3
         assert dispatch(["propagate", "--family", "su4", "--t1", "1000",
@@ -354,6 +366,9 @@ class TestNonFiniteInput:
         (["closedform", "--family", "su4", "--t", "1e300", "--m", "1e10"], "non-finite entries in H(t)"),
         (["propagate", "--family", "su4", "--t1", "1e300", "--m", "1e100", "--steps", "1"],
          "non-finite entries in H(t) at t = 5e+299: the inputs overflow"),
+        # the order-4 step names its first Gauss point, (1/2 - sqrt(3)/6) * t1
+        (["propagate", "--family", "su4", "--t1", "1e300", "--m", "1e100", "--steps", "1", "--order", "4"],
+         "non-finite entries in H(t) at t = 2.113248654051"),
     ])
     def test_non_finite_option(self, capsys, argv, needle):
         self.assert_rejected(dispatch(argv), capsys, needle)
@@ -386,6 +401,9 @@ class TestDispatch:
         (["closedform", "--family", "su2", "--t", "0", "--p", "1,2"], "argument --p: expected 3 components"),
         (["closedform", "--family", "su4", "--t", "0", "--p", "1,2"], "argument --p: expected 3 components"),
         (["propagate", "--family", "su4", "--t1", "1", "--p", "1,2,3,4"], "argument --p: expected 3 components"),
+        # the oracle validates the order, before any H(t) call
+        (["propagate", "--family", "su2", "--t1", "1", "--order", "3"], "order must be 2 or 4, got 3"),
+        (["propagate", "--family", "su2", "--t1", "1", "--order", "x"], "argument --order: invalid int value"),
     ])
     def test_usage_error(self, capsys, argv, needle):
         TestNonFiniteInput.assert_rejected(dispatch(argv), capsys, needle)
@@ -467,6 +485,7 @@ class TestDispatchProperties:
         st.tuples(st.tuples(st.just("propagate"), st.just("--family"), FAMILIES).map(list),
                   _options(t1=NUMBERS, m=NUMBERS, theta=NUMBERS,
                            steps=st.sampled_from(["1", "3", "0", "-2", "1.5", "x"]),
+                           order=st.sampled_from(["2", "4", "3", "x"]),
                            p=st.lists(NUMBERS, min_size=3, max_size=3).map(",".join))),
     ).map(lambda parts: parts[0] + parts[1]))
     def test_matrix_commands(self, argv):

@@ -65,6 +65,54 @@ class TestTimeOrderedExponential:
             u = time_ordered_exponential(fam.hamiltonian, t0, t1, steps)
             assert np.max(np.abs(u - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=[f.group_id for f in ALL_FAMILIES])
+    def test_fourth_order_convergence(self, fam):
+        ref = schrodinger_propagator(fam, 2 * np.pi, 0.0)
+        err = [np.max(np.abs(time_ordered_exponential(fam.hamiltonian, 0.0, 2 * np.pi, n, order=4) - ref))
+               for n in (100, 200)]
+        assert 14 <= err[0] / err[1] <= 18
+
+    @pytest.mark.parametrize("steps", [1, 2, 255, 256, 257, 1000])
+    def test_matches_sequential_magnus_product(self, steps):
+        t0, t1 = -0.3, 2.6
+        dt = (t1 - t0) / steps
+        c = np.sqrt(3) / 6
+        for fam in ALL_FAMILIES:
+            ref = np.eye(fam.dim, dtype=complex)
+            for k in range(steps):
+                mid = t0 + (k + 0.5) * dt
+                h1, h2 = fam.hamiltonian(mid - c * dt), fam.hamiltonian(mid + c * dt)
+                k4 = (h1 + h2) / 2 - 1j * (np.sqrt(3) * dt / 12) * (h2 @ h1 - h1 @ h2)
+                ref = expm_unitary(k4, dt) @ ref
+            u = time_ordered_exponential(fam.hamiltonian, t0, t1, steps, order=4)
+            assert np.max(np.abs(u - ref)) <= 1e-12
+
+    def test_fourth_order_unitary(self):
+        for fam in ALL_FAMILIES:
+            for steps in (3, 256, 1000):
+                u = time_ordered_exponential(fam.hamiltonian, -1.0, 2.0, steps, order=4)
+                assert np.max(np.abs(u @ dagger(u) - np.eye(fam.dim))) <= 1e-13
+
+    def test_rejects_bad_order(self):
+        def never(t):
+            raise AssertionError("H(t) evaluated for an order that is neither 2 nor 4")
+
+        for order in (0, 1, 3, 4.0, "4", None, True):
+            with pytest.raises(ValueError, match="order must be 2 or 4"):
+                time_ordered_exponential(never, 0.0, 1.0, 4, order=order)
+            with pytest.raises(ValueError, match="order must be 2 or 4"):
+                evolve_state(np.array([1.0, 0.0]), never, 0.0, 1.0, 4, order=order)
+
+    def test_non_finite_schedule_names_first_bad_gauss_point(self):
+        def spiked(t):  # 2 steps on [0, 1]: Gauss points 0.106, 0.394, 0.606, 0.894
+            h = np.broadcast_to(SZ, (len(t), 2, 2)).astype(complex)
+            h[t > 0.5] = np.inf
+            return h
+
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=r"non-finite entries in H\(t\) at t = 0\.605"):
+            time_ordered_exponential(spiked, 0.0, 1.0, 2, order=4)
+
     def test_rejects_bad_steps(self):
         def never(t):
             raise AssertionError("H(t) evaluated for a step count that is not a positive integer")
@@ -203,6 +251,13 @@ class TestEvolveState:
             states = evolve_state(psi0, fam.hamiltonian, 0.0, 1.5, 257)
             u = time_ordered_exponential(fam.hamiltonian, 0.0, 1.5, 257)
             assert states.shape == (258, fam.dim)
+            assert np.max(np.abs(states[-1] - u @ psi0)) <= 1e-12
+
+    def test_final_state_matches_order_4_propagator(self):
+        for fam in ALL_FAMILIES:
+            psi0 = np.full(fam.dim, 1 / np.sqrt(fam.dim), dtype=complex)
+            states = evolve_state(psi0, fam.hamiltonian, 0.0, 1.5, 257, order=4)
+            u = time_ordered_exponential(fam.hamiltonian, 0.0, 1.5, 257, order=4)
             assert np.max(np.abs(states[-1] - u @ psi0)) <= 1e-12
 
     def test_rejects_unnormalized(self):
