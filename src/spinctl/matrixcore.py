@@ -80,11 +80,14 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     flat = stack.reshape(n, d * d)
     eye = _flat_identity(d)
 
-    h2 = (stack @ stack).reshape(n, d * d)
-    tr2 = np.add.reduce(h2[:, :: d + 1].real, axis=1, keepdims=True)
-    e2 = tr2 / d
-    closed = (np.maximum.reduce(np.abs(h2 - e2 * eye), axis=1)
-              <= INVOLUTORY_TOL * np.minimum(1.0, e2[:, 0]))
+    # H^2 overflows for |H| above about 1e154; such rows fail the screen and
+    # the spin-1 test (inf or nan) without a warning, and take eigh.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h2 = (stack @ stack).reshape(n, d * d)
+        tr2 = np.add.reduce(h2[:, :: d + 1].real, axis=1, keepdims=True)
+        e2 = tr2 / d
+        closed = (np.maximum.reduce(np.abs(h2 - e2 * eye), axis=1)
+                  <= INVOLUTORY_TOL * np.minimum(1.0, e2[:, 0]))
     n_closed = np.count_nonzero(closed)
     if n_closed < n:
         rest = slice(None) if n_closed == 0 else ~closed  # a whole stack takes no mask

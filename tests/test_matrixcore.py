@@ -227,9 +227,9 @@ class TestExpmUnitarySpin1:
             err = np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau)))
             assert err <= 3e-15 * (1 + abs(e * tau))
 
-    @pytest.mark.parametrize("scale,tau", [(1e120, 1e-120), (1e-160, 1e160)])
+    @pytest.mark.parametrize("scale,tau", [(1e120, 1e-120), (1e160, 1e-160), (1e-160, 1e160)])
     def test_extreme_scales_take_eigh_quietly(self, scale, tau):
-        # Tr H^4 overflows, or E^2 underflows: no warning, and eigh's result
+        # Tr H^4, or H^2 too, overflows, or E^2 underflows: no warning, and eigh's result
         h = scale * with_spectrum(np.random.default_rng(27), [-1.0, 0.0, 1.0])
         h = (h + dagger(h)) / 2  # exactly Hermitian: the check is absolute
         assert np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau))) <= 1e-14
