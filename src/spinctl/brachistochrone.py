@@ -19,6 +19,10 @@ not monitored: S and S^c are trace-orthogonal, so it is identically zero.
 step at a time through ``_flow``, each row bitwise as it would evolve alone,
 and take a coupling tensor and the size of S, not a split. A split of a
 direct sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
+The arrays are small, so a step costs numpy calls, not arithmetic: ``_rk4``
+keeps its stage slopes and stage state in buffers allocated once per run,
+and ``_flow`` checks finiteness once per block of steps, replaying a failed
+block step by step to name the first non-finite step.
 """
 from __future__ import annotations
 
@@ -144,10 +148,14 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
     return OperatorPair(ck[..., split.s_indices], ck[..., split.c_indices])
 
 
-#: Ceiling on the step count T / h of ``integrate``: about five minutes of
-#: RK4 at 30 us per step. It counts steps, not steps times runs: a stack of
-#: runs advances together, one batched step at a time.
+#: Ceiling on the step count T / h of ``integrate``: about four minutes of
+#: RK4 at 20-25 us per step (one run of su2 to su4). It counts steps, not
+#: steps times runs: a stack of runs advances together, one batched step at
+#: a time.
 _MAX_STEPS = 10 ** 7
+
+#: Steps between the finiteness checks of ``_flow``.
+_BLOCK = 64
 
 
 class NonFiniteStateError(RuntimeError):
@@ -164,22 +172,33 @@ def _flow(advance: Callable[[np.ndarray], np.ndarray], c: np.ndarray, h: float, 
           stride: int) -> tuple[np.ndarray, np.ndarray]:
     """``n_steps`` steps of size ``h`` from the (runs, n) stack ``c``; ``advance`` returns each next state.
 
-    The whole stack is checked for finiteness once per step. Returns the
-    sample times (0, every ``stride`` steps and the last) and a
+    The whole stack is checked for finiteness once per block of _BLOCK
+    steps and at the last step. A non-finite entry stays non-finite in
+    every later step (it reaches the next state through c + k), so a
+    block that ends finite was finite throughout. A block that does not is
+    replayed from its first state, checking each step, and the error names
+    the first non-finite step and, for a stack, the first run there.
+    Returns the sample times (0, every ``stride`` steps and the last) and a
     (n_samples, runs, n) array of the states there.
     """
     times, samples = [0.0], [c.copy()]
-    # The state is checked each step, so numpy's overflow warnings (from the
+    # The state is checked each block, so numpy's overflow warnings (from the
     # update itself when h is huge) would only repeat the error raised here.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            c = advance(c)  # a new array each step, so a sample needs no copy
+        for first in range(1, n_steps + 1, _BLOCK):
+            start = c
+            for step in range(first, min(first + _BLOCK, n_steps + 1)):
+                c = advance(c)  # a new array each step, so a sample needs no copy
+                if step % stride == 0 or step == n_steps:
+                    times.append(step * h)
+                    samples.append(c)
             if not np.isfinite(c).all():
-                run = int(np.argmin(np.isfinite(c).all(axis=1)))
-                raise _non_finite("state", step, run, len(c))
-            if step % stride == 0 or step == n_steps:
-                times.append(step * h)
-                samples.append(c)
+                c = start
+                for step in range(first, step + 1):
+                    c = advance(c)
+                    finite = np.isfinite(c).all(axis=1)
+                    if not finite.all():
+                        raise _non_finite("state", step, int(np.argmin(finite)), len(c))
     return np.array(times), np.array(samples)
 
 
@@ -189,23 +208,35 @@ def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
 
     ``c`` is a (runs, n) array whose first ``ns`` columns are contracted with
     the second index of ``coupling`` and the rest with the third; returns
-    ``_flow``'s samples.
+    ``_flow``'s samples. The four stage slopes and the stage state live in
+    buffers allocated once per call, so a step allocates only the state it
+    returns; each stage state is the textbook c + (h/2) k or c + h k, bit for bit.
     """
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return np.einsum("kab,na,nb->nk", coupling, x[:, :ns], x[:, ns:])
+    k = np.empty((4,) + c.shape)
+    k1, k2, k3, k4 = k
+    k23 = k[1:3]
+    y = np.empty_like(c)
+    ys, yc = y[:, :ns], y[:, ns:]
+    hh = 0.5 * h
 
+    # the ufuncs take ``out`` positionally, which skips a keyword parse per call
     def advance(c: np.ndarray) -> np.ndarray:
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * h * k1)
-        k3 = rhs(c + 0.5 * h * k2)
-        k4 = rhs(c + h * k3)
+        np.einsum("kab,na,nb->nk", coupling, c[:, :ns], c[:, ns:], out=k1)
+        np.multiply(k1, hh, y)
+        np.add(c, y, y)
+        np.einsum("kab,na,nb->nk", coupling, ys, yc, out=k2)
+        np.multiply(k2, hh, y)
+        np.add(c, y, y)
+        np.einsum("kab,na,nb->nk", coupling, ys, yc, out=k3)
+        np.multiply(k3, h, y)
+        np.add(c, y, y)
+        np.einsum("kab,na,nb->nk", coupling, ys, yc, out=k4)
         # (h / 6) (k1 + 2 k2 + 2 k3 + k4), in place and in that order
-        k2 *= 2
-        k3 *= 2
-        k1 += k2
-        k1 += k3
-        k1 += k4
-        k1 *= h / 6.0
+        np.multiply(k23, 2, k23)
+        np.add(k1, k2, k1)
+        np.add(k1, k3, k1)
+        np.add(k1, k4, k1)
+        np.multiply(k1, h / 6.0, k1)
         return c + k1
 
     return _flow(advance, c, h, n_steps, stride)

@@ -10,6 +10,7 @@ round-trip losslessly through text.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -126,8 +127,12 @@ def _config_float(text: str, what: str) -> float:
 # Formatting
 # --------------------------------------------------------------------------
 
+#: One real number as the CLI prints it: 17 significant digits round-trip any float.
+_REAL = "%.17g"
+
+
 def _fmt_real(x: float) -> str:
-    return f"{x:.17g}"
+    return _REAL % x
 
 
 def _fmt_complex(z: complex) -> str:
@@ -170,10 +175,10 @@ def _cmd_integrate(args) -> int:
     split = config.split
     traj = integrate(config.initial, split, config.h, config.T, config.stride)
     labels = list(split.hamiltonian_labels) + list(split.constraint_labels)
+    table = np.column_stack([traj.times, traj.h_coeffs, traj.f_coeffs, traj.monitors])
+    row = ",".join([_REAL] * table.shape[1])
     lines = ["t," + ",".join(labels) + ",trH2,trF2"]
-    for k in range(len(traj.times)):
-        vals = [traj.times[k], *traj.h_coeffs[k], *traj.f_coeffs[k], *traj.monitors[k]]
-        lines.append(",".join(_fmt_real(v) for v in vals))
+    lines += [row % tuple(vals) for vals in table.tolist()]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -271,7 +276,9 @@ def _vec3(text: str) -> np.ndarray:
     return vec
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The spinctl parser, built once per process: parsing keeps no state in it."""
     parser = _Parser(
         prog="spinctl",
         description="Time-optimal spin control toolkit: bases, brachistochrone runs, "

@@ -58,6 +58,46 @@ class TestControlSplit:
             assert np.array_equal(stacked, np.array([build(row) for row in rows]))
 
 
+def textbook_rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
+                 stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 as first written: a fresh array per stage, the state checked at every step.
+
+    The bitwise reference for ``bt._rk4``: the same (times, samples), and the
+    same NonFiniteStateError, naming the first non-finite step and run.
+    """
+    def rhs(x):
+        return np.einsum("kab,na,nb->nk", coupling, x[:, :ns], x[:, ns:])
+
+    times, samples = [0.0], [c.copy()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * h * k1)
+            k3 = rhs(c + 0.5 * h * k2)
+            k4 = rhs(c + h * k3)
+            k2 *= 2
+            k3 *= 2
+            k1 += k2
+            k1 += k3
+            k1 += k4
+            k1 *= h / 6.0
+            c = c + k1
+            finite = np.isfinite(c).all(axis=1)
+            if not finite.all():
+                where = f" of run {int(np.argmin(finite))}" if len(c) > 1 else ""
+                raise NonFiniteStateError(f"non-finite state at step {step}{where}")
+            if step % stride == 0 or step == n_steps:
+                times.append(step * h)
+                samples.append(c)
+    return np.array(times), np.array(samples)
+
+
+def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal bit patterns, so 0.0 and -0.0 differ."""
+    assert actual.dtype == expected.dtype == np.float64 and actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 class TestRhs:
     def test_zero_constraint_freezes_everything(self):
         split = canonical_split("su4")
@@ -296,6 +336,84 @@ class TestStackedIntegrate:
         split = canonical_split("su2")
         with pytest.raises(ValueError, match=r"needs \(runs, 2\) and \(runs, 1\)"):
             integrate(OperatorPair(np.ones(h_shape), np.ones(f_shape)), split, h=1e-2, T=0.1)
+
+
+class TestRk4Kernel:
+    """``_rk4`` is ``textbook_rk4`` bit for bit, across _flow's check blocks."""
+
+    N_STEPS = 150  # two full blocks of 64 steps and a partial one
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random"])
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_matches_textbook(self, group, canonical, runs, stride):
+        rng = np.random.default_rng(41)
+        split = canonical_split(group) if canonical else random_split(group, rng)
+        ns = len(split.s_indices)
+        x0 = rng.uniform(-1, 1, (runs, len(split.basis)))
+        got = bt._rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, stride)
+        for actual, expected in zip(got, textbook_rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, stride)):
+            assert_bitwise(actual, expected)
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_signed_zeros_match_textbook(self, group):
+        split = canonical_split(group)
+        ns, n = len(split.s_indices), len(split.basis)
+        x0 = np.random.default_rng(43).uniform(-1, 1, (3, n))
+        x0[0, ::2], x0[0, 1::2] = 0.0, -0.0
+        x0[1, 0], x0[1, ns - 1], x0[1, ns], x0[1, -1] = -0.0, 0.0, -0.0, 0.0
+        x0[2, ns:] = -0.0  # F = 0 holds H still
+        # the stage sums add slopes to -0.0 entries: both routes must give each sum the same sign
+        got = bt._rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, 1)
+        for actual, expected in zip(got, textbook_rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, 1)):
+            assert_bitwise(actual, expected)
+
+
+class TestNonFiniteBlocks:
+    """A blow-up is named at its step wherever it falls against _flow's 64-step blocks.
+
+    With F = f sz fixed, the su2 flow rotates H at 2|f| per unit time. At
+    h = 3 and f = -0.5 each RK4 step multiplies |H| by about 1.5, so the
+    start's size sets the step at which the state overflows. The other
+    runs (|f| <= 0.2) are stable at that step size.
+    """
+
+    H = 3.0
+
+    @staticmethod
+    def starts(scale: float) -> np.ndarray:
+        """Rows (h_sx, h_sy, f_sz); run 1, of size ``scale``, is the one that grows."""
+        return np.array([[1.0, 0.0, 0.1], [scale, 0.0, -0.5], [0.0, 1.0, 0.2]])
+
+    @pytest.mark.parametrize("scale,n_steps,step", [
+        (1.4e296, 100, 64),
+        (9e295, 100, 65),
+        (3e291, 100, 90),
+        (3e291, 90, 90),
+    ], ids=["last_of_block", "first_of_next_block", "in_final_partial_block", "at_last_step"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    def test_integrate_names_the_step(self, scale, n_steps, step, stacked):
+        assert bt._BLOCK == 64, "the scales above place each blow-up against 64-step blocks"
+        split = canonical_split("su2")
+        x0 = self.starts(scale) if stacked else self.starts(scale)[1:2]
+        with pytest.raises(NonFiniteStateError) as reference:
+            textbook_rk4(split.coupling, 2, x0, self.H, n_steps, 1)
+        assert str(reference.value) == f"non-finite state at step {step}" + (" of run 1" if stacked else "")
+        start = OperatorPair(x0[:, :2], x0[:, 2:]) if stacked else OperatorPair(x0[0, :2], x0[0, 2:])
+        with pytest.raises(NonFiniteStateError) as got:
+            integrate(start, split, h=self.H, T=self.H * n_steps)
+        assert str(got.value) == str(reference.value)
+
+    def test_taylor_names_a_step_past_the_first_block(self):
+        # every _taylor step is sampled, so a finite run's samples are each step's state
+        coupling, x0 = canonical_split("su2").coupling, self.starts(3e291)
+        samples = bt._taylor(coupling, 2, x0, self.H, 94, order=4)[1]
+        assert np.isfinite(samples).all()
+        with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 1 of run 1$"):
+            bt._taylor(coupling, 2, samples[-1], self.H, 1, order=4)
+        with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 95 of run 1$"):
+            bt._taylor(coupling, 2, x0, self.H, 150, order=4)
 
 
 class TestSumSplit:

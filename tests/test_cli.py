@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinctl.brachistochrone import integrate
 from spinctl.cli import ConfigError, _build_parser, dispatch, parse_config
 from spinctl.closedforms import DiracParameters, su4_family
 from spinctl.generators import build_basis
@@ -136,6 +137,21 @@ class TestIntegrateCommand:
         assert dispatch(["integrate", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().splitlines() == ["t,sx,sy,sz,trH2,trF2", "0,1,0,0,2,0",
                                                 "0.10000000000000001,1,0,0,2,0", "0.20000000000000001,1,0,0,2,0"]
+
+    def test_signed_zero_and_subnormal_bytes(self, tmp_path):
+        # the goldens hold typical values; -0 and subnormals must print as the per-value f-string did
+        cfg, out = tmp_path / "run.cfg", tmp_path / "traj.csv"
+        cfg.write_text("group = su3\nsplit = l1,l7\nh = 0.25\nT = 1\nstride = 2\n"
+                       "[hamiltonian]\nl1 = -0.0\nl7 = 5e-324\n[constraint]\nl2 = -0.0\nl3 = -5e-324\nl8 = 0.5\n")
+        assert dispatch(["integrate", "--config", str(cfg), "--out", str(out)]) == 0
+        config = parse_config(cfg.read_text())
+        traj = integrate(config.initial, config.split, config.h, config.T, config.stride)
+        expected = ["t,l1,l7,l2,l3,l4,l5,l6,l8,trH2,trF2"]
+        for k in range(len(traj.times)):
+            vals = [traj.times[k], *traj.h_coeffs[k], *traj.f_coeffs[k], *traj.monitors[k]]
+            expected.append(",".join(f"{v:.17g}" for v in vals))
+        assert expected[1] == "0,-0,4.9406564584124654e-324,-0,-4.9406564584124654e-324,0,0,0,0.5,0,0.50000000000000011"
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_missing_config_file(self, tmp_path):
         assert dispatch(["integrate", "--config", str(tmp_path / "nope.cfg"),
@@ -407,6 +423,20 @@ class TestDispatch:
     ])
     def test_usage_error(self, capsys, argv, needle):
         TestNonFiniteInput.assert_rejected(dispatch(argv), capsys, needle)
+
+    def test_cached_parser_keeps_no_state(self, capsys):
+        # the parser is built once per process: no call's options may reach the next call
+        assert _build_parser() is _build_parser()
+        argv = ["propagate", "--family", "su4", "--t1", "0.5", "--steps", "50"]
+        outs = []
+        for extra in (["--p", "0,0,1"], ["--p", "1,2,3"], []):
+            assert dispatch(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[2] == outs[0] != outs[1]
+        assert dispatch(argv + ["--p", "1,2,3", "--order", "x"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == outs[0]
 
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
