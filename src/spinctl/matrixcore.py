@@ -6,6 +6,13 @@ treated as immutable values; no function mutates its inputs.
 expm_unitary has one exact closed form before its stacked eigh, the spin-1
 form (spectrum in {-E, 0, E}), admitted by an involutory screen (every su2
 and su4 H(t)) and then a spin-1 test (every su3 H(t)).
+
+The stacked products of the screen and the spin-1 test, and those of the
+oracle's step product, go through _matmul_last, not @: numpy's @ hands each
+matrix of a stack to BLAS on its own, while _matmul_last multiplies
+time-last (d, d, n) copies elementwise, d broadcast multiplies and d - 1
+adds whose inner loops run over the n matrices. Each matrix of the product
+is bitwise what it would be alone.
 """
 from __future__ import annotations
 
@@ -68,14 +75,7 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     stack = m if m.ndim == 3 else m[None]
-    dev = np.maximum.reduce(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=None)
-    # A non-finite entry makes its own term of dev inf or nan, so only a
-    # finite stack passes this test: finiteness needs no pass of its own.
-    # (An infinite entry can also trip numpy's invalid-value warning here.)
-    if not dev <= HERMITIAN_TOL:
-        if not np.isfinite(stack).all():
-            raise ValueError("matrix has non-finite entries")
-        raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:.3e}")
+    _require_hermitian(stack, "matrix")
     n, d = stack.shape[:2]
     flat = stack.reshape(n, d * d)
     eye = _flat_identity(d)
@@ -83,7 +83,9 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     # H^2 overflows for |H| above about 1e154; such rows fail the screen and
     # the spin-1 test (inf or nan) without a warning, and take eigh.
     with np.errstate(over="ignore", invalid="ignore"):
-        h2 = (stack @ stack).reshape(n, d * d)
+        last = np.ascontiguousarray(stack.transpose(1, 2, 0))
+        h2_last = _matmul_last(last, last)
+        h2 = np.ascontiguousarray(h2_last.transpose(2, 0, 1)).reshape(n, d * d)
         tr2 = np.add.reduce(h2[:, :: d + 1].real, axis=1, keepdims=True)
         e2 = tr2 / d
         closed = (np.maximum.reduce(np.abs(h2 - e2 * eye), axis=1)
@@ -91,7 +93,7 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     n_closed = np.count_nonzero(closed)
     if n_closed < n:
         rest = slice(None) if n_closed == 0 else ~closed  # a whole stack takes no mask
-        e2[rest], closed[rest] = _spin1_test(stack[rest], h2[rest], tr2[rest])
+        e2[rest], closed[rest] = _spin1_test(last[..., rest], h2_last[..., rest], h2[rest], tr2[rest])
         n_closed = np.count_nonzero(closed)
     if n_closed == n:
         u = _spin1_exp(flat, h2, e2, tau, eye)
@@ -104,6 +106,33 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     return u.reshape(m.shape)
 
 
+def _require_hermitian(stack: np.ndarray, what: str) -> None:
+    """Raise ValueError unless the (n, d, d) stack is finite and Hermitian within HERMITIAN_TOL."""
+    dev = np.maximum.reduce(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=None)
+    # A non-finite entry makes its own term of dev inf or nan, so only a
+    # finite stack passes this test: finiteness needs no pass of its own.
+    # (An infinite entry can also trip numpy's invalid-value warning here.)
+    if not dev <= HERMITIAN_TOL:
+        if not np.isfinite(stack).all():
+            raise ValueError(f"{what} has non-finite entries")
+        raise ValueError(f"{what} is not Hermitian: max|H - H^dag| = {dev:.3e}")
+
+
+def _matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[:, :, t] = a[:, :, t] @ b[:, :, t] for time-last (d, d, n) stacks a and b.
+
+    Sums the d terms of each entry in index order, one broadcast multiply
+    and one add per term over all n matrices at once, so every c[:, :, t]
+    is bitwise the product of a[:, :, t] and b[:, :, t] alone, whatever n
+    and the strides. The inner loops run over n: contiguous (d, d, n)
+    inputs run fastest.
+    """
+    c = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        c += a[:, k, None] * b[None, k]
+    return c
+
+
 @functools.lru_cache(maxsize=None)
 def _flat_identity(d: int) -> np.ndarray:
     """The d x d identity as one read-only row of d*d entries."""
@@ -112,17 +141,22 @@ def _flat_identity(d: int) -> np.ndarray:
     return eye
 
 
-def _spin1_test(h: np.ndarray, h2: np.ndarray, tr2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E^2 = Tr H^4 / Tr H^2 and the mask of H^3 = E^2 * H, E^2 > 0, for an (n, d, d) stack h."""
-    n, d = h.shape[:2]
+def _spin1_test(h: np.ndarray, h2: np.ndarray, h2_rows: np.ndarray,
+                tr2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E^2 = Tr H^4 / Tr H^2 and the mask of H^3 = E^2 * H, E^2 > 0.
+
+    ``h`` and ``h2`` = H^2 are time-last (d, d, n) stacks, ``h2_rows`` holds
+    the same H^2 as (n, d*d) rows and ``tr2`` is the (n, 1) column of Tr H^2.
+    """
+    d, _, n = h.shape
     # Tr H^4 or H^3 overflows for |H| above about 1e77, E^2 underflows to 0
     # for |H| near 1e-162, and Tr H^2 <= 0 only for a non-Hermitian H: each
     # gives inf, nan or E^2 = 0, which fails the test without a warning.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h2v = h2.view(float)
+        h2v = h2_rows.view(float)
         e2 = np.einsum("ij,ij->i", h2v, h2v)[:, None] / tr2
-        h3 = (h2.reshape(n, d, d) @ h).reshape(n, d * d)
-        spin1 = (np.maximum.reduce(np.abs(h3 - e2 * h.reshape(n, d * d)), axis=1)
+        miss = np.abs(_matmul_last(h2, h) - e2[:, 0] * h).reshape(d * d, n)
+        spin1 = (np.maximum.reduce(miss, axis=0)
                  <= INVOLUTORY_TOL * np.minimum(1.0, e2[:, 0]) ** 1.5) & (e2[:, 0] > 0)
     return e2, spin1
 

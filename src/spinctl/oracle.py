@@ -9,7 +9,9 @@ discretization error. Two steps are offered:
     order 4, the two-point Gauss-Legendre Magnus step (Blanes, Casas,
     Oteo & Ros, Phys. Rep. 470, 151 (2009)):
         K_k = (H1 + H2) / 2 - i (sqrt(3) dt / 12) (H2 H1 - H1 H2),
-        H1, H2 = H(t_k -+ sqrt(3) dt / 6)
+        H1, H2 = H(t_k -+ sqrt(3) dt / 6),
+    formed as (H1 + H2) / 2 - i (A - A^dag), A = (sqrt(3) dt / 12) H2 H1,
+    so that K_k is Hermitian entry for entry
 
     U(t1, t0) ~ prod_k exp(-i K_k dt),  t_k = t0 + (k + 1/2) dt,
 
@@ -37,7 +39,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .closedforms import UnitaryFamily
-from .matrixcore import as_operator, expm_unitary, row_dot
+from .matrixcore import _matmul_last, _require_hermitian, as_operator, expm_unitary, row_dot
 
 __all__ = [
     "energy_variance",
@@ -52,7 +54,8 @@ __all__ = [
 #: on one 2*pi phase interval.
 DEFAULT_STEPS_PER_PERIOD = 10_000
 
-#: Ceiling on ``steps``: about 30 s of midpoint factors at 3 us per step.
+#: Ceiling on ``steps``: about 10 to 30 s of midpoint factors, at 1.1 (su2)
+#: to 2.7 (su4) us per step.
 _MAX_STEPS = 10 ** 7
 
 #: Steps evaluated per stacked H(t) call and per stacked expm_unitary.
@@ -80,7 +83,9 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
     _CHUNK, each from one H(t) call (at the m midpoints, or at both Gauss
     points of each step, in step order) and one stacked expm_unitary;
     chunks after the first come lazily.
-    Every stack must have shape (len(ts), d, d) with the same d.
+    Every stack must have shape (len(ts), d, d) with the same d. Each
+    exponent passes expm_unitary's Hermiticity check; at order 4, where K
+    cancels the anti-Hermitian parts of H1 + H2, so does each H(t) stack.
     """
     if not (isinstance(order, numbers.Integral) and order in (2, 4)):
         raise ValueError(f"order must be 2 or 4, got {order!r}")
@@ -104,17 +109,22 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
                              f"expected (n, dim, dim) with dim {dim}")
         k = h
         if order == 4:
-            h1, h2 = h[0::2], h[1::2]
-            # dt goes into one factor first, so the products stay near
-            # |H| |H dt| and overflow only where the exponent itself would
-            c = (math.sqrt(3) / 12 * dt) * h2
+            # For Hermitian H1, H2 and A = (sqrt(3) dt / 12) H2 H1, the commutator
+            # term is A - A^dag: one product, and K Hermitian entry for entry.
+            # dt goes into one factor first, so the product stays near
+            # |H| |H dt| and overflows only where the exponent itself would.
+            last = np.ascontiguousarray(h.transpose(1, 2, 0))
             with np.errstate(over="ignore", invalid="ignore"):
-                k = 0.5 * (h1 + h2) - 1j * (c @ h1 - h1 @ c)
+                a = _matmul_last((math.sqrt(3) / 12 * dt) * last[..., 1::2], last[..., 0::2])
+                a = a.transpose(2, 0, 1)
+                k = 0.5 * (h[0::2] + h[1::2]) - 1j * (a - a.conj().swapaxes(1, 2))
         try:
+            if order == 4:  # K would hide an anti-Hermitian part of H(t)
+                _require_hermitian(h, "H(t)")
             return expm_unitary(k, dt)
         except ValueError:
-            for what, a in (("H(t)", h), ("the step exponent", k)):
-                finite = np.isfinite(a).all(axis=(1, 2)).repeat(len(h) // len(a))
+            for what, arr in (("H(t)", h), ("the step exponent", k)):
+                finite = np.isfinite(arr).all(axis=(1, 2)).repeat(len(h) // len(arr))
                 if not finite.all():
                     t = float(ts[np.argmin(finite)])
                     raise ValueError(f"non-finite entries in {what} at t = {t}: "
@@ -130,13 +140,16 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
 def _ordered_product(factors: np.ndarray) -> np.ndarray:
     """factors[-1] @ ... @ factors[0] as a pairwise product tree.
 
-    Each level multiplies neighbours, later on the left; an odd last
-    factor passes up unpaired, so time order is kept at every level.
+    The (m, d, d) stack is copied once to time-last (d, d, m) form; each
+    level then multiplies neighbours, later on the left, with one
+    elementwise _matmul_last over all pairs. An odd last factor passes up
+    unpaired, so time order is kept at every level.
     """
-    while len(factors) > 1:
-        paired = factors[1::2] @ factors[0:-1:2]
-        factors = np.concatenate([paired, factors[-1:]]) if len(factors) % 2 else paired
-    return factors[0]
+    f = np.ascontiguousarray(factors.transpose(1, 2, 0))
+    while f.shape[2] > 1:
+        paired = _matmul_last(f[..., 1::2], f[..., 0:-1:2])
+        f = np.concatenate([paired, f[..., -1:]], axis=2) if f.shape[2] % 2 else paired
+    return f[..., 0]
 
 
 def time_ordered_exponential(hamiltonian: _Hamiltonian, t0: float, t1: float,

@@ -4,7 +4,7 @@ import pytest
 from spinctl import matrixcore
 from spinctl.closedforms import DiracParameters, su2_family, su3_family, su4_family
 from spinctl.generators import PAULI, assemble_dirac, dirac_operators
-from spinctl.matrixcore import as_operator, dagger, expm_unitary, row_dot
+from spinctl.matrixcore import _matmul_last, as_operator, dagger, expm_unitary, row_dot
 from spinctl.oracle import time_ordered_exponential
 
 I2, SX, SY, SZ = PAULI
@@ -71,6 +71,41 @@ class TestRowDot:
         assert row_dot(a[0], b[0]) == pytest.approx(a[0] @ b[0], rel=1e-15)
 
 
+class TestMatmulLast:
+    """The time-last product: c[:, :, t] = a[:, :, t] @ b[:, :, t], each matrix bitwise alone."""
+
+    @staticmethod
+    def random_stack(rng, d, n):
+        return rng.normal(size=(d, d, n)) + 1j * rng.normal(size=(d, d, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_each_matrix_is_its_lone_product(self, d, n):
+        rng = np.random.default_rng(10 + d)
+        a, b = self.random_stack(rng, d, n), self.random_stack(rng, d, n)
+        f = self.random_stack(rng, d, 2 * n + 1)
+        # contiguous, then strided inputs as the product tree passes them
+        for x, y in ((a, b), (f[..., 1::2], f[..., 0:-1:2]), (a, f[..., 2::2])):
+            c = _matmul_last(x, y)
+            assert c.shape == (d, d, n)
+            lone = np.stack([_matmul_last(x[..., t:t + 1], y[..., t:t + 1])[..., 0]
+                             for t in range(n)], axis=-1)
+            assert np.array_equal(c, lone)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_agrees_with_matmul(self, d):
+        # Either product of complex d-vectors is within sqrt(2) gamma_{d+2} |a| |b|
+        # of the exact one, gamma_k = k u / (1 - k u), u = eps / 2 (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.6),
+        # so the two differ by at most sqrt(2) (d + 2) eps |a| |b|, to first order.
+        rng = np.random.default_rng(20 + d)
+        a, b = self.random_stack(rng, d, 500), self.random_stack(rng, d, 500)
+        a *= 10.0 ** rng.uniform(-8, 8, size=500)
+        ref = (a.transpose(2, 0, 1) @ b.transpose(2, 0, 1)).transpose(1, 2, 0)
+        bound = np.sqrt(2) * (d + 2) * np.finfo(float).eps * np.einsum("ikt,kjt->ijt", abs(a), abs(b))
+        assert np.all(np.abs(_matmul_last(a, b) - ref) <= bound)
+
+
 class TestExpmUnitary:
     def test_diagonal_quarter_turn(self):
         u = expm_unitary(SZ, np.pi / 2)
@@ -130,13 +165,13 @@ class TestExpmUnitaryStack:
             u = expm_unitary(stack, tau)
             assert u.shape == stack.shape
             ref = np.stack([expm_unitary(h, tau) for h in stack])
-            assert np.max(np.abs(u - ref)) <= 1e-14
+            assert np.array_equal(u, ref)
 
     def test_single_branch_stacks(self):
         for stack in (np.stack([SX, SZ, np.zeros((2, 2))]),
                       np.stack([random_hermitian(RNG, 3) for _ in range(5)])):
             ref = np.stack([expm_unitary(h, 0.8) for h in stack])
-            assert np.max(np.abs(expm_unitary(stack, 0.8) - ref)) <= 1e-14
+            assert np.array_equal(expm_unitary(stack, 0.8), ref)
 
     def test_zero_matrices_give_identity(self):
         u = expm_unitary(np.zeros((3, 2, 2)), 1.3)
@@ -233,6 +268,25 @@ class TestExpmUnitarySpin1:
         h = scale * with_spectrum(np.random.default_rng(27), [-1.0, 0.0, 1.0])
         h = (h + dagger(h)) / 2  # exactly Hermitian: the check is absolute
         assert np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau))) <= 1e-14
+
+    def test_overflowing_stack_takes_eigh_quietly(self, monkeypatch):
+        # H^2 of every matrix overflows in the time-last product: the whole
+        # stack takes eigh, with no RuntimeWarning (an error under this suite)
+        rng = np.random.default_rng(28)
+        stack = 1e160 * np.stack([with_spectrum(rng, s) for s in
+                                  ([-1.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [0.3, -2.0, 1.0])])
+        stack = (stack + dagger(stack)) / 2
+        taken, stacked_eigh = [], matrixcore._eigh_exp
+
+        def counting(h, tau):
+            taken.append(len(h))
+            return stacked_eigh(h, tau)
+
+        monkeypatch.setattr(matrixcore, "_eigh_exp", counting)
+        u = expm_unitary(stack, 1e-160)
+        assert taken == [3]
+        for h, uk in zip(stack, u):
+            assert np.max(np.abs(uk - eigh_exp(h, 1e-160))) <= 1e-14
 
     def test_near_miss_takes_eigh(self):
         rng = np.random.default_rng(25)

@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from spinctl import oracle
+from spinctl.cli import dispatch
 from spinctl.closedforms import DiracParameters, su2_family, su3_family, su4_family
 from spinctl.generators import PAULI
 from spinctl.matrixcore import dagger, expm_unitary
@@ -182,6 +184,51 @@ class TestTimeOrderedExponential:
                 time_ordered_exponential(hamiltonian, 0.0, 1.0, steps)
             with pytest.raises(ValueError, match="dim"):
                 evolve_state(np.array([1.0, 0.0]), hamiltonian, 0.0, 1.0, steps)
+
+
+class TestOrderFourExponent:
+    """K = (H1 + H2)/2 - i (A - A^dag), A = (sqrt(3) dt/12) H2 H1: Hermitian entry for entry."""
+
+    @pytest.fixture
+    def exponents(self, monkeypatch):
+        seen = []
+
+        def spy(k, tau):
+            seen.append(np.array(k))
+            return expm_unitary(k, tau)
+
+        monkeypatch.setattr(oracle, "expm_unitary", spy)
+        return seen
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=[f.group_id for f in ALL_FAMILIES])
+    def test_exponent_is_exactly_hermitian(self, fam, scale, exponents):
+        time_ordered_exponential(lambda t: scale * fam.hamiltonian(t), -0.3, 2.6, 300, order=4)
+        k = np.concatenate(exponents)
+        assert len(k) == 300
+        assert np.max(np.abs(k - dagger(k))) == 0
+
+    def test_large_energy_su4_probe(self, capsys):
+        # |H| ~ 6e5: the exponent's commutator term is large, and K stays exactly Hermitian
+        assert dispatch(["propagate", "--family", "su4", "--t1", "1", "--m", "1e5",
+                         "--p", "3e5,-2e5,5e5", "--steps", "2000", "--order", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "max_deviation=1.592e+00"
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_rejects_non_hermitian_schedule(self, order):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            time_ordered_exponential(constant(SX + 1e-6j * SZ), 0.0, 1.0, 300, order=order)
+
+    def test_rejects_anti_hermitian_parts_that_cancel_in_the_exponent(self, exponents):
+        # 2 steps on [0, 1]: H1 = SX - X and H2 = SX + X in each step, X = 1e-3 i SZ
+        # anti-Hermitian, so H1 + H2 = 2 SX exactly and K alone would look Hermitian
+        def skewed(t):
+            sign = np.sign((t % 0.5) - 0.25)[:, None, None]
+            return SX + sign * (1e-3j * SZ)
+
+        with pytest.raises(ValueError, match=r"H\(t\) is not Hermitian"):
+            time_ordered_exponential(skewed, 0.0, 1.0, 2, order=4)
+        assert exponents == []
 
 
 class TestRotatingFramePropagator:
