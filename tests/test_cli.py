@@ -239,6 +239,42 @@ class TestGoldenIntegrate:
         assert out.read_bytes() == (GOLDEN_DIR / f"integrate_{group}.csv").read_bytes()
 
 
+_PROPAGATE_CASES = {
+    "su2": ["--family", "su2", "--t1", "2"],
+    "su3": ["--family", "su3", "--t1", "2"],
+    "su4": ["--family", "su4", "--t1", "2"],
+    # E ~ 6e3: K dt is not involutory, so nearly every step takes eigh
+    "su4_eigh": ["--family", "su4", "--t1", "1", "--m", "1", "--p", "3e3,-2e3,5e3"],
+}
+
+
+class TestGoldenPropagate:
+    """``spinctl propagate`` output, byte for byte, at both oracle orders.
+
+    The files pin every bit of the oracle's step product that 17 printed
+    digits show: the spin-1 closed form (su2, su3, su4) and the stacked
+    eigh (su4 at E ~ 6e3), 1000 steps each. Rewrite them only for an
+    intended change of the oracle:
+
+        for o in 2 4; do
+            for g in su2 su3 su4; do
+                PYTHONPATH=src python3 -m spinctl propagate --family $g --t1 2 \\
+                    --steps 1000 --order $o > tests/data/propagate_${g}_order$o.txt
+            done
+            PYTHONPATH=src python3 -m spinctl propagate --family su4 --t1 1 --m 1 \\
+                --p 3e3,-2e3,5e3 --steps 1000 --order $o > tests/data/propagate_su4_eigh_order$o.txt
+        done
+    """
+
+    @pytest.mark.parametrize("order", ["2", "4"])
+    @pytest.mark.parametrize("case", sorted(_PROPAGATE_CASES))
+    def test_stdout_matches_file(self, capsys, case, order):
+        argv = ["propagate", *_PROPAGATE_CASES[case], "--steps", "1000", "--order", order]
+        assert dispatch(argv) == 0
+        expected = (GOLDEN_DIR / f"propagate_{case}_order{order}.txt").read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
+
 class TestMatrixCommands:
     def test_gate_identity_block(self, capsys):
         assert dispatch(["gate", "--t", "0"]) == 0
