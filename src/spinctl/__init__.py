@@ -40,7 +40,6 @@ from .generators import (
     assemble_dirac,
     build_basis,
     dirac_operators,
-    gell_mann,
     project_coefficients,
     reconstruct,
     verify_algebra,

@@ -311,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=_finite_float, default=0.0)
         else:
             p.add_argument("--t1", type=_finite_float, required=True)
-            p.add_argument("--steps", type=int, default=oracle.DEFAULT_STEPS_PER_PERIOD)
+            # 10^4 midpoint steps drive the discretization error below 1e-6 on a 2*pi interval
+            p.add_argument("--steps", type=int, default=10_000)
             p.add_argument("--order", type=int, default=2, metavar="{2,4}",
                            help="oracle step: 2 midpoint, 4 two-point Gauss-Legendre Magnus")
         p.set_defaults(fn=fn)

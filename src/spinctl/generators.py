@@ -27,7 +27,6 @@ __all__ = [
     "assemble_dirac",
     "build_basis",
     "dirac_operators",
-    "gell_mann",
     "project_coefficients",
     "reconstruct",
     "verify_algebra",
@@ -40,20 +39,6 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-def gell_mann() -> np.ndarray:
-    """The eight Gell-Mann matrices, Tr(l_a l_b) = 2 delta_ab."""
-    l = np.zeros((8, 3, 3), dtype=complex)
-    l[0, 0, 1] = l[0, 1, 0] = 1
-    l[1, 0, 1] = -1j; l[1, 1, 0] = 1j
-    l[2, 0, 0] = 1; l[2, 1, 1] = -1
-    l[3, 0, 2] = l[3, 2, 0] = 1
-    l[4, 0, 2] = -1j; l[4, 2, 0] = 1j
-    l[5, 1, 2] = l[5, 2, 1] = 1
-    l[6, 1, 2] = -1j; l[6, 2, 1] = 1j
-    l[7] = np.diag([1, 1, -2]) / np.sqrt(3)
-    return l
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +84,15 @@ def build_basis(group_id: str) -> GeneratorBasis:
         elements = np.stack(PAULI[1:])
     elif group_id == "su3":
         labels = tuple(f"l{k}" for k in range(1, 9))
-        elements = gell_mann()
+        elements = np.zeros((8, 3, 3), dtype=complex)  # the Gell-Mann octet
+        elements[0, 0, 1] = elements[0, 1, 0] = 1
+        elements[1, 0, 1] = -1j; elements[1, 1, 0] = 1j
+        elements[2, 0, 0] = 1; elements[2, 1, 1] = -1
+        elements[3, 0, 2] = elements[3, 2, 0] = 1
+        elements[4, 0, 2] = -1j; elements[4, 2, 0] = 1j
+        elements[5, 1, 2] = elements[5, 2, 1] = 1
+        elements[6, 1, 2] = -1j; elements[6, 2, 1] = 1j
+        elements[7] = np.diag([1, 1, -2]) / np.sqrt(3)
     elif group_id == "su4":
         pairs = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
         labels = tuple(f"s{i}{j}" for i, j in pairs)

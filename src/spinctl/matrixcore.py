@@ -7,16 +7,16 @@ expm_unitary has one exact closed form before its stacked eigh, the spin-1
 form (spectrum in {-E, 0, E}), admitted by an involutory screen (every su2
 and su4 H(t)) and then a spin-1 test (every su3 H(t)).
 
-The stacked products of the screen and the spin-1 test, and those of the
-oracle's step product, go through _matmul_last, not @: numpy's @ hands each
-matrix of a stack to BLAS on its own, while _matmul_last multiplies
-time-last (d, d, n) copies elementwise, d broadcast multiplies and d - 1
-adds whose inner loops run over the n matrices. Each matrix of the product
-is bitwise what it would be alone.
+Inside this module, and in the oracle's chunks, stacks are time-last
+(d, d, n). _expm_last takes and returns that one layout and runs the
+screen, the test, the spin-1 form and the eigh along one path. Its
+products go through _matmul_last, not @: numpy's @ hands each matrix of a
+stack to BLAS on its own, while _matmul_last multiplies elementwise, d
+broadcast multiplies and d - 1 adds whose inner loops run over the n
+matrices. Each matrix of the product is bitwise what it would be alone.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -66,6 +66,8 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     test, with E^2 = Tr H^4 / Tr H^2. Both hold entrywise to INVOLUTORY_TOL
     * min(1, E^k), k = 2 and 3, so a small nonzero H is not taken for H = 0.
     The other matrices share one stacked Hermitian eigendecomposition.
+    The stack is copied once to time-last (d, d, n) form for _expm_last and
+    once back.
     Raises ValueError if ``tau`` or any matrix entry is non-finite, or if
     any matrix is not Hermitian within HERMITIAN_TOL.
     """
@@ -74,41 +76,52 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     m = np.asarray(h, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    stack = m if m.ndim == 3 else m[None]
-    _require_hermitian(stack, "matrix")
-    n, d = stack.shape[:2]
-    flat = stack.reshape(n, d * d)
-    eye = _flat_identity(d)
+    last = np.ascontiguousarray(m.reshape(-1, *m.shape[-2:]).transpose(1, 2, 0))
+    _require_hermitian(last, "matrix")
+    return np.ascontiguousarray(_expm_last(last, tau).transpose(2, 0, 1)).reshape(m.shape)
 
-    # H^2 overflows for |H| above about 1e154; such rows fail the screen and
-    # the spin-1 test (inf or nan) without a warning, and take eigh.
-    with np.errstate(over="ignore", invalid="ignore"):
-        last = np.ascontiguousarray(stack.transpose(1, 2, 0))
-        h2_last = _matmul_last(last, last)
-        h2 = np.ascontiguousarray(h2_last.transpose(2, 0, 1)).reshape(n, d * d)
-        tr2 = np.add.reduce(h2[:, :: d + 1].real, axis=1, keepdims=True)
+
+def _expm_last(h: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i H tau) of a time-last (d, d, n) Hermitian stack, returned time-last.
+
+    expm_unitary's path, its checks taken as done. Every matrix gets the
+    spin-1 form with its own E^2; those neither the screen nor the spin-1
+    test admitted are then overwritten by one _eigh_exp call over them.
+    """
+    d, _, n = h.shape
+    eye = np.eye(d, dtype=complex)[..., None]
+    # H^2 overflows for |H| above about 1e154; such matrices fail the screen
+    # and the spin-1 test (inf or nan) and take eigh, and the spin-1 form
+    # computed for them meanwhile raises no warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h2 = _matmul_last(h, h)
+        tr2 = np.add.reduce(h2.reshape(d * d, n)[:: d + 1].real, axis=0)
         e2 = tr2 / d
-        closed = (np.maximum.reduce(np.abs(h2 - e2 * eye), axis=1)
-                  <= INVOLUTORY_TOL * np.minimum(1.0, e2[:, 0]))
-    n_closed = np.count_nonzero(closed)
-    if n_closed < n:
-        rest = slice(None) if n_closed == 0 else ~closed  # a whole stack takes no mask
-        e2[rest], closed[rest] = _spin1_test(last[..., rest], h2_last[..., rest], h2[rest], tr2[rest])
-        n_closed = np.count_nonzero(closed)
-    if n_closed == n:
-        u = _spin1_exp(flat, h2, e2, tau, eye)
-    elif n_closed == 0:
-        u = _eigh_exp(stack, tau)
-    else:
-        u = np.empty_like(flat)
-        u[closed] = _spin1_exp(flat[closed], h2[closed], e2[closed], tau, eye)
-        u[~closed] = _eigh_exp(stack[~closed], tau).reshape(-1, d * d)
-    return u.reshape(m.shape)
+        closed = (np.maximum.reduce(np.abs(h2 - e2 * eye).reshape(d * d, n), axis=0)
+                  <= INVOLUTORY_TOL * np.minimum(1.0, e2))
+        if not closed.all():
+            # compress, unlike a boolean index on the last axis, copies to contiguous (d, d, k)
+            rest = ~closed
+            e2[rest], closed[rest] = _spin1_test(h.compress(rest, axis=2), h2.compress(rest, axis=2),
+                                                 tr2[rest])
+        # E^2 = 0 only for H = 0 (H^2 = 0 and H Hermitian), whose exponential is I.
+        # The half-angle form keeps H^2's term accurate at small E tau.
+        zero = e2 == 0
+        e2[zero] = 1.0
+        e = np.sqrt(e2)
+        et = e * tau
+        half = np.sin(0.5 * et)
+        u = eye + (-1j * np.sin(et) / e) * h - (2.0 * half * half / e2) * h2
+    np.copyto(u, eye, where=zero)
+    if not closed.all():
+        rest = ~closed
+        u[..., rest] = _eigh_exp(h.compress(rest, axis=2).transpose(2, 0, 1), tau).transpose(1, 2, 0)
+    return u
 
 
 def _require_hermitian(stack: np.ndarray, what: str) -> None:
-    """Raise ValueError unless the (n, d, d) stack is finite and Hermitian within HERMITIAN_TOL."""
-    dev = np.maximum.reduce(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=None)
+    """Raise ValueError unless the time-last (d, d, n) stack is finite and Hermitian within HERMITIAN_TOL."""
+    dev = np.maximum.reduce(np.abs(stack - stack.conj().swapaxes(0, 1)), axis=None)
     # A non-finite entry makes its own term of dev inf or nan, so only a
     # finite stack passes this test: finiteness needs no pass of its own.
     # (An infinite entry can also trip numpy's invalid-value warning here.)
@@ -133,52 +146,23 @@ def _matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_identity(d: int) -> np.ndarray:
-    """The d x d identity as one read-only row of d*d entries."""
-    eye = np.eye(d, dtype=complex).reshape(1, d * d)
-    eye.setflags(write=False)
-    return eye
-
-
-def _spin1_test(h: np.ndarray, h2: np.ndarray, h2_rows: np.ndarray,
-                tr2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spin1_test(h: np.ndarray, h2: np.ndarray, tr2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E^2 = Tr H^4 / Tr H^2 and the mask of H^3 = E^2 * H, E^2 > 0.
 
-    ``h`` and ``h2`` = H^2 are time-last (d, d, n) stacks, ``h2_rows`` holds
-    the same H^2 as (n, d*d) rows and ``tr2`` is the (n, 1) column of Tr H^2.
+    ``h`` and ``h2`` = H^2 are time-last (d, d, n) stacks and ``tr2`` holds
+    the n values of Tr H^2. Runs under _expm_last's errstate: Tr H^4 or H^3
+    overflows for |H| above about 1e77, E^2 underflows to 0 for |H| near
+    1e-162, and Tr H^2 <= 0 only for a non-Hermitian H; each gives inf, nan
+    or E^2 = 0, which fails the test without a warning.
     """
     d, _, n = h.shape
-    # Tr H^4 or H^3 overflows for |H| above about 1e77, E^2 underflows to 0
-    # for |H| near 1e-162, and Tr H^2 <= 0 only for a non-Hermitian H: each
-    # gives inf, nan or E^2 = 0, which fails the test without a warning.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h2v = h2_rows.view(float)
-        e2 = np.einsum("ij,ij->i", h2v, h2v)[:, None] / tr2
-        miss = np.abs(_matmul_last(h2, h) - e2[:, 0] * h).reshape(d * d, n)
-        spin1 = (np.maximum.reduce(miss, axis=0)
-                 <= INVOLUTORY_TOL * np.minimum(1.0, e2[:, 0]) ** 1.5) & (e2[:, 0] > 0)
+    # Tr H^4 = |H^2|_F^2, summed over each matrix's contiguous row of d*d entries
+    rows = np.ascontiguousarray(h2.reshape(d * d, n).T).view(float)
+    e2 = np.einsum("ij,ij->i", rows, rows) / tr2
+    miss = np.abs(_matmul_last(h2, h) - e2 * h).reshape(d * d, n)
+    spin1 = (np.maximum.reduce(miss, axis=0)
+             <= INVOLUTORY_TOL * np.minimum(1.0, e2) ** 1.5) & (e2 > 0)
     return e2, spin1
-
-
-def _spin1_exp(h: np.ndarray, h2: np.ndarray, e2: np.ndarray, tau: float,
-                eye: np.ndarray) -> np.ndarray:
-    """I - i sin(E tau) H / E - 2 sin^2(E tau / 2) H^2 / E^2 for rows of d*d entries with H^3 = E^2 H.
-
-    ``e2`` is an (n, 1) column. Rows with E^2 = 0 give exactly I (H^2 = 0 and H
-    Hermitian force H = 0). The half-angle form keeps H^2's term accurate at small E tau.
-    """
-    n_zero = len(e2) - np.count_nonzero(e2)
-    if n_zero:
-        zero = e2[:, 0] == 0
-        e2 = np.where(zero[:, None], 1.0, e2)
-    e = np.sqrt(e2)
-    et = e * tau
-    half = np.sin(0.5 * et)
-    u = eye + (-1j * np.sin(et) / e) * h - (2.0 * half * half / e2) * h2
-    if n_zero:
-        u[zero] = eye
-    return u
 
 
 def _eigh_exp(h: np.ndarray, tau: float) -> np.ndarray:

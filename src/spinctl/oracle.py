@@ -15,8 +15,11 @@ discretization error. Two steps are offered:
 
     U(t1, t0) ~ prod_k exp(-i K_k dt),  t_k = t0 + (k + 1/2) dt,
 
-converging at second and fourth order in the step size. The midpoint
-product is the second-order referee that the acceptance criteria pin;
+converging at second and fourth order in the step size. Steps run in
+chunks of up to 256, each one H(t) call copied once to the time-last
+(d, d, m) layout of matrixcore's exponential core; the chunk's K, its
+exponentials and their pairwise product tree stay in that layout. The
+midpoint product is the second-order referee that the acceptance criteria pin;
 the audit's propagator_question referees the closed forms with 256
 order-4 steps. For schedules of rotating-frame type,
 H(t) = e^{-iCt} H0 e^{+iCt}, the exact propagator
@@ -39,7 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .closedforms import UnitaryFamily
-from .matrixcore import _matmul_last, _require_hermitian, as_operator, expm_unitary, row_dot
+from .matrixcore import _expm_last, _matmul_last, _require_hermitian, as_operator, expm_unitary, row_dot
 
 __all__ = [
     "energy_variance",
@@ -50,15 +53,11 @@ __all__ = [
     "time_ordered_exponential",
 ]
 
-#: Step-product resolution that drives discretization error below 1e-6
-#: on one 2*pi phase interval.
-DEFAULT_STEPS_PER_PERIOD = 10_000
-
 #: Ceiling on ``steps``: about 10 to 30 s of midpoint factors, at 1.1 (su2)
 #: to 2.7 (su4) us per step.
 _MAX_STEPS = 10 ** 7
 
-#: Steps evaluated per stacked H(t) call and per stacked expm_unitary.
+#: Steps evaluated per stacked H(t) call and per stacked exponential.
 #: Bounds the factors held at once to _CHUNK * dim^2 complex entries
 #: whatever the step count.
 _CHUNK = 256
@@ -79,9 +78,10 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
     from 1 to _MAX_STEPS) and the finiteness of t0, t1 and t1 - t0 before
     any H(t) call, then evaluates the first chunk at once to learn the
     dimension d from the first stack H(t) returns.
-    Returns d and the factors in time order as (m, d, d) chunks of at most
-    _CHUNK, each from one H(t) call (at the m midpoints, or at both Gauss
-    points of each step, in step order) and one stacked expm_unitary;
+    Returns d and the factors in time order as time-last (d, d, m) chunks
+    of at most _CHUNK, each from one H(t) call (at the m midpoints, or at
+    both Gauss points of each step, in step order), one copy of that stack
+    to time-last form, in which K is formed, and one matrixcore._expm_last;
     chunks after the first come lazily.
     Every stack must have shape (len(ts), d, d) with the same d. Each
     exponent passes expm_unitary's Hermiticity check; at order 4, where K
@@ -107,24 +107,25 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
         if h.shape != (len(ts), dim, dim):
             raise ValueError(f"H(t) returned shape {h.shape} for {len(ts)} times, "
                              f"expected (n, dim, dim) with dim {dim}")
-        k = h
+        last = np.ascontiguousarray(h.transpose(1, 2, 0), dtype=complex)
+        k = last
         if order == 4:
             # For Hermitian H1, H2 and A = (sqrt(3) dt / 12) H2 H1, the commutator
             # term is A - A^dag: one product, and K Hermitian entry for entry.
             # dt goes into one factor first, so the product stays near
             # |H| |H dt| and overflows only where the exponent itself would.
-            last = np.ascontiguousarray(h.transpose(1, 2, 0))
+            h1, h2 = last[..., 0::2], last[..., 1::2]
             with np.errstate(over="ignore", invalid="ignore"):
-                a = _matmul_last((math.sqrt(3) / 12 * dt) * last[..., 1::2], last[..., 0::2])
-                a = a.transpose(2, 0, 1)
-                k = 0.5 * (h[0::2] + h[1::2]) - 1j * (a - a.conj().swapaxes(1, 2))
+                a = _matmul_last((math.sqrt(3) / 12 * dt) * h2, h1)
+                k = 0.5 * (h1 + h2) - 1j * (a - a.conj().swapaxes(0, 1))
         try:
             if order == 4:  # K would hide an anti-Hermitian part of H(t)
-                _require_hermitian(h, "H(t)")
-            return expm_unitary(k, dt)
+                _require_hermitian(last, "H(t)")
+            _require_hermitian(k, "matrix")
+            return _expm_last(k, dt)
         except ValueError:
-            for what, arr in (("H(t)", h), ("the step exponent", k)):
-                finite = np.isfinite(arr).all(axis=(1, 2)).repeat(len(h) // len(arr))
+            for what, arr in (("H(t)", last), ("the step exponent", k)):
+                finite = np.isfinite(arr).all(axis=(0, 1)).repeat(len(ts) // arr.shape[2])
                 if not finite.all():
                     t = float(ts[np.argmin(finite)])
                     raise ValueError(f"non-finite entries in {what} at t = {t}: "
@@ -132,20 +133,18 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
             raise
 
     first = chunk(0, None)
-    dim = first.shape[1]
+    dim = first.shape[0]
     rest = (chunk(start, dim) for start in range(_CHUNK, steps, _CHUNK))
     return dim, itertools.chain([first], rest)
 
 
-def _ordered_product(factors: np.ndarray) -> np.ndarray:
-    """factors[-1] @ ... @ factors[0] as a pairwise product tree.
+def _ordered_product(f: np.ndarray) -> np.ndarray:
+    """The product of a time-last (d, d, m) stack, later factors on the left, as a pairwise tree.
 
-    The (m, d, d) stack is copied once to time-last (d, d, m) form; each
-    level then multiplies neighbours, later on the left, with one
+    Each level multiplies neighbours, later on the left, with one
     elementwise _matmul_last over all pairs. An odd last factor passes up
     unpaired, so time order is kept at every level.
     """
-    f = np.ascontiguousarray(factors.transpose(1, 2, 0))
     while f.shape[2] > 1:
         paired = _matmul_last(f[..., 1::2], f[..., 0:-1:2])
         f = np.concatenate([paired, f[..., -1:]], axis=2) if f.shape[2] % 2 else paired
@@ -158,8 +157,8 @@ def time_ordered_exponential(hamiltonian: _Hamiltonian, t0: float, t1: float,
 
     ``order`` 2 takes the midpoint step, 4 the two-point Gauss-Legendre
     Magnus step (see the module docstring). Later times multiply from the
-    left. Each factor goes through expm_unitary, so Hermiticity of every
-    exponent is enforced and the result is unitary to machine precision
+    left. Every exponent passes expm_unitary's Hermiticity check and takes
+    its exponential, so the result is unitary to machine precision
     regardless of ``steps``. The factors of each chunk of steps are
     multiplied as a pairwise tree before joining the running product.
     """
@@ -194,7 +193,7 @@ def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,
     """Propagate a normalized state, returning all steps+1 samples.
 
     Each step applies one midpoint short-time propagator; every sample
-    stays normalized to within the unitarity of expm_unitary.
+    stays normalized to within the unitarity of the step exponential.
     """
     psi = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi)
@@ -205,7 +204,9 @@ def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,
         raise ValueError(f"state shape {psi.shape} does not match dim {dim}")
     out = np.empty((steps + 1, dim), dtype=complex)
     out[0] = psi
-    for k, f in enumerate(itertools.chain.from_iterable(chunks), start=1):
+    # each chunk back to (m, d, d): a strided f @ psi skips BLAS and rounds differently
+    factors = (np.ascontiguousarray(c.transpose(2, 0, 1)) for c in chunks)
+    for k, f in enumerate(itertools.chain.from_iterable(factors), start=1):
         psi = f @ psi
         out[k] = psi
     return out

@@ -193,11 +193,13 @@ class TestOrderFourExponent:
     def exponents(self, monkeypatch):
         seen = []
 
-        def spy(k, tau):
-            seen.append(np.array(k))
-            return expm_unitary(k, tau)
+        expm_last = oracle._expm_last
 
-        monkeypatch.setattr(oracle, "expm_unitary", spy)
+        def spy(k, tau):  # k is a time-last (d, d, m) stack
+            seen.append(np.array(k.transpose(2, 0, 1)))
+            return expm_last(k, tau)
+
+        monkeypatch.setattr(oracle, "_expm_last", spy)
         return seen
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
