@@ -49,7 +49,6 @@ from .oracle import (
     energy_variance,
     evolve_state,
     fs_speed_check,
-    rotating_frame_propagator,
     schrodinger_propagator,
     time_ordered_exponential,
 )

@@ -57,7 +57,7 @@ import numpy as np
 from . import brachistochrone as bt
 from . import closedforms as cf
 from . import oracle
-from .generators import build_basis, dirac_operators, verify_algebra
+from .generators import _project, build_basis, dirac_operators, verify_algebra
 from .matrixcore import dagger, row_dot
 
 __all__ = ["CheckResult", "catalog_ids", "format_report", "full_report", "run_check"]
@@ -337,10 +337,11 @@ def _check_constraint_orthogonality(rng):
     # 20 sets, the 15 coefficients of each one's F(0), then 5 times per set
     params, f0 = _draw_sets(rng, n=20, min_p=0.1), rng.uniform(-2, 2, (20, 15))
     times = rng.uniform(-2, 2, 100)
-    # coefficients of each H(0); Tr(A B) = sum_k a_k b_k Tr(g_k^2)
+    # coefficients of each H(0) by project_coefficients' core, which, unlike
+    # project_coefficients, lets a NaN H(0) FAIL this check instead of raising
+    h0 = _project(cf.dirac_hamiltonian(params, 0.0), basis)
+    # remove the H(0) component so Tr(H(0) F(0)) = 0; Tr(A B) = sum_k a_k b_k Tr(g_k^2)
     norms = basis.norm_constants
-    h0 = np.einsum("kij,nji->nk", basis.elements, cf.dirac_hamiltonian(params, 0.0)).real / norms
-    # remove the H(0) component so Tr(H(0) F(0)) = 0
     f0 -= ((f0 * h0) @ norms / ((h0 * h0) @ norms))[:, None] * h0
     per_time = np.repeat(np.arange(20), 5)  # each set at its 5 times
     at_times = cf.DiracParameters(m=params.m[per_time], p0=params.p0[per_time])

@@ -17,7 +17,7 @@ sets give the (n, d, d) stack, each matrix bitwise its scalar call.
 In every family U(t, s) transports the Hamiltonian isometrically,
 H(t) = U(t, s) H(s) U(t, s)^dag. It is *not* the Schrodinger propagator of
 H(t); the genuine propagator is the rotating-frame form exposed through
-``frame`` (see oracle.rotating_frame_propagator). Sign conventions that the
+``frame`` (see oracle.schrodinger_propagator). Sign conventions that the
 numerical audit fixes live in the AUDITED_CONVENTIONS record.
 """
 from __future__ import annotations

@@ -125,6 +125,11 @@ def project_coefficients(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
             f"matrix has trace {tr:.3e}; identity component dropped by projection",
             stacklevel=2,
         )
+    return _project(a, basis)
+
+
+def _project(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
+    """project_coefficients' core, without its trace test, for a finite (d, d) or (n, d, d) ``a`` of basis.dim."""
     coeffs = np.einsum("kij,...ji->...k", basis.elements, a) / basis.norm_constants
     return coeffs.real
 

@@ -68,8 +68,9 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     The other matrices share one stacked Hermitian eigendecomposition.
     The stack is copied once to time-last (d, d, n) form for _expm_last and
     once back.
-    Raises ValueError if ``tau`` or any matrix entry is non-finite, or if
-    any matrix is not Hermitian within HERMITIAN_TOL.
+    Raises ValueError if ``tau`` or any matrix entry is non-finite, if
+    any matrix is not Hermitian within HERMITIAN_TOL (naming the first
+    that fails), or if a phase E tau, or an eigenvalue times tau, overflows.
     """
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
@@ -84,9 +85,10 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
 def _expm_last(h: np.ndarray, tau: float) -> np.ndarray:
     """exp(-i H tau) of a time-last (d, d, n) Hermitian stack, returned time-last.
 
-    expm_unitary's path, its checks taken as done. Every matrix gets the
-    spin-1 form with its own E^2; those neither the screen nor the spin-1
-    test admitted are then overwritten by one _eigh_exp call over them.
+    expm_unitary's path, its input checks taken as done. Every matrix gets
+    the spin-1 form with its own E^2; those neither the screen nor the
+    spin-1 test admitted are then overwritten by one _eigh_exp call over
+    them. A non-finite phase of either path raises ValueError.
     """
     d, _, n = h.shape
     eye = np.eye(d, dtype=complex)[..., None]
@@ -112,6 +114,7 @@ def _expm_last(h: np.ndarray, tau: float) -> np.ndarray:
         et = e * tau
         half = np.sin(0.5 * et)
         u = eye + (-1j * np.sin(et) / e) * h - (2.0 * half * half / e2) * h2
+    _require_finite_phase(et[closed], tau)
     np.copyto(u, eye, where=zero)
     if not closed.all():
         rest = ~closed
@@ -119,16 +122,26 @@ def _expm_last(h: np.ndarray, tau: float) -> np.ndarray:
     return u
 
 
-def _require_hermitian(stack: np.ndarray, what: str) -> None:
-    """Raise ValueError unless the time-last (d, d, n) stack is finite and Hermitian within HERMITIAN_TOL."""
-    dev = np.maximum.reduce(np.abs(stack - stack.conj().swapaxes(0, 1)), axis=None)
-    # A non-finite entry makes its own term of dev inf or nan, so only a
-    # finite stack passes this test: finiteness needs no pass of its own.
+def _require_hermitian(stack: np.ndarray, what: str, times: np.ndarray | None = None) -> None:
+    """Raise ValueError for the first matrix of the time-last (d, d, n) stack that fails.
+
+    A matrix fails if it is non-finite or not Hermitian within
+    HERMITIAN_TOL. Given ``times``, the n times of the stack, the message
+    names the failing matrix's time.
+    """
+    d, _, n = stack.shape
+    dev = np.maximum.reduce(np.abs(stack - stack.conj().swapaxes(0, 1)).reshape(d * d, n), axis=0)
+    # A non-finite entry makes its own matrix's dev inf or nan, so only a
+    # finite matrix passes this test: finiteness needs no pass of its own.
     # (An infinite entry can also trip numpy's invalid-value warning here.)
-    if not dev <= HERMITIAN_TOL:
-        if not np.isfinite(stack).all():
-            raise ValueError(f"{what} has non-finite entries")
-        raise ValueError(f"{what} is not Hermitian: max|H - H^dag| = {dev:.3e}")
+    ok = dev <= HERMITIAN_TOL
+    if not ok.all():
+        i = int(np.argmin(ok))
+        at = "" if times is None else f" at t = {float(times[i])}"
+        if np.isfinite(stack[..., i]).all():
+            raise ValueError(f"{what} is not Hermitian{at}: max|H - H^dag| = {dev[i]:.3e}")
+        raise ValueError(f"{what} has non-finite entries" if times is None
+                         else f"non-finite entries in {what}{at}: the inputs overflow")
 
 
 def _matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,4 +181,13 @@ def _spin1_test(h: np.ndarray, h2: np.ndarray, tr2: np.ndarray) -> tuple[np.ndar
 def _eigh_exp(h: np.ndarray, tau: float) -> np.ndarray:
     """exp(-i H tau) of a Hermitian stack through one stacked eigendecomposition."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * tau)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    with np.errstate(over="ignore"):
+        wt = w * tau
+    _require_finite_phase(wt, tau)
+    return (v * np.exp(-1j * wt)[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+def _require_finite_phase(phase: np.ndarray, tau: float) -> None:
+    """Raise ValueError unless every phase E tau (or eigenvalue times tau) is finite."""
+    if not np.isfinite(phase).all():
+        raise ValueError(f"phase of exp(-i H tau) overflows at tau = {tau}: |H| tau passes the float range")

@@ -21,12 +21,13 @@ chunks of up to 256, each one H(t) call copied once to the time-last
 exponentials and their pairwise product tree stay in that layout. The
 midpoint product is the second-order referee that the acceptance criteria pin;
 the audit's propagator_question referees the closed forms with 256
-order-4 steps. For schedules of rotating-frame type,
-H(t) = e^{-iCt} H0 e^{+iCt}, the exact propagator
+order-4 steps. Every closed-form family has a schedule of rotating-frame
+type, H(t) = e^{-iCt} H0 e^{+iCt} with (C, H0) its ``frame``, so
+schrodinger_propagator gives its exact propagator
 
-    V(t, s) = e^{-iCt} e^{-i(H0 - C)(t - s)} e^{+iCs}
+    V(t, s) = e^{-iCt} e^{-i(H0 - C)(t - s)} e^{+iCs},
 
-is available in closed form and satisfies i dV/dt = H(t) V.
+which satisfies i dV/dt = H(t) V.
 
 Diagnostics, each over a whole state history at once: the energy
 variance <H^2> - <H>^2 and the projective (Fubini-Study) speed, which
@@ -48,7 +49,6 @@ __all__ = [
     "energy_variance",
     "evolve_state",
     "fs_speed_check",
-    "rotating_frame_propagator",
     "schrodinger_propagator",
     "time_ordered_exponential",
 ]
@@ -83,9 +83,10 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
     both Gauss points of each step, in step order), one copy of that stack
     to time-last form, in which K is formed, and one matrixcore._expm_last;
     chunks after the first come lazily.
-    Every stack must have shape (len(ts), d, d) with the same d. Each
-    exponent passes expm_unitary's Hermiticity check; at order 4, where K
-    cancels the anti-Hermitian parts of H1 + H2, so does each H(t) stack.
+    Every stack must have shape (len(ts), d, d) with the same d. Each H(t)
+    stack, and at order 4 each K stack, passes matrixcore._require_hermitian,
+    whose error names the first failing time (for K, its step's first Gauss
+    point).
     """
     if not (isinstance(order, numbers.Integral) and order in (2, 4)):
         raise ValueError(f"order must be 2 or 4, got {order!r}")
@@ -108,29 +109,20 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
             raise ValueError(f"H(t) returned shape {h.shape} for {len(ts)} times, "
                              f"expected (n, dim, dim) with dim {dim}")
         last = np.ascontiguousarray(h.transpose(1, 2, 0), dtype=complex)
-        k = last
-        if order == 4:
-            # For Hermitian H1, H2 and A = (sqrt(3) dt / 12) H2 H1, the commutator
-            # term is A - A^dag: one product, and K Hermitian entry for entry.
-            # dt goes into one factor first, so the product stays near
-            # |H| |H dt| and overflows only where the exponent itself would.
-            h1, h2 = last[..., 0::2], last[..., 1::2]
-            with np.errstate(over="ignore", invalid="ignore"):
-                a = _matmul_last((math.sqrt(3) / 12 * dt) * h2, h1)
-                k = 0.5 * (h1 + h2) - 1j * (a - a.conj().swapaxes(0, 1))
-        try:
-            if order == 4:  # K would hide an anti-Hermitian part of H(t)
-                _require_hermitian(last, "H(t)")
-            _require_hermitian(k, "matrix")
-            return _expm_last(k, dt)
-        except ValueError:
-            for what, arr in (("H(t)", last), ("the step exponent", k)):
-                finite = np.isfinite(arr).all(axis=(0, 1)).repeat(len(ts) // arr.shape[2])
-                if not finite.all():
-                    t = float(ts[np.argmin(finite)])
-                    raise ValueError(f"non-finite entries in {what} at t = {t}: "
-                                     "the inputs overflow") from None
-            raise
+        # at order 4 this also catches an anti-Hermitian part of H(t) that K would cancel
+        _require_hermitian(last, "H(t)", ts)
+        if order == 2:
+            return _expm_last(last, dt)
+        # For Hermitian H1, H2 and A = (sqrt(3) dt / 12) H2 H1, the commutator
+        # term is A - A^dag: one product, and K Hermitian entry for entry.
+        # dt goes into one factor first, so the product stays near
+        # |H| |H dt| and overflows only where the exponent itself would.
+        h1, h2 = last[..., 0::2], last[..., 1::2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = _matmul_last((math.sqrt(3) / 12 * dt) * h2, h1)
+            k = 0.5 * (h1 + h2) - 1j * (a - a.conj().swapaxes(0, 1))
+        _require_hermitian(k, "the step exponent", ts[::2])
+        return _expm_last(k, dt)
 
     first = chunk(0, None)
     dim = first.shape[0]
@@ -169,23 +161,17 @@ def time_ordered_exponential(hamiltonian: _Hamiltonian, t0: float, t1: float,
     return u
 
 
-def rotating_frame_propagator(c: np.ndarray, h0: np.ndarray, t: float,
-                              s: float) -> np.ndarray:
-    """Exact propagator for the schedule H(t) = e^{-iCt} H0 e^{+iCt}."""
-    c, h0 = as_operator(c), as_operator(h0)
-    if c.shape != h0.shape:
-        raise ValueError(f"dimension mismatch: {c.shape} vs {h0.shape}")
-    return expm_unitary(c, t) @ expm_unitary(h0 - c, t - s) @ expm_unitary(c, -s)
-
-
 def schrodinger_propagator(family: UnitaryFamily, t: float, s: float) -> np.ndarray:
-    """The genuine Schrodinger propagator of a closed-form family.
+    """The genuine Schrodinger propagator V(t, s) of a closed-form family (see the module docstring).
 
-    Built from the family's rotating frame; the family's own ``propagator``
-    is only the isometric conjugator of H(t).
+    Built from the family's rotating frame (C, H0), which must share one
+    shape; expm_unitary checks each exponent. The family's own
+    ``propagator`` is only the isometric conjugator of H(t).
     """
     c, h0 = family.frame
-    return rotating_frame_propagator(c, h0, t, s)
+    if np.shape(c) != np.shape(h0):
+        raise ValueError(f"dimension mismatch: {np.shape(c)} vs {np.shape(h0)}")
+    return expm_unitary(c, t) @ expm_unitary(h0 - c, t - s) @ expm_unitary(c, -s)
 
 
 def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,

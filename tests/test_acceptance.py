@@ -9,7 +9,7 @@ import pytest
 
 from dirac_rows import dirac_row, named
 from spinctl.audit import _component_rates, _vector_rates, full_report, format_report
-from spinctl.brachistochrone import OperatorPair, canonical_split, integrate
+from spinctl.brachistochrone import ControlSplit, OperatorPair, canonical_split, integrate
 from spinctl.cli import dispatch
 from spinctl.closedforms import (
     DiracParameters,
@@ -21,7 +21,14 @@ from spinctl.closedforms import (
     su4_eigenframe,
     su4_family,
 )
-from spinctl.generators import PAULI, assemble_dirac, dirac_operators, verify_algebra
+from spinctl.generators import (
+    PAULI,
+    assemble_dirac,
+    build_basis,
+    dirac_operators,
+    project_coefficients,
+    verify_algebra,
+)
 from spinctl.matrixcore import dagger
 from spinctl.oracle import (
     energy_variance,
@@ -184,13 +191,46 @@ def test_criterion_07_integrator_conservation():
 
 
 def test_criterion_08_brachistochrone_vs_closed_form():
-    split = canonical_split("su2")
-    traj = integrate(OperatorPair(np.array([1.0, 0.0]), np.array([-0.5])),
-                     split, h=1e-3, T=2 * np.pi, sample_stride=25)
-    expected = np.stack([np.cos(traj.times), np.sin(traj.times)], axis=1)
-    err = float(np.max(np.abs(traj.h_coeffs - expected)))
-    report(8, "su2-closed-form", err < 1e-6,
-           f"max coefficient error {err:.2e} <= 1e-6 over [0, 2pi]")
+    # Each family is H(t) = e^{-iCt} H0 e^{+iCt}, (C, H0) = fam.frame. With F = -C
+    # held constant, X = H + F = e^{-iCt} (H0 - C) e^{+iCt} obeys dX/dt = -i[H, F],
+    # the flow, when H(t) stays in S and C lies in S^c. The canonical su3 split
+    # holds only at theta = 0, so su3 takes (l1, l7, l2, l6); su4's C = E beta has
+    # beta in the canonical S, so su4 flows its massless part: m beta commutes
+    # with C and stays put, and the run reproduces H(t) - m beta.
+    def split(group, s_labels):
+        basis = build_basis(group)
+        return ControlSplit(basis, s_labels, tuple(l for l in basis.labels if l not in s_labels))
+
+    def gap(fam, sp, shift, h):
+        # max |H_flow - (H(t) - shift)| and |F_flow + C| over [0, 2], every 0.1
+        c, h0 = fam.frame
+        start = OperatorPair(project_coefficients(h0 - shift, sp.basis)[sp.s_indices],
+                             project_coefficients(-c, sp.basis)[sp.c_indices])
+        traj = integrate(start, sp, h=h, T=2.0, sample_stride=round(0.1 / h))
+        return max(np.max(np.abs(sp.hamiltonian_matrix(traj.h_coeffs) - fam.hamiltonian(traj.times) + shift)),
+                   np.max(np.abs(sp.constraint_matrix(traj.f_coeffs) + c)))
+
+    # RK4 error model: gap(h) ~ K h^4, so halving h = 0.02 divides the gap by 16
+    # (16.00 su2, 16.06 su3, 16.00 su4), and at h = 1e-3 K h^4 is 1.7e-14 (su2),
+    # 1.5e-14 (su3) and at most 2.9e-11 (su4, larger E); each bound allows
+    # about 3x to 6x that.
+    beta = dirac_operators().beta
+    su4_split = split("su4", ("s11", "s12", "s13", "s21", "s22", "s23"))
+    cases = [("su2", su2_family(), canonical_split("su2"), 0.0, 1e-13)]
+    cases += [(f"su3 theta={theta:.3g}", su3_family(theta), split("su3", ("l1", "l7", "l2", "l6")), 0.0, 1e-13)
+              for theta in (0.0, 0.7, -np.pi / 2)]
+    cases += [(f"su4 m={params.m:g}", su4_family(params), su4_split, params.m * beta, 1e-10)
+              for params in (DiracParameters(m=1.0, p0=np.array([0.4, -0.8, 1.1])),
+                             DiracParameters(m=-0.6, p0=np.array([1.5, 0.3, -1.2]), theta=0.9))]
+    failures, details = [], []
+    for name, fam, sp, shift, bound in cases:
+        err = gap(fam, sp, shift, 1e-3)
+        ratio = gap(fam, sp, shift, 0.02) / gap(fam, sp, shift, 0.01)
+        if not (err <= bound and 15 <= ratio <= 17):
+            failures.append(name)
+        details.append(f"{name} {err:.1e} <= {bound:.0e} ratio {ratio:.2f}")
+    report(8, "closed-form-flows", not failures,
+           f"flow vs frame, h=1e-3 over [0, 2], halving ratio in [15, 17]: {'; '.join(details)}")
 
 
 def test_criterion_09_oracle_agreement():

@@ -138,6 +138,29 @@ class TestRhs:
                 assert np.max(np.abs(stacked - fast)) < 1e-13
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e2, 1e3, 1e6])
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_large_commutator_is_projected_without_trace_warning(self, group, scale):
+        # Tr -i[H, F] = 0 by construction; its rounded trace grows with |H||F|
+        split = canonical_split(group)
+        rng = np.random.default_rng(58)
+        h = scale * rng.uniform(-1, 1, (50, len(split.s_indices)))
+        f = scale * rng.uniform(-1, 1, (50, len(split.c_indices)))
+        deriv = brachistochrone_rhs(OperatorPair(h, f), split)
+        fast = np.einsum("kab,na,nb->nk", split.coupling, h, f)
+        stacked = np.concatenate([deriv.h_coeffs, deriv.f_coeffs], axis=1)
+        assert np.max(np.abs(stacked - fast)) <= 1e-13 * scale ** 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_commutator_raises(self, bad):
+        split = canonical_split("su3")
+        h, f = np.ones(len(split.s_indices)), np.ones(len(split.c_indices))
+        h[1] = f[0] = bad  # 1e200 is finite, but H F overflows
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            brachistochrone_rhs(OperatorPair(h, f), split)
+
+
 class TestStackedRhs:
     @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
     @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random_split"])

@@ -152,6 +152,17 @@ class TestExpmUnitary:
         with pytest.raises(ValueError, match="tau must be finite"):
             expm_unitary(h, tau)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h,tau", [
+        (1e10 * SX, 1e300),  # closed form: E tau = 1e310
+        (1e200 * SX, 1e200),  # H^2 overflows, so eigh: w tau = 1e400
+        (np.stack([SZ, 1e10 * SX]), 1e300),
+        (np.stack([SX, 1e200 * SX, 1e10 * SX]), 1e200),
+    ], ids=["closed_form", "eigh", "mixed_closed_form", "mixed_eigh"])
+    def test_overflowing_phase_raises(self, h, tau):
+        with pytest.raises(ValueError, match=r"^phase of exp\(-i H tau\) overflows at tau = "):
+            expm_unitary(h, tau)
+
 
 class TestExpmUnitaryStack:
     def mixed_stack(self):
@@ -180,14 +191,14 @@ class TestExpmUnitaryStack:
     def test_rejects_non_hermitian_anywhere(self):
         stack = self.mixed_stack()
         stack[4, 0, 1] += 1e-6
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max\|H - H\^dag\| = 1\.000e-06$"):
             expm_unitary(stack, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_rejects_non_finite_anywhere(self, bad):
         stack = self.mixed_stack()
         stack[2, 3, 3] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^matrix has non-finite entries$"):
             expm_unitary(stack, 1.0)
 
     def test_rejects_bad_shapes(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -12,7 +13,6 @@ from spinctl.oracle import (
     energy_variance,
     evolve_state,
     fs_speed_check,
-    rotating_frame_propagator,
     schrodinger_propagator,
     time_ordered_exponential,
 )
@@ -23,6 +23,11 @@ I2, SX, SY, SZ = PAULI
 def constant(h):
     """H(t) = h at every time, in the stacked form the oracle takes."""
     return lambda t: np.broadcast_to(h, (len(t),) + h.shape)
+
+
+def framed(c, h0):
+    """The su2 family with its frame (C, H0) replaced by hand, as a user may build one."""
+    return dataclasses.replace(su2_family(), frame=(c, h0))
 
 
 ALL_FAMILIES = [
@@ -46,7 +51,7 @@ class TestTimeOrderedExponential:
     def test_su2_matches_rotating_frame(self):
         fam = su2_family()
         u = time_ordered_exponential(fam.hamiltonian, 0.0, 2 * np.pi, 10_000)
-        v = rotating_frame_propagator(SZ / 2, SX, 2 * np.pi, 0.0)
+        v = schrodinger_propagator(framed(SZ / 2, SX), 2 * np.pi, 0.0)
         assert np.max(np.abs(u - v)) < 1e-6
 
     def test_second_order_convergence(self):
@@ -173,6 +178,18 @@ class TestTimeOrderedExponential:
                 ValueError, match=r"non-finite entries in H\(t\) at t = 0\.625: the inputs overflow"):
             time_ordered_exponential(spiked, 0.0, 1.0, 4)
 
+    @pytest.mark.parametrize("order,steps,first_bad", [(2, 4, r"0\.625"), (4, 2, r"0\.6056")],
+                             ids=["order2", "order4"])
+    def test_non_hermitian_schedule_names_first_bad_time(self, order, steps, first_bad):
+        def skewed(t):  # midpoints 0.125 .. 0.875 (order 2), Gauss points 0.106 .. 0.894 (order 4)
+            h = np.broadcast_to(SX, (len(t), 2, 2)).astype(complex)
+            h[t > 0.5] += 1e-6j * SZ
+            return h
+
+        with pytest.raises(ValueError, match=rf"^H\(t\) is not Hermitian at t = {first_bad}\d*: "
+                                             r"max\|H - H\^dag\| = 2\.000e-06$"):
+            time_ordered_exponential(skewed, 0.0, 1.0, steps, order=order)
+
     def test_schedule_dim_enforced(self):
         def growing(t):  # d = 2 for the first chunk of 256 midpoints, 3 after
             return np.zeros((len(t), 2, 2) if t[0] < 0.5 else (len(t), 3, 3))
@@ -237,12 +254,12 @@ class TestRotatingFramePropagator:
     def test_zero_frame(self):
         h0 = SX + 0.3 * SZ
         t, s = 1.2, -0.4
-        v = rotating_frame_propagator(np.zeros((2, 2)), h0, t, s)
+        v = schrodinger_propagator(framed(np.zeros((2, 2)), h0), t, s)
         assert np.max(np.abs(v - expm_unitary(h0, t - s))) < 1e-13
 
     def test_commuting_frame(self):
         h0 = SZ * 0.8
-        v = rotating_frame_propagator(h0, h0, 1.7, 0.2)
+        v = schrodinger_propagator(framed(h0, h0), 1.7, 0.2)
         assert np.max(np.abs(v - expm_unitary(h0, 1.5))) < 1e-13
 
     def test_identity_at_equal_times(self):
@@ -276,8 +293,18 @@ class TestRotatingFramePropagator:
             assert np.max(np.abs(u - v)) < 1e-6
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            rotating_frame_propagator(SZ, np.eye(3), 1.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: (2, 2) vs (3, 3)")):
+            schrodinger_propagator(framed(SZ, np.eye(3)), 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", ["c", "h0"])
+    def test_non_finite_frame(self, bad):
+        c, h0 = SZ / 2, SX.astype(complex)
+        if bad == "c":
+            c = np.diag([np.nan, 0.0])
+        else:
+            h0[0, 1] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            schrodinger_propagator(framed(c, h0), 1.0, 0.0)
 
 
 class TestEvolveState:
