@@ -5,7 +5,8 @@ treated as immutable values; no function mutates its inputs.
 
 expm_unitary has one exact closed form before its stacked eigh, the spin-1
 form (spectrum in {-E, 0, E}), admitted by an involutory screen (every su2
-and su4 H(t)) and then a spin-1 test (every su3 H(t)).
+and su4 H(t)) and then a spin-1 test (every su3 H(t)), all on each matrix
+scaled exactly, by a power of two, to entries of order 1.
 
 Inside this module, and in the oracle's chunks, stacks are time-last
 (d, d, n). _expm_last takes and returns that one layout and runs the
@@ -25,8 +26,8 @@ __all__ = ["as_operator", "dagger", "expm_unitary", "row_dot"]
 
 #: Absolute tolerance on max|H - H^dag| accepted by expm_unitary.
 HERMITIAN_TOL = 1e-10
-#: Entrywise tolerance for detecting H^2 = E^2 * I and H^3 = E^2 * H,
-#: scaled by min(1, E^2) and min(1, E^3) respectively.
+#: Entrywise tolerance for detecting H^2 = E^2 * I and H^3 = E^2 * H on H
+#: scaled by 2^-k to entries of order 1, times min(1, E^2) and min(1, E^3).
 INVOLUTORY_TOL = 1e-10
 
 
@@ -64,7 +65,7 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     An involutory screen, H^2 = E^2 * I with E^2 = Tr H^2 / d, admits a
     matrix from H^2 alone; only the matrices it rejects take the spin-1
     test, with E^2 = Tr H^4 / Tr H^2. Both hold entrywise to INVOLUTORY_TOL
-    * min(1, E^k), k = 2 and 3, so a small nonzero H is not taken for H = 0.
+    * min(1, E^j), j = 2 and 3, on H scaled by a power of two to order 1.
     The other matrices share one stacked Hermitian eigendecomposition.
     The stack is copied once to time-last (d, d, n) form for _expm_last and
     once back.
@@ -83,39 +84,40 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _expm_last(h: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i H tau) of a time-last (d, d, n) Hermitian stack, returned time-last.
+    """exp(-i H tau) of a contiguous time-last (d, d, n) Hermitian stack, returned time-last.
 
-    expm_unitary's path, its input checks taken as done. Every matrix gets
-    the spin-1 form with its own E^2; those neither the screen nor the
-    spin-1 test admitted are then overwritten by one _eigh_exp call over
-    them. A non-finite phase of either path raises ValueError.
+    expm_unitary's path, its input checks taken as done. The screen, the
+    spin-1 test and the spin-1 form run on H' = H / 2^k, its largest real
+    or imaginary entry part in [0.5, 1) (k >= -1021 keeps 2^-k finite): no
+    scale overflows, and at normal scales the form is bitwise the unscaled
+    one. The phase is E' tau 2^k. Those neither test admitted are then
+    overwritten by one _eigh_exp call on their unscaled matrices. A
+    non-finite phase of either path raises ValueError.
     """
     d, _, n = h.shape
     eye = np.eye(d, dtype=complex)[..., None]
-    # H^2 overflows for |H| above about 1e154; such matrices fail the screen
-    # and the spin-1 test (inf or nan) and take eigh, and the spin-1 form
-    # computed for them meanwhile raises no warning.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        h2 = _matmul_last(h, h)
-        tr2 = np.add.reduce(h2.reshape(d * d, n)[:: d + 1].real, axis=0)
-        e2 = tr2 / d
-        closed = (np.maximum.reduce(np.abs(h2 - e2 * eye).reshape(d * d, n), axis=0)
-                  <= INVOLUTORY_TOL * np.minimum(1.0, e2))
-        if not closed.all():
-            # compress, unlike a boolean index on the last axis, copies to contiguous (d, d, k)
-            rest = ~closed
-            e2[rest], closed[rest] = _spin1_test(h.compress(rest, axis=2), h2.compress(rest, axis=2),
-                                                 tr2[rest])
-        # E^2 = 0 only for H = 0 (H^2 = 0 and H Hermitian), whose exponential is I.
-        # The half-angle form keeps H^2's term accurate at small E tau.
-        zero = e2 == 0
-        e2[zero] = 1.0
+    parts = np.maximum.reduce(np.abs(h.view(float)).reshape(d * d, n, 2), axis=0)
+    k = np.maximum(np.frexp(np.maximum(parts[:, 0], parts[:, 1]))[1], -1021)
+    hs = h * np.ldexp(1.0, -k)
+    h2 = _matmul_last(hs, hs)
+    tr2 = np.add.reduce(h2.reshape(d * d, n)[:: d + 1].real, axis=0)
+    e2 = tr2 / d
+    closed = (np.maximum.reduce(np.abs(h2 - e2 * eye).reshape(d * d, n), axis=0)
+              <= INVOLUTORY_TOL * np.minimum(1.0, e2))
+    if not closed.all():
+        # compress, unlike a boolean index on the last axis, copies to contiguous (d, d, k)
+        rest = ~closed
+        e2[rest], closed[rest] = _spin1_test(hs.compress(rest, axis=2), h2.compress(rest, axis=2),
+                                             tr2[rest])
+    # E'^2 = 0 only for H = 0, whose spin-1 form with E' = 1 is I exactly.
+    # The half-angle form keeps H^2's term accurate at small E tau.
+    e2[e2 == 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
         e = np.sqrt(e2)
-        et = e * tau
+        et = np.ldexp(e * tau, k)
         half = np.sin(0.5 * et)
-        u = eye + (-1j * np.sin(et) / e) * h - (2.0 * half * half / e2) * h2
+        u = eye + (-1j * np.sin(et) / e) * hs - (2.0 * half * half / e2) * h2
     _require_finite_phase(et[closed], tau)
-    np.copyto(u, eye, where=zero)
     if not closed.all():
         rest = ~closed
         u[..., rest] = _eigh_exp(h.compress(rest, axis=2).transpose(2, 0, 1), tau).transpose(1, 2, 0)
@@ -160,21 +162,19 @@ def _matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _spin1_test(h: np.ndarray, h2: np.ndarray, tr2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E^2 = Tr H^4 / Tr H^2 and the mask of H^3 = E^2 * H, E^2 > 0.
+    """E^2 = Tr H^4 / Tr H^2 and the mask of H^3 = E^2 * H.
 
-    ``h`` and ``h2`` = H^2 are time-last (d, d, n) stacks and ``tr2`` holds
-    the n values of Tr H^2. Runs under _expm_last's errstate: Tr H^4 or H^3
-    overflows for |H| above about 1e77, E^2 underflows to 0 for |H| near
-    1e-162, and Tr H^2 <= 0 only for a non-Hermitian H; each gives inf, nan
-    or E^2 = 0, which fails the test without a warning.
+    ``h`` and ``h2`` = H^2 are scaled time-last (d, d, n) stacks, ``tr2``
+    their Tr H^2. Tr H^2 <= 0 only for a non-Hermitian H inside
+    HERMITIAN_TOL, e.g. 1e-11 diag(1, i, 0), whose inf or nan E^2 fails.
     """
     d, _, n = h.shape
     # Tr H^4 = |H^2|_F^2, summed over each matrix's contiguous row of d*d entries
     rows = np.ascontiguousarray(h2.reshape(d * d, n).T).view(float)
-    e2 = np.einsum("ij,ij->i", rows, rows) / tr2
-    miss = np.abs(_matmul_last(h2, h) - e2 * h).reshape(d * d, n)
-    spin1 = (np.maximum.reduce(miss, axis=0)
-             <= INVOLUTORY_TOL * np.minimum(1.0, e2) ** 1.5) & (e2 > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e2 = np.einsum("ij,ij->i", rows, rows) / tr2
+        miss = np.abs(_matmul_last(h2, h) - e2 * h).reshape(d * d, n)
+        spin1 = np.maximum.reduce(miss, axis=0) <= INVOLUTORY_TOL * np.minimum(1.0, e2) ** 1.5
     return e2, spin1
 
 

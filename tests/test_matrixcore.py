@@ -146,6 +146,11 @@ class TestExpmUnitary:
         with pytest.raises(ValueError, match="Hermitian"):
             expm_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_hermitian_inside_the_tolerance_is_quiet(self):
+        # the absolute HERMITIAN_TOL admits it, and its Tr H^2 is 0
+        assert np.isfinite(expm_unitary(1e-11 * np.diag([1.0, 1j, 0.0]), 1.0)).all()
+
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("h", [SX, np.diag([1.0, 2.0, -3.0])], ids=["involutory", "eigh"])
     def test_rejects_non_finite_tau(self, h, tau):
@@ -158,7 +163,8 @@ class TestExpmUnitary:
         (1e200 * SX, 1e200),  # H^2 overflows, so eigh: w tau = 1e400
         (np.stack([SZ, 1e10 * SX]), 1e300),
         (np.stack([SX, 1e200 * SX, 1e10 * SX]), 1e200),
-    ], ids=["closed_form", "eigh", "mixed_closed_form", "mixed_eigh"])
+        (1e308 * SX, 1e300),  # closed form at the float limit: E tau = 1e608
+    ], ids=["closed_form", "eigh", "mixed_closed_form", "mixed_eigh", "float_limit"])
     def test_overflowing_phase_raises(self, h, tau):
         with pytest.raises(ValueError, match=r"^phase of exp\(-i H tau\) overflows at tau = "):
             expm_unitary(h, tau)
@@ -215,7 +221,7 @@ class TestPredicates:
 
 
 class TestExpmUnitarySmallScale:
-    """A small nonzero H is not taken for H = 0: the identity tests scale with E^k."""
+    """A small nonzero H is not taken for H = 0: the screens act on H scaled by a power of two."""
 
     def test_small_involutory(self):
         h = 1e-6 * SX
@@ -234,6 +240,39 @@ class TestExpmUnitarySmallScale:
         u = expm_unitary(h, 1.0)
         assert np.array_equal(u[0], np.eye(2))
         assert np.max(np.abs(u[1] - eigh_exp(h[1], 1.0))) <= 1e-16
+
+
+class TestExpmUnitaryScaleModel:
+    """Each matrix is scaled by a power of two before the screens and the closed form.
+
+    So exp(-i (2^j H) (2^-j tau)) is bitwise exp(-i H tau) wherever 2^j H
+    has normal entries, and no scale from subnormal entries to the float
+    limit overflows, underflows to the identity or warns.
+    """
+
+    SPIN1 = with_spectrum(np.random.default_rng(29), [-0.8, 0.0, 0.8])
+    CASES = {"involutory": 0.7 * SX, "spin1": (SPIN1 + dagger(SPIN1)) / 2,  # exactly Hermitian
+             "dirac": assemble_dirac(dirac_operators(), 0.6, [0.3, -0.5, 0.2])}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", CASES)
+    def test_power_of_two_scale_is_bitwise(self, case):
+        h, tau = self.CASES[case], 0.9
+        ref = expm_unitary(h, tau)
+        bad = [j for j in range(-1000, 1001)
+               if not np.array_equal(expm_unitary(2.0 ** j * h, 2.0 ** -j * tau), ref)]
+        assert bad == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale,tau", [
+        (1e-160, 1e160), (1e-170, 1e165), (1e-200, 1e200),  # H^2 underflows unscaled
+        (1e-310, 1e300), (5e-324, 1.0),  # subnormal entries
+        (1e308, 1e-308)])  # the float limit
+    def test_extreme_scale_is_the_exact_rotation(self, scale, tau):
+        # exp(-i s tau SX) = cos(s tau) I - i sin(s tau) SX
+        phase = scale * tau
+        exact = np.cos(phase) * I2 - 1j * np.sin(phase) * SX
+        assert np.max(np.abs(expm_unitary(scale * SX, tau) - exact)) <= 1e-15
 
 
 class TestExpmUnitarySpin1:
@@ -274,15 +313,15 @@ class TestExpmUnitarySpin1:
             assert err <= 3e-15 * (1 + abs(e * tau))
 
     @pytest.mark.parametrize("scale,tau", [(1e120, 1e-120), (1e160, 1e-160), (1e-160, 1e160)])
-    def test_extreme_scales_take_eigh_quietly(self, scale, tau):
-        # Tr H^4, or H^2 too, overflows, or E^2 underflows: no warning, and eigh's result
+    def test_extreme_scales_take_closed_form_quietly(self, scale, tau, no_eigh):
+        # H^2 and Tr H^4 of the unscaled matrix would overflow or underflow
         h = scale * with_spectrum(np.random.default_rng(27), [-1.0, 0.0, 1.0])
         h = (h + dagger(h)) / 2  # exactly Hermitian: the check is absolute
         assert np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau))) <= 1e-14
 
-    def test_overflowing_stack_takes_eigh_quietly(self, monkeypatch):
-        # H^2 of every matrix overflows in the time-last product: the whole
-        # stack takes eigh, with no RuntimeWarning (an error under this suite)
+    def test_huge_stack_sends_only_the_generic_matrix_to_eigh(self, monkeypatch):
+        # H^2 of every unscaled matrix would overflow: the two spin-1 matrices
+        # take the closed form, with no RuntimeWarning (an error under this suite)
         rng = np.random.default_rng(28)
         stack = 1e160 * np.stack([with_spectrum(rng, s) for s in
                                   ([-1.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [0.3, -2.0, 1.0])])
@@ -295,7 +334,7 @@ class TestExpmUnitarySpin1:
 
         monkeypatch.setattr(matrixcore, "_eigh_exp", counting)
         u = expm_unitary(stack, 1e-160)
-        assert taken == [3]
+        assert taken == [1]
         for h, uk in zip(stack, u):
             assert np.max(np.abs(uk - eigh_exp(h, 1e-160))) <= 1e-14
 
@@ -315,11 +354,12 @@ class TestExpmUnitarySpin1:
             ref = np.stack([expm_unitary(h, tau) for h in stack])
             assert np.array_equal(expm_unitary(stack, tau), ref)
 
-    @pytest.mark.parametrize("family", [
-        su2_family, lambda: su3_family(0.4),
-        lambda: su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5]))], ids=["su2", "su3", "su4"])
-    def test_family_product_takes_no_eigh(self, family, no_eigh):
+    @pytest.mark.parametrize("family,scale", [
+        (su2_family, 1.0), (lambda: su3_family(0.4), 1.0),
+        (lambda: su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5])), 1.0),
+        (lambda: su3_family(0.4), 100.0)], ids=["su2", "su3", "su4", "su3x100"])
+    def test_family_product_takes_no_eigh(self, family, scale, no_eigh):
         fam = family()
         for order in (2, 4):  # the order-4 exponent K mixes H at two times and their commutator
-            u = time_ordered_exponential(fam.hamiltonian, 0.0, 1.0, 600, order=order)
+            u = time_ordered_exponential(lambda t: scale * fam.hamiltonian(t), 0.0, 1.0, 600, order=order)
             assert np.max(np.abs(u @ dagger(u) - np.eye(fam.dim))) <= 1e-13

@@ -120,7 +120,7 @@ class TestTimeOrderedExponential:
 
     @pytest.mark.filterwarnings("error")
     def test_extreme_scale_step_is_unitary_at_both_orders(self):
-        # |H| = 1e160 squares past the float range, |H dt| = 1.4 does not
+        # |H| = 1e160, whose unscaled square would overflow; |H dt| = 1.4
         def rotating(t):
             return 1e160 * (np.cos(t)[:, None, None] * SX + np.sin(t)[:, None, None] * SY)
 
