@@ -84,9 +84,9 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
     to time-last form, in which K is formed, and one matrixcore._expm_last;
     chunks after the first come lazily.
     Every stack must have shape (len(ts), d, d) with the same d. Each H(t)
-    stack, and at order 4 each K stack, passes matrixcore._require_hermitian,
-    whose error names the first failing time (for K, its step's first Gauss
-    point).
+    stack, and at order 4 each K stack, passes matrixcore._require_hermitian's relative
+    gate (for K and order-2 H(t), in _expm_last's one scaling pass), whose
+    error names the first failing time (for K, its step's first Gauss point).
     """
     if not (isinstance(order, numbers.Integral) and order in (2, 4)):
         raise ValueError(f"order must be 2 or 4, got {order!r}")
@@ -109,10 +109,10 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
             raise ValueError(f"H(t) returned shape {h.shape} for {len(ts)} times, "
                              f"expected (n, dim, dim) with dim {dim}")
         last = np.ascontiguousarray(h.transpose(1, 2, 0), dtype=complex)
-        # at order 4 this also catches an anti-Hermitian part of H(t) that K would cancel
-        _require_hermitian(last, "H(t)", ts)
         if order == 2:
-            return _expm_last(last, dt)
+            return _expm_last(last, dt, "H(t)", ts)
+        # H(t) takes its own gate at order 4: K could cancel an anti-Hermitian part of it
+        _require_hermitian(last, "H(t)", ts)
         # For Hermitian H1, H2 and A = (sqrt(3) dt / 12) H2 H1, the commutator
         # term is A - A^dag: one product, and K Hermitian entry for entry.
         # dt goes into one factor first, so the product stays near
@@ -121,8 +121,7 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
         with np.errstate(over="ignore", invalid="ignore"):
             a = _matmul_last((math.sqrt(3) / 12 * dt) * h2, h1)
             k = 0.5 * (h1 + h2) - 1j * (a - a.conj().swapaxes(0, 1))
-        _require_hermitian(k, "the step exponent", ts[::2])
-        return _expm_last(k, dt)
+        return _expm_last(k, dt, "the step exponent", ts[::2])
 
     first = chunk(0, None)
     dim = first.shape[0]

@@ -287,6 +287,24 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="ceiling"):
             integrate(start, split, h=h, T=T)
 
+    @pytest.mark.parametrize("j", [-500, -20, -1, 1, 7, 300])
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_power_of_two_scale_is_bitwise(self, group, j):
+        # The field is bilinear, so c -> 2^j c with t -> 2^-j t maps each flow
+        # onto another; every RK4 operation commutes with that exact scaling,
+        # and any absolute threshold in the flow would break it.
+        split = canonical_split(group)
+        rng = np.random.default_rng(31)
+        start = OperatorPair(rng.uniform(-1, 1, len(split.s_indices)), rng.uniform(-1, 1, len(split.c_indices)))
+        ref = integrate(start, split, h=1e-2, T=1.0, sample_stride=7)
+        s = 2.0 ** j
+        scaled = OperatorPair(s * start.h_coeffs, s * start.f_coeffs)
+        traj = integrate(scaled, split, h=1e-2 / s, T=1.0 / s, sample_stride=7)
+        assert np.array_equal(traj.times, ref.times / s)
+        assert np.array_equal(traj.h_coeffs, s * ref.h_coeffs)
+        assert np.array_equal(traj.f_coeffs, s * ref.f_coeffs)
+        assert np.array_equal(traj.monitors, 4.0 ** j * ref.monitors)
+
     def test_monitor_overflow_detected_with_step_index(self):
         # F = 0 freezes a finite state whose Tr(H^2) overflows
         split = canonical_split("su2")

@@ -147,9 +147,16 @@ class TestExpmUnitary:
             expm_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
     @pytest.mark.filterwarnings("error")
-    def test_non_hermitian_inside_the_tolerance_is_quiet(self):
-        # the absolute HERMITIAN_TOL admits it, and its Tr H^2 is 0
-        assert np.isfinite(expm_unitary(1e-11 * np.diag([1.0, 1j, 0.0]), 1.0)).all()
+    def test_rejects_non_hermitian_at_any_scale(self):
+        # the gate is relative to each matrix's scale, so a small nilpotent or
+        # Tr H^2 = 0 input is as non-Hermitian as its unit-scale form, and a
+        # deviation past the float range reads inf, with no overflow warning
+        for h, dev in ((1e-11 * np.array([[0, 1], [0, 0]]), "1.000e-11"),
+                       (1e-11 * np.diag([1.0, 1j, 0.0]), "2.000e-11"),
+                       (5e-324 * np.diag([1.0, 1j, 0.0]), "9.881e-324"),
+                       (np.array([[0, 1.5e308], [-1.5e308, 0]]), "inf")):
+            with pytest.raises(ValueError, match=rf"^matrix is not Hermitian: max\|H - H\^dag\| = {dev}$"):
+                expm_unitary(h, 1.0)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("h", [SX, np.diag([1.0, 2.0, -3.0])], ids=["involutory", "eigh"])
@@ -243,7 +250,7 @@ class TestExpmUnitarySmallScale:
 
 
 class TestExpmUnitaryScaleModel:
-    """Each matrix is scaled by a power of two before the screens and the closed form.
+    """Each matrix is scaled by a power of two before the gate, the screens, the closed form and eigh.
 
     So exp(-i (2^j H) (2^-j tau)) is bitwise exp(-i H tau) wherever 2^j H
     has normal entries, and no scale from subnormal entries to the float
@@ -251,8 +258,9 @@ class TestExpmUnitaryScaleModel:
     """
 
     SPIN1 = with_spectrum(np.random.default_rng(29), [-0.8, 0.0, 0.8])
-    CASES = {"involutory": 0.7 * SX, "spin1": (SPIN1 + dagger(SPIN1)) / 2,  # exactly Hermitian
-             "dirac": assemble_dirac(dirac_operators(), 0.6, [0.3, -0.5, 0.2])}
+    CASES = {"involutory": 0.7 * SX, "spin1": (SPIN1 + dagger(SPIN1)) / 2, "spin1_unsymmetrized": SPIN1,
+             "dirac": assemble_dirac(dirac_operators(), 0.6, [0.3, -0.5, 0.2]),
+             "generic": random_hermitian(np.random.default_rng(30), 4)}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", CASES)
@@ -288,7 +296,7 @@ class TestExpmUnitarySpin1:
 
     @pytest.fixture
     def no_eigh(self, monkeypatch):
-        def refuse(h, tau):
+        def refuse(h, k, tau):
             raise AssertionError("took the eigh branch")
         monkeypatch.setattr(matrixcore, "_eigh_exp", refuse)
 
@@ -312,11 +320,12 @@ class TestExpmUnitarySpin1:
             err = np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau)))
             assert err <= 3e-15 * (1 + abs(e * tau))
 
-    @pytest.mark.parametrize("scale,tau", [(1e120, 1e-120), (1e160, 1e-160), (1e-160, 1e160)])
+    @pytest.mark.parametrize("scale,tau", [(1e120, 1e-120), (1e160, 1e-160), (1e-160, 1e160),
+                                           (1e6, 1e-6), (1e7, 1e-7)])
     def test_extreme_scales_take_closed_form_quietly(self, scale, tau, no_eigh):
-        # H^2 and Tr H^4 of the unscaled matrix would overflow or underflow
+        # H^2 and Tr H^4 of the unscaled matrix would overflow or underflow, and
+        # its rounding-level anti-Hermitian part grows with the scale
         h = scale * with_spectrum(np.random.default_rng(27), [-1.0, 0.0, 1.0])
-        h = (h + dagger(h)) / 2  # exactly Hermitian: the check is absolute
         assert np.max(np.abs(expm_unitary(h, tau) - eigh_exp(h, tau))) <= 1e-14
 
     def test_huge_stack_sends_only_the_generic_matrix_to_eigh(self, monkeypatch):
@@ -325,12 +334,11 @@ class TestExpmUnitarySpin1:
         rng = np.random.default_rng(28)
         stack = 1e160 * np.stack([with_spectrum(rng, s) for s in
                                   ([-1.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [0.3, -2.0, 1.0])])
-        stack = (stack + dagger(stack)) / 2
         taken, stacked_eigh = [], matrixcore._eigh_exp
 
-        def counting(h, tau):
+        def counting(h, k, tau):
             taken.append(len(h))
-            return stacked_eigh(h, tau)
+            return stacked_eigh(h, k, tau)
 
         monkeypatch.setattr(matrixcore, "_eigh_exp", counting)
         u = expm_unitary(stack, 1e-160)

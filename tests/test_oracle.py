@@ -212,9 +212,9 @@ class TestOrderFourExponent:
 
         expm_last = oracle._expm_last
 
-        def spy(k, tau):  # k is a time-last (d, d, m) stack
+        def spy(k, tau, what, times):  # k is a time-last (d, d, m) stack
             seen.append(np.array(k.transpose(2, 0, 1)))
-            return expm_last(k, tau)
+            return expm_last(k, tau, what, times)
 
         monkeypatch.setattr(oracle, "_expm_last", spy)
         return seen
