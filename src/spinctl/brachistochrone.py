@@ -145,8 +145,8 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
     f = split.constraint_matrix(state.f_coeffs)
     if h.shape != f.shape:
         raise ValueError(f"H and F stacks differ: {h.shape} vs {f.shape}")
-    # Tr K = 0 by construction, so K skips project_coefficients' trace
-    # test, whose absolute threshold the rounding of a large K passes.
+    # Tr K = 0 by construction, so K skips project_coefficients' trace test: its
+    # threshold scales with |K|, K's rounding with |H| |F|, far larger if they nearly commute.
     ck = _project(as_operator(-1j * (h @ f - f @ h)), split.basis)
     return OperatorPair(ck[..., split.s_indices], ck[..., split.c_indices])
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .matrixcore import as_operator
+from .matrixcore import _exponents, as_operator
 
 __all__ = [
     "DiracOperators",
@@ -113,18 +113,18 @@ def project_coefficients(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """Expand a Hermitian matrix on the basis: c_k = Tr(g_k A) / Tr(g_k^2).
 
     An (n, d, d) stack gives (n, len(basis)), each row bitwise the lone
-    matrix's. The identity component is not representable: a nonzero trace
-    is dropped with one warning, which names the worst |Tr A|.
+    matrix's. The identity component is not representable and is dropped,
+    with one warning for the stack if some |Tr A| > 1e-12 * 2^k, 2^k that
+    A's scale as in matrixcore._exponents; it names the largest such |Tr A|.
     """
     a = as_operator(a)
     if a.shape[-1] != basis.dim:
         raise ValueError(f"dimension mismatch: matrix {a.shape[-1]}, basis {basis.dim}")
-    tr = np.max(np.abs(np.trace(a, axis1=-2, axis2=-1)))
-    if tr > 1e-12:
-        warnings.warn(
-            f"matrix has trace {tr:.3e}; identity component dropped by projection",
-            stacklevel=2,
-        )
+    tr = np.abs(np.trace(a, axis1=-2, axis2=-1))
+    bad = tr > np.ldexp(1e-12, _exponents(a, (-2, -1)))
+    if bad.any():
+        worst = np.max(tr, where=bad, initial=0.0)
+        warnings.warn(f"matrix has trace {worst:.3e}; identity component dropped by projection", stacklevel=2)
     return _project(a, basis)
 
 

@@ -3,10 +3,10 @@
 Everything operates on plain numpy arrays of dtype complex128. Matrices are
 treated as immutable values; no function mutates its inputs.
 
-expm_unitary scales each matrix once, exactly, by a power of two to order 1
-and runs all on that: the Hermiticity gate (so relative to its scale), the
-involutory screen (every su2 and su4 H(t)), the spin-1 test (every su3
-H(t)), the exact spin-1 form (spectrum in {-E, 0, E}) and the stacked eigh.
+expm_unitary scales each matrix to order 1 by one exact ldexp step (k from
+_exponents) and runs all on that: the Hermiticity gate (so relative to its
+scale), the involutory screen (every su2 and su4 H(t)), the spin-1 test
+(every su3 H(t)), the exact spin-1 form and the stacked eigh.
 
 Inside this module, and in the oracle's chunks, stacks are time-last
 (d, d, n); _expm_last runs all of the above along one path in that layout.
@@ -88,7 +88,9 @@ def _expm_last(h: np.ndarray, tau: float, what: str, times: np.ndarray | None = 
     _require_hermitian pass (``what`` and ``times`` name a failing matrix).
     No scale overflows, and at normal scales the spin-1 form, phase E' tau
     2^k, is bitwise the unscaled one. Those neither test admitted are then
-    overwritten by one _eigh_exp call on their H'. A non-finite phase raises.
+    overwritten by one _eigh_exp call on their H'. One check then raises if
+    the result is non-finite: with H' bounded and E'^2 away from 0, only an
+    overflowing phase can make it so.
     """
     hs, k = _require_hermitian(h, what, times)
     d, _, n = hs.shape
@@ -110,28 +112,27 @@ def _expm_last(h: np.ndarray, tau: float, what: str, times: np.ndarray | None = 
         et = np.ldexp(e * tau, k)
         half = np.sin(0.5 * et)
         u = eye + (-1j * np.sin(et) / e) * hs - (2.0 * half * half / e2) * h2
-    _require_finite_phase(et[closed], tau)
-    if not closed.all():
-        rest = ~closed
-        u[..., rest] = _eigh_exp(hs.compress(rest, axis=2).transpose(2, 0, 1), k[rest], tau).transpose(1, 2, 0)
+        if not closed.all():
+            rest = ~closed
+            hr = hs.compress(rest, axis=2).transpose(2, 0, 1)
+            u[..., rest] = _eigh_exp(hr, k[rest], tau).transpose(1, 2, 0)
+    if not np.isfinite(u).all():
+        raise ValueError(f"phase of exp(-i H tau) overflows at tau = {tau}: |H| tau passes the float range")
     return u
 
 
 def _require_hermitian(stack: np.ndarray, what: str, times: np.ndarray | None = None) -> tuple:
     """H' = H / 2^k and k for each H of the time-last (d, d, n) stack, or ValueError for the first that fails.
 
-    k is the np.frexp exponent of H's largest real or imaginary entry part,
-    so H' has that part in [0.5, 1), exactly. H fails if non-finite or if
+    k is _exponents', so H' = ldexp(H, -k), exact at every magnitude, has
+    its largest entry part in [0.5, 1). H fails if non-finite or if
     max|H' - H'^dag| > HERMITIAN_TOL, relative to its scale; the message
     gives that in H's units (inf past the float range) and names the time
     from ``times``, if given.
     """
     d, _, n = stack.shape
-    parts = np.maximum.reduce(np.abs(stack.view(float)).reshape(d * d, n, 2), axis=0)
-    k = np.frexp(np.maximum(parts[:, 0], parts[:, 1]))[1]
-    hs = stack * np.ldexp(1.0, -np.maximum(k, -1021))
-    if (k < -1021).any():  # all-subnormal H, whose 2^-k would overflow: a second exact step
-        hs[..., k < -1021] *= np.ldexp(1.0, -1021 - k[k < -1021])
+    k = _exponents(stack, (0, 1))
+    hs = np.ldexp(stack.view(float), np.repeat(-k, 2)).view(complex)
     dev = np.maximum.reduce(np.abs(hs - hs.conj().swapaxes(0, 1)).reshape(d * d, n), axis=0)
     # A non-finite entry makes its matrix's dev inf or nan (and may warn), so
     # only a finite matrix passes: finiteness needs no pass of its own.
@@ -145,6 +146,11 @@ def _require_hermitian(stack: np.ndarray, what: str, times: np.ndarray | None = 
         raise ValueError(f"{what} has non-finite entries" if times is None
                          else f"non-finite entries in {what}{at}: the inputs overflow")
     return hs, k
+
+
+def _exponents(a: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
+    """k per matrix on ``axes``: np.frexp's exponent of its largest real or imaginary part (|a| can overflow)."""
+    return np.frexp(np.maximum(np.abs(a.real).max(axis=axes), np.abs(a.imag).max(axis=axes)))[1]
 
 
 def _matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,15 +185,9 @@ def _spin1_test(h: np.ndarray, h2: np.ndarray, tr2: np.ndarray) -> tuple[np.ndar
 
 
 def _eigh_exp(h: np.ndarray, k: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i H tau) of the (m, d, d) stack H = H' 2^k, by one stacked eigh of H', phases w' tau 2^k."""
+    """exp(-i H tau) of the (m, d, d) stack H = H' 2^k, by one stacked eigh of H', phases w' tau 2^k.
+
+    An overflowing phase gives NaN, which _expm_last's one result check catches.
+    """
     w, v = np.linalg.eigh(h)
-    with np.errstate(over="ignore"):
-        wt = np.ldexp(w * tau, k[:, None])
-    _require_finite_phase(wt, tau)
-    return (v * np.exp(-1j * wt)[:, None, :]) @ v.conj().swapaxes(1, 2)
-
-
-def _require_finite_phase(phase: np.ndarray, tau: float) -> None:
-    """Raise ValueError unless every phase E tau (or eigenvalue times tau) is finite."""
-    if not np.isfinite(phase).all():
-        raise ValueError(f"phase of exp(-i H tau) overflows at tau = {tau}: |H| tau passes the float range")
+    return (v * np.exp(-1j * np.ldexp(w * tau, k[:, None]))[:, None, :]) @ v.conj().swapaxes(1, 2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dirac_rows import dirac_row, named
+from helpers import displayed_dirac_matrix, random_params
 from spinctl.audit import _component_rates, _vector_rates, full_report, format_report
 from spinctl.brachistochrone import ControlSplit, OperatorPair, canonical_split, integrate
 from spinctl.cli import dispatch
@@ -22,7 +23,6 @@ from spinctl.closedforms import (
     su4_family,
 )
 from spinctl.generators import (
-    PAULI,
     assemble_dirac,
     build_basis,
     dirac_operators,
@@ -38,30 +38,12 @@ from spinctl.oracle import (
     time_ordered_exponential,
 )
 
-I2, SX, SY, SZ = PAULI
 RNG = np.random.default_rng(2024)
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"CRITERION {number:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number} {name}: {detail}"
-
-
-def random_params(rng, min_p=0.0) -> DiracParameters:
-    p = rng.uniform(-2, 2, 3)
-    while np.linalg.norm(p) <= min_p:
-        p = rng.uniform(-2, 2, 3)
-    return DiracParameters(m=rng.uniform(-2, 2), p0=p)
-
-
-def displayed_dirac_matrix(m, p):
-    ps = p[0] * SX + p[1] * SY + p[2] * SZ
-    h = np.zeros((4, 4), dtype=complex)
-    h[:2, :2] = m * I2
-    h[2:, 2:] = -m * I2
-    h[:2, 2:] = -1j * ps
-    h[2:, :2] = 1j * ps
-    return h
 
 
 def test_criterion_01_algebra_suite():
@@ -80,7 +62,7 @@ def test_criterion_01_algebra_suite():
 def test_criterion_02_klein_gordon_identity():
     worst = 0.0
     for _ in range(1000):
-        params = random_params(RNG)
+        params = random_params(RNG, min_p=0.0)
         t = RNG.uniform(-2, 2)
         h = dirac_hamiltonian(params, t)
         worst = max(worst, float(np.max(np.abs(h @ h - params.energy ** 2 * np.eye(4)))))

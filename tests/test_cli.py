@@ -11,16 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import eigh_exp
 from spinctl.brachistochrone import integrate
 from spinctl.cli import ConfigError, _build_parser, dispatch, parse_config
 from spinctl.closedforms import DiracParameters, su4_family
 from spinctl.generators import build_basis
-
-
-def eigh_exp(h, tau):
-    """exp(-i H tau) of one Hermitian matrix through numpy's eigh."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * tau)) @ v.conj().T
 
 
 SU2_CONFIG = """\

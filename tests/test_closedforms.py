@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import random_params
 from spinctl.brachistochrone import canonical_split
 from spinctl.closedforms import (
     DEFAULT_THETA,
@@ -25,13 +26,6 @@ from spinctl.matrixcore import dagger
 
 RNG = np.random.default_rng(31)
 I2, SX, SY, SZ = PAULI
-
-
-def random_params(rng, min_p=0.1) -> DiracParameters:
-    p = rng.uniform(-2, 2, 3)
-    while np.linalg.norm(p) <= min_p:
-        p = rng.uniform(-2, 2, 3)
-    return DiracParameters(m=rng.uniform(-2, 2), p0=p)
 
 
 class TestStackedHamiltonian:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import displayed_dirac_matrix
 from spinctl.generators import (
     DiracOperators,
     PAULI,
@@ -18,17 +19,6 @@ from spinctl.matrixcore import dagger
 RNG = np.random.default_rng(11)
 
 I2, SX, SY, SZ = PAULI
-
-
-def displayed_dirac_matrix(m, p):
-    """The static Dirac block matrix [[m 1, -i p.sigma], [i p.sigma, -m 1]]."""
-    ps = p[0] * SX + p[1] * SY + p[2] * SZ
-    h = np.zeros((4, 4), dtype=complex)
-    h[:2, :2] = m * I2
-    h[2:, 2:] = -m * I2
-    h[:2, 2:] = -1j * ps
-    h[2:, :2] = 1j * ps
-    return h
 
 
 class TestBases:
@@ -276,6 +266,34 @@ class TestProjection:
             project_coefficients(stack, build_basis("su2"))
         assert [str(w.message) for w in caught] == [
             "matrix has trace 3.000e+00; identity component dropped by projection"]
+
+    @pytest.mark.parametrize("group", ["su3", "su4"])
+    def test_large_traceless_input_projects_without_warning(self, group):
+        # |Tr A| is only rounding, about eps * |A|: above an absolute 1e-12, not above 1e-12 * 2^k
+        basis = build_basis(group)
+        rng = np.random.default_rng(28)
+        a = rng.normal(size=(50, basis.dim, basis.dim)) + 1j * rng.normal(size=(50, basis.dim, basis.dim))
+        a = 1e6 * (a + dagger(a)) / 2
+        a -= np.trace(a, axis1=1, axis2=2)[:, None, None] / basis.dim * np.eye(basis.dim)
+        assert np.max(np.abs(np.trace(a, axis1=1, axis2=2))) > 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = project_coefficients(a, basis)
+        assert np.max(np.abs(reconstruct(c, basis) - a)) < 1e-6
+
+    def test_small_trace_warns_relative_to_its_scale(self):
+        with pytest.warns(UserWarning, match=r"^matrix has trace 1\.000e-14; identity component dropped"):
+            project_coefficients(1e-14 * np.diag([1.0, 0.0, 0.0]).astype(complex), build_basis("su3"))
+
+    def test_stack_names_the_trace_that_fails_its_own_scale(self):
+        large = np.diag([1e6 + 0.1, -1e6, -0.1]).astype(complex)  # traceless up to rounding
+        small = 1e-14 * np.diag([1.0, 0.0, 0.0]).astype(complex)
+        assert abs(np.trace(large)) > 1e-12 > abs(np.trace(small))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            project_coefficients(np.stack([large, small, large]), build_basis("su3"))
+        assert [str(w.message) for w in caught] == [
+            "matrix has trace 1.000e-14; identity component dropped by projection"]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="coefficients"):

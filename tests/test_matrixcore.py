@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import eigh_exp
 from spinctl import matrixcore
 from spinctl.closedforms import DiracParameters, su2_family, su3_family, su4_family
 from spinctl.generators import PAULI, assemble_dirac, dirac_operators
@@ -19,12 +20,6 @@ def random_hermitian(rng, d):
 def haar_unitary(rng, d):
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def eigh_exp(h, tau):
-    """exp(-i H tau) of one Hermitian matrix through numpy's eigh: the reference."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * tau)) @ dagger(v)
 
 
 def with_spectrum(rng, spectrum):

@@ -13,13 +13,19 @@ The groups hash the raw bytes of:
   expm         expm_unitary on seeded stacks, d = 2 to 4: random Hermitian
                at scales 1e-3 to 1e2, involutory and spin-1 spectra (E up
                to 3 times the scale) at scales 1e-3 to 1;
-  audit        format_report(full_report(seed)) for seeds 0-49.
+  audit        format_report(full_report(seed)) for seeds 0-49;
+  flow         integrate on the canonical splits of su2, su3, su4 and
+               su2+su3+su4 (one start and a stack of 5; sample strides 1
+               and 7), brachistochrone_rhs on seeded stacks, and
+               project_coefficients on seeded traceless stacks at scales
+               1e-3 to 1e6 (warnings suppressed).
 Needs only numpy; the seeds are fixed, so a line moves only with the code.
 """
 from __future__ import annotations
 
 import hashlib
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +33,9 @@ import numpy as np
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))  # after PYTHONPATH
 
 from spinctl import (  # noqa: E402
-    DiracParameters, evolve_state, expm_unitary, format_report, full_report, su2_family, su3_family,
-    su4_family, time_ordered_exponential)
+    DiracParameters, OperatorPair, brachistochrone_rhs, canonical_split, evolve_state, expm_unitary,
+    format_report, full_report, integrate, project_coefficients, su2_family, su3_family, su4_family,
+    time_ordered_exponential)
 
 FAMILIES = (su2_family, lambda: su3_family(0.4),
             lambda: su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5])))
@@ -72,8 +79,32 @@ def _audit(digest):
         digest.update(format_report(full_report(seed=seed)).encode())
 
 
+def _flow(digest):
+    rng = np.random.default_rng(28)
+    for group in ("su2", "su3", "su4", "su2+su3+su4"):
+        split = canonical_split(group)
+        ns, nc = len(split.s_indices), len(split.c_indices)
+        for runs in ((), (5,)):
+            start = OperatorPair(rng.uniform(-1, 1, runs + (ns,)), rng.uniform(-1, 1, runs + (nc,)))
+            for stride in (1, 7):
+                run = integrate(start, split, 1e-3, 0.3, sample_stride=stride)
+                for field in (run.times, run.h_coeffs, run.f_coeffs, run.monitors):
+                    digest.update(field.tobytes())
+        rates = brachistochrone_rhs(OperatorPair(rng.normal(size=(50, ns)), rng.normal(size=(50, nc))), split)
+        digest.update(rates.h_coeffs.tobytes() + rates.f_coeffs.tobytes())
+        d = split.basis.dim
+        for scale in 10.0 ** np.arange(-3, 7):
+            a = rng.normal(size=(50, d, d)) + 1j * rng.normal(size=(50, d, d))
+            a = scale * (a + a.conj().swapaxes(1, 2)) / 2
+            a -= np.trace(a, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                digest.update(project_coefficients(a, split.basis).tobytes())
+
+
 def main() -> None:
-    for name, fill in (("oracle", _oracle), ("evolve", _evolve), ("expm", _expm), ("audit", _audit)):
+    for name, fill in (("oracle", _oracle), ("evolve", _evolve), ("expm", _expm), ("audit", _audit),
+                       ("flow", _flow)):
         digest = hashlib.sha256()
         fill(digest)
         print(f"{name:8s} {digest.hexdigest()}")
