@@ -125,7 +125,7 @@ def _require_hermitian(stack: np.ndarray, what: str, times: np.ndarray | None = 
     """H' = H / 2^k and k for each H of the time-last (d, d, n) stack, or ValueError for the first that fails.
 
     k is _exponents', so H' = ldexp(H, -k), exact at every magnitude, has
-    its largest entry part in [0.5, 1). H fails if non-finite or if
+    its largest entry part in [0.5, 1), and no negative zeros. H fails if non-finite or if
     max|H' - H'^dag| > HERMITIAN_TOL, relative to its scale; the message
     gives that in H's units (inf past the float range) and names the time
     from ``times``, if given.
@@ -133,6 +133,7 @@ def _require_hermitian(stack: np.ndarray, what: str, times: np.ndarray | None = 
     d, _, n = stack.shape
     k = _exponents(stack, (0, 1))
     hs = np.ldexp(stack.view(float), np.repeat(-k, 2)).view(complex)
+    hs += 0.0  # -0 to +0, so that a zero's sign cannot change how eigh rounds
     dev = np.maximum.reduce(np.abs(hs - hs.conj().swapaxes(0, 1)).reshape(d * d, n), axis=0)
     # A non-finite entry makes its matrix's dev inf or nan (and may warn), so
     # only a finite matrix passes: finiteness needs no pass of its own.

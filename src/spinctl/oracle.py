@@ -16,10 +16,11 @@ discretization error. Two steps are offered:
     U(t1, t0) ~ prod_k exp(-i K_k dt),  t_k = t0 + (k + 1/2) dt,
 
 converging at second and fourth order in the step size. Steps run in
-chunks of up to 256, each one H(t) call copied once to the time-last
-(d, d, m) layout of matrixcore's exponential core; the chunk's K, its
-exponentials and their pairwise product tree stay in that layout. The
-midpoint product is the second-order referee that the acceptance criteria pin;
+passes of up to 1024, each one H(t) call copied once to the time-last
+(d, d, m) layout of matrixcore's exponential core; the pass's K and its
+exponentials stay in that layout, and so do the pairwise product trees
+of its chunks of 256 steps, whose levels the pass's full chunks share.
+The midpoint product is the second-order referee that the acceptance criteria pin;
 the audit's propagator_question referees the closed forms with 256
 order-4 steps. Every closed-form family has a schedule of rotating-frame
 type, H(t) = e^{-iCt} H0 e^{+iCt} with (C, H0) its ``frame``, so
@@ -53,14 +54,17 @@ __all__ = [
     "time_ordered_exponential",
 ]
 
-#: Ceiling on ``steps``: about 10 to 30 s of midpoint factors, at 1.1 (su2)
-#: to 2.7 (su4) us per step.
+#: Ceiling on ``steps``: about 7 to 20 s of midpoint factors, at 0.65 (su2)
+#: to 2.0 (su4) us per step.
 _MAX_STEPS = 10 ** 7
 
-#: Steps evaluated per stacked H(t) call and per stacked exponential.
-#: Bounds the factors held at once to _CHUNK * dim^2 complex entries
-#: whatever the step count.
+#: Steps per product tree (the tree's shape, so its bits, rest on it) and
+#: chunks per pass: one stacked H(t) call and one stacked exponential per
+#: pass of _GROUP * _CHUNK steps, the full chunks' trees sharing each level.
+#: Bounds what a pass holds at once whatever the step count: at order 4
+#: and d = 4, 2048 H(t) matrices, 512 kB per stack.
 _CHUNK = 256
+_GROUP = 4
 
 #: The two Gauss-Legendre points of the order-4 step, in steps from its midpoint.
 _GAUSS = np.array([-1.0, 1.0]) * math.sqrt(3) / 6
@@ -76,13 +80,13 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
 
     Validates ``order`` (2 or 4), ``steps`` (an integer, Python or numpy,
     from 1 to _MAX_STEPS) and the finiteness of t0, t1 and t1 - t0 before
-    any H(t) call, then evaluates the first chunk at once to learn the
+    any H(t) call, then evaluates the first pass at once to learn the
     dimension d from the first stack H(t) returns.
-    Returns d and the factors in time order as time-last (d, d, m) chunks
-    of at most _CHUNK, each from one H(t) call (at the m midpoints, or at
-    both Gauss points of each step, in step order), one copy of that stack
-    to time-last form, in which K is formed, and one matrixcore._expm_last;
-    chunks after the first come lazily.
+    Returns d and the factors in time order as time-last (d, d, m) passes
+    of at most _GROUP * _CHUNK steps, each from one H(t) call (at the m
+    midpoints, or at both Gauss points of each step, in step order), one
+    copy of that stack to time-last form, in which K is formed, and one
+    matrixcore._expm_last; passes after the first come lazily.
     Every stack must have shape (len(ts), d, d) with the same d. Each H(t)
     stack, and at order 4 each K stack, passes matrixcore._require_hermitian's relative
     gate (for K and order-2 H(t), in _expm_last's one scaling pass), whose
@@ -98,8 +102,10 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
         raise ValueError(f"time bounds and their span must be finite, got t0 = {t0}, t1 = {t1}")
     dt = span / steps
 
-    def chunk(start: int, dim: int | None) -> np.ndarray:
-        ts = t0 + (np.arange(start, min(start + _CHUNK, steps)) + 0.5) * dt
+    size = _GROUP * _CHUNK
+
+    def factors(start: int, dim: int | None) -> np.ndarray:
+        ts = t0 + (np.arange(start, min(start + size, steps)) + 0.5) * dt
         if order == 4:
             ts = (ts[:, None] + _GAUSS * dt).ravel()
         h = np.asarray(hamiltonian(ts))
@@ -123,22 +129,23 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
             k = 0.5 * (h1 + h2) - 1j * (a - a.conj().swapaxes(0, 1))
         return _expm_last(k, dt, "the step exponent", ts[::2])
 
-    first = chunk(0, None)
+    first = factors(0, None)
     dim = first.shape[0]
-    rest = (chunk(start, dim) for start in range(_CHUNK, steps, _CHUNK))
+    rest = (factors(start, dim) for start in range(size, steps, size))
     return dim, itertools.chain([first], rest)
 
 
 def _ordered_product(f: np.ndarray) -> np.ndarray:
-    """The product of a time-last (d, d, m) stack, later factors on the left, as a pairwise tree.
+    """The product over the last axis of a time-last (d, d, ..., m) stack, later factors on the left.
 
     Each level multiplies neighbours, later on the left, with one
-    elementwise _matmul_last over all pairs. An odd last factor passes up
-    unpaired, so time order is kept at every level.
+    elementwise _matmul_last over all pairs, of every tree at once for a
+    (d, d, g, m) stack of g trees. An odd last factor passes up unpaired,
+    so time order is kept at every level.
     """
-    while f.shape[2] > 1:
+    while f.shape[-1] > 1:
         paired = _matmul_last(f[..., 1::2], f[..., 0:-1:2])
-        f = np.concatenate([paired, f[..., -1:]], axis=2) if f.shape[2] % 2 else paired
+        f = np.concatenate([paired, f[..., -1:]], axis=-1) if f.shape[-1] % 2 else paired
     return f[..., 0]
 
 
@@ -150,13 +157,23 @@ def time_ordered_exponential(hamiltonian: _Hamiltonian, t0: float, t1: float,
     Magnus step (see the module docstring). Later times multiply from the
     left. Every exponent passes expm_unitary's Hermiticity check and takes
     its exponential, so the result is unitary to machine precision
-    regardless of ``steps``. The factors of each chunk of steps are
-    multiplied as a pairwise tree before joining the running product.
+    regardless of ``steps``. The factors of each chunk of _CHUNK steps are
+    multiplied as a pairwise tree before joining the running product; the
+    full chunks of a pass share the tree's levels, a last partial chunk
+    takes its own.
     """
-    dim, chunks = _step_factors(hamiltonian, t0, t1, steps, order)
+    dim, passes = _step_factors(hamiltonian, t0, t1, steps, order)
     u = np.eye(dim, dtype=complex)
-    for factors in chunks:
-        u = _ordered_product(factors) @ u
+    for f in passes:
+        full = f.shape[2] // _CHUNK * _CHUNK
+        if full:
+            trees = _ordered_product(f[..., :full].reshape(dim, dim, -1, _CHUNK))
+            for j in range(trees.shape[2]):
+                # a contiguous copy, the layout of a lone tree's product: numpy may send
+                # a strided operand of @ to another kernel, which rounds differently
+                u = np.ascontiguousarray(trees[..., j]) @ u
+        if full < f.shape[2]:
+            u = _ordered_product(f[..., full:]) @ u
     return u
 
 
@@ -184,13 +201,13 @@ def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"state is not normalized: |psi| = {nrm:.12f}")
-    dim, chunks = _step_factors(hamiltonian, t0, t1, steps, 2)
+    dim, passes = _step_factors(hamiltonian, t0, t1, steps, 2)
     if psi.shape != (dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {dim}")
     out = np.empty((steps + 1, dim), dtype=complex)
     out[0] = psi
-    # each chunk back to (m, d, d): a strided f @ psi skips BLAS and rounds differently
-    factors = (np.ascontiguousarray(c.transpose(2, 0, 1)) for c in chunks)
+    # each pass back to (m, d, d): a strided f @ psi skips BLAS and rounds differently
+    factors = (np.ascontiguousarray(p.transpose(2, 0, 1)) for p in passes)
     for k, f in enumerate(itertools.chain.from_iterable(factors), start=1):
         psi = f @ psi
         out[k] = psi

@@ -277,6 +277,21 @@ class TestExpmUnitaryScaleModel:
         exact = np.cos(phase) * I2 - 1j * np.sin(phase) * SX
         assert np.max(np.abs(expm_unitary(scale * SX, tau) - exact)) <= 1e-15
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_zero_signs_are_bitwise(self, d):
+        # about a third of the off-diagonal pairs exactly zero, once as +0 and once as -0 - 0j
+        rng = np.random.default_rng(40 + d)
+        pos = np.stack([random_hermitian(rng, d) for _ in range(100)])
+        rows, cols = np.triu_indices(d, 1)
+        zero = rng.uniform(size=(100, len(rows))) < 1 / 3
+        n, pair = np.nonzero(zero)
+        pos[n, rows[pair], cols[pair]] = pos[n, cols[pair], rows[pair]] = 0.0
+        neg = pos.copy()
+        neg[n, rows[pair], cols[pair]] = neg[n, cols[pair], rows[pair]] = complex(-0.0, -0.0)
+        for tau in (0.7, -2.3):
+            u_neg, u_pos = expm_unitary(neg, tau), expm_unitary(pos, tau)
+            assert [i for i in range(100) if u_neg[i].tobytes() != u_pos[i].tobytes()] == []
+
 
 class TestExpmUnitarySpin1:
     """Matrices with spectrum in {-E, 0, E} take the spin-1 closed form, not eigh.

@@ -191,16 +191,41 @@ class TestTimeOrderedExponential:
             time_ordered_exponential(skewed, 0.0, 1.0, steps, order=order)
 
     def test_schedule_dim_enforced(self):
-        def growing(t):  # d = 2 for the first chunk of 256 midpoints, 3 after
+        def growing(t):  # d = 2 for the first pass of _GROUP * _CHUNK midpoints, 3 for the second
             return np.zeros((len(t), 2, 2) if t[0] < 0.5 else (len(t), 3, 3))
 
         for hamiltonian, steps in ((lambda t: SZ, 2),
                                    (lambda t: np.zeros((len(t), 2, 3)), 2),
-                                   (growing, 300)):
+                                   (growing, oracle._GROUP * oracle._CHUNK + 76)):
             with pytest.raises(ValueError, match="dim"):
                 time_ordered_exponential(hamiltonian, 0.0, 1.0, steps)
             with pytest.raises(ValueError, match="dim"):
                 evolve_state(np.array([1.0, 0.0]), hamiltonian, 0.0, 1.0, steps)
+
+
+class TestPassGrouping:
+    """A pass of _GROUP chunks, their trees sharing each level, is bitwise one chunk per pass."""
+
+    FAMILIES = ALL_FAMILIES + [su4_family(DiracParameters(m=1.0, p0=[3e3, -2e3, 5e3]))]  # the last takes eigh
+    IDS = ["su2", "su3", "su4", "su4_eigh"]
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
+    def test_product_is_bitwise_ungrouped(self, fam, order, monkeypatch):
+        assert oracle._GROUP > 1
+        all_steps = (1, 255, 1023, 1024, 1025, 2049, 4097)
+        grouped = [time_ordered_exponential(fam.hamiltonian, -0.3, 2.6, n, order) for n in all_steps]
+        monkeypatch.setattr(oracle, "_GROUP", 1)
+        for steps, u in zip(all_steps, grouped):
+            ref = time_ordered_exponential(fam.hamiltonian, -0.3, 2.6, steps, order)
+            assert u.tobytes() == ref.tobytes(), steps
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
+    def test_evolve_state_is_bitwise_ungrouped(self, fam, monkeypatch):
+        psi0 = np.ones(fam.dim, dtype=complex) / np.sqrt(fam.dim)
+        grouped = evolve_state(psi0, fam.hamiltonian, -0.3, 2.6, 1100)
+        monkeypatch.setattr(oracle, "_GROUP", 1)
+        assert grouped.tobytes() == evolve_state(psi0, fam.hamiltonian, -0.3, 2.6, 1100).tobytes()
 
 
 class TestOrderFourExponent:

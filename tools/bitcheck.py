@@ -8,8 +8,11 @@ Run it on two checkouts and compare the lines:
 The groups hash the raw bytes of:
   oracle       time_ordered_exponential of su2, su3 (theta = 0.4) and su4
                (m = 0.7, p0 = [1, 0.2, -0.5]) on [0, 2], at orders 2 and 4,
-               with 1, 255, 256, 257, 1000 and 4097 steps;
-  evolve       evolve_state of each family, 700 steps from a fixed state;
+               with 1, 255, 256, 257, 1000, 1023, 1024, 1025, 4097 and
+               10000 steps, so across the oracle's 256-step trees and
+               its 1024-step passes;
+  evolve       evolve_state of each family, 700 and 1100 steps (one pass
+               and two) from a fixed state;
   expm         expm_unitary on seeded stacks, d = 2 to 4: random Hermitian
                at scales 1e-3 to 1e2, involutory and spin-1 spectra (E up
                to 3 times the scale) at scales 1e-3 to 1;
@@ -39,7 +42,7 @@ from spinctl import (  # noqa: E402
 
 FAMILIES = (su2_family, lambda: su3_family(0.4),
             lambda: su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5])))
-STEPS = (1, 255, 256, 257, 1000, 4097)
+STEPS = (1, 255, 256, 257, 1000, 1023, 1024, 1025, 4097, 10000)
 
 
 def _oracle(digest):
@@ -54,7 +57,8 @@ def _evolve(digest):
     for make in FAMILIES:
         fam = make()
         psi0 = np.ones(fam.dim, dtype=complex) / np.sqrt(fam.dim)
-        digest.update(evolve_state(psi0, fam.hamiltonian, 0.0, 2.0, 700).tobytes())
+        for steps in (700, 1100):
+            digest.update(evolve_state(psi0, fam.hamiltonian, 0.0, 2.0, steps).tobytes())
 
 
 def _expm(digest):
