@@ -17,8 +17,6 @@ matrices. Each matrix of the product is bitwise what it would be alone.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["as_operator", "dagger", "expm_unitary", "row_dot"]
@@ -49,14 +47,16 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
+def expm_unitary(h: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     """Unitary exponential exp(-i H tau) of a Hermitian matrix or a stack of them.
 
     ``h`` is one (d, d) matrix or an (n, d, d) stack; the result has the
-    same shape. Each matrix is scaled once to H' = H / 2^k, entries of
-    order 1, for all below. Finiteness and Hermiticity, max|H' - H'^dag| <=
-    HERMITIAN_TOL and so relative to each matrix's scale, are checked once
-    over the whole stack. Each matrix with spectrum in {-E, 0, E}, i.e. H^3 = E^2 * H,
+    same shape. ``tau`` is one number for every matrix or, for a stack, an
+    (n,) array of one per matrix; each matrix's result is bitwise the one
+    it gets alone with its own tau. Each matrix is scaled once to H' = H /
+    2^k, entries of order 1, for all below. Finiteness and Hermiticity,
+    max|H' - H'^dag| <= HERMITIAN_TOL and so relative to each matrix's
+    scale, are checked once over the whole stack. Each matrix with spectrum in {-E, 0, E}, i.e. H^3 = E^2 * H,
     takes the exact spin-1 form (Curtright, Fairlie & Zachos, SIGMA 10,
     084 (2014)), the identity when E^2 = 0, i.e. H = 0:
 
@@ -68,29 +68,38 @@ def expm_unitary(h: np.ndarray, tau: float) -> np.ndarray:
     * min(1, E^j), j = 2 and 3. The other matrices share one stacked
     eigendecomposition. Each phase is formed on H', times 2^k. The stack is
     copied once to time-last (d, d, n) form for _expm_last and once back.
-    Raises ValueError if ``tau`` or any matrix entry is non-finite, if
-    any matrix fails the Hermiticity gate (naming the first, with its
-    max|H - H^dag|), or if a phase E tau, or an eigenvalue times tau, overflows.
+    Raises ValueError if ``tau`` has another shape, if any tau or matrix
+    entry is non-finite, if any matrix fails the Hermiticity gate (naming
+    the first, with its max|H - H^dag|), or if a phase E tau, or an
+    eigenvalue times tau, overflows (naming the tau of the first such matrix).
     """
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
+    taus = np.asarray(tau, dtype=float)
     m = np.asarray(h, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if taus.ndim and (m.ndim != 3 or taus.shape != m.shape[:1]):
+        raise ValueError(f"tau must be a number or one per matrix, got shape {taus.shape} for {m.shape}")
+    if not np.isfinite(taus).all():
+        raise ValueError(f"tau must be finite, got {float(taus.flat[np.argmin(np.isfinite(taus))])}")
     last = np.ascontiguousarray(m.reshape(-1, *m.shape[-2:]).transpose(1, 2, 0))
-    return np.ascontiguousarray(_expm_last(last, tau, "matrix").transpose(2, 0, 1)).reshape(m.shape)
+    return np.ascontiguousarray(_expm_last(last, taus, "matrix").transpose(2, 0, 1)).reshape(m.shape)
 
 
-def _expm_last(h: np.ndarray, tau: float, what: str, times: np.ndarray | None = None) -> np.ndarray:
+def _expm_last(h: np.ndarray, tau: float | np.ndarray, what: str,
+               times: np.ndarray | None = None) -> np.ndarray:
     """exp(-i H tau) of a contiguous time-last (d, d, n) stack, returned time-last.
 
     expm_unitary's path after its shape checks, all on the H' and k of one
     _require_hermitian pass (``what`` and ``times`` name a failing matrix).
-    No scale overflows, and at normal scales the spin-1 form, phase E' tau
-    2^k, is bitwise the unscaled one. Those neither test admitted are then
-    overwritten by one _eigh_exp call on their H'. One check then raises if
+    ``tau`` is one number or an (n,) array of one per matrix. Every step
+    that uses it is elementwise, so each matrix's result is bitwise the
+    one it gets alone; only eigh's matrices and the overflow error take it
+    broadcast to (n,), so a scalar tau adds no array to the oracle's
+    passes. No scale overflows, and at normal scales the spin-1 form,
+    phase E' tau 2^k, is bitwise the unscaled one. Those neither test
+    admitted are then overwritten by one _eigh_exp call on their H'. One check then raises if
     the result is non-finite: with H' bounded and E'^2 away from 0, only an
-    overflowing phase can make it so.
+    overflowing phase can make it so; the error names the first such matrix's tau.
     """
     hs, k = _require_hermitian(h, what, times)
     d, _, n = hs.shape
@@ -115,9 +124,10 @@ def _expm_last(h: np.ndarray, tau: float, what: str, times: np.ndarray | None = 
         if not closed.all():
             rest = ~closed
             hr = hs.compress(rest, axis=2).transpose(2, 0, 1)
-            u[..., rest] = _eigh_exp(hr, k[rest], tau).transpose(1, 2, 0)
+            u[..., rest] = _eigh_exp(hr, k[rest], np.broadcast_to(tau, (n,))[rest]).transpose(1, 2, 0)
     if not np.isfinite(u).all():
-        raise ValueError(f"phase of exp(-i H tau) overflows at tau = {tau}: |H| tau passes the float range")
+        first = float(np.broadcast_to(tau, (n,))[np.argmin(np.isfinite(u).all(axis=(0, 1)))])
+        raise ValueError(f"phase of exp(-i H tau) overflows at tau = {first}: |H| tau passes the float range")
     return u
 
 
@@ -185,10 +195,12 @@ def _spin1_test(h: np.ndarray, h2: np.ndarray, tr2: np.ndarray) -> tuple[np.ndar
     return e2, spin1
 
 
-def _eigh_exp(h: np.ndarray, k: np.ndarray, tau: float) -> np.ndarray:
+def _eigh_exp(h: np.ndarray, k: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """exp(-i H tau) of the (m, d, d) stack H = H' 2^k, by one stacked eigh of H', phases w' tau 2^k.
+
+    ``tau`` holds one tau per matrix, shape (m,).
 
     An overflowing phase gives NaN, which _expm_last's one result check catches.
     """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * np.ldexp(w * tau, k[:, None]))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return (v * np.exp(-1j * np.ldexp(w * tau[:, None], k[:, None]))[:, None, :]) @ v.conj().swapaxes(1, 2)

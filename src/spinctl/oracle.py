@@ -28,7 +28,9 @@ schrodinger_propagator gives its exact propagator
 
     V(t, s) = e^{-iCt} e^{-i(H0 - C)(t - s)} e^{+iCs},
 
-which satisfies i dV/dt = H(t) V.
+which satisfies i dV/dt = H(t) V. It broadcasts over t and s, and its
+3n exponentials for n times are one stacked expm_unitary call with one
+tau per matrix.
 
 Diagnostics, each over a whole state history at once: the energy
 variance <H^2> - <H>^2 and the projective (Fubini-Study) speed, which
@@ -177,17 +179,31 @@ def time_ordered_exponential(hamiltonian: _Hamiltonian, t0: float, t1: float,
     return u
 
 
-def schrodinger_propagator(family: UnitaryFamily, t: float, s: float) -> np.ndarray:
+def schrodinger_propagator(family: UnitaryFamily, t: float | np.ndarray,
+                           s: float | np.ndarray) -> np.ndarray:
     """The genuine Schrodinger propagator V(t, s) of a closed-form family (see the module docstring).
 
     Built from the family's rotating frame (C, H0), which must share one
-    shape; expm_unitary checks each exponent. The family's own
-    ``propagator`` is only the isometric conjugator of H(t).
+    shape. Broadcasts over time like the family's own functions: scalar t
+    and s give (d, d), an (n,) array of either the (n, d, d) stack. All
+    3n exponentials are one expm_unitary call on the stack [C]*n,
+    [H0 - C]*n, [C]*n with tau = (t, t - s, -s), which checks each
+    exponent and its tau; each V is bitwise the one scalar times give.
+    The family's own ``propagator`` is only the isometric conjugator of H(t).
     """
     c, h0 = family.frame
     if np.shape(c) != np.shape(h0):
         raise ValueError(f"dimension mismatch: {np.shape(c)} vs {np.shape(h0)}")
-    return expm_unitary(c, t) @ expm_unitary(h0 - c, t - s) @ expm_unitary(c, -s)
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    if t.ndim > 1:
+        raise ValueError(f"times must be numbers or 1-D arrays, got shape {t.shape}")
+    shape, n = t.shape + np.shape(c), t.size
+    t, s = t.ravel(), s.ravel()
+    frames = np.concatenate([np.broadcast_to(m, (n, *np.shape(c))) for m in (c, h0 - c, c)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite t - s is expm_unitary's error
+        taus = np.concatenate([t, t - s, -s])
+    u = expm_unitary(frames, taus)
+    return (u[:n] @ u[n:2 * n] @ u[2 * n:]).reshape(shape)
 
 
 def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,64 @@ class TestExpmUnitaryStack:
         for shape in ((4,), (2, 3), (2, 2, 3), (1, 2, 2, 2)):
             with pytest.raises(ValueError, match="square"):
                 expm_unitary(np.zeros(shape), 1.0)
+
+
+class TestExpmUnitaryPerMatrixTau:
+    """An (n,) tau gives each matrix of an (n, d, d) stack its own tau, bitwise its lone call."""
+
+    SPECTRA = {2: ([-1.0, 1.0],), 3: ([-1.0, 0.0, 1.0],),
+               4: ([-1.0, -1.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 1.0])}
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_each_path_matches_per_matrix_calls(self, d, monkeypatch):
+        # involutory or spin-1 spectra, generic matrices for eigh and a zero matrix, at scales 1e-3 to 1e2
+        rng = np.random.default_rng(50 + d)
+        stack = []
+        for scale in (1e-3, 1.0, 1e2):
+            stack += [scale * with_spectrum(rng, spec) for spec in self.SPECTRA[d]]
+            stack += [scale * random_hermitian(rng, d) for _ in range(2)]
+        stack = np.stack(stack + [np.zeros((d, d))])
+        stack = stack[rng.permutation(len(stack))]
+        tau = rng.uniform(-5, 5, len(stack))
+        taken, stacked_eigh = [], matrixcore._eigh_exp
+
+        def counting(h, k, tau):
+            taken.append(len(h))
+            return stacked_eigh(h, k, tau)
+
+        monkeypatch.setattr(matrixcore, "_eigh_exp", counting)
+        u = expm_unitary(stack, tau)
+        assert taken == [6]  # the generic matrices take eigh, the others a closed form
+        ref = np.stack([expm_unitary(h, tk) for h, tk in zip(stack, tau)])
+        assert u.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("h,tau", [
+        (np.stack([SX, SZ]), np.ones((2, 1))),
+        (np.stack([SX, SZ]), np.ones(3)),
+        (np.stack([SX, SZ]), np.ones(1)),
+        (SX, np.ones(1)),
+        (SX, np.ones(2)),
+    ], ids=["2d", "too_long", "too_short", "single_matrix", "single_matrix_two"])
+    def test_rejects_other_tau_shapes(self, h, tau):
+        with pytest.raises(ValueError, match=r"^tau must be a number or one per matrix, got shape "):
+            expm_unitary(h, tau)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        tau = np.array([0.3, 1.2, bad, -0.4])
+        with pytest.raises(ValueError, match=rf"^tau must be finite, got {bad}$"):
+            expm_unitary(np.stack([SX, SZ, SY, np.diag([1.0, 2.0])]), tau)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h,tau,first", [
+        (np.stack([SZ, 1e10 * SX, 1e10 * SX]), [1e300, 1.0, 3e300], "3e+300"),  # closed form
+        (np.stack([SZ, 1e10 * SX, 1e10 * SX]), [1.0, 2e300, 3e300], "2e+300"),
+        (np.diag([1.0, 2.0, -3.0]) * np.array([1.0, 1e10, 1e10])[:, None, None], [1e300, 1.0, 4e300],
+         "4e+300"),  # eigh
+    ], ids=["closed_form_last", "closed_form_middle", "eigh_last"])
+    def test_overflow_names_the_first_failing_tau(self, h, tau, first):
+        with pytest.raises(ValueError, match=rf"^phase of exp\(-i H tau\) overflows at tau = {re.escape(first)}: "):
+            expm_unitary(h, np.array(tau))
 
 
 class TestPredicates:

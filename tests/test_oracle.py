@@ -332,6 +332,53 @@ class TestRotatingFramePropagator:
             schrodinger_propagator(framed(c, h0), 1.0, 0.0)
 
 
+class TestPropagatorBroadcasting:
+    """schrodinger_propagator broadcasts over t and s, each V bitwise the scalar call."""
+
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=["su2", "su3", "su4"])
+    def test_array_t_is_bitwise_scalar_calls(self, fam):
+        rng = np.random.default_rng(60)
+        for _ in range(10):
+            t, s = rng.uniform(-3, 3, 5), float(rng.uniform(-3, 3))
+            v = schrodinger_propagator(fam, t, s)
+            assert v.shape == (5, fam.dim, fam.dim)
+            ref = np.stack([schrodinger_propagator(fam, float(tk), s) for tk in t])
+            assert v.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=["su2", "su3", "su4"])
+    def test_array_s_and_both_arrays_are_bitwise_scalar_calls(self, fam):
+        rng = np.random.default_rng(61)
+        t, s = rng.uniform(-3, 3, 4), rng.uniform(-3, 3, 4)
+        ref = np.stack([schrodinger_propagator(fam, 0.9, float(sk)) for sk in s])
+        assert schrodinger_propagator(fam, 0.9, s).tobytes() == ref.tobytes()
+        ref = np.stack([schrodinger_propagator(fam, float(tk), float(sk)) for tk, sk in zip(t, s)])
+        assert schrodinger_propagator(fam, t, s).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=["su2", "su3", "su4"])
+    def test_shapes(self, fam):
+        d = fam.dim
+        assert schrodinger_propagator(fam, 0.4, -0.2).shape == (d, d)
+        assert schrodinger_propagator(fam, np.float64(0.4), np.array(-0.2)).shape == (d, d)
+        assert schrodinger_propagator(fam, np.array([0.4]), -0.2).shape == (1, d, d)
+        assert schrodinger_propagator(fam, [0.4, 0.5, 0.6], [-0.2]).shape == (3, d, d)
+
+    @pytest.mark.parametrize("t,s", [
+        (np.nan, 0.0), (1.0, np.inf), ([0.5, np.nan, 1.0], 0.0), ([0.5, 1.0], [0.0, -np.inf]),
+        (1e308, -1e308), (np.inf, np.inf)], ids=["t_nan", "s_inf", "t_array", "s_array", "overflow", "inf_minus_inf"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_times_raise(self, t, s):
+        with pytest.raises(ValueError, match="^tau must be finite, got "):
+            schrodinger_propagator(ALL_FAMILIES[0], t, s)
+
+    def test_rejects_times_of_more_than_one_axis(self):
+        with pytest.raises(ValueError, match=re.escape("times must be numbers or 1-D arrays, got shape (2, 2)")):
+            schrodinger_propagator(ALL_FAMILIES[0], np.ones((2, 2)), 0.0)
+
+    def test_dimension_mismatch_with_array_times(self):
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: (2, 2) vs (3, 3)")):
+            schrodinger_propagator(framed(SZ, np.eye(3)), np.array([1.0, 2.0]), 0.0)
+
+
 class TestEvolveState:
     def test_zero_hamiltonian(self):
         psi0 = np.array([0.6, 0.8], dtype=complex)

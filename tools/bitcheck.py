@@ -16,6 +16,8 @@ The groups hash the raw bytes of:
   expm         expm_unitary on seeded stacks, d = 2 to 4: random Hermitian
                at scales 1e-3 to 1e2, involutory and spin-1 spectra (E up
                to 3 times the scale) at scales 1e-3 to 1;
+  propagator   schrodinger_propagator of each family on a seeded grid of
+               (t, s) in [-3, 3], 40 pairs, one scalar call each;
   audit        format_report(full_report(seed)) for seeds 0-49;
   flow         integrate on the canonical splits of su2, su3, su4 and
                su2+su3+su4 (one start and a stack of 5; sample strides 1
@@ -37,8 +39,8 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))  # after PYTHO
 
 from spinctl import (  # noqa: E402
     DiracParameters, OperatorPair, brachistochrone_rhs, canonical_split, evolve_state, expm_unitary,
-    format_report, full_report, integrate, project_coefficients, su2_family, su3_family, su4_family,
-    time_ordered_exponential)
+    format_report, full_report, integrate, project_coefficients, schrodinger_propagator, su2_family, su3_family,
+    su4_family, time_ordered_exponential)
 
 FAMILIES = (su2_family, lambda: su3_family(0.4),
             lambda: su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5])))
@@ -78,6 +80,15 @@ def _expm(digest):
                     digest.update(expm_unitary(scale * stack, tau).tobytes())
 
 
+def _propagator(digest):
+    rng = np.random.default_rng(30)
+    times = rng.uniform(-3, 3, size=(40, 2))
+    for make in FAMILIES:
+        fam = make()
+        for t, s in times:
+            digest.update(schrodinger_propagator(fam, float(t), float(s)).tobytes())
+
+
 def _audit(digest):
     for seed in range(50):
         digest.update(format_report(full_report(seed=seed)).encode())
@@ -107,11 +118,11 @@ def _flow(digest):
 
 
 def main() -> None:
-    for name, fill in (("oracle", _oracle), ("evolve", _evolve), ("expm", _expm), ("audit", _audit),
-                       ("flow", _flow)):
+    for name, fill in (("oracle", _oracle), ("evolve", _evolve), ("expm", _expm), ("propagator", _propagator),
+                       ("audit", _audit), ("flow", _flow)):
         digest = hashlib.sha256()
         fill(digest)
-        print(f"{name:8s} {digest.hexdigest()}")
+        print(f"{name:10s} {digest.hexdigest()}")
 
 
 if __name__ == "__main__":
