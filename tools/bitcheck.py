@@ -1,9 +1,15 @@
-"""Print one sha256 per output group of spinctl, to show a change is bit for bit.
+"""Print spinctl's bit ledger: the build key, then one sha256 per output group.
 
-Run it on two checkouts and compare the lines:
+The build key is numpy's version, its BLAS (name and version) and the SIMD
+extensions numpy found on this CPU, since the BLAS kernel, and so the bits,
+follow the CPU. tests/test_bitcheck.py computes the groups in-process and
+compares them with the committed ledger; a change that means to move bits
+rewrites it with
 
-    python3 tools/bitcheck.py                               # this checkout's src/
-    PYTHONPATH=../other/src python3 tools/bitcheck.py       # another checkout's src/
+    python3 tools/bitcheck.py > tests/data/bitcheck.txt
+
+and names each moved group in CHANGES.md. Another checkout's src/ runs with
+PYTHONPATH=../other/src python3 tools/bitcheck.py.
 
 The groups hash the raw bytes of:
   oracle       time_ordered_exponential of su2, su3 (theta = 0.4) and su4
@@ -18,7 +24,8 @@ The groups hash the raw bytes of:
                to 3 times the scale) at scales 1e-3 to 1;
   propagator   schrodinger_propagator of each family on a seeded grid of
                (t, s) in [-3, 3], 40 pairs, one scalar call each;
-  audit        format_report(full_report(seed)) for seeds 0-49;
+  audit        format_report(full_report(seed)) and each check's max_error
+               for seeds 0-49;
   flow         integrate on the canonical splits of su2, su3, su4 and
                su2+su3+su4 (one start and a stack of 5; sample strides 1
                and 7), brachistochrone_rhs on seeded stacks, and
@@ -91,7 +98,8 @@ def _propagator(digest):
 
 def _audit(digest):
     for seed in range(50):
-        digest.update(format_report(full_report(seed=seed)).encode())
+        results = full_report(seed=seed)
+        digest.update(format_report(results).encode() + np.array([r.max_error for r in results]).tobytes())
 
 
 def _flow(digest):
@@ -117,12 +125,31 @@ def _flow(digest):
                 digest.update(project_coefficients(a, split.basis).tobytes())
 
 
-def main() -> None:
-    for name, fill in (("oracle", _oracle), ("evolve", _evolve), ("expm", _expm), ("propagator", _propagator),
-                       ("audit", _audit), ("flow", _flow)):
+GROUPS = (("oracle", _oracle), ("evolve", _evolve), ("expm", _expm), ("propagator", _propagator),
+          ("audit", _audit), ("flow", _flow))
+
+
+def build_key() -> dict[str, str]:
+    """The numpy build and CPU class the digests hold for."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "simd": " ".join(config["SIMD Extensions"]["found"])}
+
+
+def digests() -> dict[str, str]:
+    """The sha256 of each group, in GROUPS order."""
+    out = {}
+    for name, fill in GROUPS:
         digest = hashlib.sha256()
         fill(digest)
-        print(f"{name:10s} {digest.hexdigest()}")
+        out[name] = digest.hexdigest()
+    return out
+
+
+def main() -> None:
+    for name, value in {**build_key(), **digests()}.items():
+        print(f"{name:10s} {value}")
 
 
 if __name__ == "__main__":
