@@ -191,7 +191,7 @@ def _check_frame_commutator(rng):
 #: exceeds it is reported as "not a propagator".
 _PROPAGATOR_TOL = 1e-4
 
-#: Order-4 oracle steps of the referee product: one chunk per family.
+#: Order-4 oracle steps of the referee product: one pass per family.
 _REFEREE_STEPS = 256
 
 

@@ -8,7 +8,7 @@ _exponents) and runs all on that: the Hermiticity gate (so relative to its
 scale), the involutory screen (every su2 and su4 H(t)), the spin-1 test
 (every su3 H(t)), the exact spin-1 form and the stacked eigh.
 
-Inside this module, and in the oracle's chunks, stacks are time-last
+Inside this module, and in the oracle's passes, stacks are time-last
 (d, d, n); _expm_last runs all of the above along one path in that layout.
 Its products go through _matmul_last, not @: numpy's @ hands each matrix
 of a stack to BLAS on its own, while _matmul_last multiplies elementwise,

@@ -17,9 +17,8 @@ discretization error. Two steps are offered:
 
 converging at second and fourth order in the step size. Steps run in
 passes of up to 1024, each one H(t) call copied once to the time-last
-(d, d, m) layout of matrixcore's exponential core; the pass's K and its
-exponentials stay in that layout, and so do the pairwise product trees
-of its chunks of 256 steps, whose levels the pass's full chunks share.
+(d, d, m) layout of matrixcore's exponential core; the pass's K, its
+exponentials and its one pairwise product tree stay in that layout.
 The midpoint product is the second-order referee that the acceptance criteria pin;
 the audit's propagator_question referees the closed forms with 256
 order-4 steps. Every closed-form family has a schedule of rotating-frame
@@ -60,13 +59,11 @@ __all__ = [
 #: to 2.0 (su4) us per step.
 _MAX_STEPS = 10 ** 7
 
-#: Steps per product tree (the tree's shape, so its bits, rest on it) and
-#: chunks per pass: one stacked H(t) call and one stacked exponential per
-#: pass of _GROUP * _CHUNK steps, the full chunks' trees sharing each level.
-#: Bounds what a pass holds at once whatever the step count: at order 4
-#: and d = 4, 2048 H(t) matrices, 512 kB per stack.
-_CHUNK = 256
-_GROUP = 4
+#: Steps per pass: one stacked H(t) call, one stacked exponential and one
+#: product tree (its shape, so its bits, rest on this). Bounds what a pass
+#: holds at once whatever the step count: at order 4 and d = 4, 2048 H(t)
+#: matrices, 512 kB per stack.
+_PASS = 1024
 
 #: The two Gauss-Legendre points of the order-4 step, in steps from its midpoint.
 _GAUSS = np.array([-1.0, 1.0]) * math.sqrt(3) / 6
@@ -85,7 +82,7 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
     any H(t) call, then evaluates the first pass at once to learn the
     dimension d from the first stack H(t) returns.
     Returns d and the factors in time order as time-last (d, d, m) passes
-    of at most _GROUP * _CHUNK steps, each from one H(t) call (at the m
+    of at most _PASS steps, each from one H(t) call (at the m
     midpoints, or at both Gauss points of each step, in step order), one
     copy of that stack to time-last form, in which K is formed, and one
     matrixcore._expm_last; passes after the first come lazily.
@@ -104,10 +101,8 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
         raise ValueError(f"time bounds and their span must be finite, got t0 = {t0}, t1 = {t1}")
     dt = span / steps
 
-    size = _GROUP * _CHUNK
-
     def factors(start: int, dim: int | None) -> np.ndarray:
-        ts = t0 + (np.arange(start, min(start + size, steps)) + 0.5) * dt
+        ts = t0 + (np.arange(start, min(start + _PASS, steps)) + 0.5) * dt
         if order == 4:
             ts = (ts[:, None] + _GAUSS * dt).ravel()
         h = np.asarray(hamiltonian(ts))
@@ -133,17 +128,16 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
 
     first = factors(0, None)
     dim = first.shape[0]
-    rest = (factors(start, dim) for start in range(size, steps, size))
+    rest = (factors(start, dim) for start in range(_PASS, steps, _PASS))
     return dim, itertools.chain([first], rest)
 
 
 def _ordered_product(f: np.ndarray) -> np.ndarray:
-    """The product over the last axis of a time-last (d, d, ..., m) stack, later factors on the left.
+    """The product over the last axis of a time-last (d, d, m) stack, later factors on the left.
 
     Each level multiplies neighbours, later on the left, with one
-    elementwise _matmul_last over all pairs, of every tree at once for a
-    (d, d, g, m) stack of g trees. An odd last factor passes up unpaired,
-    so time order is kept at every level.
+    elementwise _matmul_last over all pairs. An odd last factor passes up
+    unpaired, so time order is kept at every level.
     """
     while f.shape[-1] > 1:
         paired = _matmul_last(f[..., 1::2], f[..., 0:-1:2])
@@ -159,23 +153,13 @@ def time_ordered_exponential(hamiltonian: _Hamiltonian, t0: float, t1: float,
     Magnus step (see the module docstring). Later times multiply from the
     left. Every exponent passes expm_unitary's Hermiticity check and takes
     its exponential, so the result is unitary to machine precision
-    regardless of ``steps``. The factors of each chunk of _CHUNK steps are
-    multiplied as a pairwise tree before joining the running product; the
-    full chunks of a pass share the tree's levels, a last partial chunk
-    takes its own.
+    regardless of ``steps``. The factors of each pass of _PASS steps are
+    multiplied as one pairwise tree before joining the running product.
     """
     dim, passes = _step_factors(hamiltonian, t0, t1, steps, order)
     u = np.eye(dim, dtype=complex)
     for f in passes:
-        full = f.shape[2] // _CHUNK * _CHUNK
-        if full:
-            trees = _ordered_product(f[..., :full].reshape(dim, dim, -1, _CHUNK))
-            for j in range(trees.shape[2]):
-                # a contiguous copy, the layout of a lone tree's product: numpy may send
-                # a strided operand of @ to another kernel, which rounds differently
-                u = np.ascontiguousarray(trees[..., j]) @ u
-        if full < f.shape[2]:
-            u = _ordered_product(f[..., full:]) @ u
+        u = _ordered_product(f) @ u
     return u
 
 

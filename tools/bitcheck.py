@@ -15,8 +15,8 @@ The groups hash the raw bytes of:
   oracle       time_ordered_exponential of su2, su3 (theta = 0.4) and su4
                (m = 0.7, p0 = [1, 0.2, -0.5]) on [0, 2], at orders 2 and 4,
                with 1, 255, 256, 257, 1000, 1023, 1024, 1025, 4097 and
-               10000 steps, so across the oracle's 256-step trees and
-               its 1024-step passes;
+               10000 steps, so within and across the oracle's 1024-step
+               passes;
   evolve       evolve_state of each family, 700 and 1100 steps (one pass
                and two) from a fixed state;
   expm         expm_unitary on seeded stacks, d = 2 to 4: random Hermitian
