@@ -14,15 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_bitcheck():
-    spec = importlib.util.spec_from_file_location("bitcheck", ROOT / "tools" / "bitcheck.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_groups_match_ledger():
-    bitcheck = load_bitcheck()
+    spec = importlib.util.spec_from_file_location("bitcheck", ROOT / "tools" / "bitcheck.py")
+    bitcheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bitcheck)
     lines = (ROOT / "tests" / "data" / "bitcheck.txt").read_text().splitlines()
     ledger = dict(line.split(maxsplit=1) for line in lines)
     key = bitcheck.build_key()
