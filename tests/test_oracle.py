@@ -204,10 +204,26 @@ class TestTimeOrderedExponential:
 
 
 class TestPassGrouping:
-    """evolve_state applies its factors one step at a time, so its bits do not rest on the pass size."""
+    """A factor's bits do not rest on the pass size; only the product's tree shape does."""
 
     FAMILIES = ALL_FAMILIES + [su4_family(DiracParameters(m=1.0, p0=[3e3, -2e3, 5e3]))]  # the last takes eigh
     IDS = ["su2", "su3", "su4", "su4_eigh"]
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
+    def test_product_is_bitwise_ungrouped(self, fam, order, monkeypatch):
+        # the product is bitwise the factors of all steps, made in one ungrouped
+        # stack, multiplied one tree per _PASS slice, later slices on the left
+        size = oracle._PASS
+        all_steps = (1, 255, 1023, 1024, 1025, 2049, 4097)
+        grouped = [time_ordered_exponential(fam.hamiltonian, -0.3, 2.6, n, order) for n in all_steps]
+        monkeypatch.setattr(oracle, "_PASS", max(all_steps))
+        for steps, u in zip(all_steps, grouped):
+            dim, (f,) = oracle._step_factors(fam.hamiltonian, -0.3, 2.6, steps, order)
+            ref = np.eye(dim, dtype=complex)
+            for start in range(0, steps, size):
+                ref = oracle._ordered_product(f[..., start:start + size]) @ ref
+            assert u.tobytes() == ref.tobytes(), steps
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
     def test_evolve_state_is_bitwise_ungrouped(self, fam, monkeypatch):
