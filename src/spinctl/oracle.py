@@ -37,7 +37,6 @@ along any Schrodinger evolution equals sqrt(variance).
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from typing import Callable, Iterator
@@ -74,19 +73,18 @@ _Hamiltonian = Callable[[np.ndarray], np.ndarray]
 
 
 def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
-                  steps: int, order: int) -> tuple[int, Iterator[np.ndarray]]:
+                  steps: int, order: int) -> Iterator[np.ndarray]:
     """The step factors exp(-i K_k dt), k = 0 .. steps-1, of the given order.
 
     Validates ``order`` (2 or 4), ``steps`` (an integer, Python or numpy,
     from 1 to _MAX_STEPS) and the finiteness of t0, t1 and t1 - t0 before
-    any H(t) call, then evaluates the first pass at once to learn the
-    dimension d from the first stack H(t) returns.
-    Returns d and the factors in time order as time-last (d, d, m) passes
-    of at most _PASS steps, each from one H(t) call (at the m
-    midpoints, or at both Gauss points of each step, in step order), one
-    copy of that stack to time-last form, in which K is formed, and one
-    matrixcore._expm_last; passes after the first come lazily.
-    Every stack must have shape (len(ts), d, d) with the same d. Each H(t)
+    any H(t) call. Returns the factors in time order as a lazy stream of
+    time-last (d, d, m) passes of at most _PASS steps, each from one H(t)
+    call (at the m midpoints, or at both Gauss points of each step, in
+    step order), one copy of that stack to time-last form, in which K is
+    formed, and one matrixcore._expm_last.
+    The dimension d is read from the first stack H(t) returns; every
+    stack must have shape (len(ts), d, d) with that d. Each H(t)
     stack, and at order 4 each K stack, passes matrixcore._require_hermitian's relative
     gate (for K and order-2 H(t), in _expm_last's one scaling pass), whose
     error names the first failing time (for K, its step's first Gauss point).
@@ -100,8 +98,10 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
     if not math.isfinite(span):
         raise ValueError(f"time bounds and their span must be finite, got t0 = {t0}, t1 = {t1}")
     dt = span / steps
+    dim = None
 
-    def factors(start: int, dim: int | None) -> np.ndarray:
+    def factors(start: int) -> np.ndarray:
+        nonlocal dim
         ts = t0 + (np.arange(start, min(start + _PASS, steps)) + 0.5) * dt
         if order == 4:
             ts = (ts[:, None] + _GAUSS * dt).ravel()
@@ -126,10 +126,7 @@ def _step_factors(hamiltonian: _Hamiltonian, t0: float, t1: float,
             k = 0.5 * (h1 + h2) - 1j * (a - a.conj().swapaxes(0, 1))
         return _expm_last(k, dt, "the step exponent", ts[::2])
 
-    first = factors(0, None)
-    dim = first.shape[0]
-    rest = (factors(start, dim) for start in range(_PASS, steps, _PASS))
-    return dim, itertools.chain([first], rest)
+    return map(factors, range(0, steps, _PASS))
 
 
 def _ordered_product(f: np.ndarray) -> np.ndarray:
@@ -154,12 +151,13 @@ def time_ordered_exponential(hamiltonian: _Hamiltonian, t0: float, t1: float,
     left. Every exponent passes expm_unitary's Hermiticity check and takes
     its exponential, so the result is unitary to machine precision
     regardless of ``steps``. The factors of each pass of _PASS steps are
-    multiplied as one pairwise tree before joining the running product.
+    multiplied as one pairwise tree, which starts the running product or
+    joins it from the left.
     """
-    dim, passes = _step_factors(hamiltonian, t0, t1, steps, order)
-    u = np.eye(dim, dtype=complex)
-    for f in passes:
-        u = _ordered_product(f) @ u
+    u = None
+    for f in _step_factors(hamiltonian, t0, t1, steps, order):
+        p = _ordered_product(f)
+        u = p if u is None else p @ u
     return u
 
 
@@ -194,23 +192,24 @@ def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,
                  steps: int) -> np.ndarray:
     """Propagate a normalized state, returning all steps+1 samples.
 
-    Each step applies one midpoint short-time propagator; every sample
-    stays normalized to within the unitarity of the step exponential.
+    Each step applies one midpoint short-time propagator, read in place
+    from its time-last pass; every sample stays normalized to within the
+    unitarity of the step exponential. The samples fill one (steps + 1, d)
+    array, allocated once the arguments have passed validation.
     """
     psi = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi)
     if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"state is not normalized: |psi| = {nrm:.12f}")
-    dim, passes = _step_factors(hamiltonian, t0, t1, steps, 2)
-    if psi.shape != (dim,):
-        raise ValueError(f"state shape {psi.shape} does not match dim {dim}")
-    out = np.empty((steps + 1, dim), dtype=complex)
-    out[0] = psi
-    # each pass back to (m, d, d): a strided f @ psi skips BLAS and rounds differently
-    factors = (np.ascontiguousarray(p.transpose(2, 0, 1)) for p in passes)
-    for k, f in enumerate(itertools.chain.from_iterable(factors), start=1):
-        psi = f @ psi
-        out[k] = psi
+    passes = _step_factors(hamiltonian, t0, t1, steps, 2)
+    out = np.empty((steps + 1, psi.size), dtype=complex)
+    for start, f in zip(range(0, steps, _PASS), passes):
+        if psi.shape != f.shape[:1]:
+            raise ValueError(f"state shape {psi.shape} does not match dim {f.shape[0]}")
+        for j in range(f.shape[-1]):
+            out[start + j] = psi
+            psi = f[..., j] @ psi
+    out[steps] = psi
     return out
 
 

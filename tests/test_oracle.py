@@ -219,11 +219,36 @@ class TestPassGrouping:
         grouped = [time_ordered_exponential(fam.hamiltonian, -0.3, 2.6, n, order) for n in all_steps]
         monkeypatch.setattr(oracle, "_PASS", max(all_steps))
         for steps, u in zip(all_steps, grouped):
-            dim, (f,) = oracle._step_factors(fam.hamiltonian, -0.3, 2.6, steps, order)
-            ref = np.eye(dim, dtype=complex)
-            for start in range(0, steps, size):
+            (f,) = oracle._step_factors(fam.hamiltonian, -0.3, 2.6, steps, order)
+            ref = oracle._ordered_product(f[..., :size])
+            for start in range(size, steps, size):
                 ref = oracle._ordered_product(f[..., start:start + size]) @ ref
             assert u.tobytes() == ref.tobytes(), steps
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_one_schedule_call_per_pass(self, order):
+        # one H(t) call per pass, at the pass's midpoints or Gauss pairs, in step order
+        fam, size, steps, t0, t1 = su3_family(0.4), oracle._PASS, 2 * oracle._PASS + 3, -0.3, 2.6
+        dt = (t1 - t0) / steps
+        mid = t0 + (np.arange(steps) + 0.5) * dt
+        if order == 2:
+            lengths, expected = (size, size, 3), mid
+        else:
+            gauss = np.array([-1.0, 1.0]) * np.sqrt(3) / 6 * dt
+            lengths, expected = (2 * size, 2 * size, 6), (mid[:, None] + gauss).ravel()
+        runs = [lambda h: time_ordered_exponential(h, t0, t1, steps, order)]
+        if order == 2:
+            runs.append(lambda h: evolve_state(np.ones(3) / np.sqrt(3), h, t0, t1, steps))
+        for run in runs:
+            calls = []
+
+            def recorded(t):
+                calls.append(np.array(t))
+                return fam.hamiltonian(t)
+
+            run(recorded)
+            assert tuple(map(len, calls)) == lengths
+            np.testing.assert_allclose(np.concatenate(calls), expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=IDS)
     def test_evolve_state_is_bitwise_ungrouped(self, fam, monkeypatch):
@@ -415,13 +440,26 @@ class TestEvolveState:
         assert series[0] == pytest.approx(params.energy, abs=1e-10)
 
     def test_final_state_matches_propagator(self):
+        # within one pass, then across one and two pass boundaries
         for fam in ALL_FAMILIES:
             psi0 = np.zeros(fam.dim, dtype=complex)
             psi0[0] = 1.0
-            states = evolve_state(psi0, fam.hamiltonian, 0.0, 1.5, 257)
-            u = time_ordered_exponential(fam.hamiltonian, 0.0, 1.5, 257)
-            assert states.shape == (258, fam.dim)
-            assert np.max(np.abs(states[-1] - u @ psi0)) <= 1e-12
+            for steps in (257, 1025, 2049):
+                states = evolve_state(psi0, fam.hamiltonian, 0.0, 1.5, steps)
+                u = time_ordered_exponential(fam.hamiltonian, 0.0, 1.5, steps)
+                assert states.shape == (steps + 1, fam.dim)
+                assert np.max(np.abs(states[-1] - u @ psi0)) <= 1e-12, (fam.dim, steps)
+
+    def test_samples_across_pass_boundaries(self):
+        # the samples on either side of each pass's first step, against products of k steps
+        dt = 1.5 / 2049
+        for fam in ALL_FAMILIES:
+            psi0 = np.zeros(fam.dim, dtype=complex)
+            psi0[0] = 1.0
+            states = evolve_state(psi0, fam.hamiltonian, 0.0, 1.5, 2049)
+            for k in (1023, 1024, 1025, 2048, 2049):
+                u = time_ordered_exponential(fam.hamiltonian, 0.0, k * dt, k)
+                assert np.max(np.abs(states[k] - u @ psi0)) <= 1e-12, (fam.dim, k)
 
     def test_rejects_unnormalized(self):
         for psi0 in ([1.0, 1.0], [np.nan, 0.0], [np.nan, np.nan]):
