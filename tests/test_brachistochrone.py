@@ -37,6 +37,11 @@ class TestControlSplit:
         with pytest.raises(ValueError, match="overlap"):
             ControlSplit(basis, ("sx", "sy"), ("sy", "sz"))
 
+    def test_rejects_repeated_label(self):
+        basis = build_basis("su2")
+        with pytest.raises(ValueError, match="split labels must be distinct"):
+            ControlSplit(basis, ("sx", "sx"), ("sy", "sz"))
+
     def test_rejects_incomplete_cover(self):
         basis = build_basis("su2")
         with pytest.raises(ValueError, match="cover"):

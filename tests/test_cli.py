@@ -77,6 +77,16 @@ class TestParseConfig:
             parse_config(
                 "group = su2\nsplit = sx,sy\nh = 1e-3\nT = 1\n[hamiltonian]\nsz = 1\n")
 
+    def test_unknown_label_in_section(self, tmp_path, capsys):
+        text = SU2_CONFIG.replace("sx = 1", "foo = 1")
+        with pytest.raises(ConfigError, match=r"unknown label 'foo' in \[hamiltonian\]"):
+            parse_config(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert dispatch(["integrate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown label 'foo' in [hamiltonian]\n"
+
     def test_invalid_number(self):
         with pytest.raises(ConfigError, match="invalid number"):
             parse_config("group = su2\nsplit = sx,sy\nh = fast\nT = 1\n")

@@ -177,6 +177,10 @@ class TestDiracOperators:
         h = assemble_dirac(dirac_operators(), 1.0, [0, 0, 1])
         assert np.array_equal(h @ h, 2 * np.eye(4, dtype=complex))
 
+    def test_rejects_momentum_not_a_3_vector(self):
+        with pytest.raises(ValueError, match="p must be a 3-vector"):
+            assemble_dirac(dirac_operators(), 1.0, [1, 2])
+
     def test_algebra_exact(self):
         report = verify_algebra(dirac_operators())
         assert set(len(report) * [0.0]) == set(report.values())
