@@ -195,7 +195,7 @@ def evolve_state(psi0, hamiltonian: _Hamiltonian, t0: float, t1: float,
     Each step applies one midpoint short-time propagator, read in place
     from its time-last pass; every sample stays normalized to within the
     unitarity of the step exponential. The samples fill one (steps + 1, d)
-    array, allocated once the arguments have passed validation.
+    array, allocated only after the step count and time bounds are valid.
     """
     psi = np.asarray(psi0, dtype=complex)
     nrm = np.linalg.norm(psi)
