@@ -97,6 +97,27 @@ def textbook_rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps
     return np.array(times), np.array(samples)
 
 
+def textbook_taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
+                    order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor steps as first written: a fresh array per coefficient, every step sampled.
+
+    The bitwise reference for ``bt._taylor`` on a run that stays finite.
+    """
+    times, samples = [0.0], [c.copy()]
+    for step in range(1, n_steps + 1):
+        series = [c]
+        for k in range(order):
+            known = np.stack(series)  # coefficients 0..k
+            pairs = np.einsum("jna,jnb->nab", known[:, :, :ns], known[::-1, :, ns:])
+            series.append(np.einsum("kab,nab->nk", coupling, pairs) / (k + 1))
+        c = series[order]
+        for coeffs in series[order - 1::-1]:
+            c = c * h + coeffs
+        times.append(step * h)
+        samples.append(c)
+    return np.array(times), np.array(samples)
+
+
 def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
     """Equal bit patterns, so 0.0 and -0.0 differ."""
     assert actual.dtype == expected.dtype == np.float64 and actual.shape == expected.shape
@@ -518,6 +539,19 @@ class TestTaylorFlow:
         assert np.all((0.8 * 2 ** order <= ratio) & (ratio <= 1.2 * 2 ** order)), ratio
 
     @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("runs", [1, 5])
+    def test_matches_textbook(self, group, runs):
+        split = canonical_split(group)
+        ns = len(split.s_indices)
+        x0 = np.random.default_rng(11).uniform(-1, 1, (runs, len(split.basis)))
+        # a full block of 64 steps and a partial one; a step of 0.2 leaves the
+        # high-order coefficients' last bits visible in the sum
+        n_steps = 70
+        got = bt._taylor(split.coupling, ns, x0, 0.2, n_steps, order=6)
+        for actual, expected in zip(got, textbook_taylor(split.coupling, ns, x0, 0.2, n_steps, 6)):
+            assert_bitwise(actual, expected)
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
     def test_stacked_rows_are_bitwise_serial(self, group):
         split = canonical_split(group)
         ns = len(split.s_indices)
@@ -539,3 +573,20 @@ class TestTaylorFlow:
             bt._taylor(split.coupling, 4, x0, 0.1, 10, order=14)
         with pytest.raises(NonFiniteStateError, match=rf"^non-finite state at step {step}$"):
             bt._taylor(split.coupling, 4, x0[1:2], 0.1, 10, order=14)
+
+
+class TestHotLoops:
+    def test_kernels_never_dispatch_through_np_einsum(self, monkeypatch):
+        # the kernels call numpy's einsum core directly; np.einsum's Python layer
+        # would cost about a microsecond per field evaluation
+        split = canonical_split("su4")
+        coupling = split.coupling  # built with np.einsum, so before the patch
+        x0 = np.random.default_rng(13).uniform(-1, 1, (3, 15))
+
+        def dispatch(*args, **kwargs):
+            raise AssertionError("np.einsum called from a flow kernel")
+
+        monkeypatch.setattr(np, "einsum", dispatch)
+        traj = integrate(OperatorPair(x0[:, :4], x0[:, 4:]), split, h=1e-2, T=1.0, sample_stride=10)
+        assert traj.h_coeffs.shape == (3, 11, 4)
+        assert bt._taylor(coupling, 4, x0, 0.05, 70, order=6)[1].shape == (71, 3, 15)
