@@ -360,9 +360,9 @@ def _check_constraint_orthogonality(rng):
     x0 = np.concatenate([h for h, _ in starts] + [f for _, f in starts])
     split = bt.canonical_split("su2+su3+su4")
     ns = len(split.s_indices)
-    _, samples = bt._taylor(split.coupling, ns, x0[None], 0.1, 10, order=14)
-    spectra = np.linalg.eigvalsh(split.hamiltonian_matrix(samples[:, 0, :ns])
-                                 + split.constraint_matrix(samples[:, 0, ns:]))
+    _, samples = bt._taylor(split.coupling, ns, x0, 0.1, 10, order=14)
+    spectra = np.linalg.eigvalsh(split.hamiltonian_matrix(samples[:, :ns])
+                                 + split.constraint_matrix(samples[:, ns:]))
     err_closed, err_flow = np.max(overlaps), np.max(np.abs(spectra - spectra[0]))
     return (np.max([err_closed, err_flow]), None,
             f"Tr(H F) = 0 transported by conjugation ({err_closed:.3e}); "

@@ -13,12 +13,11 @@ exactly conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator
 records from the coefficients so discretization drift stays visible. Tr(HF) is
 not monitored: S and S^c are trace-orthogonal, so it is identically zero.
 
-``integrate`` runs one start or a stack of starts on the private RK4 kernel
-``_rk4``, and the audit runs its flow on the fixed-order Taylor kernel
-``_taylor``. Both advance a (runs, n) array of coefficient rows one batched
-step at a time through ``_flow``, each row bitwise as it would evolve alone,
-and take a coupling tensor and the size of S, not a split. A split of a
-direct sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
+``integrate`` runs one start on the private RK4 kernel ``_rk4``, and the
+audit runs its flow on the fixed-order Taylor kernel ``_taylor``. Both
+advance one (n,) coefficient state a step at a time through ``_flow``, and
+take a coupling tensor and the size of S, not a split. A split of a direct
+sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
 The arrays are small, so a step costs numpy calls, not arithmetic: ``_rk4``
 keeps its stage slopes and stage state in buffers allocated once per run,
 and ``_flow`` checks finiteness once per block of steps, replaying a failed
@@ -155,9 +154,7 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
 
 
 #: Ceiling on the step count T / h of ``integrate``: about two minutes of
-#: RK4 at 10-14 us per step (one run of su2 to su4, numpy 2.4 on a 2-core
-#: Xeon). It counts steps, not steps times runs: a stack of runs advances
-#: together, one batched step at a time.
+#: RK4 at 10-14 us per step (su2 to su4, numpy 2.4 on a 2-core Xeon).
 _MAX_STEPS = 10 ** 7
 
 #: Steps between the finiteness checks of ``_flow``.
@@ -168,24 +165,17 @@ class NonFiniteStateError(RuntimeError):
     """Raised by ``integrate`` when the state or a monitor leaves the finite range."""
 
 
-def _non_finite(what: str, step: int, run: int, runs: int) -> NonFiniteStateError:
-    """The error for a non-finite state or monitor; a stack of runs also names the run."""
-    where = f" of run {run}" if runs > 1 else ""
-    return NonFiniteStateError(f"non-finite {what} at step {step}{where}")
-
-
 def _flow(advance: Callable[[np.ndarray], np.ndarray], c: np.ndarray, h: float, n_steps: int,
           stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """``n_steps`` steps of size ``h`` from the (runs, n) stack ``c``; ``advance`` returns each next state.
+    """``n_steps`` steps of size ``h`` from the (n,) state ``c``; ``advance`` returns each next state.
 
-    The whole stack is checked for finiteness once per block of _BLOCK
-    steps and at the last step. A non-finite entry stays non-finite in
-    every later step (it reaches the next state through c + k), so a
-    block that ends finite was finite throughout. A block that does not is
-    replayed from its first state, checking each step, and the error names
-    the first non-finite step and, for a stack, the first run there.
-    Returns the sample times (0, every ``stride`` steps and the last) and a
-    (n_samples, runs, n) array of the states there.
+    The state is checked for finiteness once per block of _BLOCK steps and
+    at the last step. A non-finite entry stays non-finite in every later
+    step (it reaches the next state through c + k), so a block that ends
+    finite was finite throughout. A block that does not is replayed from
+    its first state, checking each step, and the error names the first
+    non-finite step. Returns the sample times (0, every ``stride`` steps
+    and the last) and an (n_samples, n) array of the states there.
     """
     times, samples = [0.0], [c.copy()]
     # The state is checked each block, so numpy's overflow warnings (from the
@@ -202,17 +192,16 @@ def _flow(advance: Callable[[np.ndarray], np.ndarray], c: np.ndarray, h: float, 
                 c = start
                 for step in range(first, step + 1):
                     c = advance(c)
-                    finite = np.isfinite(c).all(axis=1)
-                    if not finite.all():
-                        raise _non_finite("state", step, int(np.argmin(finite)), len(c))
+                    if not np.isfinite(c).all():
+                        raise NonFiniteStateError(f"non-finite state at step {step}")
     return np.array(times), np.array(samples)
 
 
 def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
          stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for a stack of runs of dc/dt = coupling . (c[:ns], c[ns:]).
+    """Classical RK4 for dc/dt = coupling . (c[:ns], c[ns:]).
 
-    ``c`` is a (runs, n) array whose first ``ns`` columns are contracted with
+    ``c`` is an (n,) state whose first ``ns`` entries are contracted with
     the second index of ``coupling`` and the rest with the third; returns
     ``_flow``'s samples. The four stage slopes and the stage state live in
     buffers allocated once per call, so a step allocates only the state it
@@ -222,23 +211,23 @@ def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
     k1, k2, k3, k4 = k
     k23 = k[1:3]
     y = np.empty_like(c)
-    ys, yc = y[:, :ns], y[:, ns:]
+    ys, yc = y[:ns], y[ns:]
     # 0-d float64 operands: a ufunc converts a Python float on every call
     hh, hf, two, h6 = (np.array(x) for x in (0.5 * h, h, 2.0, h / 6.0))
 
     # c_einsum is np.einsum's C kernel without its Python dispatch; the
     # ufuncs take ``out`` positionally, which skips a keyword parse per call
     def advance(c: np.ndarray) -> np.ndarray:
-        c_einsum("kab,na,nb->nk", coupling, c[:, :ns], c[:, ns:], out=k1)
+        c_einsum("kab,a,b->k", coupling, c[:ns], c[ns:], out=k1)
         np.multiply(k1, hh, y)
         np.add(c, y, y)
-        c_einsum("kab,na,nb->nk", coupling, ys, yc, out=k2)
+        c_einsum("kab,a,b->k", coupling, ys, yc, out=k2)
         np.multiply(k2, hh, y)
         np.add(c, y, y)
-        c_einsum("kab,na,nb->nk", coupling, ys, yc, out=k3)
+        c_einsum("kab,a,b->k", coupling, ys, yc, out=k3)
         np.multiply(k3, hf, y)
         np.add(c, y, y)
-        c_einsum("kab,na,nb->nk", coupling, ys, yc, out=k4)
+        c_einsum("kab,a,b->k", coupling, ys, yc, out=k4)
         # (h / 6) (k1 + 2 k2 + 2 k3 + k4), in place and in that order
         np.multiply(k23, two, k23)
         np.add(k1, k2, k1)
@@ -252,7 +241,7 @@ def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
 
 def _taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
             order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-order Taylor steps for the same stacks and field as ``_rk4``, every step sampled.
+    """Fixed-order Taylor steps for the same state and field as ``_rk4``, every step sampled.
 
     The field is bilinear, so the Taylor coefficients of c(t) about each
     step's start follow from Cauchy products, c_{k+1} = sum_j M(c_j[:ns],
@@ -264,8 +253,8 @@ def _taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int
     def advance(c: np.ndarray) -> np.ndarray:
         series[0] = c
         for k in range(order):
-            pairs = c_einsum("jna,jnb->nab", series[:k + 1, :, :ns], series[k::-1, :, ns:])
-            series[k + 1] = c_einsum("kab,nab->nk", coupling, pairs) / (k + 1)
+            pairs = c_einsum("ja,jb->ab", series[:k + 1, :ns], series[k::-1, ns:])
+            series[k + 1] = c_einsum("kab,ab->k", coupling, pairs) / (k + 1)
         c = series[order].copy()
         for coeffs in series[order - 1::-1]:
             c *= h
@@ -277,42 +266,39 @@ def _taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled brachistochrone run, or stack of runs, with invariant monitors.
+    """Sampled brachistochrone run with invariant monitors.
 
-    monitors[..., 0] and monitors[..., 1] hold Tr(H^2) = sum_S n_k h_k^2
-    and Tr(F^2) = sum_S^c n_k f_k^2 at each sample, with the basis norms
-    n_k = Tr(g_k^2). A stack of runs puts the run first on every field but
-    ``times``, which all runs share.
+    monitors[:, 0] and monitors[:, 1] hold Tr(H^2) = sum_S n_k h_k^2 and
+    Tr(F^2) = sum_S^c n_k f_k^2 at each sample, with the basis norms
+    n_k = Tr(g_k^2).
     """
 
     times: np.ndarray      # (n,)
-    h_coeffs: np.ndarray   # (n, |S|), or (runs, n, |S|)
-    f_coeffs: np.ndarray   # (n, |S^c|), or (runs, n, |S^c|)
-    monitors: np.ndarray   # (n, 2), or (runs, n, 2)
+    h_coeffs: np.ndarray   # (n, |S|)
+    f_coeffs: np.ndarray   # (n, |S^c|)
+    monitors: np.ndarray   # (n, 2)
 
     def monitor_drift(self) -> np.ndarray:
-        """Max |monitor(t) - monitor(0)| per channel: (2,), or (runs, 2) for a stack."""
-        return np.max(np.abs(self.monitors - self.monitors[..., :1, :]), axis=-2)
+        """Max |monitor(t) - monitor(0)| per channel, (2,)."""
+        return np.max(np.abs(self.monitors - self.monitors[0]), axis=0)
 
 
 def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
               sample_stride: int = 1) -> Trajectory:
     """Classical fixed-step RK4 over the projected commutator field.
 
-    ``initial`` holds one start, an (|S|,) row and an (|S^c|,) row, or a
-    stack of starts, (runs, |S|) and (runs, |S^c|), which advance together
-    and give a stacked Trajectory; each run is bitwise the one it would be
-    alone. Steps n = round(T / h) times from t = 0 so the final time is
-    within h of T. Samples (and the invariant monitors) are recorded every
+    ``initial`` holds one start, an (|S|,) row and an (|S^c|,) row. Steps
+    n = round(T / h) times from t = 0 so the final time is within h of T.
+    Samples (and the invariant monitors) are recorded every
     ``sample_stride`` steps plus at the final step. No renormalization is
     applied; monitor drift is a deliberate fidelity signal.
 
     Raises ValueError unless 0 < h, T < inf, for more than _MAX_STEPS
     steps, for a ``sample_stride`` that is not an integer (Python or numpy)
     of at least 1, or for coefficients of the wrong shapes, and
-    NonFiniteStateError (a RuntimeError, with the failing step index, and
-    for a stack the run) if the state leaves the finite range mid-run or a
-    sampled monitor overflows.
+    NonFiniteStateError (a RuntimeError, with the failing step index) if
+    the state leaves the finite range mid-run or a sampled monitor
+    overflows.
     """
     if not (0 < h < np.inf and 0 < T < np.inf):  # NaN fails too
         raise ValueError(f"step size and horizon must be positive and finite, got h = {h}, T = {T}")
@@ -323,28 +309,19 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
 
     ns, nc = len(split.s_indices), len(split.c_indices)
     h0, f0 = np.asarray(initial.h_coeffs, float), np.asarray(initial.f_coeffs, float)
-    lead = h0.shape[:-1]
-    if h0.ndim not in (1, 2) or 0 in lead or h0.shape != lead + (ns,) or f0.shape != lead + (nc,):
-        needs = f"({ns},) and ({nc},)" if h0.ndim < 2 else f"(runs, {ns}) and (runs, {nc}), runs >= 1"
+    if h0.shape != (ns,) or f0.shape != (nc,):
         raise ValueError(f"initial coefficients have shapes {h0.shape} and {f0.shape}, "
-                         f"the split needs {needs}")
+                         f"the split needs ({ns},) and ({nc},)")
 
     n_steps = int(round(T / h))
-    starts = np.concatenate([h0, f0], axis=-1).reshape(-1, ns + nc)
-    times, samples = _rk4(split.coupling, ns, starts, h, n_steps, sample_stride)
-    # per run: (n_samples, |S|) and (n_samples, |S^c|) views of the samples
-    hs, fs = samples[..., :ns].swapaxes(0, 1), samples[..., ns:].swapaxes(0, 1)
+    times, samples = _rk4(split.coupling, ns, np.concatenate([h0, f0]), h, n_steps, sample_stride)
+    hs, fs = samples[:, :ns], samples[:, ns:]
     norms = split.basis.norm_constants
-    # one stacked matmul; each run's slice keeps the bits a lone run's
-    # (n_samples, |S|) @ (|S|,) has. Overflow is raised below
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
         mons = np.stack([hs ** 2 @ norms[split.s_indices], fs ** 2 @ norms[split.c_indices]], axis=-1)
 
-    overflow = ~np.isfinite(mons).all(axis=2)
+    overflow = ~np.isfinite(mons).all(axis=1)
     if overflow.any():
-        sample, run = np.argwhere(overflow.T)[0]
-        raise _non_finite("invariant monitor", min(int(sample) * sample_stride, n_steps),
-                          int(run), len(starts))
-    if not lead:
-        return Trajectory(times, hs[0], fs[0], mons[0])
+        step = min(int(np.argmax(overflow)) * sample_stride, n_steps)
+        raise NonFiniteStateError(f"non-finite invariant monitor at step {step}")
     return Trajectory(times, hs, fs, mons)

@@ -27,8 +27,10 @@ The groups hash the raw bytes of:
   audit        format_report(full_report(seed)) and each check's max_error
                for seeds 0-49;
   flow         integrate on the canonical splits of su2, su3, su4 and
-               su2+su3+su4 (one start and a stack of 5; sample strides 1
-               and 7), brachistochrone_rhs on seeded stacks, and
+               su2+su3+su4 (one start, then five; sample strides 1 and
+               7), hashed field by field: times once, then h_coeffs,
+               f_coeffs and monitors stacked over the starts;
+               brachistochrone_rhs on seeded stacks, and
                project_coefficients on seeded traceless stacks at scales
                1e-3 to 1e6 (warnings suppressed).
 Needs only numpy; the seeds are fixed, so a line moves only with the code.
@@ -107,12 +109,14 @@ def _flow(digest):
     for group in ("su2", "su3", "su4", "su2+su3+su4"):
         split = canonical_split(group)
         ns, nc = len(split.s_indices), len(split.c_indices)
-        for runs in ((), (5,)):
-            start = OperatorPair(rng.uniform(-1, 1, runs + (ns,)), rng.uniform(-1, 1, runs + (nc,)))
+        for n_starts in (1, 5):
+            h0, f0 = rng.uniform(-1, 1, (n_starts, ns)), rng.uniform(-1, 1, (n_starts, nc))
             for stride in (1, 7):
-                run = integrate(start, split, 1e-3, 0.3, sample_stride=stride)
-                for field in (run.times, run.h_coeffs, run.f_coeffs, run.monitors):
-                    digest.update(field.tobytes())
+                runs = [integrate(OperatorPair(h, f), split, 1e-3, 0.3, sample_stride=stride)
+                        for h, f in zip(h0, f0)]
+                digest.update(runs[0].times.tobytes())
+                for field in ("h_coeffs", "f_coeffs", "monitors"):
+                    digest.update(np.stack([getattr(run, field) for run in runs]).tobytes())
         rates = brachistochrone_rhs(OperatorPair(rng.normal(size=(50, ns)), rng.normal(size=(50, nc))), split)
         digest.update(rates.h_coeffs.tobytes() + rates.f_coeffs.tobytes())
         d = split.basis.dim
