@@ -14,6 +14,8 @@ Its products go through _matmul_last, not @: numpy's @ hands each matrix
 of a stack to BLAS on its own, while _matmul_last multiplies elementwise,
 d broadcast multiplies and d - 1 adds whose inner loops run over the n
 matrices. Each matrix of the product is bitwise what it would be alone.
+A branch of _expm_last that takes the whole stack (the spin-1 test on
+each su3 H(t)) uses it as it stands, with no copy; only a part is copied.
 """
 from __future__ import annotations
 
@@ -97,7 +99,10 @@ def _expm_last(h: np.ndarray, tau: float | np.ndarray, what: str,
     broadcast to (n,), so a scalar tau adds no array to the oracle's
     passes. No scale overflows, and at normal scales the spin-1 form,
     phase E' tau 2^k, is bitwise the unscaled one. Those neither test
-    admitted are then overwritten by one _eigh_exp call on their H'. One check then raises if
+    admitted are then overwritten by one _eigh_exp call on their H'. The
+    spin-1 test and _eigh_exp take their matrices through _select_last, so
+    a stack a branch takes whole is used as it stands, with no copy; both
+    work per matrix, so the bits are the same either way. One check then raises if
     the result is non-finite: with H' bounded and E'^2 away from 0, only an
     overflowing phase can make it so; the error names the first such matrix's tau.
     """
@@ -110,9 +115,8 @@ def _expm_last(h: np.ndarray, tau: float | np.ndarray, what: str,
     closed = (np.maximum.reduce(np.abs(h2 - e2 * eye).reshape(d * d, n), axis=0)
               <= INVOLUTORY_TOL * np.minimum(1.0, e2))
     if not closed.all():
-        # compress, unlike a boolean index on the last axis, copies to contiguous (d, d, k)
         rest = ~closed
-        e2[rest], closed[rest] = _spin1_test(hs.compress(rest, axis=2), h2.compress(rest, axis=2), tr2[rest])
+        e2[rest], closed[rest] = _spin1_test(_select_last(hs, rest), _select_last(h2, rest), tr2[rest])
     # E'^2 = 0 only for H = 0, whose spin-1 form with E' = 1 is I exactly.
     # The half-angle form keeps H^2's term accurate at small E tau.
     e2[e2 == 0] = 1.0
@@ -123,12 +127,21 @@ def _expm_last(h: np.ndarray, tau: float | np.ndarray, what: str,
         u = eye + (-1j * np.sin(et) / e) * hs - (2.0 * half * half / e2) * h2
         if not closed.all():
             rest = ~closed
-            hr = hs.compress(rest, axis=2).transpose(2, 0, 1)
+            hr = _select_last(hs, rest).transpose(2, 0, 1)
             u[..., rest] = _eigh_exp(hr, k[rest], np.broadcast_to(tau, (n,))[rest]).transpose(1, 2, 0)
     if not np.isfinite(u).all():
         first = float(np.broadcast_to(tau, (n,))[np.argmin(np.isfinite(u).all(axis=(0, 1)))])
         raise ValueError(f"phase of exp(-i H tau) overflows at tau = {first}: |H| tau passes the float range")
     return u
+
+
+def _select_last(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The matrices of the time-last (d, d, n) stack ``a`` that ``mask`` takes: ``a`` itself if it takes all.
+
+    compress, unlike a boolean index on the last axis, copies to contiguous
+    (d, d, k); a stack taken whole is used as it stands, with no copy.
+    """
+    return a if mask.all() else a.compress(mask, axis=2)
 
 
 def _require_hermitian(stack: np.ndarray, what: str, times: np.ndarray | None = None) -> tuple:

@@ -54,8 +54,8 @@ __all__ = [
     "time_ordered_exponential",
 ]
 
-#: Ceiling on ``steps``: about 7 to 20 s of midpoint factors, at 0.65 (su2)
-#: to 2.0 (su4) us per step.
+#: Ceiling on ``steps``: about 3 to 14 s of a midpoint product, at 0.3 (su2)
+#: to 0.8-1.4 (su3, su4) us per step (10^4-step products, 2-core Xeon).
 _MAX_STEPS = 10 ** 7
 
 #: Steps per pass: one stacked H(t) call, one stacked exponential and one

@@ -193,6 +193,19 @@ class TestExpmUnitaryStack:
                       np.stack([random_hermitian(RNG, 3) for _ in range(5)])):
             ref = np.stack([expm_unitary(h, 0.8) for h in stack])
             assert np.array_equal(expm_unitary(stack, 0.8), ref)
+        # spin-1 only, so the spin-1 test takes the whole stack as it stands
+        rng = np.random.default_rng(31)
+        stack = np.concatenate([[s * with_spectrum(rng, [-1.0, 0.0, 1.0]) for s in (1e-3, 1.0, 1e2)],
+                                su3_family(0.4).hamiltonian(np.linspace(0.0, 2.0, 1024))])
+        tau = rng.uniform(-5, 5, len(stack))
+        ref = np.stack([expm_unitary(h, tk) for h, tk in zip(stack, tau)])
+        assert expm_unitary(stack, tau).tobytes() == ref.tobytes()
+
+    def test_select_last_copies_only_a_part(self):
+        a = np.arange(2 * 2 * 5, dtype=complex).reshape(2, 2, 5)
+        assert matrixcore._select_last(a, np.ones(5, dtype=bool)) is a
+        part = matrixcore._select_last(a, np.array([True, False, True, True, False]))
+        assert part.flags.c_contiguous and np.array_equal(part, a[..., [0, 2, 3]])
 
     def test_zero_matrices_give_identity(self):
         u = expm_unitary(np.zeros((3, 2, 2)), 1.3)
@@ -441,3 +454,26 @@ class TestExpmUnitarySpin1:
         for order in (2, 4):  # the order-4 exponent K mixes H at two times and their commutator
             u = time_ordered_exponential(lambda t: scale * fam.hamiltonian(t), 0.0, 1.0, 600, order=order)
             assert np.max(np.abs(u @ dagger(u) - np.eye(fam.dim))) <= 1e-13
+
+    @pytest.mark.parametrize("family,spin1_calls", [
+        (su2_family, []), (lambda: su3_family(0.4), [1024, 1024]),
+        (lambda: su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5])), [])], ids=["su2", "su3", "su4"])
+    def test_family_passes_route_whole_stacks(self, family, spin1_calls, monkeypatch):
+        # su2 and su4 pass the involutory screen; every su3 matrix of a pass takes one spin-1 test
+        taken, spin1_test, eigh_exp = [], matrixcore._spin1_test, matrixcore._eigh_exp
+
+        def spy_spin1(h, h2, tr2):
+            taken.append(("spin1", h.shape[2]))
+            return spin1_test(h, h2, tr2)
+
+        def spy_eigh(h, k, tau):
+            taken.append(("eigh", len(h)))
+            return eigh_exp(h, k, tau)
+
+        monkeypatch.setattr(matrixcore, "_spin1_test", spy_spin1)
+        monkeypatch.setattr(matrixcore, "_eigh_exp", spy_eigh)
+        fam = family()
+        for order in (2, 4):
+            taken.clear()
+            time_ordered_exponential(fam.hamiltonian, 0.0, 2.0, 2048, order=order)
+            assert taken == [("spin1", n) for n in spin1_calls]
