@@ -18,12 +18,13 @@ audit runs its flow on the fixed-order Taylor kernel ``_taylor``. Both
 advance one (n,) coefficient state a step at a time through ``_flow``, and
 take a coupling tensor and the size of S, not a split. A split of a direct
 sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
-The arrays are small, so a step costs numpy calls, not arithmetic: ``_rk4``
-keeps its stage slopes and stage state in buffers allocated once per run,
-and ``_flow`` checks finiteness once per block of steps, replaying a failed
-block step by step to name the first non-finite step. The contractions call
-numpy's einsum core, ``c_einsum``, directly, without ``np.einsum``'s Python
-dispatch and with the same bits, and ``_rk4``'s step scalars are 0-d arrays.
+The arrays are small, so a step of numpy calls costs their dispatch, not
+arithmetic. ``_rk4`` therefore runs on a list of Python floats, its field
+generated per run as one sum over the coupling's nonzero entries, bit for
+bit the einsum contraction; ``_taylor`` calls numpy's einsum core,
+``c_einsum``, directly, without ``np.einsum``'s Python dispatch and with the
+same bits. ``_flow`` checks finiteness once per block of steps, replaying a
+failed block step by step to name the first non-finite step.
 """
 from __future__ import annotations
 
@@ -153,8 +154,8 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
     return OperatorPair(ck[..., split.s_indices], ck[..., split.c_indices])
 
 
-#: Ceiling on the step count T / h of ``integrate``: about two minutes of
-#: RK4 at 10-14 us per step (su2 to su4, numpy 2.4 on a 2-core Xeon).
+#: Ceiling on the step count T / h of ``integrate``: at most about a minute
+#: and a half of RK4 at 3-9 us per step (su2 to su4, Python 3.11 on a 2-core Xeon).
 _MAX_STEPS = 10 ** 7
 
 #: Steps between the finiteness checks of ``_flow``.
@@ -165,11 +166,13 @@ class NonFiniteStateError(RuntimeError):
     """Raised by ``integrate`` when the state or a monitor leaves the finite range."""
 
 
-def _flow(advance: Callable[[np.ndarray], np.ndarray], c: np.ndarray, h: float, n_steps: int,
-          stride: int) -> tuple[np.ndarray, np.ndarray]:
+def _flow(advance: Callable[[np.ndarray | list], np.ndarray | list], c: np.ndarray | list, h: float,
+          n_steps: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """``n_steps`` steps of size ``h`` from the (n,) state ``c``; ``advance`` returns each next state.
 
-    The state is checked for finiteness once per block of _BLOCK steps and
+    The state is an array (``_taylor``) or a list of floats (``_rk4``), and
+    ``advance`` returns a new one each step, so a sample needs no copy. It
+    is checked for finiteness once per block of _BLOCK steps and
     at the last step. A non-finite entry stays non-finite in every later
     step (it reaches the next state through c + k), so a block that ends
     finite was finite throughout. A block that does not is replayed from
@@ -184,7 +187,7 @@ def _flow(advance: Callable[[np.ndarray], np.ndarray], c: np.ndarray, h: float, 
         for first in range(1, n_steps + 1, _BLOCK):
             start = c
             for step in range(first, min(first + _BLOCK, n_steps + 1)):
-                c = advance(c)  # a new array each step, so a sample needs no copy
+                c = advance(c)
                 if step % stride == 0 or step == n_steps:
                     times.append(step * h)
                     samples.append(c)
@@ -197,46 +200,56 @@ def _flow(advance: Callable[[np.ndarray], np.ndarray], c: np.ndarray, h: float, 
     return np.array(times), np.array(samples)
 
 
+def _field(coupling: np.ndarray, ns: int) -> Callable[[list], list]:
+    """The field y -> coupling . (y[:ns], y[ns:]) on a list of floats, as generated code.
+
+    The function's body is one list display whose row k is 0.0 + m_j * y[a]
+    * y[ns + b] + ... over the nonzero coupling[k, a, b] in row-major order,
+    with each m_j bound in the function's namespace. That is the sum
+    ``c_einsum("kab,a,b->k")`` forms, bit for bit: a sequential sum from +0.0
+    of (M y_a) y_b in row-major (a, b) order, less its zero terms.
+    """
+    namespace: dict = {}
+    rows: list[list[str]] = [[] for _ in range(len(coupling))]
+    for j, (k, a, b) in enumerate(zip(*np.nonzero(coupling))):
+        namespace[f"m{j}"] = coupling[k, a, b].item()
+        rows[k].append(f" + m{j} * y[{a}] * y[{ns + b}]")
+    exec("def field(y):\n    return [" + ", ".join("0.0" + "".join(terms) for terms in rows) + "]\n",
+         namespace)
+    return namespace["field"]
+
+
 def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
          stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for dc/dt = coupling . (c[:ns], c[ns:]).
+    """Classical RK4 for dc/dt = coupling . (c[:ns], c[ns:]), on Python floats.
 
     ``c`` is an (n,) state whose first ``ns`` entries are contracted with
     the second index of ``coupling`` and the rest with the third; returns
-    ``_flow``'s samples. The four stage slopes and the stage state live in
-    buffers allocated once per call, so a step allocates only the state it
-    returns; each stage state is the textbook c + (h/2) k or c + h k, bit for bit.
+    ``_flow``'s samples. The state runs as a list of floats, the field is
+    ``_field``'s generated sum over the nonzero entries, and the stage and
+    combination arithmetic keeps the textbook order: c + (h/2) k, then
+    ((k1 + 2 k2) + 2 k3) + k4, times h/6, added to c.
     """
-    k = np.empty((4,) + c.shape)
-    k1, k2, k3, k4 = k
-    k23 = k[1:3]
-    y = np.empty_like(c)
-    ys, yc = y[:ns], y[ns:]
-    # 0-d float64 operands: a ufunc converts a Python float on every call
-    hh, hf, two, h6 = (np.array(x) for x in (0.5 * h, h, 2.0, h / 6.0))
+    # Skipping the coupling's zero entries keeps every bit of c_einsum's sum.
+    # That sum starts at +0.0, so it never becomes -0.0, and with finite
+    # inputs a zero entry adds +-0, which leaves it unchanged. A non-finite
+    # input is a start entry, which stays non-finite in the state, or an entry
+    # that overflowed and so has a nonzero row. The structure constants are
+    # totally antisymmetric, so such an entry also feeds a nonzero term of
+    # some row, the state turns non-finite at the step it would with every
+    # term kept, and _flow names the step textbook RK4 names.
+    field = _field(coupling, ns)
+    h = float(h)  # a numpy scalar would turn the state into np.float64 objects
+    hh, h6 = 0.5 * h, h / 6.0
 
-    # c_einsum is np.einsum's C kernel without its Python dispatch; the
-    # ufuncs take ``out`` positionally, which skips a keyword parse per call
-    def advance(c: np.ndarray) -> np.ndarray:
-        c_einsum("kab,a,b->k", coupling, c[:ns], c[ns:], out=k1)
-        np.multiply(k1, hh, y)
-        np.add(c, y, y)
-        c_einsum("kab,a,b->k", coupling, ys, yc, out=k2)
-        np.multiply(k2, hh, y)
-        np.add(c, y, y)
-        c_einsum("kab,a,b->k", coupling, ys, yc, out=k3)
-        np.multiply(k3, hf, y)
-        np.add(c, y, y)
-        c_einsum("kab,a,b->k", coupling, ys, yc, out=k4)
-        # (h / 6) (k1 + 2 k2 + 2 k3 + k4), in place and in that order
-        np.multiply(k23, two, k23)
-        np.add(k1, k2, k1)
-        np.add(k1, k3, k1)
-        np.add(k1, k4, k1)
-        np.multiply(k1, h6, k1)
-        return c + k1
+    def advance(c: list) -> list:
+        k1 = field(c)
+        k2 = field([x + hh * k for x, k in zip(c, k1)])
+        k3 = field([x + hh * k for x, k in zip(c, k2)])
+        k4 = field([x + h * k for x, k in zip(c, k3)])
+        return [x + h6 * (((a + 2.0 * b) + 2.0 * d) + e) for x, a, b, d, e in zip(c, k1, k2, k3, k4)]
 
-    return _flow(advance, c, h, n_steps, stride)
+    return _flow(advance, c.tolist(), h, n_steps, stride)
 
 
 def _taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,

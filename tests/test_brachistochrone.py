@@ -370,7 +370,7 @@ class TestRk4Kernel:
 
     N_STEPS = 150  # two full blocks of 64 steps and a partial one
 
-    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4", "su2+su3+su4"])
     @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random"])
     @pytest.mark.parametrize("starts", [1, 3])
     @pytest.mark.parametrize("stride", [1, 7])
@@ -429,6 +429,44 @@ class TestNonFiniteBlocks:
         with pytest.raises(NonFiniteStateError) as got:
             integrate(OperatorPair(x0[:2], x0[2:]), split, h=self.H, T=self.H * n_steps)
         assert str(got.value) == str(reference.value)
+
+    @staticmethod
+    def assert_names_textbook_step(split: ControlSplit, x0: np.ndarray, h: float) -> None:
+        ns = len(split.s_indices)
+        with pytest.raises(NonFiniteStateError) as reference:
+            textbook_rk4(split.coupling, ns, x0, h, 100, 1)
+        with pytest.raises(NonFiniteStateError) as got:
+            integrate(OperatorPair(x0[:ns], x0[ns:]), split, h=h, T=h * 100)
+        assert str(got.value) == str(reference.value)
+
+    # _rk4's field skips the coupling's zero entries, whose terms are +-0 only for
+    # finite inputs, so a non-finite stage state or start must still fail at textbook RK4's step
+    @pytest.mark.parametrize("group", ["su3", "su4", "su2+su3+su4"])
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random"])
+    def test_overflowing_stage_names_the_textbook_step(self, group, canonical):
+        rng = np.random.default_rng(47)
+        split = canonical_split(group) if canonical else random_split(group, rng)
+        ns = len(split.s_indices)
+        x0 = rng.uniform(-1, 1, len(split.basis))
+        # |c| ~ 1 at h = 1e3 blows up within a few steps, slopes and stage states alike
+        self.assert_names_textbook_step(split, x0, 1e3)
+        # |c| ~ 1e100 at h = 1e200: the first slope is finite, the first stage state is not
+        big = 1e100 * x0
+        with np.errstate(over="ignore"):
+            k1 = np.einsum("kab,a,b->k", split.coupling, big[:ns], big[ns:])
+            assert np.isfinite(k1).all() and not np.isfinite(big + 0.5 * 1e200 * k1).all()
+        self.assert_names_textbook_step(split, big, 1e200)
+
+    @pytest.mark.parametrize("group", ["su3", "su4", "su2+su3+su4"])
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random"])
+    def test_infinite_start_entry_names_the_textbook_step(self, group, canonical):
+        rng = np.random.default_rng(53)
+        split = canonical_split(group) if canonical else random_split(group, rng)
+        x0 = rng.uniform(-1, 1, len(split.basis))
+        for i in range(len(x0)):  # every entry, those that feed few of the coupling's terms too
+            start = x0.copy()
+            start[i] = np.inf if i % 2 else -np.inf
+            self.assert_names_textbook_step(split, start, 1e-2)
 
     def test_taylor_names_a_step_past_the_first_block(self):
         # every _taylor step is sampled, so a finite run's samples are each step's state
@@ -520,8 +558,8 @@ class TestTaylorFlow:
 
 class TestHotLoops:
     def test_kernels_never_dispatch_through_np_einsum(self, monkeypatch):
-        # the kernels call numpy's einsum core directly; np.einsum's Python layer
-        # would cost about a microsecond per field evaluation
+        # _rk4 sums its field on Python floats and _taylor calls numpy's einsum core
+        # directly; np.einsum's Python layer would cost about a microsecond per call
         split = canonical_split("su4")
         coupling = split.coupling  # built with np.einsum, so before the patch
         x0 = np.random.default_rng(13).uniform(-1, 1, 15)

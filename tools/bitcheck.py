@@ -1,8 +1,9 @@
 """Print spinctl's bit ledger: the build key, then one sha256 per output group.
 
 The build key is numpy's version, its BLAS (name and version) and the SIMD
-extensions numpy found on this CPU, since the BLAS kernel, and so the bits,
-follow the CPU. tests/test_bitcheck.py computes the groups in-process and
+extensions numpy found on this CPU beyond its baseline ("none" if none),
+since the BLAS kernel and numpy's SIMD loops, and so the bits, follow the
+CPU. tests/test_bitcheck.py computes the groups in-process and
 compares them with the committed ledger; a change that means to move bits
 rewrites it with
 
@@ -137,8 +138,10 @@ def build_key() -> dict[str, str]:
     """The numpy build and CPU class the digests hold for."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
+    # numpy lists no "found" extensions on a CPU that has only its baseline
+    found = config["SIMD Extensions"].get("found", [])
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "simd": " ".join(config["SIMD Extensions"]["found"])}
+            "simd": " ".join(found) or "none"}
 
 
 def digests() -> dict[str, str]:
