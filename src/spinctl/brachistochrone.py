@@ -19,9 +19,10 @@ advance one (n,) coefficient state a step at a time through ``_flow``, and
 take a coupling tensor and the size of S, not a split. A split of a direct
 sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
 The arrays are small, so a step of numpy calls costs their dispatch, not
-arithmetic. ``_rk4`` therefore runs on a list of Python floats, its field
-generated per run as one sum over the coupling's nonzero entries, bit for
-bit the einsum contraction; ``_taylor`` calls numpy's einsum core,
+arithmetic. ``_rk4`` therefore runs on a list of Python floats through one
+generated straight-line step, whose slopes sum over the coupling's nonzero
+entries bit for bit as the einsum contraction does, compiled once per
+distinct coupling and cached; ``_taylor`` calls numpy's einsum core,
 ``c_einsum``, directly, without ``np.einsum``'s Python dispatch and with the
 same bits. ``_flow`` checks finiteness once per block of steps, replaying a
 failed block step by step to name the first non-finite step.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -155,7 +156,7 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
 
 
 #: Ceiling on the step count T / h of ``integrate``: at most about a minute
-#: and a half of RK4 at 3-9 us per step (su2 to su4, Python 3.11 on a 2-core Xeon).
+#: and a half of RK4 at 1-8 us per step (su2 to su4, Python 3.11 on a 2-core Xeon).
 _MAX_STEPS = 10 ** 7
 
 #: Steps between the finiteness checks of ``_flow``.
@@ -200,35 +201,31 @@ def _flow(advance: Callable[[np.ndarray | list], np.ndarray | list], c: np.ndarr
     return np.array(times), np.array(samples)
 
 
-def _field(coupling: np.ndarray, ns: int) -> Callable[[list], list]:
-    """The field y -> coupling . (y[:ns], y[ns:]) on a list of floats, as generated code.
+def _step_factory(coupling: np.ndarray, ns: int) -> Callable[[float, float, float], Callable[[list], list]]:
+    """``_compile_step``'s ``make`` for this coupling, compiled once per distinct coupling.
 
-    The function's body is one list display whose row k is 0.0 + m_j * y[a]
-    * y[ns + b] + ... over the nonzero coupling[k, a, b] in row-major order,
-    with each m_j bound in the function's namespace. That is the sum
-    ``c_einsum("kab,a,b->k")`` forms, bit for bit: a sequential sum from +0.0
-    of (M y_a) y_b in row-major (a, b) order, less its zero terms.
+    The cache key is the coupling's contents, not the array: ``spinctl
+    integrate`` builds a fresh split, so a fresh coupling, on every call.
     """
-    namespace: dict = {}
-    rows: list[list[str]] = [[] for _ in range(len(coupling))]
-    for j, (k, a, b) in enumerate(zip(*np.nonzero(coupling))):
-        namespace[f"m{j}"] = coupling[k, a, b].item()
-        rows[k].append(f" + m{j} * y[{a}] * y[{ns + b}]")
-    exec("def field(y):\n    return [" + ", ".join("0.0" + "".join(terms) for terms in rows) + "]\n",
-         namespace)
-    return namespace["field"]
+    return _compile_step(coupling.shape, coupling.tobytes(), ns)
 
 
-def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
-         stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for dc/dt = coupling . (c[:ns], c[ns:]), on Python floats.
+@lru_cache(maxsize=32)  # a run keeps one coupling; a session runs a few
+def _compile_step(shape: tuple[int, ...], data: bytes,
+                  ns: int) -> Callable[[float, float, float], Callable[[list], list]]:
+    """Generated code for one RK4 step of dc/dt = coupling . (c[:ns], c[ns:]) on a list of floats.
 
-    ``c`` is an (n,) state whose first ``ns`` entries are contracted with
-    the second index of ``coupling`` and the rest with the third; returns
-    ``_flow``'s samples. The state runs as a list of floats, the field is
-    ``_field``'s generated sum over the nonzero entries, and the stage and
-    combination arithmetic keeps the textbook order: c + (h/2) k, then
-    ((k1 + 2 k2) + 2 k3) + k4, times h/6, added to c.
+    Returns ``make(h, hh, h6) -> step``, so the compiled code holds no step
+    size. ``step(c)`` unpacks c into locals c0, c1, ... and runs straight-line
+    assignments. Slope row k of k1..k4 (named a, b, d, e) is
+    0.0 + m_j * y_a * y_(ns+b) + ... over the nonzero coupling[k, a, b] in
+    row-major order, each m_j bound in the code's namespace. That is the sum
+    ``c_einsum("kab,a,b->k")`` forms, bit for bit: a sequential sum from +0.0
+    of (M y_a) y_b in row-major (a, b) order, less its zero terms. Each stage
+    is c_i + hh * k_i (h * k_i for the last), and the step returns
+    c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook RK4's order.
+    Every entry gets every operation, rows without terms too, so a -0.0
+    entry turns to +0.0 where textbook RK4 turns it.
     """
     # Skipping the coupling's zero entries keeps every bit of c_einsum's sum.
     # That sum starts at +0.0, so it never becomes -0.0, and with finite
@@ -238,18 +235,44 @@ def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
     # totally antisymmetric, so such an entry also feeds a nonzero term of
     # some row, the state turns non-finite at the step it would with every
     # term kept, and _flow names the step textbook RK4 names.
-    field = _field(coupling, ns)
+    coupling = np.frombuffer(data).reshape(shape)
+    n = shape[0]
+    namespace: dict = {}
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for j, (k, a, b) in enumerate(zip(*np.nonzero(coupling))):
+        namespace[f"m{j}"] = coupling[k, a, b].item()
+        rows[k].append((j, a, ns + b))
+
+    def slopes(k: str, y: str) -> list[str]:
+        return [f"{k}{i} = 0.0" + "".join(f" + m{j} * {y}{a} * {y}{b}" for j, a, b in terms)
+                for i, terms in enumerate(rows)]
+
+    def stage(weight: str, k: str) -> list[str]:
+        return [f"y{i} = c{i} + {weight} * {k}{i}" for i in range(n)]
+
+    body = ["".join(f"c{i}, " for i in range(n)) + "= c",
+            *slopes("a", "c"), *stage("hh", "a"), *slopes("b", "y"), *stage("hh", "b"),
+            *slopes("d", "y"), *stage("h", "d"), *slopes("e", "y"),
+            "return [" + ", ".join(f"c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})"
+                                   for i in range(n)) + "]"]
+    exec("def make(h, hh, h6):\n    def step(c):\n" + "".join(f"        {line}\n" for line in body)
+         + "    return step\n", namespace)
+    return namespace["make"]
+
+
+def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
+         stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for dc/dt = coupling . (c[:ns], c[ns:]), on Python floats.
+
+    ``c`` is an (n,) state whose first ``ns`` entries are contracted with
+    the second index of ``coupling`` and the rest with the third; returns
+    ``_flow``'s samples. The state runs as a list of floats through one
+    generated step (``_compile_step``), compiled once per distinct coupling
+    and bit for bit textbook RK4 on the einsum field.
+    """
     h = float(h)  # a numpy scalar would turn the state into np.float64 objects
-    hh, h6 = 0.5 * h, h / 6.0
-
-    def advance(c: list) -> list:
-        k1 = field(c)
-        k2 = field([x + hh * k for x, k in zip(c, k1)])
-        k3 = field([x + hh * k for x, k in zip(c, k2)])
-        k4 = field([x + h * k for x, k in zip(c, k3)])
-        return [x + h6 * (((a + 2.0 * b) + 2.0 * d) + e) for x, a, b, d, e in zip(c, k1, k2, k3, k4)]
-
-    return _flow(advance, c.tolist(), h, n_steps, stride)
+    step = _step_factory(coupling, ns)(h, 0.5 * h, h / 6.0)
+    return _flow(step, c.tolist(), h, n_steps, stride)
 
 
 def _taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,

@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,61 @@ class TestRk4Kernel:
             got = bt._rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, 1)
             for actual, expected in zip(got, textbook_rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, 1)):
                 assert_bitwise(actual, expected)
+
+    def test_splits_over_the_same_labels_share_one_step(self):
+        basis = build_basis("su4")
+        labels = basis.labels[3:9], basis.labels[:3] + basis.labels[9:]
+        first, second = ControlSplit(basis, *labels), ControlSplit(basis, *labels)
+        assert first.coupling is not second.coupling
+        assert bt._step_factory(first.coupling, 6) is bt._step_factory(second.coupling, 6)
+        # integrate on a fresh split, as `spinctl integrate` makes per call, compiles nothing
+        x0 = np.random.default_rng(59).uniform(-1, 1, 15)
+        misses = bt._compile_step.cache_info().misses
+        integrate(OperatorPair(x0[:6], x0[6:]), ControlSplit(basis, *labels), h=1e-2, T=0.1)
+        assert bt._compile_step.cache_info().misses == misses
+
+    def test_canonical_and_random_splits_do_not_share_a_step(self):
+        canonical, shuffled = canonical_split("su3"), random_split("su3", np.random.default_rng(61))
+        assert canonical.coupling.shape != shuffled.coupling.shape or not np.array_equal(
+            canonical.coupling, shuffled.coupling)
+        assert (bt._step_factory(canonical.coupling, len(canonical.s_indices))
+                is not bt._step_factory(shuffled.coupling, len(shuffled.s_indices)))
+
+    def test_cached_step_holds_no_step_size(self):
+        split = random_split("su4", np.random.default_rng(67))
+        ns = len(split.s_indices)
+        x0 = np.random.default_rng(71).uniform(-1, 1, 15)
+        for h in (1e-2, 3e-3, 1e-2):  # the second and third runs take the first run's compiled step
+            got = bt._rk4(split.coupling, ns, x0, h, self.N_STEPS, 7)
+            for actual, expected in zip(got, textbook_rk4(split.coupling, ns, x0, h, self.N_STEPS, 7)):
+                assert_bitwise(actual, expected)
+
+    def test_numpy_step_size_gives_python_float_bits(self):
+        split = canonical_split("su3")
+        x0 = np.random.default_rng(73).uniform(-1, 1, 8)
+        got = bt._rk4(split.coupling, 2, x0, np.float64(3e-3), self.N_STEPS, 7)
+        for actual, expected in zip(got, bt._rk4(split.coupling, 2, x0, 3e-3, self.N_STEPS, 7)):
+            assert_bitwise(actual, expected)
+
+    def test_generated_source_holds_no_coefficient(self, monkeypatch):
+        split = canonical_split("su2+su3+su4")
+        coupling, ns = split.coupling, len(split.s_indices)
+        compiled = []
+
+        def spy(source, namespace):
+            compiled.append((source, dict(namespace)))
+            exec(source, namespace)
+
+        monkeypatch.setattr(bt, "exec", spy, raising=False)
+        bt._compile_step.__wrapped__(coupling.shape, coupling.tobytes(), ns)  # past the cache
+        [(source, namespace)] = compiled
+        nodes = list(ast.walk(ast.parse(source)))
+        assert {node.value for node in nodes if isinstance(node, ast.Constant)} == {0.0, 2.0}
+        # each nonzero entry is a name bound to its value, in row-major order
+        terms = int(np.count_nonzero(coupling))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        assert {name for name in names if name.startswith("m")} == {f"m{j}" for j in range(terms)}
+        assert [namespace[f"m{j}"] for j in range(terms)] == coupling[np.nonzero(coupling)].tolist()
 
 
 class TestNonFiniteBlocks:

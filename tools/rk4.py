@@ -1,0 +1,91 @@
+"""Print the time per RK4 step and the compile and cache-hit times of its generated step.
+
+    python3 tools/rk4.py
+
+For su2, su3, su4 and su2+su3+su4, on the canonical split and on one
+seeded random split, runs one warm-up and then ROUNDS brachistochrone._rk4
+runs of 10^4 steps at h = 1e-3 from a seeded start, sampling every 250th
+step as the benchmark's integrate workload does, all in this process. One
+line per case gives:
+- terms: the coupling's nonzero entries, the terms of each slope;
+- us_step: the best run's microseconds per step;
+- compile_ms: the best of REPEATS compiles of the step past its cache
+  (_compile_step.__wrapped__), what the first run on a coupling pays;
+- hit_us: the best mean of REPEATS rounds of HITS _step_factory calls on
+  a cached coupling, what every later run pays (tobytes, hash and lookup).
+
+Timings are wall clock and swing with the host's load: quote ranges over
+several processes. Another checkout's src/ runs with
+PYTHONPATH=../other/src python3 tools/rk4.py. Needs only numpy.
+"""
+from __future__ import annotations
+
+import random
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))  # after PYTHONPATH
+
+from spinctl import brachistochrone as bt  # noqa: E402
+from spinctl.generators import build_basis  # noqa: E402
+
+GROUPS = ("su2", "su3", "su4", "su2+su3+su4")
+STEPS = 10 ** 4
+H = 1e-3
+STRIDE = 250
+ROUNDS = 7
+REPEATS = 5
+HITS = 1000
+SEED = 0
+
+
+def random_split(group: str, rng: random.Random) -> bt.ControlSplit:
+    """A split of ``group`` whose S and S^c labels come in shuffled order."""
+    basis = build_basis(group)
+    labels = rng.sample(basis.labels, len(basis))
+    ns = rng.randrange(1, len(basis))
+    return bt.ControlSplit(basis, tuple(labels[:ns]), tuple(labels[ns:]))
+
+
+def best(run, repeats: int) -> float:
+    """Least wall time of ``repeats`` calls of ``run``, in seconds."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[int, float, float, float]:
+    """Terms, µs per step, cold compile ms and cache-hit µs for ``split``."""
+    coupling, ns = split.coupling, len(split.s_indices)
+    x0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(len(split.basis))])
+    bt._rk4(coupling, ns, x0, H, STEPS, STRIDE)  # warm-up, fills the step cache
+    step_s = best(lambda: bt._rk4(coupling, ns, x0, H, STEPS, STRIDE), ROUNDS)
+    key = (coupling.shape, coupling.tobytes(), ns)
+    compile_s = best(lambda: bt._compile_step.__wrapped__(*key), REPEATS)
+
+    def hits():
+        for _ in range(HITS):
+            bt._step_factory(coupling, ns)
+
+    hit_s = best(hits, REPEATS) / HITS
+    return int(np.count_nonzero(coupling)), step_s / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6
+
+
+def main() -> None:
+    print(f"{STEPS} steps at h = {H}, best of {ROUNDS} runs per case after one warm-up")
+    print(f"{'group':<13}{'split':<11}{'terms':>6}{'us_step':>9}{'compile_ms':>12}{'hit_us':>8}")
+    rng = random.Random(SEED)
+    for group in GROUPS:
+        for name, split in (("canonical", bt.canonical_split(group)), ("random", random_split(group, rng))):
+            terms, us_step, compile_ms, hit_us = measure(split, rng)
+            print(f"{group:<13}{name:<11}{terms:>6}{us_step:>9.2f}{compile_ms:>12.2f}{hit_us:>8.2f}")
+
+
+if __name__ == "__main__":
+    main()
