@@ -360,7 +360,7 @@ def _check_constraint_orthogonality(rng):
     x0 = np.concatenate([h for h, _ in starts] + [f for _, f in starts])
     split = bt.canonical_split("su2+su3+su4")
     ns = len(split.s_indices)
-    _, samples = bt._taylor(split.coupling, ns, x0, 0.1, 10, order=14)
+    _, samples = bt._taylor(split, x0, 0.1, 10, order=14)
     spectra = np.linalg.eigvalsh(split.hamiltonian_matrix(samples[:, :ns])
                                  + split.constraint_matrix(samples[:, ns:]))
     err_closed, err_flow = np.max(overlaps), np.max(np.abs(spectra - spectra[0]))

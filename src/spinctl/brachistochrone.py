@@ -13,16 +13,15 @@ exactly conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator
 records from the coefficients so discretization drift stays visible. Tr(HF) is
 not monitored: S and S^c are trace-orthogonal, so it is identically zero.
 
-``integrate`` runs one start on the private RK4 kernel ``_rk4``, and the
-audit runs its flow on the fixed-order Taylor kernel ``_taylor``. Both
-advance one (n,) coefficient state a step at a time through ``_flow``, and
-take a coupling tensor and the size of S, not a split. A split of a direct
-sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
+``integrate`` runs one start on RK4, and the audit runs its flow on the
+fixed-order Taylor kernel ``_taylor``. Both advance one (n,) coefficient
+state a step at a time through ``_flow``. A split of a direct sum such as
+``su2+su3+su4`` runs its groups side by side as one flow.
 The arrays are small, so a step of numpy calls costs their dispatch, not
-arithmetic. ``_rk4`` therefore runs on a list of Python floats through one
+arithmetic. RK4 therefore runs on a list of Python floats through one
 generated straight-line step, whose slopes sum over the coupling's nonzero
 entries bit for bit as the einsum contraction does, compiled once per
-distinct coupling and cached; ``_taylor`` calls numpy's einsum core,
+split and cached; ``_taylor`` calls numpy's einsum core,
 ``c_einsum``, directly, without ``np.einsum``'s Python dispatch and with the
 same bits. ``_flow`` checks finiteness once per block of steps, replaying a
 failed block step by step to name the first non-finite step.
@@ -171,7 +170,7 @@ def _flow(advance: Callable[[np.ndarray | list], np.ndarray | list], c: np.ndarr
           n_steps: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """``n_steps`` steps of size ``h`` from the (n,) state ``c``; ``advance`` returns each next state.
 
-    The state is an array (``_taylor``) or a list of floats (``_rk4``), and
+    The state is an array (``_taylor``) or a list of floats (``integrate``), and
     ``advance`` returns a new one each step, so a sample needs no copy. It
     is checked for finiteness once per block of _BLOCK steps and
     at the last step. A non-finite entry stays non-finite in every later
@@ -201,23 +200,15 @@ def _flow(advance: Callable[[np.ndarray | list], np.ndarray | list], c: np.ndarr
     return np.array(times), np.array(samples)
 
 
-def _step_factory(coupling: np.ndarray, ns: int) -> Callable[[float, float, float], Callable[[list], list]]:
-    """``_compile_step``'s ``make`` for this coupling, compiled once per distinct coupling.
+@lru_cache(maxsize=32)  # a run keeps one split; a session runs a few
+def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callable[[list], list]]:
+    """Generated code for one RK4 step of ``split``'s flow on a list of floats.
 
-    The cache key is the coupling's contents, not the array: ``spinctl
-    integrate`` builds a fresh split, so a fresh coupling, on every call.
-    """
-    return _compile_step(coupling.shape, coupling.tobytes(), ns)
-
-
-@lru_cache(maxsize=32)  # a run keeps one coupling; a session runs a few
-def _compile_step(shape: tuple[int, ...], data: bytes,
-                  ns: int) -> Callable[[float, float, float], Callable[[list], list]]:
-    """Generated code for one RK4 step of dc/dt = coupling . (c[:ns], c[ns:]) on a list of floats.
-
-    Returns ``make(h, hh, h6) -> step``, so the compiled code holds no step
-    size. ``step(c)`` unpacks c into locals c0, c1, ... and runs straight-line
-    assignments. Slope row k of k1..k4 (named a, b, d, e) is
+    The flow is dc/dt = coupling . (c[:ns], c[ns:]) with coupling =
+    ``split.coupling`` and ns = |S|. Returns ``make(h, hh, h6) -> step``,
+    so the compiled code holds no step size. ``step(c)`` unpacks c into
+    locals c0, c1, ... and runs straight-line assignments. Slope row k of
+    k1..k4 (named a, b, d, e) is
     0.0 + m_j * y_a * y_(ns+b) + ... over the nonzero coupling[k, a, b] in
     row-major order, each m_j bound in the code's namespace. That is the sum
     ``c_einsum("kab,a,b->k")`` forms, bit for bit: a sequential sum from +0.0
@@ -226,6 +217,11 @@ def _compile_step(shape: tuple[int, ...], data: bytes,
     c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook RK4's order.
     Every entry gets every operation, rows without terms too, so a -0.0
     entry turns to +0.0 where textbook RK4 turns it.
+
+    Cached once per split: a frozen dataclass, equal to another over the
+    same basis (one object per group) and labels. So the fresh split that
+    ``spinctl integrate`` builds per call finds its step without building
+    its coupling, which only a miss reads.
     """
     # Skipping the coupling's zero entries keeps every bit of c_einsum's sum.
     # That sum starts at +0.0, so it never becomes -0.0, and with finite
@@ -235,8 +231,8 @@ def _compile_step(shape: tuple[int, ...], data: bytes,
     # totally antisymmetric, so such an entry also feeds a nonzero term of
     # some row, the state turns non-finite at the step it would with every
     # term kept, and _flow names the step textbook RK4 names.
-    coupling = np.frombuffer(data).reshape(shape)
-    n = shape[0]
+    coupling, ns = split.coupling, len(split.s_indices)
+    n = coupling.shape[0]
     namespace: dict = {}
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for j, (k, a, b) in enumerate(zip(*np.nonzero(coupling))):
@@ -260,30 +256,17 @@ def _compile_step(shape: tuple[int, ...], data: bytes,
     return namespace["make"]
 
 
-def _rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
-         stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for dc/dt = coupling . (c[:ns], c[ns:]), on Python floats.
-
-    ``c`` is an (n,) state whose first ``ns`` entries are contracted with
-    the second index of ``coupling`` and the rest with the third; returns
-    ``_flow``'s samples. The state runs as a list of floats through one
-    generated step (``_compile_step``), compiled once per distinct coupling
-    and bit for bit textbook RK4 on the einsum field.
-    """
-    h = float(h)  # a numpy scalar would turn the state into np.float64 objects
-    step = _step_factory(coupling, ns)(h, 0.5 * h, h / 6.0)
-    return _flow(step, c.tolist(), h, n_steps, stride)
-
-
-def _taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
+def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,
             order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-order Taylor steps for the same state and field as ``_rk4``, every step sampled.
+    """Fixed-order Taylor steps of ``split``'s flow from the (n,) state ``c``, every step sampled.
 
-    The field is bilinear, so the Taylor coefficients of c(t) about each
+    The field, dc/dt = M(c[:ns], c[ns:]) with M = ``split.coupling`` and
+    ns = |S|, is bilinear, so the Taylor coefficients of c(t) about each
     step's start follow from Cauchy products, c_{k+1} = sum_j M(c_j[:ns],
     c_{k-j}[ns:]) / (k + 1) (Jorba & Zou, Exp. Math. 14, 99 (2005)), and a
     step is their Horner sum at ``h``.
     """
+    coupling, ns = split.coupling, len(split.s_indices)
     series = np.empty((order + 1,) + c.shape)
 
     def advance(c: np.ndarray) -> np.ndarray:
@@ -323,6 +306,8 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
               sample_stride: int = 1) -> Trajectory:
     """Classical fixed-step RK4 over the projected commutator field.
 
+    The state runs as a list of Python floats through the split's generated
+    step (``_compile_step``), bit for bit textbook RK4 on the einsum field.
     ``initial`` holds one start, an (|S|,) row and an (|S^c|,) row. Steps
     n = round(T / h) times from t = 0 so the final time is within h of T.
     Samples (and the invariant monitors) are recorded every
@@ -350,7 +335,9 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
                          f"the split needs ({ns},) and ({nc},)")
 
     n_steps = int(round(T / h))
-    times, samples = _rk4(split.coupling, ns, np.concatenate([h0, f0]), h, n_steps, sample_stride)
+    h = float(h)  # a numpy scalar would turn the state into np.float64 objects
+    step = _compile_step(split)(h, 0.5 * h, h / 6.0)
+    times, samples = _flow(step, np.concatenate([h0, f0]).tolist(), h, n_steps, sample_stride)
     hs, fs = samples[:, :ns], samples[:, ns:]
     norms = split.basis.norm_constants
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below

@@ -1,4 +1,7 @@
 """Reference constructions shared by several test modules."""
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from spinctl.closedforms import DiracParameters
@@ -6,6 +9,16 @@ from spinctl.generators import PAULI
 from spinctl.matrixcore import dagger
 
 I2, SX, SY, SZ = PAULI
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    """The script tools/<name>.py, loaded by path as a fresh module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def eigh_exp(h, tau):

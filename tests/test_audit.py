@@ -322,13 +322,13 @@ class TestDirectSumFlow:
         split = canonical_split("su2+su3+su4")
         assert split.coupling.shape == (26, 8, 18)
         for x0 in rng.uniform(-1, 1, (20, 26)):
-            times, samples = bt._taylor(split.coupling, 8, x0, 0.1, 10, order=14)
+            times, samples = bt._taylor(split, x0, 0.1, 10, order=14)
             for group in ("su2", "su3", "su4"):
                 part = canonical_split(group)
                 hc, fc = part_columns(split, group)
                 fc += 8
                 ns = len(part.s_indices)
-                alone = bt._taylor(part.coupling, ns, np.concatenate([x0[hc], x0[fc]]), 0.1, 10, order=14)[1]
+                alone = bt._taylor(part, np.concatenate([x0[hc], x0[fc]]), 0.1, 10, order=14)[1]
                 assert np.max(np.abs(samples[:, hc] - alone[:, :ns])) <= 1e-15
                 assert np.max(np.abs(samples[:, fc] - alone[:, ns:])) <= 1e-15
                 rk4 = integrate(OperatorPair(x0[hc], x0[fc]), part, h=2.5e-4, T=1.0, sample_stride=400)

@@ -1,25 +1,19 @@
 """The bit ledger: tools/bitcheck.py's output groups against tests/data/bitcheck.txt.
 
-The file holds the build key that made it (numpy, its BLAS, numpy's SIMD
-extensions), then one sha256 per group. A change that means to move bits
-rewrites it and names each moved group in CHANGES.md:
+The file holds the build key that made it (numpy, its BLAS, the OpenBLAS
+core, numpy's SIMD extensions), then one sha256 per group. A change that
+means to move bits rewrites it and names each moved group in CHANGES.md:
 
     python3 tools/bitcheck.py > tests/data/bitcheck.txt
 """
-import importlib.util
-from pathlib import Path
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_bitcheck():
-    spec = importlib.util.spec_from_file_location("bitcheck", ROOT / "tools" / "bitcheck.py")
-    bitcheck = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bitcheck)
-    return bitcheck
+from helpers import ROOT, load_tool
 
 
 def read_ledger() -> dict[str, str]:
@@ -41,12 +35,12 @@ def check_ledger(bitcheck) -> None:
 
 
 def test_groups_match_ledger():
-    check_ledger(load_bitcheck())
+    check_ledger(load_tool("bitcheck"))
 
 
 def test_baseline_only_cpu_skips_naming_both_keys(monkeypatch):
     # numpy's config has no "found" SIMD list when dispatch is limited to its baseline
-    bitcheck = load_bitcheck()
+    bitcheck = load_tool("bitcheck")
     config = np.show_config(mode="dicts")  # numpy's own dict: build a changed copy, do not edit it
     baseline = {name: value for name, value in config["SIMD Extensions"].items() if name != "found"}
     monkeypatch.setattr(np, "show_config", lambda mode: {**config, "SIMD Extensions": baseline})
@@ -55,3 +49,29 @@ def test_baseline_only_cpu_skips_naming_both_keys(monkeypatch):
     with pytest.raises(pytest.skip.Exception) as skipped:
         check_ledger(bitcheck)
     assert f"'simd': '{recorded}'" in str(skipped.value) and "'simd': 'none'" in str(skipped.value)
+
+
+def test_another_openblas_core_skips_naming_both_keys():
+    # OPENBLAS_CORETYPE picks another kernel family, which moves five of the
+    # six groups: the ledger test must say it cannot judge, not fail
+    if load_tool("bitcheck").build_key()["core"] == "unknown":
+        pytest.skip("no bundled OpenBLAS core to move")
+    recorded = read_ledger()["core"]
+    assert recorded != "Haswell"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+         f"{__file__}::test_groups_match_ledger"],
+        cwd=ROOT, env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"}, capture_output=True, text=True,
+        timeout=600)
+    assert proc.returncode == 0 and "1 skipped" in proc.stdout, proc.stdout + proc.stderr
+    assert f"'core': '{recorded}'" in proc.stdout and "'core': 'Haswell'" in proc.stdout, proc.stdout
+
+
+def test_missing_openblas_reads_unknown(monkeypatch):
+    bitcheck = load_tool("bitcheck")
+
+    def no_library(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(bitcheck.ctypes, "CDLL", no_library)
+    assert bitcheck.build_key()["core"] == "unknown"

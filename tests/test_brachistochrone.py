@@ -69,8 +69,8 @@ def textbook_rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps
                  stride: int) -> tuple[np.ndarray, np.ndarray]:
     """RK4 as first written: a fresh array per stage, the state checked at every step.
 
-    The bitwise reference for ``bt._rk4``: the same (times, samples), and the
-    same NonFiniteStateError, naming the first non-finite step.
+    The bitwise reference for ``integrate``'s RK4: the same times and
+    samples, and the same NonFiniteStateError, naming the first non-finite step.
     """
     def rhs(x):
         return np.einsum("kab,a,b->k", coupling, x[:ns], x[ns:])
@@ -122,6 +122,16 @@ def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
     """Equal bit patterns, so 0.0 and -0.0 differ."""
     assert actual.dtype == expected.dtype == np.float64 and actual.shape == expected.shape
     assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def assert_integrate_is_textbook(split: ControlSplit, x0: np.ndarray, h: float, n_steps: int,
+                                 stride: int) -> None:
+    """``integrate`` from the (n,) state ``x0`` gives ``textbook_rk4``'s times and samples, bit for bit."""
+    ns = len(split.s_indices)
+    traj = integrate(OperatorPair(x0[:ns], x0[ns:]), split, h=h, T=h * n_steps, sample_stride=stride)
+    times, samples = textbook_rk4(split.coupling, ns, x0, h, n_steps, stride)
+    assert_bitwise(traj.times, times)
+    assert_bitwise(np.hstack([traj.h_coeffs, traj.f_coeffs]), samples)
 
 
 class TestRhs:
@@ -368,7 +378,7 @@ class TestStackedIntegrate:
 
 
 class TestRk4Kernel:
-    """``_rk4`` is ``textbook_rk4`` bit for bit, across _flow's check blocks."""
+    """``integrate``'s RK4 is ``textbook_rk4`` bit for bit, across _flow's check blocks."""
 
     N_STEPS = 150  # two full blocks of 64 steps and a partial one
 
@@ -379,11 +389,8 @@ class TestRk4Kernel:
     def test_matches_textbook(self, group, canonical, starts, stride):
         rng = np.random.default_rng(41)
         split = canonical_split(group) if canonical else random_split(group, rng)
-        ns = len(split.s_indices)
         for x0 in rng.uniform(-1, 1, (starts, len(split.basis))):
-            got = bt._rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, stride)
-            for actual, expected in zip(got, textbook_rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, stride)):
-                assert_bitwise(actual, expected)
+            assert_integrate_is_textbook(split, x0, 1e-2, self.N_STEPS, stride)
 
     @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
     def test_signed_zeros_match_textbook(self, group):
@@ -395,48 +402,63 @@ class TestRk4Kernel:
         starts[2, ns:] = -0.0  # F = 0 holds H still
         # the stage sums add slopes to -0.0 entries: both routes must give each sum the same sign
         for x0 in starts:
-            got = bt._rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, 1)
-            for actual, expected in zip(got, textbook_rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, 1)):
-                assert_bitwise(actual, expected)
+            assert_integrate_is_textbook(split, x0, 1e-2, self.N_STEPS, 1)
 
     def test_splits_over_the_same_labels_share_one_step(self):
         basis = build_basis("su4")
         labels = basis.labels[3:9], basis.labels[:3] + basis.labels[9:]
         first, second = ControlSplit(basis, *labels), ControlSplit(basis, *labels)
-        assert first.coupling is not second.coupling
-        assert bt._step_factory(first.coupling, 6) is bt._step_factory(second.coupling, 6)
-        # integrate on a fresh split, as `spinctl integrate` makes per call, compiles nothing
+        assert first is not second
+        assert bt._compile_step(first) is bt._compile_step(second)
+
+    def test_fresh_equal_split_compiles_nothing_and_builds_no_coupling(self):
+        # integrate on a fresh split, as `spinctl integrate` makes per call, finds the
+        # cached split's step by its labels alone
+        basis = build_basis("su4")
+        labels = basis.labels[3:9], basis.labels[:3] + basis.labels[9:]
         x0 = np.random.default_rng(59).uniform(-1, 1, 15)
+        integrate(OperatorPair(x0[:6], x0[6:]), ControlSplit(basis, *labels), h=1e-2, T=0.1)  # warms the cache
+        fresh = ControlSplit(basis, *labels)
         misses = bt._compile_step.cache_info().misses
-        integrate(OperatorPair(x0[:6], x0[6:]), ControlSplit(basis, *labels), h=1e-2, T=0.1)
+        integrate(OperatorPair(x0[:6], x0[6:]), fresh, h=1e-2, T=0.1)
         assert bt._compile_step.cache_info().misses == misses
+        assert "coupling" not in fresh.__dict__
 
     def test_canonical_and_random_splits_do_not_share_a_step(self):
         canonical, shuffled = canonical_split("su3"), random_split("su3", np.random.default_rng(61))
         assert canonical.coupling.shape != shuffled.coupling.shape or not np.array_equal(
             canonical.coupling, shuffled.coupling)
-        assert (bt._step_factory(canonical.coupling, len(canonical.s_indices))
-                is not bt._step_factory(shuffled.coupling, len(shuffled.s_indices)))
+        assert bt._compile_step(canonical) is not bt._compile_step(shuffled)
+
+    def test_constraint_order_is_part_of_the_key(self):
+        # the same S, its S^c in two orders: other couplings, so other steps, each textbook RK4
+        basis = build_basis("su4")
+        s, c = basis.labels[3:9], basis.labels[:3] + basis.labels[9:]
+        splits = ControlSplit(basis, s, c), ControlSplit(basis, s, c[::-1])
+        assert not np.array_equal(splits[0].coupling, splits[1].coupling)
+        assert bt._compile_step(splits[0]) is not bt._compile_step(splits[1])
+        x0 = np.random.default_rng(79).uniform(-1, 1, 15)
+        for split in splits:
+            assert_integrate_is_textbook(split, x0, 1e-2, self.N_STEPS, 7)
 
     def test_cached_step_holds_no_step_size(self):
         split = random_split("su4", np.random.default_rng(67))
-        ns = len(split.s_indices)
         x0 = np.random.default_rng(71).uniform(-1, 1, 15)
         for h in (1e-2, 3e-3, 1e-2):  # the second and third runs take the first run's compiled step
-            got = bt._rk4(split.coupling, ns, x0, h, self.N_STEPS, 7)
-            for actual, expected in zip(got, textbook_rk4(split.coupling, ns, x0, h, self.N_STEPS, 7)):
-                assert_bitwise(actual, expected)
+            assert_integrate_is_textbook(split, x0, h, self.N_STEPS, 7)
 
     def test_numpy_step_size_gives_python_float_bits(self):
         split = canonical_split("su3")
         x0 = np.random.default_rng(73).uniform(-1, 1, 8)
-        got = bt._rk4(split.coupling, 2, x0, np.float64(3e-3), self.N_STEPS, 7)
-        for actual, expected in zip(got, bt._rk4(split.coupling, 2, x0, 3e-3, self.N_STEPS, 7)):
-            assert_bitwise(actual, expected)
+        start, T = OperatorPair(x0[:2], x0[2:]), 3e-3 * self.N_STEPS
+        got = integrate(start, split, h=np.float64(3e-3), T=T, sample_stride=7)
+        expected = integrate(start, split, h=3e-3, T=T, sample_stride=7)
+        for field in ("times", "h_coeffs", "f_coeffs", "monitors"):
+            assert_bitwise(getattr(got, field), getattr(expected, field))
 
     def test_generated_source_holds_no_coefficient(self, monkeypatch):
         split = canonical_split("su2+su3+su4")
-        coupling, ns = split.coupling, len(split.s_indices)
+        coupling = split.coupling
         compiled = []
 
         def spy(source, namespace):
@@ -444,7 +466,7 @@ class TestRk4Kernel:
             exec(source, namespace)
 
         monkeypatch.setattr(bt, "exec", spy, raising=False)
-        bt._compile_step.__wrapped__(coupling.shape, coupling.tobytes(), ns)  # past the cache
+        bt._compile_step.__wrapped__(split)  # past the cache
         [(source, namespace)] = compiled
         nodes = list(ast.walk(ast.parse(source)))
         assert {node.value for node in nodes if isinstance(node, ast.Constant)} == {0.0, 2.0}
@@ -496,7 +518,7 @@ class TestNonFiniteBlocks:
             integrate(OperatorPair(x0[:ns], x0[ns:]), split, h=h, T=h * 100)
         assert str(got.value) == str(reference.value)
 
-    # _rk4's field skips the coupling's zero entries, whose terms are +-0 only for
+    # the RK4 step's field skips the coupling's zero entries, whose terms are +-0 only for
     # finite inputs, so a non-finite stage state or start must still fail at textbook RK4's step
     @pytest.mark.parametrize("group", ["su3", "su4", "su2+su3+su4"])
     @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random"])
@@ -527,13 +549,13 @@ class TestNonFiniteBlocks:
 
     def test_taylor_names_a_step_past_the_first_block(self):
         # every _taylor step is sampled, so a finite run's samples are each step's state
-        coupling, x0 = canonical_split("su2").coupling, self.start(3e291)
-        samples = bt._taylor(coupling, 2, x0, self.H, 94, order=4)[1]
+        split, x0 = canonical_split("su2"), self.start(3e291)
+        samples = bt._taylor(split, x0, self.H, 94, order=4)[1]
         assert np.isfinite(samples).all()
         with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 1$"):
-            bt._taylor(coupling, 2, samples[-1], self.H, 1, order=4)
+            bt._taylor(split, samples[-1], self.H, 1, order=4)
         with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 95$"):
-            bt._taylor(coupling, 2, x0, self.H, 150, order=4)
+            bt._taylor(split, x0, self.H, 150, order=4)
 
 
 class TestSumSplit:
@@ -584,8 +606,8 @@ class TestTaylorFlow:
 
         def error(x0, step, n_steps):
             """The worst error over the samples at t = 0, 0.1, ..., 1."""
-            ref = bt._taylor(split.coupling, 4, x0, 0.025, 40, order=20)[1][::4]
-            samples = bt._taylor(split.coupling, 4, x0, step, n_steps, order)[1]
+            ref = bt._taylor(split, x0, 0.025, 40, order=20)[1][::4]
+            samples = bt._taylor(split, x0, step, n_steps, order)[1]
             return np.max(np.abs(samples[::n_steps // 10] - ref))
 
         ratio = np.array([error(x0, 0.1, 10) / error(x0, 0.05, 20) for x0 in starts])
@@ -600,7 +622,7 @@ class TestTaylorFlow:
         # high-order coefficients' last bits visible in the sum
         n_steps = 70
         for x0 in np.random.default_rng(11).uniform(-1, 1, (starts, len(split.basis))):
-            got = bt._taylor(split.coupling, ns, x0, 0.2, n_steps, order=6)
+            got = bt._taylor(split, x0, 0.2, n_steps, order=6)
             for actual, expected in zip(got, textbook_taylor(split.coupling, ns, x0, 0.2, n_steps, 6)):
                 assert_bitwise(actual, expected)
 
@@ -610,15 +632,14 @@ class TestTaylorFlow:
         # smaller one, in the next step, whose series starts from the first's huge sum
         split = canonical_split("su4")
         with pytest.raises(NonFiniteStateError, match=rf"^non-finite state at step {step}$"):
-            bt._taylor(split.coupling, 4, np.full(15, 0.5 * scale), 0.1, 10, order=14)
+            bt._taylor(split, np.full(15, 0.5 * scale), 0.1, 10, order=14)
 
 
 class TestHotLoops:
     def test_kernels_never_dispatch_through_np_einsum(self, monkeypatch):
-        # _rk4 sums its field on Python floats and _taylor calls numpy's einsum core
+        # integrate sums its field on Python floats and _taylor calls numpy's einsum core
         # directly; np.einsum's Python layer would cost about a microsecond per call
-        split = canonical_split("su4")
-        coupling = split.coupling  # built with np.einsum, so before the patch
+        split = canonical_split("su4")  # builds the basis with np.einsum, so before the patch
         x0 = np.random.default_rng(13).uniform(-1, 1, 15)
 
         def dispatch(*args, **kwargs):
@@ -627,4 +648,4 @@ class TestHotLoops:
         monkeypatch.setattr(np, "einsum", dispatch)
         traj = integrate(OperatorPair(x0[:4], x0[4:]), split, h=1e-2, T=1.0, sample_stride=10)
         assert traj.h_coeffs.shape == (11, 4)
-        assert bt._taylor(coupling, 4, x0, 0.05, 70, order=6)[1].shape == (71, 15)
+        assert bt._taylor(split, x0, 0.05, 70, order=6)[1].shape == (71, 15)

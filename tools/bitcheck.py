@@ -1,10 +1,12 @@
 """Print spinctl's bit ledger: the build key, then one sha256 per output group.
 
-The build key is numpy's version, its BLAS (name and version) and the SIMD
-extensions numpy found on this CPU beyond its baseline ("none" if none),
-since the BLAS kernel and numpy's SIMD loops, and so the bits, follow the
-CPU. tests/test_bitcheck.py computes the groups in-process and
-compares them with the committed ledger; a change that means to move bits
+The build key is numpy's version, its BLAS (name and version), the core
+numpy's bundled OpenBLAS chose for this CPU ("unknown" for another BLAS)
+and the SIMD extensions numpy found on this CPU beyond its baseline
+("none" if none), since the BLAS kernel and numpy's SIMD loops, and so
+the bits, follow the CPU. OPENBLAS_CORETYPE moves the core.
+tests/test_bitcheck.py computes the groups in-process and compares them
+with the committed ledger; a change that means to move bits
 rewrites it with
 
     python3 tools/bitcheck.py > tests/data/bitcheck.txt
@@ -38,6 +40,7 @@ Needs only numpy; the seeds are fixed, so a line moves only with the code.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import sys
 import warnings
@@ -138,9 +141,17 @@ def build_key() -> dict[str, str]:
     """The numpy build and CPU class the digests hold for."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:  # the library numpy has loaded already, so this opens no second copy
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):  # another BLAS, or an OpenBLAS without the symbol
+        core = "unknown"
+    else:
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
     # numpy lists no "found" extensions on a CPU that has only its baseline
     found = config["SIMD Extensions"].get("found", [])
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "core": core,
             "simd": " ".join(found) or "none"}
 
 

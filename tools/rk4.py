@@ -3,16 +3,17 @@
     python3 tools/rk4.py
 
 For su2, su3, su4 and su2+su3+su4, on the canonical split and on one
-seeded random split, runs one warm-up and then ROUNDS brachistochrone._rk4
-runs of 10^4 steps at h = 1e-3 from a seeded start, sampling every 250th
-step as the benchmark's integrate workload does, all in this process. One
-line per case gives:
+seeded random split, runs one warm-up and then ROUNDS integrate runs of
+10^4 steps at h = 1e-3 from a seeded start, sampling every 250th step as
+the benchmark's integrate workload does, all in this process. One line
+per case gives:
 - terms: the coupling's nonzero entries, the terms of each slope;
 - us_step: the best run's microseconds per step;
 - compile_ms: the best of REPEATS compiles of the step past its cache
-  (_compile_step.__wrapped__), what the first run on a coupling pays;
-- hit_us: the best mean of REPEATS rounds of HITS _step_factory calls on
-  a cached coupling, what every later run pays (tobytes, hash and lookup).
+  (_compile_step.__wrapped__), what the first run on a split pays;
+- hit_us: the best mean of REPEATS rounds of HITS _compile_step calls,
+  each on a fresh split equal to the cached one, what every later
+  `spinctl integrate` call pays (building the split, hash and lookup).
 
 Timings are wall clock and swing with the host's load: quote ranges over
 several processes. Another checkout's src/ runs with
@@ -62,19 +63,24 @@ def best(run, repeats: int) -> float:
 
 def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[int, float, float, float]:
     """Terms, µs per step, cold compile ms and cache-hit µs for ``split``."""
-    coupling, ns = split.coupling, len(split.s_indices)
+    ns = len(split.s_indices)
     x0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(len(split.basis))])
-    bt._rk4(coupling, ns, x0, H, STEPS, STRIDE)  # warm-up, fills the step cache
-    step_s = best(lambda: bt._rk4(coupling, ns, x0, H, STEPS, STRIDE), ROUNDS)
-    key = (coupling.shape, coupling.tobytes(), ns)
-    compile_s = best(lambda: bt._compile_step.__wrapped__(*key), REPEATS)
+    start = bt.OperatorPair(x0[:ns], x0[ns:])
+
+    def run():
+        bt.integrate(start, split, H, H * STEPS, sample_stride=STRIDE)
+
+    run()  # warm-up, fills the step cache
+    step_s = best(run, ROUNDS)
+    compile_s = best(lambda: bt._compile_step.__wrapped__(split), REPEATS)
+    labels = split.hamiltonian_labels, split.constraint_labels
 
     def hits():
         for _ in range(HITS):
-            bt._step_factory(coupling, ns)
+            bt._compile_step(bt.ControlSplit(split.basis, *labels))
 
     hit_s = best(hits, REPEATS) / HITS
-    return int(np.count_nonzero(coupling)), step_s / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6
+    return int(np.count_nonzero(split.coupling)), step_s / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6
 
 
 def main() -> None:
