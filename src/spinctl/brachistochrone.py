@@ -19,12 +19,14 @@ state a step at a time through ``_flow``. A split of a direct sum such as
 ``su2+su3+su4`` runs its groups side by side as one flow.
 The arrays are small, so a step of numpy calls costs their dispatch, not
 arithmetic. RK4 therefore runs on a list of Python floats through one
-generated straight-line step, whose slopes sum over the coupling's nonzero
-entries bit for bit as the einsum contraction does, compiled once per
-split and cached; ``_taylor`` calls numpy's einsum core,
-``c_einsum``, directly, without ``np.einsum``'s Python dispatch and with the
-same bits. ``_flow`` checks finiteness once per block of steps, replaying a
-failed block step by step to name the first non-finite step.
+generated straight-line step, compiled once per split and cached. Its
+slopes sum over the coupling's nonzero entries bit for bit as the einsum
+contraction does, forming each distinct product of a magnitude |m| and an
+entry once, and rows whose slope is identically zero get no stages.
+``_taylor`` calls numpy's einsum core, ``c_einsum``, directly, without
+``np.einsum``'s Python dispatch and with the same bits. ``_flow`` checks
+finiteness once per block of steps, replaying a failed block step by step
+to name the first non-finite step.
 """
 from __future__ import annotations
 
@@ -155,7 +157,7 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
 
 
 #: Ceiling on the step count T / h of ``integrate``: at most about a minute
-#: and a half of RK4 at 1-8 us per step (su2 to su4, Python 3.11 on a 2-core Xeon).
+#: of RK4 at 1-6 us per step (su2 to su4, Python 3.11 on a 2-core Xeon).
 _MAX_STEPS = 10 ** 7
 
 #: Steps between the finiteness checks of ``_flow``.
@@ -207,16 +209,18 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callab
     The flow is dc/dt = coupling . (c[:ns], c[ns:]) with coupling =
     ``split.coupling`` and ns = |S|. Returns ``make(h, hh, h6) -> step``,
     so the compiled code holds no step size. ``step(c)`` unpacks c into
-    locals c0, c1, ... and runs straight-line assignments. Slope row k of
-    k1..k4 (named a, b, d, e) is
-    0.0 + m_j * y_a * y_(ns+b) + ... over the nonzero coupling[k, a, b] in
-    row-major order, each m_j bound in the code's namespace. That is the sum
-    ``c_einsum("kab,a,b->k")`` forms, bit for bit: a sequential sum from +0.0
-    of (M y_a) y_b in row-major (a, b) order, less its zero terms. Each stage
-    is c_i + hh * k_i (h * k_i for the last), and the step returns
-    c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook RK4's order.
-    Every entry gets every operation, rows without terms too, so a -0.0
-    entry turns to +0.0 where textbook RK4 turns it.
+    locals c0, c1, ... and runs straight-line assignments. Each of the
+    slopes k1..k4 (named a, b, d, e) first forms its distinct products
+    p = |m| * y_a, one local each, with each magnitude |m| a name bound in
+    the code's namespace. Its row k is then 0.0 +- p * y_(ns+b) +- ... over
+    the nonzero coupling[k, a, b] in row-major order, "-" where the entry
+    is negative. That is the sum ``c_einsum("kab,a,b->k")`` forms, bit for
+    bit: a sequential sum from +0.0 of (M y_a) y_b in row-major (a, b)
+    order, less its zero terms. Each stage is c_i + hh * k_i (h * k_i for
+    the last), and the step returns c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 *
+    d_i) + e_i), textbook RK4's order. A row without terms gets no slope
+    and no stage and returns c_i + 0.0, so a -0.0 entry turns to +0.0 where
+    textbook RK4 turns it, and a stage that no term reads is left out.
 
     Cached once per split: a frozen dataclass, equal to another over the
     same basis (one object per group) and labels. So the fresh split that
@@ -231,26 +235,53 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callab
     # totally antisymmetric, so such an entry also feeds a nonzero term of
     # some row, the state turns non-finite at the step it would with every
     # term kept, and _flow names the step textbook RK4 names.
+    #
+    # Each product |m| * y_a goes into a local once per slope, and every term
+    # that shares it reads that local: the same IEEE operation on the same
+    # operands gives the same bits.
+    #
+    # A negative entry's term is subtracted: m * y_a = -(|m| * y_a) and
+    # (-p) * y_b = -(p * y_b), since rounding is symmetric in sign, and
+    # s + (-t) is s - t by IEEE's definition. Only a NaN's sign may differ,
+    # and _flow raises before a non-finite state leaves it.
+    #
+    # A row without terms has slope +0.0 at every stage, so for finite h its
+    # stage is c_i + 0.0 and its new entry c_i + h6 * (((0.0 + 2.0 * 0.0) +
+    # 2.0 * 0.0) + 0.0) = c_i + 0.0, which the step returns without stages.
+    # Products read the plain c_i for it: c_i and c_i + 0.0 differ only when
+    # c_i is -0.0. The term is then a zero, whose sign a sum that starts at
+    # +0.0 (and so never turns -0.0) absorbs, or a NaN either way.
+    #
+    # A stage that no term reads is not computed.
     coupling, ns = split.coupling, len(split.s_indices)
     n = coupling.shape[0]
-    namespace: dict = {}
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for j, (k, a, b) in enumerate(zip(*np.nonzero(coupling))):
-        namespace[f"m{j}"] = coupling[k, a, b].item()
-        rows[k].append((j, a, ns + b))
+    magnitudes: dict[float, str] = {}
+    products: dict[tuple[str, int], str] = {}
+    rows: list[list[tuple[str, str, int]]] = [[] for _ in range(n)]
+    for k, a, b in zip(*np.nonzero(coupling)):
+        m = coupling[k, a, b].item()
+        name = magnitudes.setdefault(abs(m), f"m{len(magnitudes)}")
+        rows[k].append(("-" if m < 0 else "+", products.setdefault((name, a), f"p{len(products)}"), ns + b))
+    namespace: dict = {name: m for m, name in magnitudes.items()}
+    live = [i for i in range(n) if rows[i]]
+    read = {a for _, a in products} | {b for terms in rows for _, _, b in terms}
 
     def slopes(k: str, y: str) -> list[str]:
-        return [f"{k}{i} = 0.0" + "".join(f" + m{j} * {y}{a} * {y}{b}" for j, a, b in terms)
-                for i, terms in enumerate(rows)]
+        def entry(i: int) -> str:
+            return f"{y}{i}" if rows[i] else f"c{i}"
+
+        return [*(f"{p} = {m} * {entry(a)}" for (m, a), p in products.items()),
+                *(f"{k}{i} = 0.0" + "".join(f" {sign} {p} * {entry(b)}" for sign, p, b in rows[i])
+                  for i in live)]
 
     def stage(weight: str, k: str) -> list[str]:
-        return [f"y{i} = c{i} + {weight} * {k}{i}" for i in range(n)]
+        return [f"y{i} = c{i} + {weight} * {k}{i}" for i in live if i in read]
 
     body = ["".join(f"c{i}, " for i in range(n)) + "= c",
             *slopes("a", "c"), *stage("hh", "a"), *slopes("b", "y"), *stage("hh", "b"),
             *slopes("d", "y"), *stage("h", "d"), *slopes("e", "y"),
-            "return [" + ", ".join(f"c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})"
-                                   for i in range(n)) + "]"]
+            "return [" + ", ".join(f"c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})" if rows[i]
+                                   else f"c{i} + 0.0" for i in range(n)) + "]"]
     exec("def make(h, hh, h6):\n    def step(c):\n" + "".join(f"        {line}\n" for line in body)
          + "    return step\n", namespace)
     return namespace["make"]

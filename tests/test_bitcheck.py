@@ -67,6 +67,23 @@ def test_another_openblas_core_skips_naming_both_keys():
     assert f"'core': '{recorded}'" in proc.stdout and "'core': 'Haswell'" in proc.stdout, proc.stdout
 
 
+def test_simd_dispatch_disabled_skips_naming_both_keys():
+    # NPY_DISABLE_CPU_FEATURES turns off every SIMD target numpy found, as a
+    # baseline-only CPU would: the ledger test must say it cannot judge, not fail
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    if not found:
+        pytest.skip("numpy found no SIMD target beyond its baseline to disable")
+    recorded = read_ledger()["simd"]
+    assert recorded != "none"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+         f"{__file__}::test_groups_match_ledger"],
+        cwd=ROOT, env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found)}, capture_output=True,
+        text=True, timeout=600)
+    assert proc.returncode == 0 and "1 skipped" in proc.stdout, proc.stdout + proc.stderr
+    assert f"'simd': '{recorded}'" in proc.stdout and "'simd': 'none'" in proc.stdout, proc.stdout
+
+
 def test_missing_openblas_reads_unknown(monkeypatch):
     bitcheck = load_tool("bitcheck")
 

@@ -456,9 +456,49 @@ class TestRk4Kernel:
         for field in ("times", "h_coeffs", "f_coeffs", "monitors"):
             assert_bitwise(getattr(got, field), getattr(expected, field))
 
+    @staticmethod
+    def sum_split(part: str, span: str) -> ControlSplit:
+        """su2+su3+su4's canonical split with every label of ``part`` moved into ``span``, "S" or "S^c"."""
+        split = canonical_split("su2+su3+su4")
+        moved = tuple(label for label in split.basis.labels if label.startswith(f"{part}."))
+        s = tuple(label for label in split.hamiltonian_labels if label not in moved)
+        c = tuple(label for label in split.constraint_labels if label not in moved)
+        return ControlSplit(split.basis, *((s + moved, c) if span == "S" else (s, c + moved)))
+
+    @pytest.mark.parametrize("part", ["su2", "su3", "su4"])
+    @pytest.mark.parametrize("span", ["S", "S^c"])
+    def test_group_wholly_in_one_span_matches_textbook(self, part, span):
+        split = self.sum_split(part, span)
+        s, c = part_columns(split, part)
+        mine = np.concatenate([s, len(split.s_indices) + c])
+        # the group's rows have no term and its entries feed no other row's term
+        assert not (split.coupling[mine].any() or split.coupling[:, s].any() or split.coupling[:, :, c].any())
+        for x0 in np.random.default_rng(83).uniform(-1, 1, (2, len(split.basis))):
+            for stride in (1, 7):
+                assert_integrate_is_textbook(split, x0, 1e-2, self.N_STEPS, stride)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, np.inf, -np.inf, np.nan], ids=["+0", "-0", "+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("case", ["su4", "su3 in S", "su3 in S^c"])
+    def test_term_free_start_entries_match_textbook(self, case, value):
+        # su4's canonical term-free rows feed other rows' terms; a group moved wholly into one span feeds none
+        split = canonical_split(case) if case == "su4" else self.sum_split(*case.split(" in "))
+        ns = len(split.s_indices)
+        term_free = np.flatnonzero(~split.coupling.any(axis=(1, 2)))
+        assert term_free.size
+        x0 = np.random.default_rng(89).uniform(-1, 1, len(split.basis))
+        x0[term_free] = value
+        if np.isfinite(value):
+            assert_integrate_is_textbook(split, x0, 1e-2, self.N_STEPS, 1)
+            return
+        with pytest.raises(NonFiniteStateError) as reference:
+            textbook_rk4(split.coupling, ns, x0, 1e-2, self.N_STEPS, 1)
+        with pytest.raises(NonFiniteStateError) as got:
+            integrate(OperatorPair(x0[:ns], x0[ns:]), split, h=1e-2, T=1e-2 * self.N_STEPS)
+        assert str(got.value) == str(reference.value) == "non-finite state at step 1"
+
     def test_generated_source_holds_no_coefficient(self, monkeypatch):
         split = canonical_split("su2+su3+su4")
-        coupling = split.coupling
+        coupling, ns = split.coupling, len(split.s_indices)
         compiled = []
 
         def spy(source, namespace):
@@ -470,11 +510,31 @@ class TestRk4Kernel:
         [(source, namespace)] = compiled
         nodes = list(ast.walk(ast.parse(source)))
         assert {node.value for node in nodes if isinstance(node, ast.Constant)} == {0.0, 2.0}
-        # each nonzero entry is a name bound to its value, in row-major order
-        terms = int(np.count_nonzero(coupling))
-        names = {node.id for node in nodes if isinstance(node, ast.Name)}
-        assert {name for name in names if name.startswith("m")} == {f"m{j}" for j in range(terms)}
-        assert [namespace[f"m{j}"] for j in range(terms)] == coupling[np.nonzero(coupling)].tolist()
+        # the m names are bound to the distinct magnitudes of the nonzero entries, one name each
+        names = {node.id for node in nodes if isinstance(node, ast.Name) and node.id.startswith("m")}
+        assert sorted(namespace[name] for name in names) == sorted(set(np.abs(coupling[np.nonzero(coupling)]).tolist()))
+        # each slope row is 0.0 then one term p * y_b per nonzero entry (k, a, b) in row-major
+        # order, with p = |m| * y_a and "-" exactly where the entry is negative
+        step = next(node for node in nodes if isinstance(node, ast.FunctionDef) and node.name == "step")
+        products, slopes = {}, {}
+        for line in step.body[:-1]:
+            [target] = line.targets
+            if isinstance(target, ast.Name) and target.id[0] == "p":
+                products[target.id] = (namespace[line.value.left.id], int(line.value.right.id[1:]))
+            elif isinstance(target, ast.Name) and target.id[0] in "abde":
+                terms, value = [], line.value
+                while isinstance(value, ast.BinOp):
+                    factor, y = value.right.left.id, value.right.right.id
+                    terms.append((isinstance(value.op, ast.Sub), *products[factor], int(y[1:])))
+                    value = value.left
+                assert isinstance(value, ast.Constant) and value.value == 0.0
+                slopes.setdefault(target.id[0], {})[int(target.id[1:])] = terms[::-1]
+        expected = {}
+        for k, a, b in zip(*np.nonzero(coupling)):
+            m = coupling[k, a, b].item()
+            expected.setdefault(int(k), []).append((m < 0, abs(m), int(a), ns + int(b)))
+        assert slopes == {k: expected for k in "abde"}
+        assert len(expected) < len(coupling)  # the canonical sum has term-free rows, which get no slope
 
 
 class TestNonFiniteBlocks:

@@ -18,10 +18,14 @@ def test_rk4_prints_one_line_per_case(capsys):
     rk4 = load_tool("rk4")
     rk4.STEPS, rk4.ROUNDS, rk4.REPEATS, rk4.HITS = 20, 1, 1, 3
     rk4.main()
-    rows = case_numbers(capsys.readouterr().out, 2)
+    out = capsys.readouterr().out
+    assert out.splitlines()[1].split() == ["group", "split", "terms", "products", "live", "us_step", "compile_ms",
+                                           "hit_us"]
+    rows = case_numbers(out, 2)
     assert len(rows) == 2 * len(rk4.GROUPS)  # a canonical and a random split per group
-    for terms, us_step, compile_ms, hit_us in rows:
-        assert all(math.isfinite(x) and x > 0 for x in (terms, us_step, compile_ms, hit_us))
+    for terms, products, live, us_step, compile_ms, hit_us in rows:
+        assert all(math.isfinite(x) and x > 0 for x in (terms, products, live, us_step, compile_ms, hit_us))
+        assert products <= terms and live <= terms  # each product and each live row has a term
 
 
 def test_faults_prints_one_line_per_case(capsys):

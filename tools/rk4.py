@@ -8,6 +8,9 @@ seeded random split, runs one warm-up and then ROUNDS integrate runs of
 the benchmark's integrate workload does, all in this process. One line
 per case gives:
 - terms: the coupling's nonzero entries, the terms of each slope;
+- products: the distinct products |m| * y_a those terms share, each formed
+  once per slope;
+- live: the rows with at least one term, the rows that get stages;
 - us_step: the best run's microseconds per step;
 - compile_ms: the best of REPEATS compiles of the step past its cache
   (_compile_step.__wrapped__), what the first run on a split pays;
@@ -61,8 +64,15 @@ def best(run, repeats: int) -> float:
     return min(times)
 
 
-def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[int, float, float, float]:
-    """Terms, µs per step, cold compile ms and cache-hit µs for ``split``."""
+def shape(split: bt.ControlSplit) -> tuple[int, int, int]:
+    """Terms, distinct (|m|, a) products and live rows of ``split``'s step."""
+    k, a, b = np.nonzero(split.coupling)
+    products = set(zip(np.abs(split.coupling[k, a, b]).tolist(), a.tolist()))
+    return len(k), len(products), len(set(k.tolist()))
+
+
+def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[float, float, float]:
+    """µs per step, cold compile ms and cache-hit µs for ``split``."""
     ns = len(split.s_indices)
     x0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(len(split.basis))])
     start = bt.OperatorPair(x0[:ns], x0[ns:])
@@ -80,17 +90,20 @@ def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[int, float, flo
             bt._compile_step(bt.ControlSplit(split.basis, *labels))
 
     hit_s = best(hits, REPEATS) / HITS
-    return int(np.count_nonzero(split.coupling)), step_s / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6
+    return step_s / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6
 
 
 def main() -> None:
     print(f"{STEPS} steps at h = {H}, best of {ROUNDS} runs per case after one warm-up")
-    print(f"{'group':<13}{'split':<11}{'terms':>6}{'us_step':>9}{'compile_ms':>12}{'hit_us':>8}")
+    print(f"{'group':<13}{'split':<11}{'terms':>6}{'products':>9}{'live':>5}{'us_step':>9}{'compile_ms':>12}"
+          f"{'hit_us':>8}")
     rng = random.Random(SEED)
     for group in GROUPS:
         for name, split in (("canonical", bt.canonical_split(group)), ("random", random_split(group, rng))):
-            terms, us_step, compile_ms, hit_us = measure(split, rng)
-            print(f"{group:<13}{name:<11}{terms:>6}{us_step:>9.2f}{compile_ms:>12.2f}{hit_us:>8.2f}")
+            terms, products, live = shape(split)
+            us_step, compile_ms, hit_us = measure(split, rng)
+            print(f"{group:<13}{name:<11}{terms:>6}{products:>9}{live:>5}{us_step:>9.2f}{compile_ms:>12.2f}"
+                  f"{hit_us:>8.2f}")
 
 
 if __name__ == "__main__":
