@@ -212,13 +212,15 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callab
     locals c0, c1, ... and runs straight-line assignments. Each of the
     slopes k1..k4 (named a, b, d, e) first forms its distinct products
     p = |m| * y_a, one local each, with each magnitude |m| a name bound in
-    the code's namespace. Its row k is then 0.0 +- p * y_(ns+b) +- ... over
-    the nonzero coupling[k, a, b] in row-major order, "-" where the entry
-    is negative. That is the sum ``c_einsum("kab,a,b->k")`` forms, bit for
-    bit: a sequential sum from +0.0 of (M y_a) y_b in row-major (a, b)
-    order, less its zero terms. Each stage is c_i + hh * k_i (h * k_i for
-    the last), and the step returns c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 *
-    d_i) + e_i), textbook RK4's order. A row without terms gets no slope
+    the code's namespace; a product whose row a has no term reads c_a in
+    every slope, so only slope a forms it. Its row k is then
+    0.0 +- p * y_(ns+b) +- ... over the nonzero coupling[k, a, b] in
+    row-major order, "-" where the entry is negative. That is the sum
+    ``c_einsum("kab,a,b->k")`` forms, bit for bit: a sequential sum from
+    +0.0 of (M y_a) y_b in row-major (a, b) order, less its zero terms.
+    Each stage is c_i + hh * k_i (h * k_i for the last), and the step
+    returns c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook
+    RK4's order. A row without terms gets no slope
     and no stage and returns c_i + 0.0, so a -0.0 entry turns to +0.0 where
     textbook RK4 turns it, and a stage that no term reads is left out.
 
@@ -231,10 +233,12 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callab
     # That sum starts at +0.0, so it never becomes -0.0, and with finite
     # inputs a zero entry adds +-0, which leaves it unchanged. A non-finite
     # input is a start entry, which stays non-finite in the state, or an entry
-    # that overflowed and so has a nonzero row. The structure constants are
-    # totally antisymmetric, so such an entry also feeds a nonzero term of
-    # some row, the state turns non-finite at the step it would with every
-    # term kept, and _flow names the step textbook RK4 names.
+    # that overflowed and so has a nonzero row. The structure constants'
+    # nonzero pattern is totally antisymmetric, bit for bit for every group
+    # (su3's values are so only to 4.4e-16, from its two floats for sqrt(3),
+    # but only the pattern counts here). So such an entry also feeds a
+    # nonzero term of some row, the state turns non-finite at the step it
+    # would with every term kept, and _flow names the step textbook RK4 names.
     #
     # Each product |m| * y_a goes into a local once per slope, and every term
     # that shares it reads that local: the same IEEE operation on the same
@@ -250,7 +254,9 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callab
     # 2.0 * 0.0) + 0.0) = c_i + 0.0, which the step returns without stages.
     # Products read the plain c_i for it: c_i and c_i + 0.0 differ only when
     # c_i is -0.0. The term is then a zero, whose sign a sum that starts at
-    # +0.0 (and so never turns -0.0) absorbs, or a NaN either way.
+    # +0.0 (and so never turns -0.0) absorbs, or a NaN either way. Such a
+    # product is the same in every slope, so slope a forms it once per step
+    # and the later slopes read its local.
     #
     # A stage that no term reads is not computed.
     coupling, ns = split.coupling, len(split.s_indices)
@@ -270,7 +276,7 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callab
         def entry(i: int) -> str:
             return f"{y}{i}" if rows[i] else f"c{i}"
 
-        return [*(f"{p} = {m} * {entry(a)}" for (m, a), p in products.items()),
+        return [*(f"{p} = {m} * {entry(a)}" for (m, a), p in products.items() if rows[a] or k == "a"),
                 *(f"{k}{i} = 0.0" + "".join(f" {sign} {p} * {entry(b)}" for sign, p, b in rows[i])
                   for i in live)]
 

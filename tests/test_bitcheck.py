@@ -2,9 +2,10 @@
 
 The file holds the build key that made it (numpy, its BLAS, the OpenBLAS
 core, numpy's SIMD extensions), then one sha256 per group. A change that
-means to move bits rewrites it and names each moved group in CHANGES.md:
+means to move bits rewrites it, with every golden, and names each moved
+group in CHANGES.md:
 
-    python3 tools/bitcheck.py > tests/data/bitcheck.txt
+    python3 tools/goldens.py
 """
 import os
 import subprocess

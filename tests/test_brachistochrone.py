@@ -404,6 +404,17 @@ class TestRk4Kernel:
         for x0 in starts:
             assert_integrate_is_textbook(split, x0, 1e-2, self.N_STEPS, 1)
 
+    @pytest.mark.parametrize("group,seed", [("su3", 47), ("su4", 47), ("su2+su3+su4", 53)])
+    def test_term_free_rows_products_match_textbook(self, group, seed):
+        # TestNonFiniteBlocks' random splits: slope a alone forms a product |m| * c_a whose row has no term
+        split = random_split(group, np.random.default_rng(seed))
+        ns = len(split.s_indices)
+        term_free = ~split.coupling.any(axis=(1, 2))
+        assert split.coupling[:, term_free[:ns]].any()
+        for x0 in np.random.default_rng(97).uniform(-1, 1, (2, len(split.basis))):
+            for stride in (1, 7):
+                assert_integrate_is_textbook(split, x0, 1e-2, self.N_STEPS, stride)
+
     def test_splits_over_the_same_labels_share_one_step(self):
         basis = build_basis("su4")
         labels = basis.labels[3:9], basis.labels[:3] + basis.labels[9:]

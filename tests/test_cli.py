@@ -4,7 +4,6 @@ import io
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,68 +216,6 @@ class TestIntegrateSum:
         err = capsys.readouterr().err
         assert err == "error: group 'su2+su2' has an empty or repeated part\n"
         assert not (tmp_path / "o.csv").exists()
-
-
-GOLDEN_DIR = Path(__file__).resolve().parent / "data"
-
-
-class TestGoldenIntegrate:
-    """``spinctl integrate`` output, byte for byte, for one small config per group.
-
-    The su3 config has a split that is not canonical and out of basis
-    order; the su2 and su4 configs sample every fourth and seventh step.
-    The files pin every RK4 bit that the CSV prints. Rewrite them only for
-    an intended change of the trajectory:
-
-        for g in su2 su3 su4; do
-            PYTHONPATH=src python3 -m spinctl integrate \\
-                --config tests/data/integrate_$g.cfg --out tests/data/integrate_$g.csv
-        done
-    """
-
-    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
-    def test_csv_matches_file(self, tmp_path, group):
-        out = tmp_path / "traj.csv"
-        config = GOLDEN_DIR / f"integrate_{group}.cfg"
-        assert dispatch(["integrate", "--config", str(config), "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / f"integrate_{group}.csv").read_bytes()
-
-
-_PROPAGATE_CASES = {
-    "su2": ["--family", "su2", "--t1", "2"],
-    "su3": ["--family", "su3", "--t1", "2"],
-    "su4": ["--family", "su4", "--t1", "2"],
-    # E ~ 6e3, |K dt| ~ 6: the screen, relative to each matrix's scale, admits every step
-    "su4_large": ["--family", "su4", "--t1", "1", "--m", "1", "--p", "3e3,-2e3,5e3"],
-}
-
-
-class TestGoldenPropagate:
-    """``spinctl propagate`` output, byte for byte, at both oracle orders.
-
-    The files pin every bit of the oracle's step product that 17 printed
-    digits show: the spin-1 closed form (su2, su3, su4, and su4 at
-    E ~ 6e3), 1000 steps each. No propagate input is known to reach the
-    stacked eigh, which test_matrixcore pins.
-    Rewrite them only for an intended change of the oracle:
-
-        for o in 2 4; do
-            for g in su2 su3 su4; do
-                PYTHONPATH=src python3 -m spinctl propagate --family $g --t1 2 \\
-                    --steps 1000 --order $o > tests/data/propagate_${g}_order$o.txt
-            done
-            PYTHONPATH=src python3 -m spinctl propagate --family su4 --t1 1 --m 1 \\
-                --p 3e3,-2e3,5e3 --steps 1000 --order $o > tests/data/propagate_su4_large_order$o.txt
-        done
-    """
-
-    @pytest.mark.parametrize("order", ["2", "4"])
-    @pytest.mark.parametrize("case", sorted(_PROPAGATE_CASES))
-    def test_stdout_matches_file(self, capsys, case, order):
-        argv = ["propagate", *_PROPAGATE_CASES[case], "--steps", "1000", "--order", order]
-        assert dispatch(argv) == 0
-        expected = (GOLDEN_DIR / f"propagate_{case}_order{order}.txt").read_bytes()
-        assert capsys.readouterr().out.encode() == expected
 
 
 class TestMatrixCommands:

@@ -1,10 +1,14 @@
-"""The timing tools run end to end: tools/rk4.py and tools/faults.py, on shrunk sizes.
+"""The tools run: tools/rk4.py and tools/faults.py end to end on shrunk sizes, tools/goldens.py's writer.
 
-Both reach into library seams (the RK4 step cache, the oracle), so a
-change to those seams must keep them running. Their numbers are wall
-times, counts and fault counts; only each line's shape is checked here.
+The timing tools reach into library seams (the RK4 step cache, the
+oracle), so a change to those seams must keep them running. Their
+numbers are wall times, counts and fault counts; only each line's shape
+is checked here. tests/test_goldens.py runs the goldens' commands; here
+main runs on stubbed commands into a temporary directory.
 """
 import math
+
+import pytest
 
 from helpers import load_tool
 
@@ -38,3 +42,30 @@ def test_faults_prints_one_line_per_case(capsys):
         assert order in (2, 4) and math.isfinite(ms) and ms > 0
         # a short product may fault no page at all
         assert all(x >= 0 and x == int(x) for x in counts)
+
+
+def stubbed_goldens(tmp_path, render):
+    """tools/goldens.py writing into ``tmp_path``, with ``render`` and a one-line ledger."""
+    goldens = load_tool("goldens")
+    goldens.DATA, goldens.render, goldens.ledger = tmp_path, render, lambda: b"ledger\n"
+    return goldens
+
+
+def test_goldens_writes_the_table_and_the_ledger(tmp_path):
+    goldens = stubbed_goldens(tmp_path, lambda name: name.encode())
+    goldens.main()
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert written == {**{name: name.encode() for name in goldens.GOLDENS}, "bitcheck.txt": b"ledger\n"}
+
+
+def test_goldens_writes_nothing_when_a_command_fails(tmp_path):
+    def render(name):
+        if name == last:
+            raise RuntimeError(f"{name} failed")
+        return b""
+
+    goldens = stubbed_goldens(tmp_path, render)
+    last = list(goldens.GOLDENS)[-1]  # every other file is rendered before it
+    with pytest.raises(RuntimeError, match="failed"):
+        goldens.main()
+    assert not any(tmp_path.iterdir())

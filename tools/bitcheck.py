@@ -6,10 +6,10 @@ and the SIMD extensions numpy found on this CPU beyond its baseline
 ("none" if none), since the BLAS kernel and numpy's SIMD loops, and so
 the bits, follow the CPU. OPENBLAS_CORETYPE moves the core.
 tests/test_bitcheck.py computes the groups in-process and compares them
-with the committed ledger; a change that means to move bits
-rewrites it with
+with the committed ledger, tests/data/bitcheck.txt; a change that means to
+move bits rewrites it, with every golden, through
 
-    python3 tools/bitcheck.py > tests/data/bitcheck.txt
+    python3 tools/goldens.py
 
 and names each moved group in CHANGES.md. Another checkout's src/ runs with
 PYTHONPATH=../other/src python3 tools/bitcheck.py.

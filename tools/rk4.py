@@ -9,7 +9,8 @@ the benchmark's integrate workload does, all in this process. One line
 per case gives:
 - terms: the coupling's nonzero entries, the terms of each slope;
 - products: the distinct products |m| * y_a those terms share, each formed
-  once per slope;
+  once per slope, or once per step when row a has no term (y_a is then the
+  start entry c_a in every slope);
 - live: the rows with at least one term, the rows that get stages;
 - us_step: the best run's microseconds per step;
 - compile_ms: the best of REPEATS compiles of the step past its cache
