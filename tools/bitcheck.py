@@ -32,7 +32,10 @@ The groups hash the raw bytes of:
   flow         integrate on the canonical splits of su2, su3, su4 and
                su2+su3+su4 (one start, then five; sample strides 1 and
                7), hashed field by field: times once, then h_coeffs,
-               f_coeffs and monitors stacked over the starts;
+               f_coeffs and monitors stacked over the starts; then the
+               benchmark's regime, h = 1e-3, T = 2 and stride 250 (2000
+               steps, samples inside the check blocks), from one start on
+               the canonical split and on one seeded random split;
                brachistochrone_rhs on seeded stacks, and
                project_coefficients on seeded traceless stacks at scales
                1e-3 to 1e6 (warnings suppressed).
@@ -51,7 +54,7 @@ import numpy as np
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))  # after PYTHONPATH
 
 from spinctl import (  # noqa: E402
-    DiracParameters, OperatorPair, brachistochrone_rhs, canonical_split, evolve_state, expm_unitary,
+    ControlSplit, DiracParameters, OperatorPair, brachistochrone_rhs, canonical_split, evolve_state, expm_unitary,
     format_report, full_report, integrate, project_coefficients, schrodinger_propagator, su2_family, su3_family,
     su4_family, time_ordered_exponential)
 
@@ -131,6 +134,14 @@ def _flow(digest):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 digest.update(project_coefficients(a, split.basis).tobytes())
+        labels = [split.basis.labels[k] for k in rng.permutation(len(split.basis))]
+        cut = int(rng.integers(1, len(split.basis)))
+        shuffled = ControlSplit(split.basis, tuple(labels[:cut]), tuple(labels[cut:]))
+        for run_split in (split, shuffled):
+            ns, x0 = len(run_split.s_indices), rng.uniform(-1, 1, len(split.basis))
+            run = integrate(OperatorPair(x0[:ns], x0[ns:]), run_split, 1e-3, 2.0, sample_stride=250)
+            for field in ("times", "h_coeffs", "f_coeffs", "monitors"):
+                digest.update(getattr(run, field).tobytes())
 
 
 GROUPS = (("oracle", _oracle), ("evolve", _evolve), ("expm", _expm), ("propagator", _propagator),
