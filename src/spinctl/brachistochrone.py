@@ -15,18 +15,20 @@ not monitored: S and S^c are trace-orthogonal, so it is identically zero.
 
 ``integrate`` runs one start on RK4, and the audit runs its flow on the
 fixed-order Taylor kernel ``_taylor``. Both advance one (n,) coefficient
-state a step at a time through ``_flow``. A split of a direct sum such as
-``su2+su3+su4`` runs its groups side by side as one flow.
+state a block of steps at a time through ``_flow``. A split of a direct
+sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
 The arrays are small, so a step of numpy calls costs their dispatch, not
-arithmetic. RK4 therefore runs on a list of Python floats through one
-generated straight-line step, compiled once per split and cached. Its
-slopes sum over the coupling's nonzero entries bit for bit as the einsum
-contraction does, forming each distinct product of a magnitude |m| and an
-entry once, and rows whose slope is identically zero get no stages.
-``_taylor`` calls numpy's einsum core, ``c_einsum``, directly, without
-``np.einsum``'s Python dispatch and with the same bits. ``_flow`` checks
-finiteness once per block of steps, replaying a failed block step by step
-to name the first non-finite step.
+arithmetic. RK4 therefore runs on Python floats through one generated
+block runner, compiled once per split and cached: a loop of straight-line
+steps over local floats, which packs a list only for a sampled step and
+at the block's end. Its slopes sum over the coupling's nonzero entries bit
+for bit as the einsum contraction does, forming each distinct product of
+a magnitude |m| and an entry once, and rows whose slope is identically
+zero get no stages. ``_taylor`` calls numpy's einsum core, ``c_einsum``,
+directly, without ``np.einsum``'s Python dispatch and with the same bits.
+``_flow`` calls a kernel's runner once per block and checks finiteness at
+the block's end, replaying a failed block one step per call to name the
+first non-finite step.
 """
 from __future__ import annotations
 
@@ -157,7 +159,8 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
 
 
 #: Ceiling on the step count T / h of ``integrate``: at most about a minute
-#: of RK4 at 1-6 us per step (su2 to su4, Python 3.11 on a 2-core Xeon).
+#: of RK4 at 0.6-6 us per step (su2 to su2+su3+su4, every step sampled or
+#: every 250th, Python 3.11 on a 2-core Xeon).
 _MAX_STEPS = 10 ** 7
 
 #: Steps between the finiteness checks of ``_flow``.
@@ -168,65 +171,71 @@ class NonFiniteStateError(RuntimeError):
     """Raised by ``integrate`` when the state or a monitor leaves the finite range."""
 
 
-def _flow(advance: Callable[[np.ndarray | list], np.ndarray | list], c: np.ndarray | list, h: float,
-          n_steps: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """``n_steps`` steps of size ``h`` from the (n,) state ``c``; ``advance`` returns each next state.
+def _flow(run: Callable[[np.ndarray | list, int, int, list, list], np.ndarray | list], c: np.ndarray | list,
+          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n_steps`` steps from the (n,) state ``c``, one call of ``run`` per block of _BLOCK steps.
 
-    The state is an array (``_taylor``) or a list of floats (``integrate``), and
-    ``advance`` returns a new one each step, so a sample needs no copy. It
-    is checked for finiteness once per block of _BLOCK steps and
-    at the last step. A non-finite entry stays non-finite in every later
-    step (it reaches the next state through c + k), so a block that ends
-    finite was finite throughout. A block that does not is replayed from
-    its first state, checking each step, and the error names the first
-    non-finite step. Returns the sample times (0, every ``stride`` steps
-    and the last) and an (n_samples, n) array of the states there.
+    ``run(c, first, stop, times, samples)`` takes steps first .. stop - 1
+    from the state ``c`` before step ``first`` and returns the state after
+    the last. It appends each sampled step's time and state to ``times``
+    and ``samples``, a new state each, so a sample needs no copy. The state
+    is an array (``_taylor``) or a list of floats (``integrate``), checked
+    for finiteness at the end of each block. A non-finite entry stays
+    non-finite in every later step (it reaches the next state through
+    c + k), so a block that ends finite was finite throughout. A block that
+    does not is replayed from its first state through ``run``, one step a
+    call, checking each step, and the error names the first non-finite
+    step. Returns the sample times (0 and each step ``run`` samples) and an
+    (n_samples, n) array of the states there.
     """
     times, samples = [0.0], [c.copy()]
     # The state is checked each block, so numpy's overflow warnings (from the
     # update itself when h is huge) would only repeat the error raised here.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, n_steps + 1, _BLOCK):
-            start = c
-            for step in range(first, min(first + _BLOCK, n_steps + 1)):
-                c = advance(c)
-                if step % stride == 0 or step == n_steps:
-                    times.append(step * h)
-                    samples.append(c)
-            if not np.isfinite(c).all():
-                c = start
-                for step in range(first, step + 1):
-                    c = advance(c)
+            stop = min(first + _BLOCK, n_steps + 1)
+            end = run(c, first, stop, times, samples)
+            if not np.isfinite(end).all():
+                for step in range(first, stop):
+                    c = run(c, step, step + 1, times, samples)
                     if not np.isfinite(c).all():
                         raise NonFiniteStateError(f"non-finite state at step {step}")
+            c = end
     return np.array(times), np.array(samples)
 
 
 @lru_cache(maxsize=32)  # a run keeps one split; a session runs a few
-def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callable[[list], list]]:
-    """Generated code for one RK4 step of ``split``'s flow on a list of floats.
+def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, int],
+                                                   Callable[[list, int, int, list, list], list]]:
+    """Generated RK4 for ``split``'s flow: a runner that takes a block of steps on local floats.
 
     The flow is dc/dt = coupling . (c[:ns], c[ns:]) with coupling =
-    ``split.coupling`` and ns = |S|. Returns ``make(h, hh, h6) -> step``,
-    so the compiled code holds no step size. ``step(c)`` unpacks c into
-    locals c0, c1, ... and runs straight-line assignments. Each of the
-    slopes k1..k4 (named a, b, d, e) first forms its distinct products
-    p = |m| * y_a, one local each, with each magnitude |m| a name bound in
-    the code's namespace; a product whose row a has no term reads c_a in
-    every slope, so only slope a forms it. Its row k is then
-    0.0 +- p * y_(ns+b) +- ... over the nonzero coupling[k, a, b] in
-    row-major order, "-" where the entry is negative. That is the sum
+    ``split.coupling`` and ns = |S|. Returns ``make(h, hh, h6, stride,
+    last) -> run``, so the compiled code holds no step size. ``run(c,
+    first, stop, times, samples)`` is ``_flow``'s runner. It unpacks the
+    list c into locals c0, c1, ... once, takes steps first .. stop - 1 in a
+    loop of straight-line assignments, and returns the state after the
+    last as a new list. At each step that is a multiple of ``stride`` or is
+    ``last``, the run's final step, it appends step * h to ``times`` and a
+    new list of the state to ``samples``; no other step packs a list. Each
+    of the slopes k1..k4 (named a, b, d, e) first forms its distinct
+    products p = |m| * y_a, one local each, with each magnitude |m| a name
+    bound in the code's namespace; a product whose row a has no term is the
+    same throughout, so the runner forms it once, before the loop. Its row
+    k is then 0.0 +- p * y_(ns+b) +- ... over the nonzero coupling[k, a, b]
+    in row-major order, "-" where the entry is negative. That is the sum
     ``c_einsum("kab,a,b->k")`` forms, bit for bit: a sequential sum from
     +0.0 of (M y_a) y_b in row-major (a, b) order, less its zero terms.
-    Each stage is c_i + hh * k_i (h * k_i for the last), and the step
-    returns c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook
-    RK4's order. A row without terms gets no slope
-    and no stage and returns c_i + 0.0, so a -0.0 entry turns to +0.0 where
-    textbook RK4 turns it, and a stage that no term reads is left out.
+    Each stage is c_i + hh * k_i (h * k_i for the last), and the step sets
+    c_i = c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook
+    RK4's order. A row without terms gets no slope and no stage: the
+    runner sets its entry to c_i + 0.0 once, before the loop, so a -0.0
+    entry turns to +0.0 where textbook RK4 turns it, and a stage that no
+    term reads is left out.
 
     Cached once per split: a frozen dataclass, equal to another over the
     same basis (one object per group) and labels. So the fresh split that
-    ``spinctl integrate`` builds per call finds its step without building
+    ``spinctl integrate`` builds per call finds its runner without building
     its coupling, which only a miss reads.
     """
     # Skipping the coupling's zero entries keeps every bit of c_einsum's sum.
@@ -251,12 +260,18 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callab
     #
     # A row without terms has slope +0.0 at every stage, so for finite h its
     # stage is c_i + 0.0 and its new entry c_i + h6 * (((0.0 + 2.0 * 0.0) +
-    # 2.0 * 0.0) + 0.0) = c_i + 0.0, which the step returns without stages.
-    # Products read the plain c_i for it: c_i and c_i + 0.0 differ only when
-    # c_i is -0.0. The term is then a zero, whose sign a sum that starts at
-    # +0.0 (and so never turns -0.0) absorbs, or a NaN either way. Such a
-    # product is the same in every slope, so slope a forms it once per step
-    # and the later slopes read its local.
+    # 2.0 * 0.0) + 0.0) = c_i + 0.0, which needs no stages.
+    #
+    # The runner adds that 0.0 once per call, before the loop, not once per
+    # step. x + 0.0 is idempotent: it maps -0.0 to +0.0 and leaves every other
+    # value as it is (a NaN stays a NaN, and _flow raises on it). So the entry
+    # after any number of steps is the entry after one, and a replay of one
+    # step per call gives the same bits. Products then read c_i + 0.0 where
+    # textbook RK4's first step reads the plain c_i. The two differ only when
+    # c_i is -0.0, and the term is then a zero, whose sign a sum that starts
+    # at +0.0 (and so never turns -0.0) absorbs, or a NaN either way. Such a
+    # product is the same in every slope of every step, so the runner forms
+    # it before the loop too.
     #
     # A stage that no term reads is not computed.
     coupling, ns = split.coupling, len(split.s_indices)
@@ -276,20 +291,30 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float], Callab
         def entry(i: int) -> str:
             return f"{y}{i}" if rows[i] else f"c{i}"
 
-        return [*(f"{p} = {m} * {entry(a)}" for (m, a), p in products.items() if rows[a] or k == "a"),
+        return [*(f"{p} = {m} * {y}{a}" for (m, a), p in products.items() if rows[a]),
                 *(f"{k}{i} = 0.0" + "".join(f" {sign} {p} * {entry(b)}" for sign, p, b in rows[i])
                   for i in live)]
 
     def stage(weight: str, k: str) -> list[str]:
         return [f"y{i} = c{i} + {weight} * {k}{i}" for i in live if i in read]
 
-    body = ["".join(f"c{i}, " for i in range(n)) + "= c",
-            *slopes("a", "c"), *stage("hh", "a"), *slopes("b", "y"), *stage("hh", "b"),
+    state = ", ".join(f"c{i}" for i in range(n))
+    loop = [*slopes("a", "c"), *stage("hh", "a"), *slopes("b", "y"), *stage("hh", "b"),
             *slopes("d", "y"), *stage("h", "d"), *slopes("e", "y"),
-            "return [" + ", ".join(f"c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})" if rows[i]
-                                   else f"c{i} + 0.0" for i in range(n)) + "]"]
-    exec("def make(h, hh, h6):\n    def step(c):\n" + "".join(f"        {line}\n" for line in body)
-         + "    return step\n", namespace)
+            *(f"c{i} = c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})" for i in live),
+            "if step == sample:",
+            "    times.append(step * h)",
+            f"    samples.append([{state}])",
+            "    sample = min(sample + stride, last)"]
+    body = [f"{state}, = c",
+            *(f"c{i} = c{i} + 0.0" for i in range(n) if not rows[i]),
+            *(f"{p} = {m} * c{a}" for (m, a), p in products.items() if not rows[a]),
+            "sample = min(first + -first % stride, last)",
+            "for step in range(first, stop):",
+            *(f"    {line}" for line in loop),
+            f"return [{state}]"]
+    exec("def make(h, hh, h6, stride, last):\n    def run(c, first, stop, times, samples):\n"
+         + "".join(f"        {line}\n" for line in body) + "    return run\n", namespace)
     return namespace["make"]
 
 
@@ -317,7 +342,14 @@ def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,
             c += coeffs
         return c
 
-    return _flow(advance, c, h, n_steps, 1)
+    def run(c: np.ndarray, first: int, stop: int, times: list, samples: list) -> np.ndarray:
+        for step in range(first, stop):
+            c = advance(c)
+            times.append(step * h)
+            samples.append(c)
+        return c
+
+    return _flow(run, c, n_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,8 +405,8 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
 
     n_steps = int(round(T / h))
     h = float(h)  # a numpy scalar would turn the state into np.float64 objects
-    step = _compile_step(split)(h, 0.5 * h, h / 6.0)
-    times, samples = _flow(step, np.concatenate([h0, f0]).tolist(), h, n_steps, sample_stride)
+    run = _compile_step(split)(h, 0.5 * h, h / 6.0, int(sample_stride), n_steps)
+    times, samples = _flow(run, np.concatenate([h0, f0]).tolist(), n_steps)
     hs, fs = samples[:, :ns], samples[:, ns:]
     norms = split.basis.norm_constants
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below

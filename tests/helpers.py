@@ -3,6 +3,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from spinctl.closedforms import DiracParameters
 from spinctl.generators import PAULI
@@ -11,6 +12,9 @@ from spinctl.matrixcore import dagger
 I2, SX, SY, SZ = PAULI
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Tier-1 must not flake: property tests draw the same examples on every run.
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
 
 
 def load_tool(name: str):

@@ -1,15 +1,20 @@
 import ast
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_rows import named
+from helpers import PROPERTY
 from sum_parts import part_columns
 from spinctl import brachistochrone as bt
 from spinctl.brachistochrone import (
     ControlSplit,
     NonFiniteStateError,
     OperatorPair,
+    Trajectory,
     brachistochrone_rhs,
     canonical_split,
     integrate,
@@ -95,6 +100,28 @@ def textbook_rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps
                 times.append(step * h)
                 samples.append(c)
     return np.array(times), np.array(samples)
+
+
+@st.composite
+def splits(draw, groups=("su2", "su3", "su4", "su2+su3", "su2+su3+su4")) -> ControlSplit:
+    """A split of one of ``groups`` over a permutation of its labels, with any nonempty S."""
+    basis = build_basis(draw(st.sampled_from(groups)))
+    labels = draw(st.permutations(basis.labels))
+    ns = draw(st.integers(1, len(basis)))
+    return ControlSplit(basis, tuple(labels[:ns]), tuple(labels[ns:]))
+
+
+#: Start entries that a uniform draw from [-3, 3] all but never gives.
+EDGE_ENTRIES = (1e150, -1e150, 0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def starts(draw, n: int) -> np.ndarray:
+    """An (n,) state of entries from [-3, 3], up to two of them set to an edge entry."""
+    x0 = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        x0[i] = draw(st.sampled_from(EDGE_ENTRIES))
+    return np.array(x0)
 
 
 def textbook_taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
@@ -385,12 +412,50 @@ class TestRk4Kernel:
     @pytest.mark.parametrize("group", ["su2", "su3", "su4", "su2+su3+su4"])
     @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "random"])
     @pytest.mark.parametrize("starts", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 7])
+    # 100 > _BLOCK samples inside later blocks, 75 divides N_STEPS so the last step is a
+    # multiple of the stride, and at 10^9 only the last step is sampled
+    @pytest.mark.parametrize("stride", [1, 7, 75, 100, 10 ** 9])
     def test_matches_textbook(self, group, canonical, starts, stride):
         rng = np.random.default_rng(41)
         split = canonical_split(group) if canonical else random_split(group, rng)
         for x0 in rng.uniform(-1, 1, (starts, len(split.basis))):
             assert_integrate_is_textbook(split, x0, 1e-2, self.N_STEPS, stride)
+
+    @settings(PROPERTY, max_examples=200)
+    @given(data=st.data())
+    def test_matches_textbook_on_drawn_runs(self, data):
+        # integrate is textbook RK4 bit for bit, or fails with its NonFiniteStateError; a
+        # monitor overflow, which only integrate checks, must name the first overflowing sample
+        split = data.draw(splits())
+        x0 = data.draw(starts(len(split.basis)))
+        h = data.draw(st.sampled_from([1e-3, 0.1, 1.0, 1e10, 1e200]))
+        n_steps = data.draw(st.one_of(st.integers(1, bt._BLOCK), st.integers(bt._BLOCK + 1, 150)))
+        stride = data.draw(st.one_of(st.integers(1, 9), st.sampled_from([64, 100, 10 ** 9])))
+        ns = len(split.s_indices)
+
+        def run() -> Trajectory:
+            return integrate(OperatorPair(x0[:ns], x0[ns:]), split, h=h, T=h * n_steps, sample_stride=stride)
+
+        try:
+            times, samples = textbook_rk4(split.coupling, ns, x0, h, n_steps, stride)
+        except NonFiniteStateError as reference:
+            with pytest.raises(NonFiniteStateError) as got:
+                run()
+            assert str(got.value) == str(reference)
+            return
+        norms = split.basis.norm_constants
+        with np.errstate(over="ignore"):
+            finite = (np.isfinite(samples[:, :ns] ** 2 @ norms[split.s_indices])
+                      & np.isfinite(samples[:, ns:] ** 2 @ norms[split.c_indices]))
+        if not finite.all():
+            with pytest.raises(NonFiniteStateError) as got:
+                run()
+            step = min(int(np.argmin(finite)) * stride, n_steps)
+            assert str(got.value) == f"non-finite invariant monitor at step {step}"
+            return
+        traj = run()
+        assert_bitwise(traj.times, times)
+        assert_bitwise(np.hstack([traj.h_coeffs, traj.f_coeffs]), samples)
 
     @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
     def test_signed_zeros_match_textbook(self, group):
@@ -522,16 +587,21 @@ class TestRk4Kernel:
         nodes = list(ast.walk(ast.parse(source)))
         assert {node.value for node in nodes if isinstance(node, ast.Constant)} == {0.0, 2.0}
         # the m names are bound to the distinct magnitudes of the nonzero entries, one name each
-        names = {node.id for node in nodes if isinstance(node, ast.Name) and node.id.startswith("m")}
+        names = {node.id for node in nodes if isinstance(node, ast.Name) and re.fullmatch(r"m\d+", node.id)}
         assert sorted(namespace[name] for name in names) == sorted(set(np.abs(coupling[np.nonzero(coupling)]).tolist()))
-        # each slope row is 0.0 then one term p * y_b per nonzero entry (k, a, b) in row-major
-        # order, with p = |m| * y_a and "-" exactly where the entry is negative
-        step = next(node for node in nodes if isinstance(node, ast.FunctionDef) and node.name == "step")
+        # the runner's loop takes the steps: each slope row is 0.0 then one term p * y_b per nonzero
+        # entry (k, a, b) in row-major order, with p = |m| * y_a and "-" exactly where the entry is negative
+        run = next(node for node in nodes if isinstance(node, ast.FunctionDef) and node.name == "run")
+        [loop] = [node for node in run.body if isinstance(node, ast.For)]
+        before = run.body[:run.body.index(loop)]
         products, slopes = {}, {}
-        for line in step.body[:-1]:
+        for line in (*before, *loop.body):
+            if not isinstance(line, ast.Assign):
+                continue
             [target] = line.targets
             if isinstance(target, ast.Name) and target.id[0] == "p":
-                products[target.id] = (namespace[line.value.left.id], int(line.value.right.id[1:]))
+                product = (namespace[line.value.left.id], int(line.value.right.id[1:]))
+                assert products.setdefault(target.id, product) == product
             elif isinstance(target, ast.Name) and target.id[0] in "abde":
                 terms, value = [], line.value
                 while isinstance(value, ast.BinOp):
@@ -545,6 +615,13 @@ class TestRk4Kernel:
             m = coupling[k, a, b].item()
             expected.setdefault(int(k), []).append((m < 0, abs(m), int(a), ns + int(b)))
         assert slopes == {k: expected for k in "abde"}
+        # each term-free row's entry is turned to c_i + 0.0 once, before the loop, and nowhere else
+        def zeroed(lines) -> list[str]:
+            return [text for text in map(ast.unparse, lines) if re.fullmatch(r"(c\d+) = \1 \+ 0\.0", text)]
+
+        term_free = [f"c{i} = c{i} + 0.0" for i in range(len(coupling)) if i not in expected]
+        assert zeroed(before) == term_free
+        assert zeroed(node for node in ast.walk(run) if isinstance(node, ast.Assign)) == term_free
         assert len(expected) < len(coupling)  # the canonical sum has term-free rows, which get no slope
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eigh_exp
+from helpers import PROPERTY, eigh_exp
 from spinctl.brachistochrone import integrate
 from spinctl.cli import ConfigError, _build_parser, dispatch, parse_config
 from spinctl.closedforms import DiracParameters, su4_family
@@ -453,8 +453,6 @@ class TestDispatch:
 NUMBERS = st.sampled_from(
     ["0", "1", "-1", "0.5", "2.5", "1e-320", "1e200", "-1e300", "1e308", "inf", "-inf", "nan", "x", ""])
 FAMILIES = st.sampled_from(["su2", "su3", "su4", "su5"])
-#: Tier-1 must not flake: the same examples on every run.
-PROPERTY = settings(deadline=None, database=None, derandomize=True)
 
 
 def _options(**strategies):
