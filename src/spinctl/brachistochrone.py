@@ -302,14 +302,14 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, in
     loop = [*slopes("a", "c"), *stage("hh", "a"), *slopes("b", "y"), *stage("hh", "b"),
             *slopes("d", "y"), *stage("h", "d"), *slopes("e", "y"),
             *(f"c{i} = c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})" for i in live),
-            "if step == sample:",
+            "if step == sample or step == last:",
             "    times.append(step * h)",
             f"    samples.append([{state}])",
-            "    sample = min(sample + stride, last)"]
+            "    sample += stride"]
     body = [f"{state}, = c",
             *(f"c{i} = c{i} + 0.0" for i in range(n) if not rows[i]),
             *(f"{p} = {m} * c{a}" for (m, a), p in products.items() if not rows[a]),
-            "sample = min(first + -first % stride, last)",
+            "sample = first + -first % stride",
             "for step in range(first, stop):",
             *(f"    {line}" for line in loop),
             f"return [{state}]"]
