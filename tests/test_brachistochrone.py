@@ -103,9 +103,9 @@ def textbook_rk4(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps
 
 
 @st.composite
-def splits(draw, groups=("su2", "su3", "su4", "su2+su3", "su2+su3+su4")) -> ControlSplit:
-    """A split of one of ``groups`` over a permutation of its labels, with any nonempty S."""
-    basis = build_basis(draw(st.sampled_from(groups)))
+def splits(draw) -> ControlSplit:
+    """A split of su2, su3, su4 or a sum of them over a permutation of its labels, with any nonempty S."""
+    basis = build_basis(draw(st.sampled_from(["su2", "su3", "su4", "su2+su3", "su2+su3+su4"])))
     labels = draw(st.permutations(basis.labels))
     ns = draw(st.integers(1, len(basis)))
     return ControlSplit(basis, tuple(labels[:ns]), tuple(labels[ns:]))
