@@ -159,7 +159,7 @@ def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPai
 
 
 #: Ceiling on the step count T / h of ``integrate``: at most about a minute
-#: of RK4 at 0.6-6 us per step (su2 to su2+su3+su4, every step sampled or
+#: of RK4 at 0.6-7 us per step (su2 to su2+su3+su4, every step sampled or
 #: every 250th, Python 3.11 on a 2-core Xeon).
 _MAX_STEPS = 10 ** 7
 
