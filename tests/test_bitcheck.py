@@ -54,7 +54,7 @@ def test_baseline_only_cpu_skips_naming_both_keys(monkeypatch):
 
 def test_another_openblas_core_skips_naming_both_keys():
     # OPENBLAS_CORETYPE picks another kernel family, which moves five of the
-    # six groups: the ledger test must say it cannot judge, not fail
+    # seven groups: the ledger test must say it cannot judge, not fail
     if load_tool("bitcheck").build_key()["core"] == "unknown":
         pytest.skip("no bundled OpenBLAS core to move")
     recorded = read_ledger()["core"]

@@ -38,7 +38,12 @@ The groups hash the raw bytes of:
                the canonical split and on one seeded random split;
                brachistochrone_rhs on seeded stacks, and
                project_coefficients on seeded traceless stacks at scales
-               1e-3 to 1e6 (warnings suppressed).
+               1e-3 to 1e6 (warnings suppressed);
+  taylor       the audit's Taylor flow, brachistochrone._taylor, on the
+               canonical split of su2, su3, su4 and su2+su3+su4 and on
+               one seeded random split of each, from one seeded start per
+               split, at orders 4 and 14: 70 steps of 0.1, a full 64-step
+               check block and part of the next, times and samples.
 Needs only numpy; the seeds are fixed, so a line moves only with the code.
 """
 from __future__ import annotations
@@ -53,6 +58,7 @@ import numpy as np
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))  # after PYTHONPATH
 
+from spinctl import brachistochrone  # noqa: E402
 from spinctl import (  # noqa: E402
     ControlSplit, DiracParameters, OperatorPair, brachistochrone_rhs, canonical_split, evolve_state, expm_unitary,
     format_report, full_report, integrate, project_coefficients, schrodinger_propagator, su2_family, su3_family,
@@ -144,8 +150,21 @@ def _flow(digest):
                 digest.update(getattr(run, field).tobytes())
 
 
+def _taylor(digest):
+    rng = np.random.default_rng(42)
+    for group in ("su2", "su3", "su4", "su2+su3+su4"):
+        split = canonical_split(group)
+        labels = [split.basis.labels[k] for k in rng.permutation(len(split.basis))]
+        cut = int(rng.integers(1, len(split.basis)))
+        for run_split in (split, ControlSplit(split.basis, tuple(labels[:cut]), tuple(labels[cut:]))):
+            x0 = rng.uniform(-1, 1, len(split.basis))
+            for order in (4, 14):
+                times, samples = brachistochrone._taylor(run_split, x0, 0.1, 70, order)
+                digest.update(times.tobytes() + samples.tobytes())
+
+
 GROUPS = (("oracle", _oracle), ("evolve", _evolve), ("expm", _expm), ("propagator", _propagator),
-          ("audit", _audit), ("flow", _flow))
+          ("audit", _audit), ("flow", _flow), ("taylor", _taylor))
 
 
 def build_key() -> dict[str, str]:
