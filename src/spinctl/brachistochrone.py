@@ -14,21 +14,24 @@ records from the coefficients so discretization drift stays visible. Tr(HF) is
 not monitored: S and S^c are trace-orthogonal, so it is identically zero.
 
 ``integrate`` runs one start on RK4, and the audit runs its flow on the
-fixed-order Taylor kernel ``_taylor``. Both advance one (n,) coefficient
-state a block of steps at a time through ``_flow``. A split of a direct
-sum such as ``su2+su3+su4`` runs its groups side by side as one flow.
-The arrays are small, so a step of numpy calls costs their dispatch, not
-arithmetic. RK4 therefore runs on Python floats through one generated
-block runner, compiled once per split and cached: a loop of straight-line
-steps over local floats, which packs a list only for a sampled step and
-at the block's end. Its slopes sum over the coupling's nonzero entries bit
-for bit as the einsum contraction does, forming each distinct product of
-a magnitude |m| and an entry once, and rows whose slope is identically
-zero get no stages. ``_taylor`` calls numpy's einsum core, ``c_einsum``,
-directly, without ``np.einsum``'s Python dispatch and with the same bits.
-``_flow`` calls a kernel's runner once per block and checks finiteness at
-the block's end, replaying a failed block one step per call to name the
-first non-finite step.
+fixed-order Taylor kernel ``_taylor``. Both advance one state, a list of
+Python floats, a block of steps at a time through ``_flow``. A split of a
+direct sum such as ``su2+su3+su4`` runs its groups side by side as one
+flow. The arrays are small, so a step of numpy calls would cost their
+dispatch, not arithmetic. Each kernel therefore runs one generated block
+runner, compiled once per split and cached: a loop of straight-line steps
+over local floats, which packs a list only for a sampled step and at the
+block's end. Both runners are emitted from one term table of the field
+(``_terms``): the coupling's nonzero entries, row by row in row-major
+order, each a magnitude |m| bound by name and a sign folded into the sum.
+So each row sums from +0.0 as the dense sum does, bit for bit, and never
+over the zero blocks of a direct sum. RK4 forms each distinct product of
+a magnitude and an entry once, and rows whose slope is identically zero
+get no stages. The Taylor runner forms each coefficient from the pair sums
+of Cauchy products, each a sequential sum from +0.0. ``_flow`` calls a
+kernel's runner once per block and checks finiteness at the block's end,
+replaying a failed block one step per call to name the first non-finite
+step.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy._core.multiarray import c_einsum
 
 from .generators import GeneratorBasis, _project, build_basis, reconstruct
 from .matrixcore import as_operator
@@ -171,74 +173,53 @@ class NonFiniteStateError(RuntimeError):
     """Raised by ``integrate`` when the state or a monitor leaves the finite range."""
 
 
-def _flow(run: Callable[[np.ndarray | list, int, int, list, list], np.ndarray | list], c: np.ndarray | list,
-          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """``n_steps`` steps from the (n,) state ``c``, one call of ``run`` per block of _BLOCK steps.
+def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n_steps`` steps from the state ``c``, a list of n floats, one call of ``run`` per block of _BLOCK steps.
 
     ``run(c, first, stop, times, samples)`` takes steps first .. stop - 1
     from the state ``c`` before step ``first`` and returns the state after
     the last. It appends each sampled step's time and state to ``times``
-    and ``samples``, a new state each, so a sample needs no copy. The state
-    is an array (``_taylor``) or a list of floats (``integrate``), checked
-    for finiteness at the end of each block. A non-finite entry stays
-    non-finite in every later step (it reaches the next state through
-    c + k), so a block that ends finite was finite throughout. A block that
+    and ``samples``, a new list each, so a sample needs no copy. The state
+    is checked for finiteness at the end of each block. A non-finite entry
+    stays non-finite in every later step (each new entry is the old one plus
+    an increment), so a block that ends finite was finite throughout. A block that
     does not is replayed from its first state through ``run``, one step a
     call, checking each step, and the error names the first non-finite
-    step. Returns the sample times (0 and each step ``run`` samples) and an
-    (n_samples, n) array of the states there.
+    step. Python floats never warn or raise on overflow. Returns the sample
+    times (0 and each step ``run`` samples) and an (n_samples, n) array of
+    the states there.
     """
-    times, samples = [0.0], [c.copy()]
-    # The state is checked each block, so numpy's overflow warnings (from the
-    # update itself when h is huge) would only repeat the error raised here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(1, n_steps + 1, _BLOCK):
-            stop = min(first + _BLOCK, n_steps + 1)
-            end = run(c, first, stop, times, samples)
-            if not np.isfinite(end).all():
-                for step in range(first, stop):
-                    c = run(c, step, step + 1, times, samples)
-                    if not np.isfinite(c).all():
-                        raise NonFiniteStateError(f"non-finite state at step {step}")
-            c = end
+    times, samples = [0.0], [c]
+    for first in range(1, n_steps + 1, _BLOCK):
+        stop = min(first + _BLOCK, n_steps + 1)
+        end = run(c, first, stop, times, samples)
+        if not np.isfinite(end).all():
+            for step in range(first, stop):
+                c = run(c, step, step + 1, times, samples)
+                if not np.isfinite(c).all():
+                    raise NonFiniteStateError(f"non-finite state at step {step}")
+        c = end
     return np.array(times), np.array(samples)
 
 
-@lru_cache(maxsize=32)  # a run keeps one split; a session runs a few
-def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, int],
-                                                   Callable[[list, int, int, list, list], list]]:
-    """Generated RK4 for ``split``'s flow: a runner that takes a block of steps on local floats.
+@lru_cache(maxsize=32)
+def _terms(split: ControlSplit) -> tuple[dict[str, float], tuple[tuple[tuple[str, str, int, int], ...], ...],
+                                         tuple[int, ...]]:
+    """The term table of ``split``'s field, which both kernels emit their code from.
 
-    The flow is dc/dt = coupling . (c[:ns], c[ns:]) with coupling =
-    ``split.coupling`` and ns = |S|. Returns ``make(h, hh, h6, stride,
-    last) -> run``, so the compiled code holds no step size. ``run(c,
-    first, stop, times, samples)`` is ``_flow``'s runner. It unpacks the
-    list c into locals c0, c1, ... once, takes steps first .. stop - 1 in a
-    loop of straight-line assignments, and returns the state after the
-    last as a new list. At each step that is a multiple of ``stride`` or is
-    ``last``, the run's final step, it appends step * h to ``times`` and a
-    new list of the state to ``samples``; no other step packs a list. Each
-    of the slopes k1..k4 (named a, b, d, e) first forms its distinct
-    products p = |m| * y_a, one local each, with each magnitude |m| a name
-    bound in the code's namespace; a product whose row a has no term is the
-    same throughout, so the runner forms it once, before the loop. Its row
-    k is then 0.0 +- p * y_(ns+b) +- ... over the nonzero coupling[k, a, b]
-    in row-major order, "-" where the entry is negative. That is the sum
-    ``c_einsum("kab,a,b->k")`` forms, bit for bit: a sequential sum from
-    +0.0 of (M y_a) y_b in row-major (a, b) order, less its zero terms.
-    Each stage is c_i + hh * k_i (h * k_i for the last), and the step sets
-    c_i = c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook
-    RK4's order. A row without terms gets no slope and no stage: the
-    runner sets its entry to c_i + 0.0 once, before the loop, so a -0.0
-    entry turns to +0.0 where textbook RK4 turns it, and a stage that no
-    term reads is left out.
-
-    Cached once per split: a frozen dataclass, equal to another over the
-    same basis (one object per group) and labels. So the fresh split that
-    ``spinctl integrate`` builds per call finds its runner without building
-    its coupling, which only a miss reads.
+    The field is dc/dt = coupling . (c[:ns], c[ns:]) with coupling =
+    ``split.coupling`` and ns = |S|. Returns the distinct magnitudes |m| of
+    the coupling's nonzero entries, each bound to a name m0, m1, ... in
+    order of first appearance; each row k's terms (sign, name, a, ns + b),
+    one per nonzero coupling[k, a, b] in row-major (a, b) order, "-" where
+    the entry is negative, with a and ns + b indices of the state; and the
+    live rows, those with a term. Each kernel sums row k as 0.0 +- t_1 +-
+    t_2 ... over its terms in this order: t = (|m| * y_a) * y_(ns+b) for an
+    RK4 slope at y, t = |m| * q_ab for a Taylor coefficient, with q_ab a
+    pair sum. That is the sequential sum from +0.0 over the dense coupling
+    in row-major (a, b) order, with m in place of |m|, bit for bit.
     """
-    # Skipping the coupling's zero entries keeps every bit of c_einsum's sum.
+    # Skipping the coupling's zero entries keeps every bit of the dense sum.
     # That sum starts at +0.0, so it never becomes -0.0, and with finite
     # inputs a zero entry adds +-0, which leaves it unchanged. A non-finite
     # input is a start entry, which stays non-finite in the state, or an entry
@@ -247,16 +228,72 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, in
     # (su3's values are so only to 4.4e-16, from its two floats for sqrt(3),
     # but only the pattern counts here). So such an entry also feeds a
     # nonzero term of some row, the state turns non-finite at the step it
-    # would with every term kept, and _flow names the step textbook RK4 names.
+    # would with every term kept, and _flow names the step the textbook names.
+    # A Taylor pair sum that no row reads is not formed at all. The dense sum
+    # multiplies it by 0, which adds +-0 while it stays finite; only such a sum
+    # overflowing while every sum a row reads stays finite would turn the dense
+    # sum non-finite where the kernel's is not.
     #
+    # A negative entry's term is subtracted: m * x = -(|m| * x), since
+    # rounding is symmetric in sign, and s + (-t) is s - t by IEEE's
+    # definition. Only a NaN's sign may differ, and _flow raises before a
+    # non-finite state leaves it.
+    coupling, ns = split.coupling, len(split.s_indices)
+    magnitudes: dict[float, str] = {}
+    rows: list[list[tuple[str, str, int, int]]] = [[] for _ in range(coupling.shape[0])]
+    for k, a, b in zip(*np.nonzero(coupling)):
+        m = coupling[k, a, b].item()
+        name = magnitudes.setdefault(abs(m), f"m{len(magnitudes)}")
+        rows[k].append(("-" if m < 0 else "+", name, int(a), ns + int(b)))
+    return ({name: m for m, name in magnitudes.items()}, tuple(map(tuple, rows)),
+            tuple(i for i, terms in enumerate(rows) if terms))
+
+
+def _emit(kernel: str, params: str, body: list[str], magnitudes: dict[str, float]) -> Callable:
+    """``make(params) -> run``, compiled from ``run``'s ``body`` lines with the magnitudes bound by name.
+
+    The code's filename, ``<spinctl.brachistochrone kernel>``, names the
+    kernel, so a profiler or a traceback tells the generated runners apart.
+    """
+    source = (f"def make({params}):\n    def run(c, first, stop, times, samples):\n"
+              + "".join(f"        {line}\n" for line in body) + "    return run\n")
+    namespace = dict(magnitudes)
+    exec(compile(source, f"<spinctl.brachistochrone {kernel}>", "exec"), namespace)
+    return namespace["make"]
+
+
+@lru_cache(maxsize=32)  # a run keeps one split; a session runs a few
+def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, int],
+                                                   Callable[[list, int, int, list, list], list]]:
+    """Generated RK4 for ``split``'s flow: a runner that takes a block of steps on local floats.
+
+    Emitted from ``_terms(split)``. Returns ``make(h, hh, h6, stride, last)
+    -> run``, so the compiled code holds no step size. ``run(c, first,
+    stop, times, samples)`` is ``_flow``'s runner. It unpacks the list c
+    into locals c0, c1, ... once, takes steps first .. stop - 1 in a loop
+    of straight-line assignments, and returns the state after the last as
+    a new list. At each step that is a multiple of ``stride`` or is
+    ``last``, the run's final step, it appends step * h to ``times`` and a
+    new list of the state to ``samples``; no other step packs a list. Each
+    of the slopes k1..k4 (named a, b, d, e) first forms its distinct
+    products p = |m| * y_a, one local each; a product whose row a has no
+    term is the same throughout, so the runner forms it once, before the
+    loop. Its row k is then 0.0 +- p * y_(ns+b) +- ... over the row's terms
+    in the table's order, the textbook RK4 slope bit for bit. Each stage is
+    c_i + hh * k_i (h * k_i for the last), and the step sets c_i = c_i + h6
+    * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook RK4's order. A row
+    without terms gets no slope and no stage: the runner sets its entry to
+    c_i + 0.0 once, before the loop, so a -0.0 entry turns to +0.0 where
+    textbook RK4 turns it, and a stage that no term reads is left out.
+
+    Cached once per split: a frozen dataclass, equal to another over the
+    same basis (one object per group) and labels. So the fresh split that
+    ``spinctl integrate`` builds per call finds its runner without building
+    its coupling, which only a miss reads.
+    """
     # Each product |m| * y_a goes into a local once per slope, and every term
     # that shares it reads that local: the same IEEE operation on the same
     # operands gives the same bits.
-    #
-    # A negative entry's term is subtracted: m * y_a = -(|m| * y_a) and
-    # (-p) * y_b = -(p * y_b), since rounding is symmetric in sign, and
-    # s + (-t) is s - t by IEEE's definition. Only a NaN's sign may differ,
-    # and _flow raises before a non-finite state leaves it.
     #
     # A row without terms has slope +0.0 at every stage, so for finite h its
     # stage is c_i + 0.0 and its new entry c_i + h6 * (((0.0 + 2.0 * 0.0) +
@@ -274,25 +311,20 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, in
     # it before the loop too.
     #
     # A stage that no term reads is not computed.
-    coupling, ns = split.coupling, len(split.s_indices)
-    n = coupling.shape[0]
-    magnitudes: dict[float, str] = {}
+    magnitudes, rows, live = _terms(split)
+    n = len(rows)
     products: dict[tuple[str, int], str] = {}
-    rows: list[list[tuple[str, str, int]]] = [[] for _ in range(n)]
-    for k, a, b in zip(*np.nonzero(coupling)):
-        m = coupling[k, a, b].item()
-        name = magnitudes.setdefault(abs(m), f"m{len(magnitudes)}")
-        rows[k].append(("-" if m < 0 else "+", products.setdefault((name, a), f"p{len(products)}"), ns + b))
-    namespace: dict = {name: m for m, name in magnitudes.items()}
-    live = [i for i in range(n) if rows[i]]
-    read = {a for _, a in products} | {b for terms in rows for _, _, b in terms}
+    for terms in rows:
+        for _, m, a, _ in terms:
+            products.setdefault((m, a), f"p{len(products)}")
+    read = {a for _, a in products} | {b for terms in rows for *_, b in terms}
 
     def slopes(k: str, y: str) -> list[str]:
         def entry(i: int) -> str:
             return f"{y}{i}" if rows[i] else f"c{i}"
 
         return [*(f"{p} = {m} * {y}{a}" for (m, a), p in products.items() if rows[a]),
-                *(f"{k}{i} = 0.0" + "".join(f" {sign} {p} * {entry(b)}" for sign, p, b in rows[i])
+                *(f"{k}{i} = 0.0" + "".join(f" {sign} {products[m, a]} * {entry(b)}" for sign, m, a, b in rows[i])
                   for i in live)]
 
     def stage(weight: str, k: str) -> list[str]:
@@ -313,9 +345,70 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, in
             "for step in range(first, stop):",
             *(f"    {line}" for line in loop),
             f"return [{state}]"]
-    exec("def make(h, hh, h6, stride, last):\n    def run(c, first, stop, times, samples):\n"
-         + "".join(f"        {line}\n" for line in body) + "    return run\n", namespace)
-    return namespace["make"]
+    return _emit("step", "h, hh, h6, stride, last", body, magnitudes)
+
+
+@lru_cache(maxsize=32)
+def _compile_taylor(split: ControlSplit) -> Callable[[float, int], Callable[[list, int, int, list, list], list]]:
+    """Generated fixed-order Taylor steps of ``split``'s flow: a runner that takes a block of steps on local floats.
+
+    Emitted from ``_terms(split)``. Returns ``make(h, order) -> run``, so
+    one compiled kernel serves every step size and order >= 1. ``run(c,
+    first, stop, times, samples)`` is ``_flow``'s runner and samples every
+    step. Per step it builds the Taylor coefficients c_0 = c, c_1, ...,
+    c_order of the state about the step's start. Coefficient k + 1 reads
+    the pair sums q_ab = 0.0 + h_0[a] * f_k[b] + h_1[a] * f_(k-1)[b] + ...,
+    in that order, over the pairs (a, ns + b) the table's terms name, with
+    h_j and f_j the S and S^c halves of c_j, each unpacked into locals per
+    j. Its live row i is (0.0 +- |m| * q_ab +- ...) / (k + 1) over the
+    row's terms; a row without terms has coefficient 0.0. The step's state
+    is their Horner sum at h, (c_order * h + c_(order-1)) * h + ... + c_0,
+    the textbook Taylor step bit for bit.
+    """
+    # A row without terms has coefficients +0.0 past c_0 (the dense sum of
+    # +-0 from +0.0, over k + 1), so for finite h its Horner sum is c_i + 0.0,
+    # and the runner sets it once per call, before the loop, as the RK4
+    # runner does; its zero coefficients still enter the pair sums it feeds.
+    magnitudes, rows, live = _terms(split)
+    n = len(rows)
+    pairs: dict[tuple[int, int], str] = {}
+    for terms in rows:
+        for *_, a, b in terms:
+            pairs.setdefault((a, b), f"q{len(pairs)}")
+    s_read, c_read = sorted({a for a, _ in pairs}), sorted({b for _, b in pairs})
+
+    def pack(*items: str) -> str:
+        return f"({', '.join(items)},)"
+
+    def names(prefix: str, indices) -> str:
+        return pack(*(f"{prefix}{i}" for i in indices))
+
+    def coefficient(i: int) -> str:
+        return f"t{i}" if rows[i] else "0.0"
+
+    state = ", ".join(f"c{i}" for i in range(n))
+    loop = [f"hs, fs, series = [{names('c', s_read)}], [{names('c', c_read)}], []",
+            "for k in range(order):",
+            *(f"    {q} = 0.0" for q in pairs.values()),
+            f"    for {names('u', s_read)}, {names('v', c_read)} in zip(hs, reversed(fs)):",
+            *(f"        {q} = {q} + u{a} * v{b}" for (a, b), q in pairs.items()),
+            "    n = k + 1",
+            *(f"    t{i} = (0.0" + "".join(f" {sign} {m} * {pairs[a, b]}" for sign, m, a, b in rows[i]) + ") / n"
+              for i in live),
+            f"    hs.append({pack(*map(coefficient, s_read))})",
+            f"    fs.append({pack(*map(coefficient, c_read))})",
+            f"    series.append({names('t', live)})",
+            f"for {names('y', live)} in series[-2::-1]:",
+            *(f"    t{i} = t{i} * h + y{i}" for i in live),
+            *(f"c{i} = t{i} * h + c{i}" for i in live)] if live else []
+    body = [f"{state}, = c",
+            *(f"c{i} = c{i} + 0.0" for i in range(n) if not rows[i]),
+            "for step in range(first, stop):",
+            *(f"    {line}" for line in loop),
+            "    times.append(step * h)",
+            f"    samples.append([{state}])",
+            f"return [{state}]"]
+    return _emit("taylor", "h, order", body, magnitudes)
 
 
 def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,
@@ -326,30 +419,12 @@ def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,
     ns = |S|, is bilinear, so the Taylor coefficients of c(t) about each
     step's start follow from Cauchy products, c_{k+1} = sum_j M(c_j[:ns],
     c_{k-j}[ns:]) / (k + 1) (Jorba & Zou, Exp. Math. 14, 99 (2005)), and a
-    step is their Horner sum at ``h``.
+    step is their Horner sum at ``h``. The steps run on Python floats
+    through the split's generated runner (``_compile_taylor``); ``order``
+    is at least 1.
     """
-    coupling, ns = split.coupling, len(split.s_indices)
-    series = np.empty((order + 1,) + c.shape)
-
-    def advance(c: np.ndarray) -> np.ndarray:
-        series[0] = c
-        for k in range(order):
-            pairs = c_einsum("ja,jb->ab", series[:k + 1, :ns], series[k::-1, ns:])
-            series[k + 1] = c_einsum("kab,ab->k", coupling, pairs) / (k + 1)
-        c = series[order].copy()
-        for coeffs in series[order - 1::-1]:
-            c *= h
-            c += coeffs
-        return c
-
-    def run(c: np.ndarray, first: int, stop: int, times: list, samples: list) -> np.ndarray:
-        for step in range(first, stop):
-            c = advance(c)
-            times.append(step * h)
-            samples.append(c)
-        return c
-
-    return _flow(run, c, n_steps)
+    run = _compile_taylor(split)(float(h), order)
+    return _flow(run, np.asarray(c, dtype=float).tolist(), n_steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +451,7 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     """Classical fixed-step RK4 over the projected commutator field.
 
     The state runs as a list of Python floats through the split's generated
-    step (``_compile_step``), bit for bit textbook RK4 on the einsum field.
+    step (``_compile_step``), bit for bit textbook RK4 on the dense field.
     ``initial`` holds one start, an (|S|,) row and an (|S^c|,) row. Steps
     n = round(T / h) times from t = 0 so the final time is within h of T.
     Samples (and the invariant monitors) are recorded every

@@ -314,10 +314,10 @@ class TestDrawSets:
 class TestDirectSumFlow:
     def test_slices_back_to_serial_runs(self):
         # the flow half of constraint_orthogonality: one Taylor flow over the three
-        # groups is, group by group, its own Taylor flow and the RK4 integrate of
-        # that group. Not bitwise: "kab,nab->nk" sums over the zero blocks of the
-        # direct sum in another grouping than over one group's coupling. At h = 2.5e-4
-        # RK4's worst gap is rounding-bound, about 2e-14; at 5e-4 it reaches 2.4e-13
+        # groups is, group by group, its own Taylor flow, bit for bit, since the kernel
+        # sums only the coupling's nonzero entries and so never the zero blocks of the
+        # direct sum, and the RK4 integrate of that group. At h = 2.5e-4 RK4's worst
+        # gap is rounding-bound, about 2e-14; at 5e-4 it reaches 2.4e-13
         rng = np.random.default_rng(11)
         split = canonical_split("su2+su3+su4")
         assert split.coupling.shape == (26, 8, 18)
@@ -329,8 +329,8 @@ class TestDirectSumFlow:
                 fc += 8
                 ns = len(part.s_indices)
                 alone = bt._taylor(part, np.concatenate([x0[hc], x0[fc]]), 0.1, 10, order=14)[1]
-                assert np.max(np.abs(samples[:, hc] - alone[:, :ns])) <= 1e-15
-                assert np.max(np.abs(samples[:, fc] - alone[:, ns:])) <= 1e-15
+                assert samples[:, hc].tobytes() == alone[:, :ns].tobytes()
+                assert samples[:, fc].tobytes() == alone[:, ns:].tobytes()
                 rk4 = integrate(OperatorPair(x0[hc], x0[fc]), part, h=2.5e-4, T=1.0, sample_stride=400)
                 np.testing.assert_allclose(times, rk4.times, rtol=0, atol=1e-15)
                 assert np.max(np.abs(samples[:, hc] - rk4.h_coeffs)) <= 1e-13

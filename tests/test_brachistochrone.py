@@ -116,32 +116,53 @@ EDGE_ENTRIES = (1e150, -1e150, 0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.n
 
 
 @st.composite
-def starts(draw, n: int) -> np.ndarray:
-    """An (n,) state of entries from [-3, 3], up to two of them set to an edge entry."""
+def starts(draw, n: int, edges: tuple[float, ...] = EDGE_ENTRIES) -> np.ndarray:
+    """An (n,) state of entries from [-3, 3], up to two of them set to one of ``edges``."""
     x0 = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
     for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-        x0[i] = draw(st.sampled_from(EDGE_ENTRIES))
+        x0[i] = draw(st.sampled_from(edges))
     return np.array(x0)
+
+
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """0.0 + terms[0] + terms[1] + ... over the first axis, added one term at a time in that order.
+
+    np.cumsum adds each term to the running sum of the terms before it;
+    unlike np.sum it never sums pairwise, so its last running sum is this one.
+    """
+    return np.cumsum(np.concatenate([np.zeros((1, *terms.shape[1:])), terms]), axis=0)[-1]
 
 
 def textbook_taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_steps: int,
                     order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor steps as first written: a fresh array per coefficient, every step sampled.
+    """Taylor steps as first written: a fresh array per coefficient, the state checked at every step.
 
-    The bitwise reference for ``bt._taylor`` on a run that stays finite.
+    The bitwise reference for ``bt._taylor``: the same times and samples,
+    and the same NonFiniteStateError, naming the first non-finite step.
+    Each coefficient c_{k+1} = sum_j M(c_j[:ns], c_{k-j}[ns:]) / (k + 1)
+    sums over the dense coupling M in a fixed order, with elementwise
+    products and ordered sums only: first each pair's sum q_ab over
+    j = 0 .. k, then each row's terms M[k, a, b] q_ab over (a, b) in
+    row-major order, zero entries and all. (A pair that no row reads adds
+    0 * q_ab, so the two could differ only if such a pair's sum overflowed
+    while every other stayed finite.)
     """
     times, samples = [0.0], [c.copy()]
-    for step in range(1, n_steps + 1):
-        series = [c]
-        for k in range(order):
-            known = np.stack(series)  # coefficients 0..k
-            pairs = np.einsum("ja,jb->ab", known[:, :ns], known[::-1, ns:])
-            series.append(np.einsum("kab,ab->k", coupling, pairs) / (k + 1))
-        c = series[order]
-        for coeffs in series[order - 1::-1]:
-            c = c * h + coeffs
-        times.append(step * h)
-        samples.append(c)
+    rows = coupling.reshape(len(coupling), -1).T  # (a, b) in row-major order, then k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            series = [c]
+            for k in range(order):
+                known = np.stack(series)  # coefficients 0..k
+                pairs = ordered_sum(known[:, :ns, None] * known[::-1, None, ns:])
+                series.append(ordered_sum(rows * pairs.reshape(-1, 1)) / (k + 1))
+            c = series[order]
+            for coeffs in series[order - 1::-1]:
+                c = c * h + coeffs
+            if not np.isfinite(c).all():
+                raise NonFiniteStateError(f"non-finite state at step {step}")
+            times.append(step * h)
+            samples.append(c)
     return np.array(times), np.array(samples)
 
 
@@ -575,15 +596,15 @@ class TestRk4Kernel:
     def test_generated_source_holds_no_coefficient(self, monkeypatch):
         split = canonical_split("su2+su3+su4")
         coupling, ns = split.coupling, len(split.s_indices)
-        compiled = []
+        sources = []
 
-        def spy(source, namespace):
-            compiled.append((source, dict(namespace)))
-            exec(source, namespace)
+        def spy(source, filename, mode):
+            sources.append(source)
+            return compile(source, filename, mode)
 
-        monkeypatch.setattr(bt, "exec", spy, raising=False)
-        bt._compile_step.__wrapped__(split)  # past the cache
-        [(source, namespace)] = compiled
+        monkeypatch.setattr(bt, "compile", spy, raising=False)
+        namespace = bt._compile_step.__wrapped__(split).__globals__  # past the cache
+        [source] = sources
         nodes = list(ast.walk(ast.parse(source)))
         assert {node.value for node in nodes if isinstance(node, ast.Constant)} == {0.0, 2.0}
         # the m names are bound to the distinct magnitudes of the nonzero entries, one name each
@@ -774,6 +795,25 @@ class TestTaylorFlow:
             for actual, expected in zip(got, textbook_taylor(split.coupling, ns, x0, 0.2, n_steps, 6)):
                 assert_bitwise(actual, expected)
 
+    @settings(PROPERTY, max_examples=100)
+    @given(data=st.data())
+    def test_matches_textbook_on_drawn_runs(self, data):
+        # _taylor is textbook_taylor bit for bit, or fails with its NonFiniteStateError
+        split = data.draw(splits())
+        x0 = data.draw(starts(len(split.basis), tuple(x for x in EDGE_ENTRIES if np.isfinite(x))))
+        h = data.draw(st.sampled_from([1e-3, 0.05, 0.1]))
+        order, n_steps = data.draw(st.integers(1, 14)), data.draw(st.integers(1, 80))
+        try:
+            times, samples = textbook_taylor(split.coupling, len(split.s_indices), x0, h, n_steps, order)
+        except NonFiniteStateError as reference:
+            with pytest.raises(NonFiniteStateError) as got:
+                bt._taylor(split, x0, h, n_steps, order)
+            assert str(got.value) == str(reference)
+            return
+        got = bt._taylor(split, x0, h, n_steps, order)
+        assert_bitwise(got[0], times)
+        assert_bitwise(got[1], samples)
+
     @pytest.mark.parametrize("scale,step", [(1e100, 1), (1e20, 2)])
     def test_non_finite_state_names_the_step(self, scale, step):
         # the Taylor sum from a huge start overflows: in the first step, or, from a
@@ -785,8 +825,8 @@ class TestTaylorFlow:
 
 class TestHotLoops:
     def test_kernels_never_dispatch_through_np_einsum(self, monkeypatch):
-        # integrate sums its field on Python floats and _taylor calls numpy's einsum core
-        # directly; np.einsum's Python layer would cost about a microsecond per call
+        # integrate and _taylor sum their fields on Python floats in generated runners;
+        # np.einsum's Python layer would cost about a microsecond per call
         split = canonical_split("su4")  # builds the basis with np.einsum, so before the patch
         x0 = np.random.default_rng(13).uniform(-1, 1, 15)
 
@@ -797,3 +837,7 @@ class TestHotLoops:
         traj = integrate(OperatorPair(x0[:4], x0[4:]), split, h=1e-2, T=1.0, sample_stride=10)
         assert traj.h_coeffs.shape == (11, 4)
         assert bt._taylor(split, x0, 0.05, 70, order=6)[1].shape == (71, 15)
+        # each runner's code names its kernel, so a profiler can tell them apart
+        assert bt._compile_step(split)(1e-2, 5e-3, 1e-2 / 6.0, 1, 1).__code__.co_filename == \
+            "<spinctl.brachistochrone step>"
+        assert bt._compile_taylor(split)(0.05, 6).__code__.co_filename == "<spinctl.brachistochrone taylor>"
