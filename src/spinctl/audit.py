@@ -45,7 +45,8 @@ Check catalog (fixed order):
                              integrated flows, one per group, run as
                              one flow on the direct sum su2+su3+su4
                              by brachistochrone._taylor (order 14,
-                             ten steps of 0.1)
+                             ten steps of 0.1), generated from the
+                             same term table as integrate's RK4
 """
 from __future__ import annotations
 

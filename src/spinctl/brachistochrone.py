@@ -203,21 +203,17 @@ def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: i
 
 
 @lru_cache(maxsize=32)
-def _terms(split: ControlSplit) -> tuple[dict[str, float], tuple[tuple[tuple[str, str, int, int], ...], ...],
-                                         tuple[int, ...]]:
-    """The term table of ``split``'s field, which both kernels emit their code from.
+def _terms(split: ControlSplit) -> tuple[tuple[tuple[str, float], ...],
+                                         tuple[tuple[tuple[str, str, int, int], ...], ...], tuple[int, ...]]:
+    """The term table of ``split``'s field dc/dt = coupling . (c[:ns], c[ns:]), which both kernels emit code from.
 
-    The field is dc/dt = coupling . (c[:ns], c[ns:]) with coupling =
-    ``split.coupling`` and ns = |S|. Returns the distinct magnitudes |m| of
-    the coupling's nonzero entries, each bound to a name m0, m1, ... in
-    order of first appearance; each row k's terms (sign, name, a, ns + b),
-    one per nonzero coupling[k, a, b] in row-major (a, b) order, "-" where
-    the entry is negative, with a and ns + b indices of the state; and the
-    live rows, those with a term. Each kernel sums row k as 0.0 +- t_1 +-
-    t_2 ... over its terms in this order: t = (|m| * y_a) * y_(ns+b) for an
-    RK4 slope at y, t = |m| * q_ab for a Taylor coefficient, with q_ab a
-    pair sum. That is the sequential sum from +0.0 over the dense coupling
-    in row-major (a, b) order, with m in place of |m|, bit for bit.
+    Returns the distinct magnitudes |m| of ``split.coupling``'s nonzero
+    entries as pairs (name, |m|), named m0, m1, ... in order of first
+    appearance; per row k, its terms (sign, name, a, ns + b), with ns =
+    |S|, one per nonzero coupling[k, a, b] in row-major (a, b) order, "-"
+    where the entry is negative; and the live rows, those with a term. A kernel sums
+    each row from +0.0 over its terms in this order, as the dense
+    sequential sum does with m in place of |m|, bit for bit.
     """
     # Skipping the coupling's zero entries keeps every bit of the dense sum.
     # That sum starts at +0.0, so it never becomes -0.0, and with finite
@@ -245,16 +241,12 @@ def _terms(split: ControlSplit) -> tuple[dict[str, float], tuple[tuple[tuple[str
         m = coupling[k, a, b].item()
         name = magnitudes.setdefault(abs(m), f"m{len(magnitudes)}")
         rows[k].append(("-" if m < 0 else "+", name, int(a), ns + int(b)))
-    return ({name: m for m, name in magnitudes.items()}, tuple(map(tuple, rows)),
+    return (tuple((name, m) for m, name in magnitudes.items()), tuple(map(tuple, rows)),
             tuple(i for i, terms in enumerate(rows) if terms))
 
 
-def _emit(kernel: str, params: str, body: list[str], magnitudes: dict[str, float]) -> Callable:
-    """``make(params) -> run``, compiled from ``run``'s ``body`` lines with the magnitudes bound by name.
-
-    The code's filename, ``<spinctl.brachistochrone kernel>``, names the
-    kernel, so a profiler or a traceback tells the generated runners apart.
-    """
+def _emit(kernel: str, params: str, body: list[str], magnitudes: tuple[tuple[str, float], ...]) -> Callable:
+    """``make(params) -> run`` from ``run``'s ``body``, compiled under a filename that names the ``kernel``."""
     source = (f"def make({params}):\n    def run(c, first, stop, times, samples):\n"
               + "".join(f"        {line}\n" for line in body) + "    return run\n")
     namespace = dict(magnitudes)

@@ -1,4 +1,4 @@
-"""Print the time per RK4 step and the compile and cache-hit times of its generated block runner.
+"""Print the RK4 step time, its runner's compile and cache-hit times, and the Taylor flow's time.
 
     python3 tools/rk4.py
 
@@ -22,7 +22,10 @@ case gives:
   (_compile_step.__wrapped__), what the first run on a split pays;
 - hit_us: the best mean of REPEATS rounds of HITS _compile_step calls,
   each on a fresh split equal to the cached one, what every later
-  `spinctl integrate` call pays (building the split, hash and lookup).
+  `spinctl integrate` call pays (building the split, hash and lookup);
+- taylor_ms: the best of ROUNDS runs of the audit's Taylor flow,
+  brachistochrone._taylor at order 14 over ten steps of 0.1, from the
+  same start, after one warm-up run that compiles its kernel.
 
 Timings are wall clock and swing with the host's load: quote ranges over
 several processes. Another checkout's src/ runs with
@@ -50,6 +53,7 @@ ROUNDS = 7
 REPEATS = 5
 HITS = 1000
 SEED = 0
+TAYLOR_H, TAYLOR_STEPS, TAYLOR_ORDER = 0.1, 10, 14
 
 
 def random_split(group: str, rng: random.Random) -> bt.ControlSplit:
@@ -77,8 +81,8 @@ def shape(split: bt.ControlSplit) -> tuple[int, int, int]:
     return len(k), len(products), len(set(k.tolist()))
 
 
-def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[float, float, float, float]:
-    """µs per step at stride STRIDE and 1, cold compile ms and cache-hit µs for ``split``."""
+def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[float, float, float, float, float]:
+    """µs per step at stride STRIDE and 1, cold compile ms, cache-hit µs and Taylor flow ms for ``split``."""
     ns = len(split.s_indices)
     x0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(len(split.basis))])
     start = bt.OperatorPair(x0[:ns], x0[ns:])
@@ -97,20 +101,26 @@ def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[float, float, f
             bt._compile_step(bt.ControlSplit(split.basis, *labels))
 
     hit_s = best(hits, REPEATS) / HITS
-    return step_s / STEPS * 1e6, step_s1 / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6
+
+    def taylor():
+        bt._taylor(split, x0, TAYLOR_H, TAYLOR_STEPS, TAYLOR_ORDER)
+
+    taylor()  # warm-up, compiles the Taylor kernel
+    taylor_s = best(taylor, ROUNDS)
+    return step_s / STEPS * 1e6, step_s1 / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6, taylor_s * 1e3
 
 
 def main() -> None:
     print(f"{STEPS} steps at h = {H}, best of {ROUNDS} runs per case and stride after one warm-up")
     print(f"{'group':<13}{'split':<11}{'terms':>6}{'products':>9}{'live':>5}{'us_step':>9}{'us_step_s1':>12}"
-          f"{'compile_ms':>12}{'hit_us':>8}")
+          f"{'compile_ms':>12}{'hit_us':>8}{'taylor_ms':>11}")
     rng = random.Random(SEED)
     for group in GROUPS:
         for name, split in (("canonical", bt.canonical_split(group)), ("random", random_split(group, rng))):
             terms, products, live = shape(split)
-            us_step, us_step_s1, compile_ms, hit_us = measure(split, rng)
+            us_step, us_step_s1, compile_ms, hit_us, taylor_ms = measure(split, rng)
             print(f"{group:<13}{name:<11}{terms:>6}{products:>9}{live:>5}{us_step:>9.2f}{us_step_s1:>12.2f}"
-                  f"{compile_ms:>12.2f}{hit_us:>8.2f}")
+                  f"{compile_ms:>12.2f}{hit_us:>8.2f}{taylor_ms:>11.3f}")
 
 
 if __name__ == "__main__":
