@@ -181,13 +181,13 @@ def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: i
     the last. It appends each sampled step's time and state to ``times``
     and ``samples``, a new list each, so a sample needs no copy. The state
     is checked for finiteness at the end of each block. A non-finite entry
-    stays non-finite in every later step (each new entry is the old one plus
-    an increment), so a block that ends finite was finite throughout. A block that
-    does not is replayed from its first state through ``run``, one step a
-    call, checking each step, and the error names the first non-finite
-    step. Python floats never warn or raise on overflow. Returns the sample
-    times (0 and each step ``run`` samples) and an (n_samples, n) array of
-    the states there.
+    stays non-finite in every later step (each new entry is the old one
+    plus an increment), so a block that ends finite was finite throughout.
+    A block that does not is replayed from its first state through ``run``,
+    one step a call, checking each step, and the error names the first
+    non-finite step. Python floats never warn or raise on overflow. Returns
+    the sample times (0 and each step ``run`` samples) and an (n_samples, n)
+    array of the states there.
     """
     times, samples = [0.0], [c]
     for first in range(1, n_steps + 1, _BLOCK):
@@ -211,9 +211,9 @@ def _terms(split: ControlSplit) -> tuple[tuple[tuple[str, float], ...],
     entries as pairs (name, |m|), named m0, m1, ... in order of first
     appearance; per row k, its terms (sign, name, a, ns + b), with ns =
     |S|, one per nonzero coupling[k, a, b] in row-major (a, b) order, "-"
-    where the entry is negative; and the live rows, those with a term. A kernel sums
-    each row from +0.0 over its terms in this order, as the dense
-    sequential sum does with m in place of |m|, bit for bit.
+    where the entry is negative; and the live rows, those with a term. A
+    kernel sums each row from +0.0 over its terms in this order, as the
+    dense sequential sum does with m in place of |m|, bit for bit.
     """
     # Skipping the coupling's zero entries keeps every bit of the dense sum.
     # That sum starts at +0.0, so it never becomes -0.0, and with finite

@@ -143,9 +143,9 @@ def textbook_taylor(coupling: np.ndarray, ns: int, c: np.ndarray, h: float, n_st
     sums over the dense coupling M in a fixed order, with elementwise
     products and ordered sums only: first each pair's sum q_ab over
     j = 0 .. k, then each row's terms M[k, a, b] q_ab over (a, b) in
-    row-major order, zero entries and all. (A pair that no row reads adds
-    0 * q_ab, so the two could differ only if such a pair's sum overflowed
-    while every other stayed finite.)
+    row-major order, zero entries and all. (``_taylor`` forms no pair sum
+    that no row reads, which adds 0 * q_ab here, so the two could differ
+    only if such a sum overflowed while every other stayed finite.)
     """
     times, samples = [0.0], [c.copy()]
     rows = coupling.reshape(len(coupling), -1).T  # (a, b) in row-major order, then k
