@@ -413,8 +413,10 @@ def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,
     c_{k-j}[ns:]) / (k + 1) (Jorba & Zou, Exp. Math. 14, 99 (2005)), and a
     step is their Horner sum at ``h``. The steps run on Python floats
     through the split's generated runner (``_compile_taylor``); ``order``
-    is at least 1.
+    is an integer of at least 1, else ValueError.
     """
+    if not (isinstance(order, numbers.Integral) and order >= 1):
+        raise ValueError(f"Taylor order must be an integer >= 1, got {order}")
     run = _compile_taylor(split)(float(h), order)
     return _flow(run, np.asarray(c, dtype=float).tolist(), n_steps)
 

@@ -814,6 +814,14 @@ class TestTaylorFlow:
         assert_bitwise(got[0], times)
         assert_bitwise(got[1], samples)
 
+    @pytest.mark.parametrize("order", [0, -1, 2.0])
+    def test_order_below_one_or_not_an_integer_is_refused(self, order, monkeypatch):
+        # refused before a runner is built: order 0 once failed inside the generated code
+        split = canonical_split("su2")
+        monkeypatch.setattr(bt, "_compile_taylor", None)
+        with pytest.raises(ValueError, match=rf"^Taylor order must be an integer >= 1, got {order}$"):
+            bt._taylor(split, np.ones(3), 0.1, 10, order)
+
     @pytest.mark.parametrize("scale,step", [(1e100, 1), (1e20, 2)])
     def test_non_finite_state_names_the_step(self, scale, step):
         # the Taylor sum from a huge start overflows: in the first step, or, from a

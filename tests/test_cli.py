@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import PROPERTY, eigh_exp
+from spinctl import cli
 from spinctl.brachistochrone import integrate
-from spinctl.cli import ConfigError, _build_parser, dispatch, parse_config
+from spinctl.cli import _CSV_ROWS, ConfigError, _build_parser, _csv_rows, dispatch, parse_config
 from spinctl.closedforms import DiracParameters, su4_family
 from spinctl.generators import build_basis
 
@@ -166,6 +167,83 @@ class TestIntegrateCommand:
         cfg.write_text("group = su2\nsplit = sx,sy\nT = 1\n")
         assert dispatch(["integrate", "--config", str(cfg),
                          "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def _per_row(table: np.ndarray) -> str:
+    """The bytes _csv_rows must give: Python's ``'%.17g'`` per value, one comma join per row."""
+    row = ",".join(["%.17g"] * table.shape[1])
+    return "".join(row % tuple(vals) + "\n" for vals in table.tolist())
+
+
+def _near_power_of_ten(m: int, ulps: int, negative: bool) -> float:
+    """The double ``ulps`` steps from 1e``m``, negated if ``negative``: any float, a NaN too."""
+    bits = np.array([float(f"1e{m}")]).view(np.int64) + ulps
+    return float(-bits.view(np.float64)[0] if negative else bits.view(np.float64)[0])
+
+
+#: Any double, and doubles at and next to each power of ten, where the fixed and
+#: scientific notations of '%.17g' meet and where the decimal exponent moves.
+CSV_VALUES = st.one_of(st.floats(), st.builds(_near_power_of_ten, st.integers(-330, 310),
+                                              st.integers(-3, 3), st.booleans()))
+
+
+class TestCsvRows:
+    """_csv_rows is the per-row '%.17g' join, byte for byte, at each edge of its fast path."""
+
+    @staticmethod
+    def rows(*values: float) -> list[str]:
+        table = np.array([values])
+        text = _csv_rows(table)
+        assert text == _per_row(table)
+        return text.removesuffix("\n").split(",")
+
+    def test_ties_round_half_even(self):
+        # 17 digits of ...56.25 and ...56.75 end on an exact half: to even, .2 and .8
+        assert self.rows(1234567890123456.25, 1234567890123456.75) == ["1234567890123456.2", "1234567890123456.8"]
+
+    def test_fixed_notation_starts_at_one_ten_thousandth(self):
+        assert self.rows(9.9999999999999991e-05, 0.0001, -0.0001) == \
+            ["9.9999999999999991e-05", "0.0001", "-0.0001"]
+
+    def test_fixed_notation_ends_below_1e16(self):
+        assert self.rows(9999999999999998, 1e16, 10000000000000002) == \
+            ["9999999999999998", "10000000000000000", "10000000000000002"]
+
+    def test_signed_zero_and_the_longest_value(self):
+        # -4.9406564584124654e-324, the negative least subnormal, is 24 characters
+        assert self.rows(-0.0, 0.0, -5e-324) == ["-0", "0", "-4.9406564584124654e-324"]
+
+    def test_non_finite_values(self):
+        assert self.rows(np.nan, np.inf, -np.inf, 1e300) == ["nan", "inf", "-inf", "1.0000000000000001e+300"]
+
+    def test_fast_path_certifies_its_whole_range(self, monkeypatch):
+        # with no '%.17g' fallback left, every ±0 and 1e-4 <= |x| < 1e16 still formats, also
+        # next to each power of ten, where log10's exponent can be one off and is moved once
+        monkeypatch.setattr(cli, "_REAL", "no fallback")
+        near = [_near_power_of_ten(m, ulps, False) for m in range(-4, 17) for ulps in range(-3, 4)]
+        near = [x for x in near if 1e-4 <= x < 1e16]
+        table = np.array([[0.0, -0.0, *near, *np.random.default_rng(7).uniform(-1, 1, 13)]]).reshape(-1, 1)
+        table = np.concatenate([table, -table])
+        assert _csv_rows(table) == _per_row(table)
+        with pytest.raises(TypeError):
+            _csv_rows(np.array([[9.9999999999999991e-05]]))
+
+    def test_tables_across_blocks(self):
+        # every bit pattern, NaNs and subnormals included, over several blocks and a partial one
+        rng = np.random.default_rng(43)
+        for shape in ((3 * _CSV_ROWS + 5, 7), (_CSV_ROWS, 1), (1, 29)):
+            table = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64).view(np.float64)
+            assert _csv_rows(table) == _per_row(table)
+            scaled = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-6, 18, shape)
+            assert _csv_rows(scaled) == _per_row(scaled)
+
+    @settings(PROPERTY, max_examples=300)
+    @given(data=st.data())
+    def test_any_table_is_the_per_row_format(self, data):
+        cols = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(CSV_VALUES, min_size=cols, max_size=cols), min_size=1, max_size=8))
+        table = np.array(rows, dtype=float)
+        assert _csv_rows(table).encode() == _per_row(table).encode()
 
 
 #: Per group: its split and its nonzero H and F coefficients, for the sum run below.
