@@ -147,7 +147,8 @@ def _scaled_digits(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray
     a * 10^k is formed exactly as hi + lo by Veltkamp splits (Dekker, Numer.
     Math. 18, 224 (1971)), with no FMA; each 10^k is an exact double. In
     range, hi is an even integer above 2^53, so hi + rint(lo) rounds the
-    exact hi + lo half to even. The bounds test the exact product, not D.
+    exact hi + lo half to even. The bounds test the exact hi + lo: near a
+    bound, hi minus it is exact and at least twice |lo| unless it is 0.
     """
     b = np.take(_POW10, k, mode="clip")
     hi = a * b
@@ -159,7 +160,7 @@ def _scaled_digits(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray
     bl = b - bh
     lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    return d, d - (lo < 0) < 10 ** 16, d >= 10 ** 17
+    return d, (hi - 1e16) + lo < 0.0, (hi - 1e17) + lo >= 0.0
 
 
 def _csv_block(x: np.ndarray, seps: np.ndarray) -> str:
