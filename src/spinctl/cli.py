@@ -194,9 +194,8 @@ def _csv_block(x: np.ndarray, seps: np.ndarray) -> str:
         d[i], below, above = _scaled_digits(a[i], k[i])
         ok[i[below | above]] = False
     e = (16 - k).astype(np.int8)
-    halves = np.empty((2, n), np.int32)  # D's first 8 digits and its last 9
-    halves[0] = d // 10 ** 9
-    halves[1] = d - halves[0] * 10 ** 9
+    top = d // 10 ** 9
+    halves = np.array([top, d - top * 10 ** 9], np.int32)  # D's first 8 digits and its last 9
     q = (halves // _POW10_INT).astype(np.uint8)  # floor(halves / 10^m) mod 256, m = 8 .. 0
     digits = q[1:] - np.uint8(10) * q[:-1]
     # rows 0-3 hold the zeros after "0." of e < 0, rows 4-20 D's digits
