@@ -19,19 +19,20 @@ Python floats, a block of steps at a time through ``_flow``. A split of a
 direct sum such as ``su2+su3+su4`` runs its groups side by side as one
 flow. The arrays are small, so a step of numpy calls would cost their
 dispatch, not arithmetic. Each kernel therefore runs one generated block
-runner, compiled once per split and cached: a loop of straight-line steps
-over local floats, which packs a list only for a sampled step and at the
-block's end. Both runners are emitted from one term table of the field
-(``_terms``): the coupling's nonzero entries, row by row in row-major
-order, each a magnitude |m| bound by name and a sign folded into the sum.
-So each row sums from +0.0 as the dense sum does, bit for bit, and never
-over the zero blocks of a direct sum. RK4 forms each distinct product of
-a magnitude and an entry once, and rows whose slope is identically zero
-get no stages. The Taylor runner forms each coefficient from the pair sums
-of Cauchy products, each a sequential sum from +0.0. ``_flow`` calls a
-kernel's runner once per block and checks finiteness at the block's end,
-replaying a failed block one step per call to name the first non-finite
-step.
+runner, compiled once per split and cached. Both runners share one frame
+(``_emit``): a loop of straight-line steps over local floats, which packs
+a list only for a step on the sampling grid, every stride-th step and the
+last, and at the block's end. Each kernel emits only its step, from one
+term table of the field (``_terms``): the coupling's nonzero entries, row
+by row in row-major order, each a magnitude |m| bound by name and a sign
+folded into the sum. So each row sums from +0.0 as the dense sum does, bit
+for bit, and never over the zero blocks of a direct sum. RK4 forms each
+distinct product of a magnitude and an entry once, and rows whose slope
+is identically zero get no stages. The Taylor step forms each coefficient
+from the pair sums of Cauchy products, each a sequential sum from +0.0.
+``_flow`` calls a kernel's runner once per block and checks finiteness at
+the block's end, replaying a failed block one step per call to name the
+first non-finite step.
 """
 from __future__ import annotations
 
@@ -76,6 +77,8 @@ class ControlSplit:
     constraint_labels: tuple[str, ...]
 
     def __post_init__(self):
+        for field in ("hamiltonian_labels", "constraint_labels"):  # tuples, so a split can key a cache
+            object.__setattr__(self, field, tuple(getattr(self, field)))
         s, c = set(self.hamiltonian_labels), set(self.constraint_labels)
         if not self.hamiltonian_labels:
             raise ValueError("Hamiltonian span must be nonempty")
@@ -245,9 +248,40 @@ def _terms(split: ControlSplit) -> tuple[tuple[tuple[str, float], ...],
             tuple(i for i, terms in enumerate(rows) if terms))
 
 
-def _emit(kernel: str, params: str, body: list[str], magnitudes: tuple[tuple[str, float], ...]) -> Callable:
-    """``make(params) -> run`` from ``run``'s ``body``, compiled under a filename that names the ``kernel``."""
-    source = (f"def make({params}):\n    def run(c, first, stop, times, samples):\n"
+def _emit(kernel: str, split: ControlSplit, params: str, step: list[str], before: list[str]) -> Callable:
+    """``make(params, stride, last) -> run``: ``_flow``'s runner around a kernel's ``step`` lines.
+
+    ``run(c, first, stop, times, samples)``, emitted from ``_terms(split)``,
+    unpacks the list c into locals c0, c1, ... once, sets each row without
+    terms to c_i + 0.0, runs the ``before`` lines, and takes steps first ..
+    stop - 1, each the ``step`` lines on the live rows' locals. At each step
+    that is a multiple of ``stride`` or is ``last``, the run's final step,
+    it appends step * h to ``times`` and a new list of the state to
+    ``samples``; no other step packs a list. It returns the state after the
+    last step as a new list. The code reads the magnitudes by name and is
+    compiled under a filename that names the ``kernel``.
+    """
+    # A row without terms has a zero field, so for finite h each kernel's
+    # textbook step adds +0.0 to its entry: the dense field sums +-0 from +0.0.
+    # x + 0.0 is idempotent: it maps -0.0 to +0.0 and leaves every other value
+    # as it is (a NaN stays a NaN, and _flow raises on it). So the runner adds
+    # it once per call, not once per step: the entry after any number of steps
+    # is the entry after one, and _flow's replay of one step per call gives
+    # the same bits.
+    magnitudes, rows, _ = _terms(split)
+    state = ", ".join(f"c{i}" for i in range(len(rows)))
+    body = [f"{state}, = c",
+            *(f"c{i} = c{i} + 0.0" for i, terms in enumerate(rows) if not terms),
+            *before,
+            "sample = first + -first % stride",
+            "for step in range(first, stop):",
+            *(f"    {line}" for line in step),
+            "    if step == sample or step == last:",
+            "        times.append(step * h)",
+            f"        samples.append([{state}])",
+            "        sample += stride",
+            f"return [{state}]"]
+    source = (f"def make({params}, stride, last):\n    def run(c, first, stop, times, samples):\n"
               + "".join(f"        {line}\n" for line in body) + "    return run\n")
     namespace = dict(magnitudes)
     exec(compile(source, f"<spinctl.brachistochrone {kernel}>", "exec"), namespace)
@@ -257,26 +291,17 @@ def _emit(kernel: str, params: str, body: list[str], magnitudes: tuple[tuple[str
 @lru_cache(maxsize=32)  # a run keeps one split; a session runs a few
 def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, int],
                                                    Callable[[list, int, int, list, list], list]]:
-    """Generated RK4 for ``split``'s flow: a runner that takes a block of steps on local floats.
+    """Generated RK4 for ``split``'s flow: ``make(h, hh, h6, stride, last) -> run``, ``_emit``'s runner.
 
-    Emitted from ``_terms(split)``. Returns ``make(h, hh, h6, stride, last)
-    -> run``, so the compiled code holds no step size. ``run(c, first,
-    stop, times, samples)`` is ``_flow``'s runner. It unpacks the list c
-    into locals c0, c1, ... once, takes steps first .. stop - 1 in a loop
-    of straight-line assignments, and returns the state after the last as
-    a new list. At each step that is a multiple of ``stride`` or is
-    ``last``, the run's final step, it appends step * h to ``times`` and a
-    new list of the state to ``samples``; no other step packs a list. Each
-    of the slopes k1..k4 (named a, b, d, e) first forms its distinct
-    products p = |m| * y_a, one local each; a product whose row a has no
-    term is the same throughout, so the runner forms it once, before the
-    loop. Its row k is then 0.0 +- p * y_(ns+b) +- ... over the row's terms
-    in the table's order, the textbook RK4 slope bit for bit. Each stage is
-    c_i + hh * k_i (h * k_i for the last), and the step sets c_i = c_i + h6
-    * (((a_i + 2.0 * b_i) + 2.0 * d_i) + e_i), textbook RK4's order. A row
-    without terms gets no slope and no stage: the runner sets its entry to
-    c_i + 0.0 once, before the loop, so a -0.0 entry turns to +0.0 where
-    textbook RK4 turns it, and a stage that no term reads is left out.
+    The compiled code holds no step size. Each of the slopes k1..k4 (named
+    a, b, d, e) first forms its distinct products p = |m| * y_a, one local
+    each; a product whose row a has no term reads the constant c_a, so the
+    runner forms it once, before the loop. Its row k is then 0.0 +- p *
+    y_(ns+b) +- ... over the row's terms in the table's order, the textbook
+    RK4 slope bit for bit. Each stage is c_i + hh * k_i (h * k_i for the
+    last), and the step sets c_i = c_i + h6 * (((a_i + 2.0 * b_i) + 2.0 *
+    d_i) + e_i), textbook RK4's order. Rows without terms get no slope and
+    no stage.
 
     Cached once per split: a frozen dataclass, equal to another over the
     same basis (one object per group) and labels. So the fresh split that
@@ -289,22 +314,14 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, in
     #
     # A row without terms has slope +0.0 at every stage, so for finite h its
     # stage is c_i + 0.0 and its new entry c_i + h6 * (((0.0 + 2.0 * 0.0) +
-    # 2.0 * 0.0) + 0.0) = c_i + 0.0, which needs no stages.
-    #
-    # The runner adds that 0.0 once per call, before the loop, not once per
-    # step. x + 0.0 is idempotent: it maps -0.0 to +0.0 and leaves every other
-    # value as it is (a NaN stays a NaN, and _flow raises on it). So the entry
-    # after any number of steps is the entry after one, and a replay of one
-    # step per call gives the same bits. Products then read c_i + 0.0 where
-    # textbook RK4's first step reads the plain c_i. The two differ only when
-    # c_i is -0.0, and the term is then a zero, whose sign a sum that starts
-    # at +0.0 (and so never turns -0.0) absorbs, or a NaN either way. Such a
-    # product is the same in every slope of every step, so the runner forms
-    # it before the loop too.
+    # 2.0 * 0.0) + 0.0) = c_i + 0.0, which _emit's frame sets. Products then
+    # read c_i + 0.0 where textbook RK4's first step reads the plain c_i. The
+    # two differ only when c_i is -0.0, and the term is then a zero, whose
+    # sign a sum that starts at +0.0 (and so never turns -0.0) absorbs, or a
+    # NaN either way.
     #
     # A stage that no term reads is not computed.
-    magnitudes, rows, live = _terms(split)
-    n = len(rows)
+    _, rows, live = _terms(split)
     products: dict[tuple[str, int], str] = {}
     for terms in rows:
         for _, m, a, _ in terms:
@@ -322,47 +339,30 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, in
     def stage(weight: str, k: str) -> list[str]:
         return [f"y{i} = c{i} + {weight} * {k}{i}" for i in live if i in read]
 
-    state = ", ".join(f"c{i}" for i in range(n))
-    loop = [*slopes("a", "c"), *stage("hh", "a"), *slopes("b", "y"), *stage("hh", "b"),
+    step = [*slopes("a", "c"), *stage("hh", "a"), *slopes("b", "y"), *stage("hh", "b"),
             *slopes("d", "y"), *stage("h", "d"), *slopes("e", "y"),
-            *(f"c{i} = c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})" for i in live),
-            "if step == sample or step == last:",
-            "    times.append(step * h)",
-            f"    samples.append([{state}])",
-            "    sample += stride"]
-    body = [f"{state}, = c",
-            *(f"c{i} = c{i} + 0.0" for i in range(n) if not rows[i]),
-            *(f"{p} = {m} * c{a}" for (m, a), p in products.items() if not rows[a]),
-            "sample = first + -first % stride",
-            "for step in range(first, stop):",
-            *(f"    {line}" for line in loop),
-            f"return [{state}]"]
-    return _emit("step", "h, hh, h6, stride, last", body, magnitudes)
+            *(f"c{i} = c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})" for i in live)]
+    before = [f"{p} = {m} * c{a}" for (m, a), p in products.items() if not rows[a]]
+    return _emit("step", split, "h, hh, h6", step, before)
 
 
 @lru_cache(maxsize=32)
-def _compile_taylor(split: ControlSplit) -> Callable[[float, int], Callable[[list, int, int, list, list], list]]:
-    """Generated fixed-order Taylor steps of ``split``'s flow: a runner that takes a block of steps on local floats.
+def _compile_taylor(split: ControlSplit) -> Callable[[float, int, int, int],
+                                                     Callable[[list, int, int, list, list], list]]:
+    """Generated fixed-order Taylor steps of ``split``'s flow: ``make(h, order, stride, last) -> run``.
 
-    Emitted from ``_terms(split)``. Returns ``make(h, order) -> run``, so
-    one compiled kernel serves every step size and order >= 1. ``run(c,
-    first, stop, times, samples)`` is ``_flow``'s runner and samples every
-    step. Per step it builds the Taylor coefficients c_0 = c, c_1, ...,
-    c_order of the state about the step's start. Coefficient k + 1 reads
-    the pair sums q_ab = 0.0 + h_0[a] * f_k[b] + h_1[a] * f_(k-1)[b] + ...,
-    in that order, over the pairs (a, ns + b) the table's terms name, with
-    h_j and f_j the S and S^c halves of c_j, each unpacked into locals per
-    j. Its live row i is (0.0 +- |m| * q_ab +- ...) / (k + 1) over the
-    row's terms; a row without terms has coefficient 0.0. The step's state
-    is their Horner sum at h, (c_order * h + c_(order-1)) * h + ... + c_0,
-    the textbook Taylor step bit for bit.
+    One compiled kernel serves every step size and order >= 1. Per step
+    the runner builds the Taylor coefficients c_0 = c, c_1, ..., c_order of
+    the state about the step's start. Coefficient k + 1 reads the pair sums
+    q_ab = 0.0 + h_0[a] * f_k[b] + h_1[a] * f_(k-1)[b] + ..., in that
+    order, over the pairs (a, ns + b) the table's terms name, with h_j and
+    f_j the S and S^c halves of c_j, each unpacked into locals per j. Its
+    live row i is (0.0 +- |m| * q_ab +- ...) / (k + 1) over the row's
+    terms; a row without terms has coefficient 0.0, which still enters the
+    pair sums it feeds. The step's state is their Horner sum at h, (c_order
+    * h + c_(order-1)) * h + ... + c_0, the textbook Taylor step bit for bit.
     """
-    # A row without terms has coefficients +0.0 past c_0 (the dense sum of
-    # +-0 from +0.0, over k + 1), so for finite h its Horner sum is c_i + 0.0,
-    # and the runner sets it once per call, before the loop, as the RK4
-    # runner does; its zero coefficients still enter the pair sums it feeds.
-    magnitudes, rows, live = _terms(split)
-    n = len(rows)
+    _, rows, live = _terms(split)
     pairs: dict[tuple[int, int], str] = {}
     for terms in rows:
         for *_, a, b in terms:
@@ -378,8 +378,7 @@ def _compile_taylor(split: ControlSplit) -> Callable[[float, int], Callable[[lis
     def coefficient(i: int) -> str:
         return f"t{i}" if rows[i] else "0.0"
 
-    state = ", ".join(f"c{i}" for i in range(n))
-    loop = [f"hs, fs, series = [{names('c', s_read)}], [{names('c', c_read)}], []",
+    step = [f"hs, fs, series = [{names('c', s_read)}], [{names('c', c_read)}], []",
             "for k in range(order):",
             *(f"    {q} = 0.0" for q in pairs.values()),
             f"    for {names('u', s_read)}, {names('v', c_read)} in zip(hs, reversed(fs)):",
@@ -393,14 +392,7 @@ def _compile_taylor(split: ControlSplit) -> Callable[[float, int], Callable[[lis
             f"for {names('y', live)} in series[-2::-1]:",
             *(f"    t{i} = t{i} * h + y{i}" for i in live),
             *(f"c{i} = t{i} * h + c{i}" for i in live)] if live else []
-    body = [f"{state}, = c",
-            *(f"c{i} = c{i} + 0.0" for i in range(n) if not rows[i]),
-            "for step in range(first, stop):",
-            *(f"    {line}" for line in loop),
-            "    times.append(step * h)",
-            f"    samples.append([{state}])",
-            f"return [{state}]"]
-    return _emit("taylor", "h, order", body, magnitudes)
+    return _emit("taylor", split, "h, order", step, [])
 
 
 def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,
@@ -417,7 +409,7 @@ def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,
     """
     if not (isinstance(order, numbers.Integral) and order >= 1):
         raise ValueError(f"Taylor order must be an integer >= 1, got {order}")
-    run = _compile_taylor(split)(float(h), order)
+    run = _compile_taylor(split)(float(h), order, 1, n_steps)
     return _flow(run, np.asarray(c, dtype=float).tolist(), n_steps)
 
 

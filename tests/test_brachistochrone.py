@@ -59,6 +59,20 @@ class TestControlSplit:
         with pytest.raises(ValueError, match="nonempty"):
             ControlSplit(basis, (), ("sx", "sy", "sz"))
 
+    def test_list_labels_key_the_kernel_cache_as_tuples(self):
+        # list labels once made the split unhashable, so integrate failed in the kernel cache
+        basis = build_basis("su2")
+        listed, tupled = ControlSplit(basis, ["sx", "sy"], ["sz"]), ControlSplit(basis, ("sx", "sy"), ("sz",))
+        assert listed.hamiltonian_labels == ("sx", "sy") and listed.constraint_labels == ("sz",)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        x0 = np.random.default_rng(101).uniform(-1, 1, 3)
+        expected = integrate(OperatorPair(x0[:2], x0[2:]), tupled, h=1e-2, T=0.5, sample_stride=7)
+        misses = bt._compile_step.cache_info().misses
+        got = integrate(OperatorPair(x0[:2], x0[2:]), listed, h=1e-2, T=0.5, sample_stride=7)
+        assert bt._compile_step.cache_info().misses == misses
+        for field in ("times", "h_coeffs", "f_coeffs", "monitors"):
+            assert_bitwise(getattr(got, field), getattr(expected, field))
+
     @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
     def test_matrices_of_a_stack(self, group):
         split = random_split(group, RNG)
@@ -814,6 +828,20 @@ class TestTaylorFlow:
         assert_bitwise(got[0], times)
         assert_bitwise(got[1], samples)
 
+    @pytest.mark.parametrize("stride", [1, 7, 64, 100, 10 ** 9])
+    def test_samples_every_stride_th_step_and_the_last(self, stride):
+        # the runner frame's one sampling rule, on the grid integrate samples, over
+        # runs of 1 to 150 steps: past one 64-step block and into a third
+        split, h, order = canonical_split("su3"), 0.05, 4
+        x0 = np.random.default_rng(107).uniform(-1, 1, 8)
+        every = bt._taylor(split, x0, h, 150, order)[1]
+        make = bt._compile_taylor(split)
+        for n_steps in range(1, 151):
+            times, samples = bt._flow(make(h, order, stride, n_steps), x0.tolist(), n_steps)
+            assert_bitwise(samples, every[sorted({*range(0, n_steps + 1, stride), n_steps})])
+            traj = integrate(OperatorPair(x0[:2], x0[2:]), split, h=h, T=h * n_steps, sample_stride=stride)
+            assert_bitwise(times, traj.times)
+
     @pytest.mark.parametrize("order", [0, -1, 2.0])
     def test_order_below_one_or_not_an_integer_is_refused(self, order, monkeypatch):
         # refused before a runner is built: order 0 once failed inside the generated code
@@ -848,4 +876,4 @@ class TestHotLoops:
         # each runner's code names its kernel, so a profiler can tell them apart
         assert bt._compile_step(split)(1e-2, 5e-3, 1e-2 / 6.0, 1, 1).__code__.co_filename == \
             "<spinctl.brachistochrone step>"
-        assert bt._compile_taylor(split)(0.05, 6).__code__.co_filename == "<spinctl.brachistochrone taylor>"
+        assert bt._compile_taylor(split)(0.05, 6, 1, 1).__code__.co_filename == "<spinctl.brachistochrone taylor>"

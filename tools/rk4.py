@@ -1,4 +1,4 @@
-"""Print the RK4 step time, its runner's compile and cache-hit times, the Taylor flow's time and the CSV writer's.
+"""Print RK4's step, compile and cache-hit times, the Taylor flow's run and compile times and the CSV writer's.
 
     python3 tools/rk4.py
 
@@ -26,6 +26,9 @@ case gives:
 - taylor_ms: the best of ROUNDS runs of the audit's Taylor flow,
   brachistochrone._taylor at order 14 over ten steps of 0.1, from the
   same start, after one warm-up run that compiles its kernel;
+- taylor_compile_ms: the best of REPEATS compiles of the Taylor runner
+  past its cache (_compile_taylor.__wrapped__), what the audit's first
+  flow on a split pays;
 - csv_ms: the best of ROUNDS cli._csv_rows calls on the table of the
   stride-1 run, the rows `spinctl integrate --out` writes.
 
@@ -84,8 +87,8 @@ def shape(split: bt.ControlSplit) -> tuple[int, int, int]:
     return len(k), len(products), len(set(k.tolist()))
 
 
-def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[float, float, float, float, float, float]:
-    """µs per step at stride STRIDE and 1, cold compile ms, cache-hit µs, Taylor flow ms and CSV ms for ``split``."""
+def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[float, ...]:
+    """µs per step at stride STRIDE and 1, cold compile ms, cache-hit µs, Taylor flow and compile ms, CSV ms."""
     ns = len(split.s_indices)
     x0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(len(split.basis))])
     start = bt.OperatorPair(x0[:ns], x0[ns:])
@@ -110,23 +113,25 @@ def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[float, float, f
 
     taylor()  # warm-up, compiles the Taylor kernel
     taylor_s = best(taylor, ROUNDS)
+    taylor_compile_s = best(lambda: bt._compile_taylor.__wrapped__(split), REPEATS)
     traj = run(1)
     table = np.column_stack([traj.times, traj.h_coeffs, traj.f_coeffs, traj.monitors])
     csv_s = best(lambda: cli._csv_rows(table), ROUNDS)
-    return step_s / STEPS * 1e6, step_s1 / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6, taylor_s * 1e3, csv_s * 1e3
+    return (step_s / STEPS * 1e6, step_s1 / STEPS * 1e6, compile_s * 1e3, hit_s * 1e6, taylor_s * 1e3,
+            taylor_compile_s * 1e3, csv_s * 1e3)
 
 
 def main() -> None:
     print(f"{STEPS} steps at h = {H}, best of {ROUNDS} runs per case and stride after one warm-up")
     print(f"{'group':<13}{'split':<11}{'terms':>6}{'products':>9}{'live':>5}{'us_step':>9}{'us_step_s1':>12}"
-          f"{'compile_ms':>12}{'hit_us':>8}{'taylor_ms':>11}{'csv_ms':>8}")
+          f"{'compile_ms':>12}{'hit_us':>8}{'taylor_ms':>11}{'taylor_compile_ms':>19}{'csv_ms':>8}")
     rng = random.Random(SEED)
     for group in GROUPS:
         for name, split in (("canonical", bt.canonical_split(group)), ("random", random_split(group, rng))):
             terms, products, live = shape(split)
-            us_step, us_step_s1, compile_ms, hit_us, taylor_ms, csv_ms = measure(split, rng)
+            us_step, us_step_s1, compile_ms, hit_us, taylor_ms, taylor_compile_ms, csv_ms = measure(split, rng)
             print(f"{group:<13}{name:<11}{terms:>6}{products:>9}{live:>5}{us_step:>9.2f}{us_step_s1:>12.2f}"
-                  f"{compile_ms:>12.2f}{hit_us:>8.2f}{taylor_ms:>11.3f}{csv_ms:>8.2f}")
+                  f"{compile_ms:>12.2f}{hit_us:>8.2f}{taylor_ms:>11.3f}{taylor_compile_ms:>19.2f}{csv_ms:>8.2f}")
 
 
 if __name__ == "__main__":
