@@ -179,9 +179,9 @@ class NonFiniteStateError(RuntimeError):
 def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """``n_steps`` steps from the state ``c``, a list of n floats, one call of ``run`` per block of _BLOCK steps.
 
-    ``run(c, first, stop, times, samples)`` takes steps first .. stop - 1
+    ``run(c, first, stop, steps, samples)`` takes steps first .. stop - 1
     from the state ``c`` before step ``first`` and returns the state after
-    the last. It appends each sampled step's time and state to ``times``
+    the last. It appends each sampled step's index and state to ``steps``
     and ``samples``, a new list each, so a sample needs no copy. The state
     is checked for finiteness at the end of each block. A non-finite entry
     stays non-finite in every later step (each new entry is the old one
@@ -189,20 +189,20 @@ def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: i
     A block that does not is replayed from its first state through ``run``,
     one step a call, checking each step, and the error names the first
     non-finite step. Python floats never warn or raise on overflow. Returns
-    the sample times (0 and each step ``run`` samples) and an (n_samples, n)
+    the sampled steps (0 and each step ``run`` samples) and an (n_samples, n)
     array of the states there.
     """
-    times, samples = [0.0], [c]
+    steps, samples = [0], [c]
     for first in range(1, n_steps + 1, _BLOCK):
         stop = min(first + _BLOCK, n_steps + 1)
-        end = run(c, first, stop, times, samples)
+        end = run(c, first, stop, steps, samples)
         if not np.isfinite(end).all():
             for step in range(first, stop):
-                c = run(c, step, step + 1, times, samples)
+                c = run(c, step, step + 1, steps, samples)
                 if not np.isfinite(c).all():
                     raise NonFiniteStateError(f"non-finite state at step {step}")
         c = end
-    return np.array(times), np.array(samples)
+    return np.array(steps), np.array(samples)
 
 
 @lru_cache(maxsize=32)
@@ -251,12 +251,12 @@ def _terms(split: ControlSplit) -> tuple[tuple[tuple[str, float], ...],
 def _emit(kernel: str, split: ControlSplit, params: str, step: list[str], before: list[str]) -> Callable:
     """``make(params, stride, last) -> run``: ``_flow``'s runner around a kernel's ``step`` lines.
 
-    ``run(c, first, stop, times, samples)``, emitted from ``_terms(split)``,
+    ``run(c, first, stop, steps, samples)``, emitted from ``_terms(split)``,
     unpacks the list c into locals c0, c1, ... once, sets each row without
     terms to c_i + 0.0, runs the ``before`` lines, and takes steps first ..
     stop - 1, each the ``step`` lines on the live rows' locals. At each step
     that is a multiple of ``stride`` or is ``last``, the run's final step,
-    it appends step * h to ``times`` and a new list of the state to
+    it appends the step to ``steps`` and a new list of the state to
     ``samples``; no other step packs a list. It returns the state after the
     last step as a new list. The code reads the magnitudes by name and is
     compiled under a filename that names the ``kernel``.
@@ -277,11 +277,11 @@ def _emit(kernel: str, split: ControlSplit, params: str, step: list[str], before
             "for step in range(first, stop):",
             *(f"    {line}" for line in step),
             "    if step == sample or step == last:",
-            "        times.append(step * h)",
+            "        steps.append(step)",
             f"        samples.append([{state}])",
             "        sample += stride",
             f"return [{state}]"]
-    source = (f"def make({params}, stride, last):\n    def run(c, first, stop, times, samples):\n"
+    source = (f"def make({params}, stride, last):\n    def run(c, first, stop, steps, samples):\n"
               + "".join(f"        {line}\n" for line in body) + "    return run\n")
     namespace = dict(magnitudes)
     exec(compile(source, f"<spinctl.brachistochrone {kernel}>", "exec"), namespace)
@@ -409,8 +409,10 @@ def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,
     """
     if not (isinstance(order, numbers.Integral) and order >= 1):
         raise ValueError(f"Taylor order must be an integer >= 1, got {order}")
-    run = _compile_taylor(split)(float(h), order, 1, n_steps)
-    return _flow(run, np.asarray(c, dtype=float).tolist(), n_steps)
+    h = float(h)
+    run = _compile_taylor(split)(h, order, 1, n_steps)
+    steps, samples = _flow(run, np.asarray(c, dtype=float).tolist(), n_steps)
+    return steps * h, samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,7 +469,7 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
     n_steps = int(round(T / h))
     h = float(h)  # a numpy scalar would turn the state into np.float64 objects
     run = _compile_step(split)(h, 0.5 * h, h / 6.0, int(sample_stride), n_steps)
-    times, samples = _flow(run, np.concatenate([h0, f0]).tolist(), n_steps)
+    steps, samples = _flow(run, np.concatenate([h0, f0]).tolist(), n_steps)
     hs, fs = samples[:, :ns], samples[:, ns:]
     norms = split.basis.norm_constants
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
@@ -475,6 +477,5 @@ def integrate(initial: OperatorPair, split: ControlSplit, h: float, T: float,
 
     overflow = ~np.isfinite(mons).all(axis=1)
     if overflow.any():
-        step = min(int(np.argmax(overflow)) * sample_stride, n_steps)
-        raise NonFiniteStateError(f"non-finite invariant monitor at step {step}")
-    return Trajectory(times, hs, fs, mons)
+        raise NonFiniteStateError(f"non-finite invariant monitor at step {steps[np.argmax(overflow)]}")
+    return Trajectory(steps * h, hs, fs, mons)

@@ -258,11 +258,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_basis(args) -> int:
     basis = build_basis(args.group)
-    lines = []
-    for label, g in zip(basis.labels, basis.elements):
-        lines.append(label)
-        lines.extend(f"{_fmt_real(z.real)},{_fmt_real(z.imag)}" for z in g.ravel())
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # each element: its label line, then one re,im row per entry
+    _write_text(args.out, "".join(f"{label}\n" + _csv_rows(g.reshape(-1).view(float).reshape(-1, 2))
+                                  for label, g in zip(basis.labels, basis.elements)))
     return 0
 
 

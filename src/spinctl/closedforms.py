@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .generators import PAULI, build_basis, reconstruct
-from .matrixcore import dagger, row_dot
+from .matrixcore import as_operator, dagger, row_dot
 
 __all__ = [
     "AUDITED_CONVENTIONS",
@@ -82,8 +82,11 @@ def isotropic_energy(h: np.ndarray) -> float:
     For the in-scope families H^2 = E^2 * 1, so E = sqrt(Tr(H^2) / dim).
     The divisor is the matrix dimension (audited), not the fixed 2 that a
     Tr(sigma_k^2) = 2 habit would suggest; the two only agree for su2.
+    ``h`` must be one finite (d, d) matrix, else ValueError.
     """
-    h = np.asarray(h)
+    h = as_operator(h)
+    if h.ndim != 2:
+        raise ValueError(f"expected one square matrix, got shape {h.shape}")
     return float(np.sqrt(max(np.trace(h @ h).real / h.shape[0], 0.0)))
 
 #: Matrix-valued vector (1, -i sigma_z, +i sigma_y); eps.p contracts a real
@@ -96,19 +99,13 @@ def _block_scale(x):
     return x[..., None, None] if isinstance(x, np.ndarray) else x
 
 
-def _components(p: np.ndarray):
-    """The three components of a 3-vector, or of an (n, 3) stack each shaped (n, 1, 1)."""
-    return (p[0], p[1], p[2]) if p.ndim == 1 else _block_scale(p.T)
+def _dot(p: np.ndarray, triple) -> np.ndarray:
+    """x t0 + y t1 + z t2 for a 3-vector p = (x, y, z), or per row of an (n, 3) stack.
 
-
-def _sigma_dot(p: np.ndarray) -> np.ndarray:
-    x, y, z = _components(p)
-    return x * PAULI[1] + y * PAULI[2] + z * PAULI[3]
-
-
-def _eps_dot(p: np.ndarray) -> np.ndarray:
-    x, y, z = _components(p)
-    return x * EPSILON[0] + y * EPSILON[1] + z * EPSILON[2]
+    p.sigma takes ``triple`` = PAULI[1:], eps.p takes EPSILON.
+    """
+    x, y, z = (p[0], p[1], p[2]) if p.ndim == 1 else _block_scale(p.T)
+    return x * triple[0] + y * triple[1] + z * triple[2]
 
 
 def epsilon_product(p) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +114,7 @@ def epsilon_product(p) -> tuple[np.ndarray, np.ndarray]:
     An (n, 3) stack of vectors gives two (n, 2, 2) stacks.
     """
     p = np.asarray(p, dtype=float)
-    e = _eps_dot(p)
+    e = _dot(p, EPSILON)
     ed = dagger(e)
     return e @ ed, ed @ e
 
@@ -210,7 +207,7 @@ def dirac_hamiltonian(params, t) -> np.ndarray:
     satisfies H(t)^2 = E^2 * 1.
     """
     z = _phase(params.theta, params.energy, t)
-    ps = _sigma_dot(params.p0)
+    ps = _dot(params.p0, PAULI[1:])
     eye = PAULI[0]
     m = _block_scale(params.m)
     return _block4(m * eye, z * ps, np.conj(z) * ps, -m * eye)
@@ -253,7 +250,7 @@ def su4_eigenframe(params, t) -> EigenFrame:
     big = e + abs(m)
     e_minus, e_plus = np.where(m >= 0, p2 / big, big), np.where(m >= 0, big, p2 / big)
     e_minus, e_plus, e = (_block_scale(x) for x in (e_minus, e_plus, e))
-    ep = _eps_dot(p0)
+    ep = _dot(p0, EPSILON)
     epd = dagger(ep)
     sx = PAULI[1]
     w = _block4(ep * phi / e_minus, -ep * phi / e_plus, sx, sx)

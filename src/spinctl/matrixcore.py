@@ -56,9 +56,9 @@ def expm_unitary(h: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     same shape. ``tau`` is one number for every matrix or, for a stack, an
     (n,) array of one per matrix; each matrix's result is bitwise the one
     it gets alone with its own tau. Each matrix is scaled once to H' = H /
-    2^k, entries of order 1, for all below. Finiteness and Hermiticity,
-    max|H' - H'^dag| <= HERMITIAN_TOL and so relative to each matrix's
-    scale, are checked once over the whole stack. Each matrix with spectrum in {-E, 0, E}, i.e. H^3 = E^2 * H,
+    2^k, entries of order 1, for all below. as_operator checks finiteness
+    up front; Hermiticity, max|H' - H'^dag| <= HERMITIAN_TOL and so relative
+    to each matrix's scale, is checked once over the whole stack. Each matrix with spectrum in {-E, 0, E}, i.e. H^3 = E^2 * H,
     takes the exact spin-1 form (Curtright, Fairlie & Zachos, SIGMA 10,
     084 (2014)), the identity when E^2 = 0, i.e. H = 0:
 
@@ -70,15 +70,13 @@ def expm_unitary(h: np.ndarray, tau: float | np.ndarray) -> np.ndarray:
     * min(1, E^j), j = 2 and 3. The other matrices share one stacked
     eigendecomposition. Each phase is formed on H', times 2^k. The stack is
     copied once to time-last (d, d, n) form for _expm_last and once back.
-    Raises ValueError if ``tau`` has another shape, if any tau or matrix
-    entry is non-finite, if any matrix fails the Hermiticity gate (naming
+    Raises ValueError as as_operator does, then if ``tau`` has another shape
+    or a non-finite entry, if any matrix fails the Hermiticity gate (naming
     the first, with its max|H - H^dag|), or if a phase E tau, or an
     eigenvalue times tau, overflows (naming the tau of the first such matrix).
     """
+    m = as_operator(h)
     taus = np.asarray(tau, dtype=float)
-    m = np.asarray(h, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if taus.ndim and (m.ndim != 3 or taus.shape != m.shape[:1]):
         raise ValueError(f"tau must be a number or one per matrix, got shape {taus.shape} for {m.shape}")
     if not np.isfinite(taus).all():
@@ -91,7 +89,7 @@ def _expm_last(h: np.ndarray, tau: float | np.ndarray, what: str,
                times: np.ndarray | None = None) -> np.ndarray:
     """exp(-i H tau) of a contiguous time-last (d, d, n) stack, returned time-last.
 
-    expm_unitary's path after its shape checks, all on the H' and k of one
+    expm_unitary's path after its input checks, all on the H' and k of one
     _require_hermitian pass (``what`` and ``times`` name a failing matrix).
     ``tau`` is one number or an (n,) array of one per matrix. Every step
     that uses it is elementwise, so each matrix's result is bitwise the
@@ -148,10 +146,10 @@ def _require_hermitian(stack: np.ndarray, what: str, times: np.ndarray | None = 
     """H' = H / 2^k and k for each H of the time-last (d, d, n) stack, or ValueError for the first that fails.
 
     k is _exponents', so H' = ldexp(H, -k), exact at every magnitude, has
-    its largest entry part in [0.5, 1), and no negative zeros. H fails if non-finite or if
-    max|H' - H'^dag| > HERMITIAN_TOL, relative to its scale; the message
-    gives that in H's units (inf past the float range) and names the time
-    from ``times``, if given.
+    its largest entry part in [0.5, 1), and no negative zeros. H fails if non-finite
+    (only the oracle's H can be: its inputs overflow at a time of ``times``) or if
+    max|H' - H'^dag| > HERMITIAN_TOL, relative to its scale; that message
+    gives it in H's units (inf past the float range) and the time from ``times``, if given.
     """
     d, _, n = stack.shape
     k = _exponents(stack, (0, 1))
@@ -167,8 +165,7 @@ def _require_hermitian(stack: np.ndarray, what: str, times: np.ndarray | None = 
         if np.isfinite(hs[..., i]).all():
             with np.errstate(over="ignore"):
                 raise ValueError(f"{what} is not Hermitian{at}: max|H - H^dag| = {np.ldexp(dev[i], k[i]):.3e}")
-        raise ValueError(f"{what} has non-finite entries" if times is None
-                         else f"non-finite entries in {what}{at}: the inputs overflow")
+        raise ValueError(f"non-finite entries in {what}{at}: the inputs overflow")
     return hs, k
 
 

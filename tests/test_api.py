@@ -4,7 +4,11 @@ A name in a module's ``__all__`` counts as used when some ``ast.Name`` or
 ``ast.Attribute`` in the package, the demos or the bench scripts refers to
 it outside its own ``def``/``class``. The ``__all__`` strings and the
 re-exports in ``__init__`` are not references, and neither are the tests:
-API that only its own tests call is dead and should be deleted.
+API that only its own tests call is dead and should be deleted. Likewise
+every top-level private (``_``-prefixed, not dunder) function or class of
+the package must be referred to by package code outside its own
+definition: the tests, tools and bench do not count, so a helper that a
+refactor leaves without callers fails here.
 
 The core stays numpy-only: each module of the package imports nothing but
 numpy's public modules, the standard library and the package itself.
@@ -63,20 +67,30 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _referenced() -> set[str]:
+def _referenced(paths) -> set[str]:
     refs = _References()
-    for path in SOURCES:
+    for path in paths:
         refs.visit(ast.parse(path.read_text(), filename=str(path)))
     return refs.names
 
 
-REFERENCED = _referenced()
+REFERENCED = _referenced(SOURCES)
+PACKAGE_REFERENCED = _referenced(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_public_names_have_users(module):
     unused = [name for name in _public_names(module) if name not in REFERENCED]
     assert not unused, f"{module}.__all__ names nothing outside its tests uses: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_helpers_have_users_in_the_package(path):
+    private = [node.name for node in ast.parse(path.read_text(), filename=str(path)).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    unused = [name for name in private if name not in PACKAGE_REFERENCED]
+    assert not unused, f"{path.name} defines private helpers no package code uses: {unused}"
 
 
 def _imported_modules(path: Path) -> set[str]:

@@ -414,6 +414,14 @@ class TestIntegrate:
         with pytest.raises(NonFiniteStateError, match="monitor at step 0"):
             integrate(start, split, h=0.1, T=1.0)
 
+    def test_monitor_overflow_at_the_final_sample_names_its_step(self):
+        # RK4 at h = 2 grows |H| about 7.6-fold a step: Tr(H^2) overflows at step
+        # 5, the final sample, off the stride's grid of steps 0 and 3
+        split = canonical_split("su2")
+        start = OperatorPair(np.array([1e150, 0.0]), np.array([1.0]))
+        with pytest.raises(NonFiniteStateError, match="^non-finite invariant monitor at step 5$"):
+            integrate(start, split, h=2.0, T=10.0, sample_stride=3)
+
     def test_nonfinite_detected_with_step_index(self):
         split = canonical_split("su4")
         start = OperatorPair(np.full(4, 1e154), np.full(11, 1e154))
@@ -837,10 +845,10 @@ class TestTaylorFlow:
         every = bt._taylor(split, x0, h, 150, order)[1]
         make = bt._compile_taylor(split)
         for n_steps in range(1, 151):
-            times, samples = bt._flow(make(h, order, stride, n_steps), x0.tolist(), n_steps)
+            steps, samples = bt._flow(make(h, order, stride, n_steps), x0.tolist(), n_steps)
             assert_bitwise(samples, every[sorted({*range(0, n_steps + 1, stride), n_steps})])
             traj = integrate(OperatorPair(x0[:2], x0[2:]), split, h=h, T=h * n_steps, sample_stride=stride)
-            assert_bitwise(times, traj.times)
+            assert_bitwise(steps * h, traj.times)
 
     @pytest.mark.parametrize("order", [0, -1, 2.0])
     def test_order_below_one_or_not_an_integer_is_refused(self, order, monkeypatch):

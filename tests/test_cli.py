@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import re
 import subprocess
 import sys
 import time
@@ -119,6 +120,17 @@ class TestBasisCommand:
             vals = [tuple(map(float, l.split(","))) for l in lines[k * block + 1:(k + 1) * block]]
             mat = np.array([complex(re, im) for re, im in vals]).reshape(3, 3)
             assert np.array_equal(mat, basis.elements[k])
+
+    @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
+    def test_bytes_are_the_per_value_format(self, tmp_path, group):
+        # per element its label line, then one '%.17g' re,im line per row-major entry
+        out = tmp_path / f"{group}.csv"
+        assert dispatch(["basis", "--group", group, "--out", str(out)]) == 0
+        basis = build_basis(group)
+        expected = "".join(label + "\n" + "".join("%.17g,%.17g\n" % (z.real, z.imag) for z in g.ravel())
+                           for label, g in zip(basis.labels, basis.elements))
+        assert re.search(r"(^|,)-0(,|$)", expected, re.M), "every group's basis has a -0 part to write"
+        assert out.read_bytes() == expected.encode()
 
 
 class TestIntegrateCommand:

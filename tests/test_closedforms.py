@@ -256,6 +256,17 @@ class TestDiracHamiltonian:
         assert np.trace(h @ h).real / 2.0 == pytest.approx(2 * params.energy ** 2)
         assert isotropic_energy(h) == pytest.approx(params.energy, abs=1e-12)
 
+    @pytest.mark.parametrize("bad,message", [
+        (np.full((2, 2), np.nan), r"^matrix has non-finite entries$"),
+        (np.diag([np.inf, 1.0]), r"^matrix has non-finite entries$"),
+        (np.zeros((2, 2, 2)), r"^expected one square matrix, got shape \(2, 2, 2\)$"),
+        (np.zeros((2, 3)), r"^expected a square matrix or a stack of them, got shape \(2, 3\)$"),
+    ], ids=["nan", "inf", "stack", "not_square"])
+    def test_energy_sphere_radius_refuses_all_but_one_finite_matrix(self, bad, message):
+        # a NaN once came back as nan, an inf as inf with a warning, a stack as numpy's ambiguity error
+        with pytest.raises(ValueError, match=message):
+            isotropic_energy(bad)
+
 
 class TestEigenframe:
     def test_inverse_pair(self):
