@@ -11,7 +11,6 @@ from .brachistochrone import (
     NonFiniteStateError,
     OperatorPair,
     Trajectory,
-    brachistochrone_rhs,
     canonical_split,
     integrate,
 )

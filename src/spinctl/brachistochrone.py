@@ -7,11 +7,12 @@ Both evolve by the single equation
     d(H + F)/dt = -i [H, F],
 
 projected back onto the basis: a contraction with ``ControlSplit.coupling``, a
-slice of the structure constants ``basis.structure``; ``brachistochrone_rhs``
-is the matrix route, the audit's referee, for a row or a stack. The flow
-exactly conserves Tr(H^2) and Tr(F^2), which a fixed-step RK4 integrator
-records from the coefficients so discretization drift stays visible. Tr(HF) is
-not monitored: S and S^c are trace-orthogonal, so it is identically zero.
+slice of the structure constants ``basis.structure``. The flow works on
+these coefficients only; the matrix route, -i[H, F] formed and projected,
+is the audit's referee and lives there. The flow exactly conserves Tr(H^2)
+and Tr(F^2), which a fixed-step RK4 integrator records from the
+coefficients so discretization drift stays visible. Tr(HF) is not
+monitored: S and S^c are trace-orthogonal, so it is identically zero.
 
 ``integrate`` runs one start on RK4, and the audit runs its flow on the
 fixed-order Taylor kernel ``_taylor``. Both advance one state, a list of
@@ -43,15 +44,13 @@ from typing import Callable
 
 import numpy as np
 
-from .generators import GeneratorBasis, _project, build_basis, reconstruct
-from .matrixcore import as_operator
+from .generators import GeneratorBasis, build_basis, reconstruct
 
 __all__ = [
     "ControlSplit",
     "NonFiniteStateError",
     "OperatorPair",
     "Trajectory",
-    "brachistochrone_rhs",
     "canonical_split",
     "integrate",
 ]
@@ -144,25 +143,6 @@ class OperatorPair:
     f_coeffs: np.ndarray
 
 
-def brachistochrone_rhs(state: OperatorPair, split: ControlSplit) -> OperatorPair:
-    """Time derivative of an OperatorPair under d(H+F)/dt = -i[H, F].
-
-    Reconstructs the matrices, forms K = -i[H, F] (Hermitian, traceless)
-    and projects K back: the S components are dH/dt, the S^c components
-    dF/dt. A non-finite K, from non-finite or overflowing coefficients,
-    raises ValueError. (n, |S|) and (n, |S^c|) stacks give stacks, each row bitwise
-    the lone row's; H and F stacks that differ in length raise ValueError.
-    """
-    h = split.hamiltonian_matrix(state.h_coeffs)
-    f = split.constraint_matrix(state.f_coeffs)
-    if h.shape != f.shape:
-        raise ValueError(f"H and F stacks differ: {h.shape} vs {f.shape}")
-    # Tr K = 0 by construction, so K skips project_coefficients' trace test: its
-    # threshold scales with |K|, K's rounding with |H| |F|, far larger if they nearly commute.
-    ck = _project(as_operator(-1j * (h @ f - f @ h)), split.basis)
-    return OperatorPair(ck[..., split.s_indices], ck[..., split.c_indices])
-
-
 #: Ceiling on the step count T / h of ``integrate``: at most about a minute
 #: of RK4 at 0.6-7 us per step (su2 to su2+su3+su4, every step sampled or
 #: every 250th, Python 3.11 on a 2-core Xeon).
@@ -205,7 +185,6 @@ def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: i
     return np.array(steps), np.array(samples)
 
 
-@lru_cache(maxsize=32)
 def _terms(split: ControlSplit) -> tuple[tuple[tuple[str, float], ...],
                                          tuple[tuple[tuple[str, str, int, int], ...], ...], tuple[int, ...]]:
     """The term table of ``split``'s field dc/dt = coupling . (c[:ns], c[ns:]), which both kernels emit code from.
@@ -216,7 +195,8 @@ def _terms(split: ControlSplit) -> tuple[tuple[tuple[str, float], ...],
     |S|, one per nonzero coupling[k, a, b] in row-major (a, b) order, "-"
     where the entry is negative; and the live rows, those with a term. A
     kernel sums each row from +0.0 over its terms in this order, as the
-    dense sequential sum does with m in place of |m|, bit for bit.
+    dense sequential sum does with m in place of |m|, bit for bit. Each
+    kernel's compile reads it once and is itself cached per split.
     """
     # Skipping the coupling's zero entries keeps every bit of the dense sum.
     # That sum starts at +0.0, so it never becomes -0.0, and with finite
@@ -248,11 +228,13 @@ def _terms(split: ControlSplit) -> tuple[tuple[tuple[str, float], ...],
             tuple(i for i, terms in enumerate(rows) if terms))
 
 
-def _emit(kernel: str, split: ControlSplit, params: str, step: list[str], before: list[str]) -> Callable:
+def _emit(kernel: str, magnitudes: tuple, rows: tuple, params: str, step: list[str],
+          before: list[str]) -> Callable:
     """``make(params, stride, last) -> run``: ``_flow``'s runner around a kernel's ``step`` lines.
 
-    ``run(c, first, stop, steps, samples)``, emitted from ``_terms(split)``,
-    unpacks the list c into locals c0, c1, ... once, sets each row without
+    ``magnitudes`` and ``rows`` are the term table's, as the kernel read
+    it from ``_terms``. ``run(c, first, stop, steps, samples)`` unpacks
+    the list c into locals c0, c1, ... once, sets each row without
     terms to c_i + 0.0, runs the ``before`` lines, and takes steps first ..
     stop - 1, each the ``step`` lines on the live rows' locals. At each step
     that is a multiple of ``stride`` or is ``last``, the run's final step,
@@ -268,7 +250,6 @@ def _emit(kernel: str, split: ControlSplit, params: str, step: list[str], before
     # it once per call, not once per step: the entry after any number of steps
     # is the entry after one, and _flow's replay of one step per call gives
     # the same bits.
-    magnitudes, rows, _ = _terms(split)
     state = ", ".join(f"c{i}" for i in range(len(rows)))
     body = [f"{state}, = c",
             *(f"c{i} = c{i} + 0.0" for i, terms in enumerate(rows) if not terms),
@@ -321,7 +302,7 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, in
     # NaN either way.
     #
     # A stage that no term reads is not computed.
-    _, rows, live = _terms(split)
+    magnitudes, rows, live = _terms(split)
     products: dict[tuple[str, int], str] = {}
     for terms in rows:
         for _, m, a, _ in terms:
@@ -343,7 +324,7 @@ def _compile_step(split: ControlSplit) -> Callable[[float, float, float, int, in
             *slopes("d", "y"), *stage("h", "d"), *slopes("e", "y"),
             *(f"c{i} = c{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * d{i}) + e{i})" for i in live)]
     before = [f"{p} = {m} * c{a}" for (m, a), p in products.items() if not rows[a]]
-    return _emit("step", split, "h, hh, h6", step, before)
+    return _emit("step", magnitudes, rows, "h, hh, h6", step, before)
 
 
 @lru_cache(maxsize=32)
@@ -362,7 +343,7 @@ def _compile_taylor(split: ControlSplit) -> Callable[[float, int, int, int],
     pair sums it feeds. The step's state is their Horner sum at h, (c_order
     * h + c_(order-1)) * h + ... + c_0, the textbook Taylor step bit for bit.
     """
-    _, rows, live = _terms(split)
+    magnitudes, rows, live = _terms(split)
     pairs: dict[tuple[int, int], str] = {}
     for terms in rows:
         for *_, a, b in terms:
@@ -392,7 +373,7 @@ def _compile_taylor(split: ControlSplit) -> Callable[[float, int, int, int],
             f"for {names('y', live)} in series[-2::-1]:",
             *(f"    t{i} = t{i} * h + y{i}" for i in live),
             *(f"c{i} = t{i} * h + c{i}" for i in live)] if live else []
-    return _emit("taylor", split, "h, order", step, [])
+    return _emit("taylor", magnitudes, rows, "h, order", step, [])
 
 
 def _taylor(split: ControlSplit, c: np.ndarray, h: float, n_steps: int,

@@ -11,7 +11,8 @@ definition: the tests, tools and bench do not count, so a helper that a
 refactor leaves without callers fails here.
 
 The core stays numpy-only: each module of the package imports nothing but
-numpy's public modules, the standard library and the package itself.
+numpy's public modules, the standard library and the package itself. The
+flow layer, brachistochrone.py, imports only public names of generators.
 
 A dataclass whose fields hold arrays compares by identity: a generated
 ``__eq__`` would compare the arrays and raise.
@@ -114,6 +115,17 @@ def test_core_imports_only_numpy_and_the_standard_library(path):
     private = [module for module in modules
                if module.split(".")[0] == "numpy" and any(part.startswith("_") for part in module.split("."))]
     assert not private, f"{path.name} imports private numpy modules {private}"
+
+
+def test_flow_layer_imports_only_public_generators():
+    # the flow works on coefficients; the matrix route and its helpers belong to the audit
+    imports = [node for node in ast.walk(ast.parse((PACKAGE / "brachistochrone.py").read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    package = {node.module or alias.name for node in imports
+               if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    private = [alias.name for node in imports for alias in node.names if alias.name.startswith("_")]
+    assert package <= {"generators"}, f"brachistochrone.py imports package modules {package - {'generators'}}"
+    assert not private, f"brachistochrone.py imports private names {private}"
 
 
 ARRAY_DATACLASSES = {

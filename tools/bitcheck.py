@@ -36,7 +36,8 @@ The groups hash the raw bytes of:
                benchmark's regime, h = 1e-3, T = 2 and stride 250 (2000
                steps, samples inside the check blocks), from one start on
                the canonical split and on one seeded random split;
-               brachistochrone_rhs on seeded stacks, and
+               the audit's matrix route, audit._matrix_rates, on
+               seeded stacks, S rates then S^c rates, and
                project_coefficients on seeded traceless stacks at scales
                1e-3 to 1e6 (warnings suppressed);
   taylor       the audit's Taylor flow, brachistochrone._taylor, on the
@@ -58,11 +59,11 @@ import numpy as np
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))  # after PYTHONPATH
 
-from spinctl import brachistochrone  # noqa: E402
+from spinctl import audit, brachistochrone  # noqa: E402
 from spinctl import (  # noqa: E402
-    ControlSplit, DiracParameters, OperatorPair, brachistochrone_rhs, canonical_split, evolve_state, expm_unitary,
-    format_report, full_report, integrate, project_coefficients, schrodinger_propagator, su2_family, su3_family,
-    su4_family, time_ordered_exponential)
+    ControlSplit, DiracParameters, OperatorPair, canonical_split, evolve_state, expm_unitary, format_report,
+    full_report, integrate, project_coefficients, schrodinger_propagator, su2_family, su3_family, su4_family,
+    time_ordered_exponential)
 
 FAMILIES = (su2_family, lambda: su3_family(0.4),
             lambda: su4_family(DiracParameters(m=0.7, p0=[1.0, 0.2, -0.5])))
@@ -117,6 +118,13 @@ def _audit(digest):
         digest.update(format_report(results).encode() + np.array([r.max_error for r in results]).tobytes())
 
 
+def _random_split(split: ControlSplit, rng: np.random.Generator) -> ControlSplit:
+    """A split of ``split``'s basis: its labels in a seeded order, cut at a seeded point."""
+    labels = [split.basis.labels[k] for k in rng.permutation(len(split.basis))]
+    cut = int(rng.integers(1, len(split.basis)))
+    return ControlSplit(split.basis, tuple(labels[:cut]), tuple(labels[cut:]))
+
+
 def _flow(digest):
     rng = np.random.default_rng(28)
     for group in ("su2", "su3", "su4", "su2+su3+su4"):
@@ -130,8 +138,8 @@ def _flow(digest):
                 digest.update(runs[0].times.tobytes())
                 for field in ("h_coeffs", "f_coeffs", "monitors"):
                     digest.update(np.stack([getattr(run, field) for run in runs]).tobytes())
-        rates = brachistochrone_rhs(OperatorPair(rng.normal(size=(50, ns)), rng.normal(size=(50, nc))), split)
-        digest.update(rates.h_coeffs.tobytes() + rates.f_coeffs.tobytes())
+        rates = audit._matrix_rates(split, np.hstack([rng.normal(size=(50, ns)), rng.normal(size=(50, nc))]))
+        digest.update(rates[:, :ns].tobytes() + rates[:, ns:].tobytes())
         d = split.basis.dim
         for scale in 10.0 ** np.arange(-3, 7):
             a = rng.normal(size=(50, d, d)) + 1j * rng.normal(size=(50, d, d))
@@ -140,10 +148,7 @@ def _flow(digest):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 digest.update(project_coefficients(a, split.basis).tobytes())
-        labels = [split.basis.labels[k] for k in rng.permutation(len(split.basis))]
-        cut = int(rng.integers(1, len(split.basis)))
-        shuffled = ControlSplit(split.basis, tuple(labels[:cut]), tuple(labels[cut:]))
-        for run_split in (split, shuffled):
+        for run_split in (split, _random_split(split, rng)):
             ns, x0 = len(run_split.s_indices), rng.uniform(-1, 1, len(split.basis))
             run = integrate(OperatorPair(x0[:ns], x0[ns:]), run_split, 1e-3, 2.0, sample_stride=250)
             for field in ("times", "h_coeffs", "f_coeffs", "monitors"):
@@ -154,9 +159,7 @@ def _taylor(digest):
     rng = np.random.default_rng(42)
     for group in ("su2", "su3", "su4", "su2+su3+su4"):
         split = canonical_split(group)
-        labels = [split.basis.labels[k] for k in rng.permutation(len(split.basis))]
-        cut = int(rng.integers(1, len(split.basis)))
-        for run_split in (split, ControlSplit(split.basis, tuple(labels[:cut]), tuple(labels[cut:]))):
+        for run_split in (split, _random_split(split, rng)):
             x0 = rng.uniform(-1, 1, len(split.basis))
             for order in (4, 14):
                 times, samples = brachistochrone._taylor(run_split, x0, 0.1, 70, order)

@@ -10,7 +10,8 @@ runs one warm-up and then ROUNDS integrate runs of 10^4 steps at
 h = 1e-3 from a seeded start, sampling every 250th step as the
 benchmark's integrate workload does, and ROUNDS more sampling every step
 as `spinctl integrate --out` does, all in this process. One line per
-case gives:
+case gives, the first three counted from the split's term table
+(brachistochrone._terms), which both kernels emit:
 - terms: the coupling's nonzero entries, the terms of each slope;
 - products: the distinct products |m| * y_a those terms share, each formed
   once per slope, or once per call when row a has no term (y_a is then
@@ -19,7 +20,8 @@ case gives:
 - us_step: the best run's microseconds per step at stride 250;
 - us_step_s1: the same at stride 1, every step sampled;
 - compile_ms: the best of REPEATS compiles of the runner past its cache
-  (_compile_step.__wrapped__), what the first run on a split pays;
+  (_compile_step.__wrapped__), term table included, what the first run
+  on a split pays;
 - hit_us: the best mean of REPEATS rounds of HITS _compile_step calls,
   each on a fresh split equal to the cached one, what every later
   `spinctl integrate` call pays (building the split, hash and lookup);
@@ -27,8 +29,8 @@ case gives:
   brachistochrone._taylor at order 14 over ten steps of 0.1, from the
   same start, after one warm-up run that compiles its kernel;
 - taylor_compile_ms: the best of REPEATS compiles of the Taylor runner
-  past its cache (_compile_taylor.__wrapped__), what the audit's first
-  flow on a split pays;
+  past its cache (_compile_taylor.__wrapped__), term table included,
+  what the audit's first flow on a split pays;
 - csv_ms: the best of ROUNDS cli._csv_rows calls on the table of the
   stride-1 run, the rows `spinctl integrate --out` writes.
 
@@ -81,10 +83,10 @@ def best(run, repeats: int) -> float:
 
 
 def shape(split: bt.ControlSplit) -> tuple[int, int, int]:
-    """Terms, distinct (|m|, a) products and live rows of ``split``'s step."""
-    k, a, b = np.nonzero(split.coupling)
-    products = set(zip(np.abs(split.coupling[k, a, b]).tolist(), a.tolist()))
-    return len(k), len(products), len(set(k.tolist()))
+    """Terms, distinct (|m|, a) products and live rows of ``split``'s step, read from its term table."""
+    _, rows, live = bt._terms(split)
+    products = {(m, a) for terms in rows for _, m, a, _ in terms}
+    return sum(map(len, rows)), len(products), len(live)
 
 
 def measure(split: bt.ControlSplit, rng: random.Random) -> tuple[float, ...]:
