@@ -242,6 +242,16 @@ class TestRhs:
         fast = np.einsum("kab,na,nb->nk", split.coupling, h, f)
         assert np.max(np.abs(_matrix_rates(split, np.hstack([h, f])) - fast)) <= 1e-13 * scale ** 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_commutator_gives_nan_rates(self, bad):
+        # no finiteness gate: the NaN reaches the rates, so a check that reads them FAILs
+        split = canonical_split("su3")
+        h, f = np.ones(len(split.s_indices)), np.ones(len(split.c_indices))
+        h[1] = f[0] = bad  # 1e200 is finite, but H F overflows
+        with np.errstate(invalid="ignore", over="ignore"):
+            deriv = _matrix_rates(split, np.concatenate([h, f]))
+        assert np.isnan(deriv).all()
+
 
 class TestStackedRhs:
     @pytest.mark.parametrize("group", ["su2", "su3", "su4"])
@@ -254,6 +264,18 @@ class TestStackedRhs:
         assert deriv.shape == (40, ns + nc)
         for k in range(40):
             assert np.array_equal(deriv[k], _matrix_rates(split, x[k]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_row_stays_in_its_row(self, bad):
+        split = canonical_split("su3")
+        x = np.random.default_rng(59).uniform(-2, 2, (40, len(split.basis)))
+        clean = _matrix_rates(split, x)
+        x[7, 1] = x[7, -1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            deriv = _matrix_rates(split, x)
+        assert np.isnan(deriv[7]).all()
+        others = np.arange(40) != 7
+        assert np.array_equal(deriv[others], clean[others])
 
 
 class TestIntegrate:
