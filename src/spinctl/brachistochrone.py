@@ -21,19 +21,20 @@ direct sum such as ``su2+su3+su4`` runs its groups side by side as one
 flow. The arrays are small, so a step of numpy calls would cost their
 dispatch, not arithmetic. Each kernel therefore runs one generated block
 runner, compiled once per split and cached. Both runners share one frame
-(``_emit``): a loop of straight-line steps over local floats, which packs
-a list only for a step on the sampling grid, every stride-th step and the
-last, and at the block's end. Each kernel emits only its step, from one
-term table of the field (``_terms``): the coupling's nonzero entries, row
-by row in row-major order, each a magnitude |m| bound by name and a sign
-folded into the sum. So each row sums from +0.0 as the dense sum does, bit
-for bit, and never over the zero blocks of a direct sum. RK4 forms each
-distinct product of a magnitude and an entry once, and rows whose slope
-is identically zero get no stages. The Taylor step forms each coefficient
-from the pair sums of Cauchy products, each a sequential sum from +0.0.
-``_flow`` calls a kernel's runner once per block and checks finiteness at
-the block's end, replaying a failed block one step per call to name the
-first non-finite step.
+(``_emit``): a loop of straight-line steps over local floats, which adds
+a step's floats to one flat sample list only on the sampling grid, every
+stride-th step and the last, and packs a list only at the block's end.
+Each kernel emits only its step, from one term table of the field
+(``_terms``): the coupling's nonzero entries, row by row in row-major
+order, each a magnitude |m| bound by name and a sign folded into the sum.
+So each row sums from +0.0 as the dense sum does, bit for bit, and never
+over the zero blocks of a direct sum. RK4 forms each distinct product of
+a magnitude and an entry once, and rows whose slope is identically zero
+get no stages. The Taylor step forms each coefficient from the pair sums
+of Cauchy products, each a sequential sum from +0.0. ``_flow`` calls a
+kernel's runner once per block and checks finiteness at the block's end,
+replaying a failed block one step per call to name the first non-finite
+step.
 """
 from __future__ import annotations
 
@@ -161,8 +162,8 @@ def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: i
 
     ``run(c, first, stop, steps, samples)`` takes steps first .. stop - 1
     from the state ``c`` before step ``first`` and returns the state after
-    the last. It appends each sampled step's index and state to ``steps``
-    and ``samples``, a new list each, so a sample needs no copy. The state
+    the last. It appends each sampled step's index to ``steps`` and the
+    state's n floats to ``samples``, one flat list for the run. The state
     is checked for finiteness at the end of each block. A non-finite entry
     stays non-finite in every later step (each new entry is the old one
     plus an increment), so a block that ends finite was finite throughout.
@@ -170,9 +171,9 @@ def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: i
     one step a call, checking each step, and the error names the first
     non-finite step. Python floats never warn or raise on overflow. Returns
     the sampled steps (0 and each step ``run`` samples) and an (n_samples, n)
-    array of the states there.
+    array of the states there, read from the flat list by one np.fromiter.
     """
-    steps, samples = [0], [c]
+    steps, samples, n = [0], list(c), len(c)
     for first in range(1, n_steps + 1, _BLOCK):
         stop = min(first + _BLOCK, n_steps + 1)
         end = run(c, first, stop, steps, samples)
@@ -182,7 +183,7 @@ def _flow(run: Callable[[list, int, int, list, list], list], c: list, n_steps: i
                 if not np.isfinite(c).all():
                     raise NonFiniteStateError(f"non-finite state at step {step}")
         c = end
-    return np.array(steps), np.array(samples)
+    return np.array(steps), np.fromiter(samples, float, len(samples)).reshape(len(steps), n)
 
 
 def _terms(split: ControlSplit) -> tuple[tuple[tuple[str, float], ...],
@@ -238,10 +239,10 @@ def _emit(kernel: str, magnitudes: tuple, rows: tuple, params: str, step: list[s
     terms to c_i + 0.0, runs the ``before`` lines, and takes steps first ..
     stop - 1, each the ``step`` lines on the live rows' locals. At each step
     that is a multiple of ``stride`` or is ``last``, the run's final step,
-    it appends the step to ``steps`` and a new list of the state to
-    ``samples``; no other step packs a list. It returns the state after the
-    last step as a new list. The code reads the magnitudes by name and is
-    compiled under a filename that names the ``kernel``.
+    it appends the step to ``steps`` and the state's floats, c0, c1, ..., to
+    the flat list ``samples``; no step packs a list. It returns the state
+    after the last step as a new list. The code reads the magnitudes by
+    name and is compiled under a filename that names the ``kernel``.
     """
     # A row without terms has a zero field, so for finite h each kernel's
     # textbook step adds +0.0 to its entry: the dense field sums +-0 from +0.0.
@@ -259,7 +260,7 @@ def _emit(kernel: str, magnitudes: tuple, rows: tuple, params: str, step: list[s
             *(f"    {line}" for line in step),
             "    if step == sample or step == last:",
             "        steps.append(step)",
-            f"        samples.append([{state}])",
+            f"        samples += ({state},)",
             "        sample += stride",
             f"return [{state}]"]
     source = (f"def make({params}, stride, last):\n    def run(c, first, stop, steps, samples):\n"

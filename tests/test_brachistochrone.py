@@ -662,6 +662,41 @@ class TestRk4Kernel:
         assert len(expected) < len(coupling)  # the canonical sum has term-free rows, which get no slope
 
 
+@pytest.mark.parametrize("group", ["su2", "su3", "su4", "su2+su3+su4"])
+class TestSamplePacking:
+    """_flow's flat list of sampled states comes back as one full row per sampled step, from both kernels."""
+
+    @staticmethod
+    def start(split: ControlSplit) -> tuple[np.ndarray, OperatorPair]:
+        x0 = np.random.default_rng(53).uniform(-1, 1, len(split.basis))
+        ns = len(split.s_indices)
+        return x0, OperatorPair(x0[:ns], x0[ns:])
+
+    def test_no_step_samples_the_start_alone(self, group):
+        # T / h = 0.4 rounds to 0 steps: the start is the one sample, a (1, n) row
+        split = canonical_split(group)
+        x0, start = self.start(split)
+        traj = integrate(start, split, h=1.0, T=0.4)
+        assert traj.times.tolist() == [0.0]
+        assert_bitwise(np.hstack([traj.h_coeffs, traj.f_coeffs]), x0[None])
+        times, samples = bt._taylor(split, x0, 1.0, 0, order=4)
+        assert times.tolist() == [0.0]
+        assert_bitwise(samples, x0[None])
+
+    def test_stride_above_the_step_count_samples_the_ends(self, group):
+        # stride 7 over 5 steps samples steps 0 and 5 only, each the every-step run's row
+        split, h, n_steps = canonical_split(group), 0.05, 5
+        x0, start = self.start(split)
+        every = integrate(start, split, h=h, T=h * n_steps)
+        traj = integrate(start, split, h=h, T=h * n_steps, sample_stride=7)
+        assert_bitwise(traj.times, every.times[[0, -1]])
+        assert_bitwise(traj.h_coeffs, every.h_coeffs[[0, -1]])
+        assert_bitwise(traj.f_coeffs, every.f_coeffs[[0, -1]])
+        steps, samples = bt._flow(bt._compile_taylor(split)(h, 4, 7, n_steps), x0.tolist(), n_steps)
+        assert steps.tolist() == [0, n_steps]
+        assert_bitwise(samples, bt._taylor(split, x0, h, n_steps, order=4)[1][[0, -1]])
+
+
 class TestNonFiniteBlocks:
     """A blow-up is named at its step wherever it falls against _flow's 64-step blocks.
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import PROPERTY, eigh_exp
 from spinctl import cli
 from spinctl.brachistochrone import integrate
-from spinctl.cli import _CSV_ROWS, ConfigError, _build_parser, _csv_rows, dispatch, parse_config
+from spinctl.cli import ConfigError, _build_parser, _csv_rows, dispatch, parse_config
 from spinctl.closedforms import DiracParameters, su4_family
 from spinctl.generators import build_basis
 
@@ -241,13 +241,35 @@ class TestCsvRows:
             _csv_rows(np.array([[9.9999999999999991e-05]]))
 
     def test_tables_across_blocks(self):
-        # every bit pattern, NaNs and subnormals included, over several blocks and a partial one
-        rng = np.random.default_rng(43)
-        for shape in ((3 * _CSV_ROWS + 5, 7), (_CSV_ROWS, 1), (1, 29)):
+        # every bit pattern, NaNs and subnormals included, at the value budget's edges
+        # (one value under, at and over it), in a row wider than it, and over four blocks
+        budget, rng = cli._CSV_VALUES, np.random.default_rng(43)
+        for shape in ((budget - 1, 1), (budget // 8, 8), (budget + 1, 1), (1, budget + 7), (3, budget // 2 + 1),
+                      (3 * budget // 7 + 5, 7), (1, 29)):
             table = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64).view(np.float64)
             assert _csv_rows(table) == _per_row(table)
             scaled = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-6, 18, shape)
             assert _csv_rows(scaled) == _per_row(scaled)
+
+    def test_blocks_share_the_rows_evenly(self, monkeypatch):
+        # ceil(values / budget) blocks whose row counts differ by one at most, so a block of a
+        # multi-block table never holds a short tail: at least half the budget for the
+        # 10^4 + 1-row dumps of su2, su3 and su4, and more than half less one row in general
+        # (2341 x 7 splits into 8197 and 8190 values, 2 under half of 16384)
+        budget, sizes, block = cli._CSV_VALUES, [], cli._csv_block
+        monkeypatch.setattr(cli, "_csv_block", lambda x, seps: sizes.append(x.size) or block(x, seps))
+        rng = np.random.default_rng(47)
+        for rows, cols in ((10 ** 4 + 1, 6), (10 ** 4 + 1, 11), (10 ** 4 + 1, 18), (2341, 7), (10, 7 * budget // 20),
+                           (3, budget // 2 + 1), (budget + 1, 1), (501, 18), (1, 29)):
+            sizes.clear()
+            table = rng.uniform(-1, 1, (rows, cols))
+            assert _csv_rows(table) == _per_row(table)
+            assert sum(sizes) == rows * cols and len(sizes) == -(-rows * cols // budget)
+            assert max(sizes) - min(sizes) <= cols and max(sizes) < budget + cols
+            if len(sizes) > 1:
+                assert min(sizes) > budget / 2 - cols
+                if rows == 10 ** 4 + 1:
+                    assert min(sizes) >= budget / 2
 
     @settings(PROPERTY, max_examples=300)
     @given(data=st.data())

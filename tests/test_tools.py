@@ -24,7 +24,8 @@ def test_rk4_prints_one_line_per_case(capsys):
     rk4.main()
     out = capsys.readouterr().out
     assert out.splitlines()[1].split() == ["group", "split", "terms", "products", "live", "us_step", "us_step_s1",
-                                           "compile_ms", "hit_us", "taylor_ms", "taylor_compile_ms", "csv_ms"]
+                                           "compile_ms", "hit_us", "taylor_ms", "taylor_compile_ms", "csv_ms",
+                                           "csv_peak_kb"]
     rows = case_numbers(out, 2)
     assert len(rows) == 2 * len(rk4.GROUPS)  # a canonical and a random split per group
     for terms, products, live, *times in rows:
