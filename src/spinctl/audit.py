@@ -51,6 +51,7 @@ Check catalog (fixed order):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -94,11 +95,11 @@ def _resolve(candidates: dict, detail: str) -> tuple[float, str, str]:
     """Pick the candidate assignment with the smallest residual.
 
     Each candidate's residuals reduce with np.max, so one NaN probe makes
-    that candidate NaN, and a NaN candidate ranks above every finite one.
+    that candidate NaN, and a NaN candidate ranks above every non-NaN one.
     Returns (err, winning token, detail naming the chosen and rejected).
     """
     errs = {k: float(np.max(v)) for k, v in candidates.items()}
-    best = min(errs, key=lambda k: np.nan_to_num(errs[k], nan=np.inf))
+    best = min(errs, key=lambda k: (math.isnan(errs[k]), errs[k]))
     rejected = "; ".join(f"{k}: {v:.3e}" for k, v in errs.items() if k != best)
     return errs[best], best, f"{detail} [chosen {best}: {errs[best]:.3e}; rejected {rejected}]"
 

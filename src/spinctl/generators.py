@@ -9,12 +9,17 @@ that coefficient vectors are exact regardless of convention.
 A direct sum such as ``su2+su3+su4`` is a basis like any other, with the
 parts' elements as diagonal blocks in the order named and labels prefixed
 by their part (``su2.sx``). It spans su(2) + su(3) + su(4), not su(9).
+
+Each element has 2 to 4 nonzero entries, so reconstruct and
+project_coefficients sum only those, through tables cached on the basis
+(``entry_terms``, ``element_terms``). Each result is bitwise the dense
+sum over all entries; a non-finite row gives an all-NaN result row.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,6 +68,51 @@ class GeneratorBasis:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"label {label!r} not in {self.group_id} basis") from None
+
+    @cached_property
+    def entry_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """reconstruct's table: per entry (i, j), row-major, the k with g_k[i, j] != 0 and those values."""
+        n, d = self.elements.shape[:2]
+        return _sparse_terms(self.elements.reshape(n, d * d).T, np.arange(n))
+
+    @cached_property
+    def element_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """_project's table: per g_k, its nonzero g_k[i, j], row-major, and the flat index of A[j, i]."""
+        n, d = self.elements.shape[:2]
+        return _sparse_terms(self.elements.reshape(n, d * d), np.arange(d * d).reshape(d, d).T.ravel())
+
+
+def _sparse_terms(table: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nonzero entries of the (m, p) ``table``, in column order, padded with zeros to a common count t.
+
+    Returns the read-only (t, m) arrays of ``source[column]`` and of the entries, as _contract reads them.
+    """
+    idx = np.zeros((np.count_nonzero(table, axis=1).max(), len(table)), dtype=np.intp)
+    vals = np.zeros(idx.shape, dtype=complex)
+    for r, row in enumerate(table):
+        cols = np.flatnonzero(row)
+        idx[:len(cols), r], vals[:len(cols), r] = source[cols], row[cols]
+    idx.setflags(write=False)
+    vals.setflags(write=False)
+    return idx, vals
+
+
+def _contract(x: np.ndarray, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Sum each column of a _sparse_terms table over the last axis of ``x``: (..., p) to C-contiguous (..., m).
+
+    One gather, one multiply and one reduce from +0 in the table's term
+    order, which is the dense sum's bit for bit: a zero entry it drops
+    would only add an exact zero. That fails for a non-finite entry, whose
+    inf * 0 or NaN * 0 makes the dense sum NaN throughout, so a row of
+    ``x`` holding one comes out all NaN, with no floating-point warning.
+    """
+    idx, vals = terms
+    finite = np.isfinite(x).all(axis=-1)
+    if finite.all():
+        return np.ascontiguousarray(np.add.reduce(x[..., idx] * vals, axis=-2, initial=0j))
+    out = _contract(np.where(finite[..., None], x, 0.0), terms)
+    out[~finite] = np.nan
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -113,9 +163,10 @@ def project_coefficients(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     """Expand a Hermitian matrix on the basis: c_k = Tr(g_k A) / Tr(g_k^2).
 
     An (n, d, d) stack gives (n, len(basis)), each row bitwise the lone
-    matrix's. The identity component is not representable and is dropped,
-    with one warning for the stack if some |Tr A| > 1e-12 * 2^k, 2^k that
-    A's scale as in matrixcore._exponents; it names the largest such |Tr A|.
+    matrix's and the dense sum over all d^2 entries. The identity
+    component is not representable and is dropped, with one warning for
+    the stack if some |Tr A| > 1e-12 * 2^k, 2^k that A's scale as in
+    matrixcore._exponents; it names the largest such |Tr A|.
     """
     a = as_operator(a)
     if a.shape[-1] != basis.dim:
@@ -129,17 +180,27 @@ def project_coefficients(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
 
 
 def _project(a: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    """project_coefficients' core, without its trace test, for a finite (d, d) or (n, d, d) ``a`` of basis.dim."""
-    coeffs = np.einsum("kij,...ji->...k", basis.elements, a) / basis.norm_constants
-    return coeffs.real
+    """project_coefficients' core, without its trace or finiteness test, for a (d, d) or (n, d, d) ``a`` of basis.dim.
+
+    Sums g_k[i, j] A[j, i] over g_k's nonzero entries in row-major (i, j)
+    order, bitwise the dense sum over all d^2; a matrix with a non-finite
+    entry gives a NaN row.
+    """
+    flat = a.reshape(a.shape[:-2] + (basis.dim ** 2,))
+    return (_contract(flat, basis.element_terms) / basis.norm_constants).real
 
 
 def reconstruct(coeffs, basis: GeneratorBasis) -> np.ndarray:
-    """Sum c_k g_k, Hermitian and traceless; an (n, len(basis)) stack of rows gives (n, d, d)."""
+    """Sum c_k g_k, Hermitian and traceless; an (n, len(basis)) stack of rows gives (n, d, d).
+
+    Each entry sums only the g_k nonzero there, in increasing k, and is
+    bitwise the dense sum over all k; the result is C-contiguous. A row
+    with a non-finite coefficient gives an all-NaN matrix.
+    """
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] != len(basis):
         raise ValueError(f"expected {len(basis)} coefficients per row, got shape {c.shape}")
-    return np.einsum("...k,kij->...ij", c, basis.elements)
+    return _contract(c, basis.entry_terms).reshape(c.shape[:-1] + (basis.dim, basis.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,25 +235,18 @@ def assemble_dirac(ops: DiracOperators, m: float, p) -> np.ndarray:
 def verify_algebra(ops: DiracOperators) -> dict[str, float]:
     """Max deviation of each of the 16 Clifford relations.
 
-    Covers beta^2 = 1, alpha_j^2 = 1 (via the diagonal of the
-    anticommutator table), {alpha_j, alpha_k} = 2 delta_jk and
-    {beta, alpha_k} = 0.
+    Covers beta^2 = 1, alpha_j^2 = 1, {alpha_j, alpha_k} = 2 delta_jk
+    (so alpha_j^2 = 1 again on its diagonal) and {beta, alpha_k} = 0, all
+    read from one table of the products of (beta, alpha_x, alpha_y, alpha_z).
     """
+    g = np.concatenate([ops.beta[None], ops.alpha])
+    prods = g[:, None] @ g[None, :]  # prods[a, b] = g_a g_b
     eye = np.eye(4, dtype=complex)
-    report: dict[str, float] = {}
-    report["beta^2=1"] = float(np.max(np.abs(ops.beta @ ops.beta - eye)))
-    names = "xyz"
-    for j in range(3):
-        aj = ops.alpha[j]
-        report[f"alpha_{names[j]}^2=1"] = float(np.max(np.abs(aj @ aj - eye)))
-    for j in range(3):
-        for k in range(3):
-            acomm = ops.alpha[j] @ ops.alpha[k] + ops.alpha[k] @ ops.alpha[j]
-            target = 2 * eye if j == k else 0 * eye
-            report[f"{{alpha_{names[j]},alpha_{names[k]}}}"] = float(
-                np.max(np.abs(acomm - target))
-            )
-    for k in range(3):
-        acomm = ops.beta @ ops.alpha[k] + ops.alpha[k] @ ops.beta
-        report[f"{{beta,alpha_{names[k]}}}"] = float(np.max(np.abs(acomm)))
+    squares = np.max(np.abs(prods[range(4), range(4)] - eye), axis=(-2, -1)).tolist()
+    target = 2 * np.eye(4)[:, :, None, None] * eye
+    acomm = np.max(np.abs(prods + prods.swapaxes(0, 1) - target), axis=(-2, -1)).tolist()
+    names = ("beta", "alpha_x", "alpha_y", "alpha_z")
+    report = {f"{names[a]}^2=1": squares[a] for a in range(4)}
+    report.update({f"{{{names[a]},{names[b]}}}": acomm[a][b] for a in (1, 2, 3) for b in (1, 2, 3)})
+    report.update({f"{{beta,{names[b]}}}": acomm[0][b] for b in (1, 2, 3)})
     return report

@@ -10,6 +10,7 @@ from sum_parts import part_columns
 from spinctl import audit, brachistochrone as bt, closedforms as cf
 from spinctl.audit import catalog_ids, format_report, full_report, run_check
 from spinctl.brachistochrone import OperatorPair, canonical_split, integrate
+from spinctl.generators import build_basis, project_coefficients, reconstruct
 
 EXPECTED_TOKENS = {
     "sphere_constraint": "sphere_divisor=dim",
@@ -213,6 +214,10 @@ class TestChecksCanFail:
     def test_resolve_never_picks_nan_over_finite(self, candidates):
         assert audit._resolve(candidates, "")[1] == "finite"
 
+    def test_resolve_ranks_inf_between_finite_and_nan(self):
+        assert audit._resolve({"nan": [np.nan], "inf": [np.inf]}, "")[1] == "inf"
+        assert audit._resolve({"inf": [np.inf], "finite": [1e300]}, "")[1] == "finite"
+
     def test_every_convention_field_is_flipped(self):
         assert {f for f, _, _ in CONVENTION_FLIPS} == {f.name for f in dataclasses.fields(cf.Conventions)}
 
@@ -368,6 +373,25 @@ class TestDeterminism:
         for r in report:
             solo = run_check(r.check_id, seed=0)
             assert solo.line() == r.line()
+
+
+class TestHotPaths:
+    def test_contractions_never_dispatch_through_np_einsum(self, report, monkeypatch):
+        # reconstruct and _project gather each generator's few nonzero terms;
+        # np.einsum's dense sum walks all d^2 entries of every generator
+        for group in ("su2", "su3", "su4", "su2+su3+su4"):
+            build_basis(group)  # builds with np.einsum, so before the patch
+        c = np.random.default_rng(89).uniform(-2, 2, (100, 15))
+
+        def dispatch(*args, **kwargs):
+            raise AssertionError("np.einsum called on the audit's contraction path")
+
+        monkeypatch.setattr(np, "einsum", dispatch)
+        basis = build_basis("su4")
+        assert np.max(np.abs(project_coefficients(reconstruct(c, basis), basis) - c)) < 1e-13
+        by_id = {r.check_id: r for r in report}
+        for cid in ("ode_transcriptions", "constraint_orthogonality"):
+            assert run_check(cid).line() == by_id[cid].line()
 
 
 class TestToleranceMonotonicity:

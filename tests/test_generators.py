@@ -7,6 +7,7 @@ from helpers import displayed_dirac_matrix
 from spinctl.generators import (
     DiracOperators,
     PAULI,
+    _project,
     assemble_dirac,
     build_basis,
     dirac_operators,
@@ -203,6 +204,37 @@ class TestDiracOperators:
         m, p = 0.6, np.array([0.3, -0.2, 0.9])
         assert np.max(np.abs(assemble_dirac(other, m, p) - displayed_dirac_matrix(m, p))) > 0.1
 
+    #: verify_algebra's keys, in order
+    RELATIONS = ["beta^2=1", "alpha_x^2=1", "alpha_y^2=1", "alpha_z^2=1",
+                 "{alpha_x,alpha_x}", "{alpha_x,alpha_y}", "{alpha_x,alpha_z}",
+                 "{alpha_y,alpha_x}", "{alpha_y,alpha_y}", "{alpha_y,alpha_z}",
+                 "{alpha_z,alpha_x}", "{alpha_z,alpha_y}", "{alpha_z,alpha_z}",
+                 "{beta,alpha_x}", "{beta,alpha_y}", "{beta,alpha_z}"]
+    OPERATORS = ("beta", "alpha_x", "alpha_y", "alpha_z")
+
+    def test_relations_named_in_order(self):
+        assert list(verify_algebra(dirac_operators())) == self.RELATIONS
+
+    def altered(self, name, change):
+        """The canonical set with ``change`` applied to the operator ``name`` alone."""
+        ops = dirac_operators()
+        g = np.concatenate([ops.beta[None], ops.alpha])
+        g[self.OPERATORS.index(name)] = change(g[self.OPERATORS.index(name)])
+        return DiracOperators(alpha=g[1:], beta=g[0])
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_shifted_operator_breaks_exactly_its_relations(self, name):
+        # g + eps 1 no longer squares to 1 nor anticommutes with the other three
+        report = verify_algebra(self.altered(name, lambda g: g + 1e-3 * np.eye(4)))
+        assert [k for k, v in report.items() if v] == [k for k in self.RELATIONS if name in k]
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_scaled_operator_breaks_exactly_its_squares(self, name):
+        # 1.5 g still anticommutes with the other three, exactly
+        report = verify_algebra(self.altered(name, lambda g: 1.5 * g))
+        squares = [f"{name}^2=1"] + ([f"{{{name},{name}}}"] if name != "beta" else [])
+        assert [k for k, v in report.items() if v] == squares
+
     def test_random_assembly_matches_displayed(self):
         ops = dirac_operators()
         for _ in range(50):
@@ -315,6 +347,115 @@ class TestProjection:
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="coefficients"):
             reconstruct(np.zeros(shape), build_basis("su2"))
+
+
+def dense_reconstruct(c, basis):
+    """reconstruct's reference: the dense sum over all k of every entry."""
+    return np.einsum("...k,kij->...ij", np.asarray(c, dtype=float), basis.elements)
+
+
+def dense_project(a, basis):
+    """_project's reference: the dense sum over all d^2 entries of every g_k."""
+    return (np.einsum("kij,...ji->...k", basis.elements, a) / basis.norm_constants).real
+
+
+def assert_bitwise(got, ref):
+    """The same bits in the same layout: reconstruct's result C-contiguous, as the dense sum's is."""
+    assert got.shape == ref.shape and got.strides == ref.strides
+    assert got.tobytes() == ref.tobytes()
+
+
+def signed_zeros(x, rng):
+    """A copy of ``x`` with about a quarter of its entries set to +0 or -0."""
+    x = x.copy()
+    hit = rng.random(x.shape) < 0.25
+    x[hit] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[hit]
+    return x
+
+
+GROUPS = ["su2", "su3", "su4", "su2+su3+su4"]
+
+
+class TestSparseContractions:
+    """reconstruct and _project sum only nonzero generator entries; every bit is the dense sum's."""
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("n", [None, 1, 40], ids=["lone", "stack1", "stack40"])
+    def test_reconstruct_is_the_dense_sum(self, group, n):
+        basis, rng = build_basis(group), np.random.default_rng(61)
+        c = signed_zeros(rng.uniform(-2, 2, (n or 1, len(basis))), rng)
+        c = c[0] if n is None else c
+        got = reconstruct(c, basis)
+        assert got.flags.c_contiguous
+        assert_bitwise(got, dense_reconstruct(c, basis))
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("n", [None, 1, 40], ids=["lone", "stack1", "stack40"])
+    def test_projections_are_the_dense_sum(self, group, n):
+        # any complex matrix, not only a Hermitian one, with exact +-0 in both parts
+        basis, rng = build_basis(group), np.random.default_rng(67)
+        shape = (n or 1, basis.dim, basis.dim)
+        a = signed_zeros(rng.normal(size=shape), rng) + 1j * signed_zeros(rng.normal(size=shape), rng)
+        a = a[0] if n is None else a
+        ref = dense_project(a, basis)
+        assert_bitwise(_project(a, basis), ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a has a trace
+            assert_bitwise(project_coefficients(a, basis), ref)
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_traceless_stack_projects_as_the_dense_sum(self, group):
+        basis = build_basis(group)
+        a = reconstruct(np.random.default_rng(71).uniform(-2, 2, (40, len(basis))), basis)
+        assert_bitwise(project_coefficients(a, basis), dense_project(a, basis))
+
+    @pytest.mark.parametrize("group", ["su3", "su2+su3+su4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_gives_nan_matrix(self, group, bad):
+        basis = build_basis(group)
+        c = np.random.default_rng(73).uniform(-2, 2, (20, len(basis)))
+        clean = reconstruct(c, basis)
+        c[7, -1] = bad
+        got = reconstruct(c, basis)
+        assert np.isnan(got[7]).all()
+        others = np.arange(20) != 7
+        assert got[others].tobytes() == clean[others].tobytes()
+        assert np.isnan(reconstruct(c[7], basis)).all()
+
+    @pytest.mark.parametrize("group", ["su3", "su2+su3+su4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, -1)], ids=["corner", "off_block"])
+    def test_non_finite_entry_gives_nan_row(self, group, bad, entry):
+        # in su2+su3+su4 entry (0, -1) lies outside every block, where no g_k is nonzero
+        basis = build_basis(group)
+        a = reconstruct(np.random.default_rng(79).uniform(-2, 2, (20, len(basis))), basis)
+        clean = _project(a, basis)
+        a[(7,) + entry] = bad
+        got = _project(a, basis)
+        assert np.isnan(got[7]).all()
+        others = np.arange(20) != 7
+        assert got[others].tobytes() == clean[others].tobytes()
+        assert np.isnan(_project(a[7], basis)).all()
+
+    @pytest.mark.parametrize("group", ["su3", "su4"])
+    @pytest.mark.parametrize("huge", [1e200, 1.7e308], ids=["1e200", "overflows"])
+    def test_huge_finite_entries_follow_the_dense_sum(self, group, huge):
+        # a finite entry is no NaN row, even where its products overflow to inf
+        basis, rng = build_basis(group), np.random.default_rng(83)
+        c = rng.uniform(-2, 2, (20, len(basis)))
+        c[7] = huge * np.sign(c[7])
+        a = rng.normal(size=(20, basis.dim, basis.dim)) + 0j
+        a[7] = huge
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_bitwise(reconstruct(c, basis), dense_reconstruct(c, basis))
+            assert_bitwise(_project(a, basis), dense_project(a, basis))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_project_coefficients_still_refuses_non_finite_input(self, bad):
+        a = np.zeros((3, 4, 4), dtype=complex)
+        a[1, 2, 3] = bad * bad  # 1e200 squared overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="matrix has non-finite entries"):
+            project_coefficients(a, build_basis("su4"))
 
 
 class TestConstraintTable:
